@@ -33,4 +33,4 @@ class UnreachableChannelError(B92Error):
 
 
 class OracleInfeasibleError(B92Error):
-    """The oracle found no grid point satisfying the constraint at the requested slack."""
+    """No contraction meets the oracle's constraint band."""

@@ -3,21 +3,28 @@
 Independent of the stationary-family analysis: the probe operator's
 action on the relevant 2-dimensional block is an arbitrary contraction
 X = R(u) diag(s1, s2) R(v) (signed s2 covers reflections), and the oracle
-minimizes |Tr[A X]| under the constraint on Tr[B X] by a coarse grid scan
-followed by local refinement.  During refinement the two rotation angles
-are pattern-searched while the (s1, s2) sub-problem - a linear objective
-on a line or band clipped to the box - is solved exactly, so the reported
-value carries no constraint slack.
+minimizes |Tr[A X]| subject to lo <= Tr[B X] <= hi.
 
-The hot scan runs in a compiled extension when available and in a numpy
-fallback otherwise; ``backend_name()`` tells which one is active, and the
-environment variable ``B92SEC_FORCE_NUMPY=1`` forces the fallback.
+At fixed rotations both traces are linear in (s1, s2), so the inner
+problem is exact: the feasible set is the box s1 in [0, 1], s2 in [-1, 1]
+cut by a slab, a convex polygon whose vertices are among 12 candidates
+(the box corners and the slab edges' crossings with the box edges), and
+min |f| of a linear f is 0 when f changes sign over those vertices and
+the smallest vertex |f| otherwise.  A resolution^2 scan over (u, v) cells
+picks seeds, and a pattern search on (u, v) refines all of them at once;
+every reported value meets the constraint exactly.
+
+Feasibility is decided exactly too.  By von Neumann's trace inequality the
+largest Tr[B X] over contractions is the nuclear norm of B, reached at
+B's polar factor, so the constraint is infeasible exactly when the band
+misses [-|B|_*, |B|_*].  The (u, v) cells of the polar factor and of its
+negative always join the seeds, which keeps thin feasible slivers near the
+reachable limit from slipping between grid cells.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,25 +32,21 @@ import numpy as np
 from .errors import DomainError, OracleInfeasibleError
 from .evebound import SymMat2
 
-if os.environ.get("B92SEC_FORCE_NUMPY") == "1":
-    from . import _gridref as _kernel
-    _BACKEND = "numpy"
-else:
-    try:
-        from . import _gridcore as _kernel  # type: ignore[no-redef]
-        _BACKEND = "compiled"
-    except ImportError:
-        from . import _gridref as _kernel  # type: ignore[no-redef]
-        _BACKEND = "numpy"
-
 # refinement knobs: pattern-search floor and tangency slop for the box clip
 _MIN_STEP = 1e-9
 _CLIP_SLOP = 1e-12
+# grid cells refined besides the two polar-factor seeds
+TOPK = 10
+# pattern-search moves on (u, v)
+_MOVES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
+                   (1, 1), (-1, -1), (1, -1), (-1, 1)], dtype=float)
+# box corners (s1, s2)
+_CORNERS = np.array([(0.0, -1.0), (0.0, 1.0), (1.0, -1.0), (1.0, 1.0)])
 
 
 def backend_name() -> str:
-    """Which scan implementation is active: "compiled" or "numpy"."""
-    return _BACKEND
+    """Name of the scan implementation; there is one, in numpy."""
+    return "numpy"
 
 
 @dataclass(frozen=True)
@@ -71,210 +74,161 @@ class Contraction2:
 class OracleResult:
     value: float
     point: Contraction2
-    backend: str
     resolution: int
-    coarse_slack: float
-    coarse_value: float
+    coarse_value: float  # best exact inner minimum over the (u, v) grid
 
 
-def _rotated_coeffs(m: SymMat2, u: float, v: float) -> tuple[float, float]:
-    """Diagonal of R(v) M R(u), so Tr[M X] = s1 * first + s2 * second."""
-    cu, su = math.cos(u), math.sin(u)
-    cv, sv = math.cos(v), math.sin(v)
+def _rotated_coeffs(m: SymMat2, u, v):
+    """Diagonal of R(v) M R(u), so Tr[M X] = s1 * first + s2 * second.
+
+    Broadcasts over arrays of u and v.
+    """
+    cu, su = np.cos(u), np.sin(u)
+    cv, sv = np.cos(v), np.sin(v)
     first = cv * (m.m11 * cu + m.m12 * su) - sv * (m.m12 * cu + m.m22 * su)
     second = sv * (-m.m11 * su + m.m12 * cu) + cv * (-m.m12 * su + m.m22 * cu)
     return first, second
 
 
-def _segment_min(a1, a2, b1, b2, target):
-    """Exact min of |s1 a1 + s2 a2| on the line s1 b1 + s2 b2 = target in the box.
+def _inner_min(a1, a2, b1, b2, lo: float, hi: float):
+    """Exact min of |a1 s1 + a2 s2| over the box cut by lo <= b1 s1 + b2 s2 <= hi.
 
-    Returns (value, s1, s2) or None when the line misses the box.
+    Broadcasts over the coefficient arrays.  Returns arrays (value, s1, s2);
+    value is inf where the feasible set is empty.
     """
-    norm2 = b1 * b1 + b2 * b2
-    if norm2 < 1e-28:
-        if abs(target) > 1e-12:
-            return None
-        return 0.0, 0.0, 0.0
-    px = target * b1 / norm2
-    py = target * b2 / norm2
-    dx, dy = -b2, b1
-    t_lo, t_hi = -math.inf, math.inf
-    for p, d, lo, hi in ((px, dx, 0.0, 1.0), (py, dy, -1.0, 1.0)):
-        if abs(d) < 1e-16:
-            if p < lo - _CLIP_SLOP or p > hi + _CLIP_SLOP:
-                return None
-        else:
-            t1, t2 = (lo - p) / d, (hi - p) / d
-            t_lo = max(t_lo, min(t1, t2))
-            t_hi = min(t_hi, max(t1, t2))
-    if t_lo > t_hi:
-        return None
-    q0 = a1 * px + a2 * py
-    q1 = a1 * dx + a2 * dy
-
-    def point(t):
-        return abs(q0 + t * q1), px + t * dx, py + t * dy
-
-    if abs(q1) < 1e-16:
-        return point(t_lo)
-    t_zero = -q0 / q1
-    if t_lo <= t_zero <= t_hi:
-        return point(t_zero)
-    lo_pt, hi_pt = point(t_lo), point(t_hi)
-    return lo_pt if lo_pt[0] <= hi_pt[0] else hi_pt
-
-
-def _band_min(a1, a2, b1, b2, lo, hi):
-    """Exact min of |s1 a1 + s2 a2| on the box slab lo <= s1 b1 + s2 b2 <= hi.
-
-    The objective is |linear|, so the minimum sits on its zero line (if that
-    crosses the slab) or at a vertex of the clipped polygon.
-    """
-    best = None
-
-    def consider(s1, s2):
-        nonlocal best
-        if not (-_CLIP_SLOP <= s1 <= 1.0 + _CLIP_SLOP and abs(s2) <= 1.0 + _CLIP_SLOP):
-            return
+    a1, a2, b1, b2 = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                           for c in (a1, a2, b1, b2)))
+    ones = np.ones(a1.shape)
+    # candidate vertices: the box corners, then each slab edge b.s = e
+    # crossing the box edges s1 = 0, 1 and s2 = -1, 1
+    s1 = [c1 * ones for c1, _ in _CORNERS]
+    s2 = [c2 * ones for _, c2 in _CORNERS]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e in (lo, hi):
+            for c in (0.0, 1.0):
+                s1.append(c * ones)
+                s2.append((e - b1 * c) / b2)
+            for c in (-1.0, 1.0):
+                s1.append((e - b2 * c) / b1)
+                s2.append(c * ones)
+        s1, s2 = np.stack(s1), np.stack(s2)
         qb = s1 * b1 + s2 * b2
-        if qb < lo - 1e-10 or qb > hi + 1e-10:
-            return
-        value = abs(s1 * a1 + s2 * a2)
-        if best is None or value < best[0]:
-            best = (value, min(max(s1, 0.0), 1.0), min(max(s2, -1.0), 1.0))
+    # the crossings lie on the slab's boundary by construction
+    in_slab = (qb >= lo - _CLIP_SLOP) & (qb <= hi + _CLIP_SLOP)
+    in_slab[len(_CORNERS):] = True
+    feasible = (in_slab & (s1 >= -_CLIP_SLOP) & (s1 <= 1.0 + _CLIP_SLOP)
+                & (np.abs(s2) <= 1.0 + _CLIP_SLOP))
+    s1 = np.clip(np.where(feasible, s1, 0.0), 0.0, 1.0)
+    s2 = np.clip(np.where(feasible, s2, 0.0), -1.0, 1.0)
+    f = a1 * s1 + a2 * s2
+    up = np.where(feasible, f, np.inf)
+    down = np.where(feasible, f, -np.inf)
+    f_lo, f_hi = up.min(axis=0), down.max(axis=0)
+    crosses = (f_lo <= 0.0) & (f_hi >= 0.0)
+    value = np.where(crosses, 0.0, np.where(f_lo > 0.0, f_lo, -f_hi))
+    # on a sign change, the zero of f between the two extreme vertices;
+    # otherwise the extreme vertex nearest zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.nan_to_num(np.where(crosses, f_hi / (f_hi - f_lo), f_lo > 0.0), nan=1.0)
+    i_lo, i_hi = up.argmin(axis=0)[None], down.argmax(axis=0)[None]
 
-    # corners of the box
-    for s1 in (0.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            consider(s1, s2)
-    # intersections of the slab edges with the box
-    for edge in (lo, hi):
-        hit = _segment_min(a1, a2, b1, b2, edge)
-        if hit is not None:
-            consider(hit[1], hit[2])
-        # endpoints of the clipped edge segment
-        seg = _segment_endpoints(b1, b2, edge)
-        if seg is not None:
-            for s1, s2 in seg:
-                consider(s1, s2)
-    # objective zero line crossing the slab
-    norm2 = a1 * a1 + a2 * a2
-    if norm2 < 1e-28:
-        # objective identically zero: feasibility is all that matters
-        if best is not None:
-            return 0.0, best[1], best[2]
-        return None
-    seg = _segment_endpoints(a1, a2, 0.0)
-    if seg is not None:
-        (x1, y1), (x2, y2) = seg
-        qb1 = x1 * b1 + y1 * b2
-        qb2 = x2 * b1 + y2 * b2
-        qmin, qmax = min(qb1, qb2), max(qb1, qb2)
-        if qmin <= hi and qmax >= lo:
-            # pick a feasible point on the zero segment
-            span = qb2 - qb1
-            t = 0.0 if abs(span) < 1e-16 else (min(max(lo, qmin), hi) - qb1) / span
-            t = min(max(t, 0.0), 1.0)
-            return 0.0, x1 + t * (x2 - x1), y1 + t * (y2 - y1)
-    if best is None:
-        return None
-    return best
+    def mix(s):
+        return (w * np.take_along_axis(s, i_lo, 0)[0]
+                + (1.0 - w) * np.take_along_axis(s, i_hi, 0)[0])
+
+    return value, mix(s1), mix(s2)
 
 
-def _segment_endpoints(c1, c2, value):
-    """Endpoints of the line c1 s1 + c2 s2 = value clipped to the box, or None."""
-    norm2 = c1 * c1 + c2 * c2
-    if norm2 < 1e-28:
-        if abs(value) > 1e-12:
-            return None
-        return (0.0, -1.0), (1.0, 1.0)  # whole box; return two corners
-    px = value * c1 / norm2
-    py = value * c2 / norm2
-    dx, dy = -c2, c1
-    t_lo, t_hi = -math.inf, math.inf
-    for p, d, lo, hi in ((px, dx, 0.0, 1.0), (py, dy, -1.0, 1.0)):
-        if abs(d) < 1e-16:
-            if p < lo - _CLIP_SLOP or p > hi + _CLIP_SLOP:
-                return None
-        else:
-            t1, t2 = (lo - p) / d, (hi - p) / d
-            t_lo = max(t_lo, min(t1, t2))
-            t_hi = min(t_hi, max(t1, t2))
-    if t_lo > t_hi:
-        return None
-    return (px + t_lo * dx, py + t_lo * dy), (px + t_hi * dx, py + t_hi * dy)
-
-
-def _exact_uv(a: SymMat2, b: SymMat2, lo: float, hi: float, u: float, v: float):
-    """Exact inner minimum at fixed rotations, or None when infeasible."""
+def _solve_uv(a: SymMat2, b: SymMat2, lo: float, hi: float, u, v):
+    """Exact inner minimum at the given rotations: arrays (value, s1, s2)."""
     a1, a2 = _rotated_coeffs(a, u, v)
     b1, b2 = _rotated_coeffs(b, u, v)
-    if hi - lo < 1e-14:
-        return _segment_min(a1, a2, b1, b2, 0.5 * (lo + hi))
-    return _band_min(a1, a2, b1, b2, lo, hi)
+    return _inner_min(a1, a2, b1, b2, lo, hi)
+
+
+def _polar_seeds(b: SymMat2) -> list[tuple[float, float]]:
+    """(u, v) of B's polar factor and of its negative.
+
+    With B = R(phi) diag(l1, l2) R(-phi), l1 >= l2, the polar factor is
+    R(phi) diag(1, sign l2) R(-phi), where Tr[B X] = |B|_*; adding pi to u
+    negates X.
+    """
+    phi = 0.5 * math.atan2(2.0 * b.m12, b.m11 - b.m22)
+    return [(phi, -phi), (phi + math.pi, -phi)]
+
+
+def nuclear_norm(b: SymMat2) -> float:
+    """|l1| + |l2|: the largest Tr[B X] over contractions X."""
+    half_tr = 0.5 * (b.m11 + b.m22)
+    radius = math.hypot(0.5 * (b.m11 - b.m22), b.m12)
+    return abs(half_tr + radius) + abs(half_tr - radius)
 
 
 def _refine(a, b, lo, hi, seeds, step0):
-    """Pattern search on (u, v) from each seed with the exact inner solve."""
-    best_value = math.inf
-    best_point = None
-    moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
-    for u0, v0 in seeds:
-        u, v = float(u0), float(v0)
-        hit = _exact_uv(a, b, lo, hi, u, v)
-        value = math.inf if hit is None else hit[0]
-        step = step0
-        while step > _MIN_STEP:
-            improved = False
-            for du, dv in moves:
-                cand = _exact_uv(a, b, lo, hi, u + du * step, v + dv * step)
-                if cand is not None and cand[0] < value - 1e-16:
-                    u, v = u + du * step, v + dv * step
-                    value, hit = cand[0], cand
-                    improved = True
-                    break
-            if not improved:
-                step *= 0.5
-        if hit is not None and value < best_value:
-            best_value = value
-            best_point = Contraction2(u=u, v=v, s1=hit[1], s2=hit[2])
-    return best_value, best_point
+    """Pattern search on (u, v) from every seed at once, exact inner solve.
+
+    Each active seed takes its best improving move of the eight, or halves
+    its step when none improves.  Returns (value, Contraction2 or None).
+    """
+    u, v = np.array(seeds, dtype=float).T
+    value, s1, s2 = _solve_uv(a, b, lo, hi, u, v)
+    step = np.full(u.shape, step0)
+    rows = np.arange(u.size)
+    while True:
+        active = step > _MIN_STEP
+        if not active.any():
+            break
+        cu = u[:, None] + _MOVES[:, 0] * step[:, None]
+        cv = v[:, None] + _MOVES[:, 1] * step[:, None]
+        cval, cs1, cs2 = _solve_uv(a, b, lo, hi, cu, cv)
+        k = cval.argmin(axis=1)
+        better = active & (cval[rows, k] < value - 1e-16)
+        u = np.where(better, cu[rows, k], u)
+        v = np.where(better, cv[rows, k], v)
+        value = np.where(better, cval[rows, k], value)
+        s1 = np.where(better, cs1[rows, k], s1)
+        s2 = np.where(better, cs2[rows, k], s2)
+        step = np.where(active & ~better, 0.5 * step, step)
+    best = int(value.argmin())
+    if not math.isfinite(value[best]):
+        return math.inf, None
+    return float(value[best]), Contraction2(u=float(u[best]), v=float(v[best]),
+                                            s1=float(s1[best]), s2=float(s2[best]))
 
 
 def _search(a: SymMat2, b: SymMat2, lo: float, hi: float,
-            resolution: int, topk: int) -> OracleResult:
-    # coarse-stage slack: ten grid steps of the constraint-trace sensitivity
-    # (the hypot+trace bound covers the full range of Tr[B X] over contractions)
-    scale = math.hypot(b.m11 - b.m22, 2.0 * b.m12) + abs(b.m11 + b.m22)
-    slack = 10.0 * scale * 2.0 / max(resolution - 1, 1)
-    coarse, seeds, gap_seeds = _kernel.scan(
-        a.m11, a.m12, a.m22, b.m11, b.m12, b.m22,
-        lo - slack, hi + slack, resolution, topk)
-    pool = [(row[1], row[2]) for row in seeds if math.isfinite(row[0])]
-    pool += [(row[1], row[2]) for row in gap_seeds if math.isfinite(row[0])]
-    if not pool:
-        raise OracleInfeasibleError("no grid cell near the constraint at the coarse stage")
-    step0 = 2.0 * math.pi / resolution
-    value, point = _refine(a, b, lo, hi, pool, step0)
-    if point is None:
+            resolution: int) -> OracleResult:
+    if resolution < 2:
+        raise DomainError(f"resolution must be at least 2: {resolution}")
+    reach = nuclear_norm(b)
+    if lo > reach or hi < -reach:
         raise OracleInfeasibleError(
             f"no contraction meets the constraint [{lo:.6g}, {hi:.6g}]; "
-            "the target lies outside the reachable range")
-    return OracleResult(value=value, point=point, backend=_BACKEND,
-                        resolution=resolution, coarse_slack=slack,
-                        coarse_value=coarse)
+            f"Tr[B X] ranges over [{-reach:.6g}, {reach:.6g}]")
+    u = np.arange(resolution) * (2.0 * math.pi / resolution)
+    v = np.arange(resolution) * (math.pi / resolution)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    cells = _solve_uv(a, b, lo, hi, uu, vv)[0].ravel()
+    order = np.argsort(cells, kind="stable")[:TOPK]
+    order = order[np.isfinite(cells[order])]
+    seeds = _polar_seeds(b) + list(zip(uu.ravel()[order], vv.ravel()[order]))
+    value, point = _refine(a, b, lo, hi, seeds, 2.0 * math.pi / resolution)
+    if point is None:
+        raise OracleInfeasibleError(
+            f"no seed meets the constraint [{lo:.6g}, {hi:.6g}]")
+    return OracleResult(value=value, point=point, resolution=resolution,
+                        coarse_value=float(cells.min()))
 
 
 def oracle_min_overlap(a: SymMat2, b: SymMat2, target: float,
-                       resolution: int = 64, topk: int = 10) -> OracleResult:
+                       resolution: int = 64) -> OracleResult:
     """Brute-force min |Tr[A X]| subject to Tr[B X] = target."""
-    return _search(a, b, target, target, resolution, topk)
+    return _search(a, b, target, target, resolution)
 
 
 def oracle_min_overlap_lossy(a: SymMat2, b: SymMat2, alpha_prime: float,
-                             transmission: float, resolution: int = 64,
-                             topk: int = 10) -> OracleResult:
+                             transmission: float,
+                             resolution: int = 64) -> OracleResult:
     """Brute-force minimum under the loss-widened unitarity band.
 
     The constraint is |T Tr[B X] - cos(alpha')| <= 1 - T; at T = 1 it
@@ -286,4 +240,4 @@ def oracle_min_overlap_lossy(a: SymMat2, b: SymMat2, alpha_prime: float,
     c = math.cos(alpha_prime)
     lo = (c - (1.0 - transmission)) / transmission
     hi = (c + (1.0 - transmission)) / transmission
-    return _search(a, b, lo, hi, resolution, topk)
+    return _search(a, b, lo, hi, resolution)

@@ -166,11 +166,6 @@ def make_alice_states(alpha_prime: float) -> tuple[BlochState, BlochState]:
     return BlochState(-alpha_prime), BlochState(alpha_prime)
 
 
-def povm_probability(povm: Povm5, label: str, state: SignalDensity) -> float:
-    """Convenience wrapper for ``Povm5.probability``."""
-    return povm.probability(label, state)
-
-
 def symmetrized_density(params, alpha: float, bit: int) -> SignalDensity:
     """Signal operator Bob reconstructs from the symmetrized channel.
 

@@ -45,7 +45,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_oracle_equivalence():
     # 100 seeded random channels: analytic minimum within 1e-3 of the
-    # brute-force oracle at resolution 64^4 plus refinement, within 5 min
+    # brute-force oracle (resolution-64 (u, v) scan plus refinement), within 5 min
     rng = np.random.default_rng(20240811)
     start = time.time()
     worst = 0.0

@@ -155,15 +155,6 @@ class TestOracleCheck:
                          "--resolution", "24", "--seed", "7", "--tol", "-1")
         assert code == EXIT_MISMATCH
 
-    def test_threaded_run_matches_serial(self, capsys, monkeypatch):
-        code, serial, _ = run(capsys, "oracle-check", "--samples", "3",
-                              "--resolution", "16", "--seed", "3")
-        monkeypatch.setenv("B92SEC_THREADS", "3")
-        code2, threaded, _ = run(capsys, "oracle-check", "--samples", "3",
-                                 "--resolution", "16", "--seed", "3")
-        assert code == code2 == EXIT_OK
-        assert serial == threaded
-
 
 def test_entry_point_runs_as_module():
     import subprocess
