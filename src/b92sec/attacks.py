@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import B92Error, DomainError
 from .estimation import ChannelTriple
-from .evebound import eve_max_gain
+from .evebound import eve_bound
 from .states import wrap_angle
 
 
@@ -263,15 +263,10 @@ def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:
     Entry [i, j] refers to alpha_grid[i], eps_grid[j], with the analyzer
     matched to the signal angle and theta = 0.
     """
-    alphas = np.asarray(alpha_grid, dtype=float)
-    epsilons = np.asarray(eps_grid, dtype=float)
-    region = np.zeros((alphas.size, epsilons.size), dtype=bool)
-    for i, alpha in enumerate(alphas):
-        for j, eps in enumerate(epsilons):
-            triple = ChannelTriple(0.0, float(eps), transmission)
-            result = eve_max_gain(alpha, alpha, triple)
-            region[i, j] = result.overlap_min <= 1e-9
-    return region
+    alphas = np.asarray(alpha_grid, dtype=float)[:, np.newaxis]
+    bound = eve_bound(alphas, alphas, 0.0, eps_grid, transmission)
+    bound.check()
+    return bound.overlap_min <= 1e-9
 
 
 # --- attack description strings ---------------------------------------------------

@@ -31,14 +31,15 @@ from .errors import (
     UnreachableChannelError,
 )
 from .estimation import ChannelTriple
-from .evebound import build_matrices, eve_max_gain
+from .evebound import build_matrices, collision_gain, eve_bound, eve_max_gain, shannon_gain
 from .infobounds import shannon_upper_bound
 from .keyrate import (
     LINK_PRESETS,
+    MODES,
     PhysicalLink,
     distance_sweep,
+    key_gains,
     optimal_angle,
-    secret_key_gain,
 )
 from .oracle import backend_name, oracle_min_overlap_lossy
 from .simulate import SimConfig, closed_loop_report
@@ -94,16 +95,14 @@ def cmd_infogain(args) -> int:
     alpha_prime = math.radians(args.alpha_prime if args.alpha_prime is not None
                                else args.alpha)
     theta = math.radians(args.theta)
+    bound = eve_bound(alpha_prime, alpha, theta, args.eps_grid, args.T)
+    bound.check()
+    q = bound.overlap_min
     bound_applies = args.theta == 0.0 and math.isclose(alpha, alpha_prime)
-    rows = []
-    for eps in args.eps_grid:
-        triple = ChannelTriple(theta, float(eps), args.T)
-        res = eve_max_gain(alpha_prime, alpha, triple)
-        upper = math.nan
-        if bound_applies:
-            upper = shannon_upper_bound(alpha, float(eps), args.T).upper_bound
-        rows.append((float(eps), res.overlap_min, res.info_gain,
-                     res.info_gain_shannon, upper))
+    rows = [(eps, *gains, shannon_upper_bound(alpha, eps, args.T).upper_bound
+             if bound_applies else math.nan)
+            for eps, *gains in zip(args.eps_grid.tolist(), q.tolist(),
+                                   collision_gain(q).tolist(), shannon_gain(q).tolist())]
     _emit(args, SCHEMAS["infogain"], rows)
     return EXIT_OK
 
@@ -122,15 +121,12 @@ def cmd_region(args) -> int:
 def cmd_keygain(args) -> int:
     if _maybe_schema(args):
         return EXIT_OK
-    alpha = math.radians(args.alpha)
-    rows = []
-    for eps in args.eps_grid:
-        rep = secret_key_gain(alpha, ChannelTriple(0.0, float(eps), args.T),
-                              args.mode)
-        # raw gain kept for root finding; the clipped copy is the usable rate
-        rows.append((float(eps), rep.p_conc, rep.error_rate, rep.info_correct,
-                     rep.info_flipped, rep.gain_correct, rep.gain_flipped,
-                     rep.gain, max(rep.gain, 0.0)))
+    g = key_gains(math.radians(args.alpha), 0.0, args.eps_grid, args.T, args.mode)
+    g.check()
+    columns = (args.eps_grid, g.p_conc, g.error_rate, g.info_correct, g.info_flipped,
+               g.gain_correct, g.gain_flipped, g.gain)
+    # raw gain kept for root finding; the clipped copy is the usable rate
+    rows = [(*row, max(row[-1], 0.0)) for row in zip(*(c.tolist() for c in columns))]
     _emit(args, SCHEMAS["keygain"], rows)
     return EXIT_OK
 
@@ -264,14 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--eps-grid", required=True, type=_grid)
-    p.add_argument("--mode", choices=("collision", "shannon"),
-                   default="collision")
+    p.add_argument("--mode", choices=MODES, default="collision")
 
     p = add("optangle", cmd_optangle, "optimal signal angle over a noise grid")
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--eps-grid", required=True, type=_grid)
-    p.add_argument("--mode", choices=("collision", "shannon"),
-                   default="collision")
+    p.add_argument("--mode", choices=MODES, default="collision")
 
     p = add("distance", cmd_distance, "distance sweep against BB84")
     p.add_argument("--preset", choices=sorted(LINK_PRESETS))
@@ -282,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--efficiency", type=float, default=0.18)
     p.add_argument("--alpha", type=float, default=11.0)
     p.add_argument("--l-grid", default="0:60:61", type=_grid)
-    p.add_argument("--mode", choices=("collision", "shannon"),
-                   default="collision")
+    p.add_argument("--mode", choices=MODES, default="collision")
 
     p = add("simulate", cmd_simulate, "Monte-Carlo protocol run from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--counts-csv", help="also write the estimator count record")
-    p.add_argument("--mode", choices=("collision", "shannon"),
-                   default="collision")
+    p.add_argument("--mode", choices=MODES, default="collision")
 
     p = add("oracle-check", cmd_oracle_check,
             "compare the analytic bound against the brute-force oracle")

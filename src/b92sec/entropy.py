@@ -1,12 +1,13 @@
 """Binary Shannon entropy with the h(0) = h(1) = 0 continuity convention."""
 
-import math
+import numpy as np
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), in bits."""
-    if x < 0.0 or x > 1.0:
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x), in bits, elementwise."""
+    x = np.asarray(x, dtype=float)
+    if ((x < 0.0) | (x > 1.0)).any():
         raise ValueError(f"entropy argument outside [0, 1]: {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    y = 1.0 - x
+    # log2(0 + 1) = 0 drops the 0 log2 0 terms; starting at 0.0 avoids -0.0
+    return (0.0 - x * np.log2(x + (x == 0.0)) - y * np.log2(y + (y == 0.0)))[()]

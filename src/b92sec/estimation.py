@@ -19,9 +19,14 @@ from .errors import (
     DomainError,
     EstimationInfeasibleError,
 )
-from .states import SignalDensity, wrap_angle
+from .states import OUTCOMES, Povm5, SignalDensity, symmetrized_density, wrap_angle
 
-COUNT_FIELDS = ("n00", "n01", "n0b0", "n0b1", "n10", "n11", "n1b0", "n1b1", "n_total")
+# counter field of each (Alice's bit, Bob's outcome); "V" events are not counted
+COUNT_TABLE = {
+    (0, "0"): "n00", (0, "1"): "n01", (0, "0b"): "n0b0", (0, "1b"): "n0b1",
+    (1, "0"): "n10", (1, "1"): "n11", (1, "0b"): "n1b0", (1, "1b"): "n1b1",
+}
+COUNT_FIELDS = (*COUNT_TABLE.values(), "n_total")
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,17 @@ class ObservedCounts:
 
     def detected(self) -> int:
         """Number of single-photon detections (everything except V)."""
-        return (self.n00 + self.n01 + self.n0b0 + self.n0b1
-                + self.n10 + self.n11 + self.n1b0 + self.n1b1)
+        return sum(getattr(self, name) for name in COUNT_TABLE.values())
 
     def count(self, bit: int, outcome: str) -> int:
         """Counter for (j, mu) with mu in {"0", "1", "0b", "1b"}."""
-        name = {"0": f"n{bit}0", "1": f"n{bit}1", "0b": f"n{bit}b0", "1b": f"n{bit}b1"}[outcome]
-        return getattr(self, name)
+        return getattr(self, COUNT_TABLE[bit, outcome])
+
+    @classmethod
+    def from_table(cls, n_total: int, table) -> "ObservedCounts":
+        """Counters from a (2, 5) table indexed by bit and outcome in ``OUTCOMES`` order."""
+        return cls(n_total=n_total, **{name: int(table[bit][OUTCOMES.index(outcome)])
+                                       for (bit, outcome), name in COUNT_TABLE.items()})
 
     # --- external record formats -------------------------------------------------
 
@@ -154,17 +163,11 @@ def expected_counts(triple: ChannelTriple, alpha: float, n_total: int) -> Observ
     Fractional expectations are kept exact by scaling; they are rounded to
     integers, so pick ``n_total`` large enough for the precision you need.
     """
-    from .states import Povm5, symmetrized_density
-
     povm = Povm5(alpha)
-    values = {}
-    for bit in (0, 1):
-        rho = symmetrized_density(triple, alpha, bit)
-        for outcome in ("0", "1", "0b", "1b"):
-            name = {"0": f"n{bit}0", "1": f"n{bit}1",
-                    "0b": f"n{bit}b0", "1b": f"n{bit}b1"}[outcome]
-            values[name] = round(povm.probability(outcome, rho) * n_total / 2.0)
-    return ObservedCounts(n_total=n_total, **values)
+    rhos = [symmetrized_density(triple, alpha, bit) for bit in (0, 1)]
+    table = [[round(povm.probability(outcome, rho) * n_total / 2.0) for outcome in OUTCOMES]
+             for rho in rhos]
+    return ObservedCounts.from_table(n_total, table)
 
 
 def symmetrize_densities(rho0: SignalDensity, rho1: SignalDensity, alpha: float,
@@ -198,10 +201,6 @@ def symmetrize_densities(rho0: SignalDensity, rho1: SignalDensity, alpha: float,
 
 def relabeled(counts: ObservedCounts) -> ObservedCounts:
     """Swap the bit labels of both parties (the mirror symmetry of the protocol)."""
-    return replace(
-        counts,
-        n00=counts.n11, n11=counts.n00,
-        n01=counts.n10, n10=counts.n01,
-        n0b0=counts.n1b1, n1b1=counts.n0b0,
-        n0b1=counts.n1b0, n1b0=counts.n0b1,
-    )
+    mirror = {"0": "1", "1": "0", "0b": "1b", "1b": "0b"}
+    return replace(counts, **{name: counts.count(1 - bit, mirror[outcome])
+                              for (bit, outcome), name in COUNT_TABLE.items()})

@@ -8,6 +8,18 @@ matrices fixed by the channel triple.  Minimizing |Q| over the band gives
 the largest information Eve can have extracted; the minimizers fall on a
 small set of one-parameter stationary families, so the whole optimization
 is closed-form.
+
+The closed form runs over arrays.  :func:`eve_bound` takes broadcast
+(alpha', alpha, theta, eps, T), builds A, B and the stationary families
+once, with the 2x2 algebra written out, and returns for every entry the
+minimum overlap, the regime that decided it (the free region, where the
+overlap vanishes, or the family type1, type3+ or type3- whose root wins)
+and a status (ok, unreachable, degenerate) in place of an exception.
+:func:`eve_max_gain` and :func:`flipped_bit_gain` are one-entry wrappers
+that raise a failed status as the matching exception.  The families need
+det B != 0; since det B = -eps (1 - eps/2) / 2, they vanish only for
+eps below about 2e-15, and there the eps = 0 formula
+q = target / |cos(alpha + theta)| is used.
 """
 
 from __future__ import annotations
@@ -18,34 +30,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy
-from .errors import DegenerateChannelError, DomainError, UnreachableChannelError
+from .errors import B92Error, DegenerateChannelError, DomainError, UnreachableChannelError
 
-# below this noise level the rank-1 closed form is used directly
-NOISELESS_EPS = 1e-9
 # floating-point grace on the reachability test
 REACH_SLOP = 1e-9
 # absolute fuzz when comparing the target against the zero-overlap limit;
 # keeps exactly-orthogonal signals (cos(pi/2) ~ 1e-16 in floats) in the
 # free region instead of dividing two rounding errors
 FREE_SLOP = 1e-12
+# below this |det B| the stationary families do not exist (noiseless channel)
+DET_SLOP = 1e-15
+
+# regime codes index FAMILIES
+FAMILIES = ("free", "type1", "type3+", "type3-")
+FREE, TYPE1, TYPE3P, TYPE3M = range(4)
+OK, UNREACHABLE, DEGENERATE = range(3)
 
 
 @dataclass(frozen=True)
 class SymMat2:
-    """Real symmetric 2x2 matrix."""
+    """Real symmetric 2x2 matrix; the entries may be broadcast arrays."""
 
     m11: float
     m12: float
     m22: float
 
-    def trace(self) -> float:
+    def trace(self):
         return self.m11 + self.m22
 
-    def det(self) -> float:
+    def det(self):
         return self.m11 * self.m22 - self.m12 * self.m12
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m12, self.m22]])
 
 
 @dataclass(frozen=True)
@@ -54,9 +68,6 @@ class StationaryCandidate:
 
     family: str  # "type1" | "type3+" | "type3-" | "free"
     eta: float
-
-
-FREE = StationaryCandidate("free", 0.0)
 
 
 @dataclass(frozen=True)
@@ -79,13 +90,74 @@ class EveBoundResult:
     target: float
 
 
-def collision_gain(q: float) -> float:
-    """Information gain (collision-probability measure) from probe overlap q."""
-    return math.log2(2.0 - q * q)
+@dataclass(frozen=True)
+class BoundArrays:
+    """Outcome of the overlap minimization over broadcast channel arrays.
 
-def shannon_gain(q: float) -> float:
+    The fields match :class:`EveBoundResult`; ``regime`` indexes
+    ``FAMILIES`` and ``eta`` is the minimizer's family parameter.
+    ``status`` is OK, UNREACHABLE (the target exceeds ``constraint_max``
+    and is kept unclipped) or DEGENERATE (singular probe matrices); the
+    other fields of a failed entry carry no meaning.  ``free_limit`` and
+    ``constraint_max`` do not depend on alpha' or T and keep the broadcast
+    shape of (alpha, theta, eps); the other fields have the full shape.
+    """
+
+    overlap_min: np.ndarray
+    free_limit: np.ndarray
+    constraint_max: np.ndarray
+    target: np.ndarray
+    regime: np.ndarray
+    eta: np.ndarray
+    status: np.ndarray
+
+    def error(self, k: int) -> B92Error | None:
+        """The exception the scalar API raises for flat entry ``k``, if any."""
+        status = self.status.flat[k]
+        if status == UNREACHABLE:
+            bmax = np.broadcast_to(self.constraint_max, self.status.shape).flat[k]
+            return UnreachableChannelError(
+                f"observed channel needs constraint value {self.target.flat[k]:.6f} "
+                f"> maximum {bmax:.6f}")
+        if status == DEGENERATE:
+            return DegenerateChannelError(
+                "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
+        return None
+
+    def check(self) -> None:
+        """Raise the scalar API's exception for the first failed entry."""
+        failed = np.flatnonzero(self.status != OK)
+        if failed.size:
+            raise self.error(failed[0])
+
+
+def collision_gain(q):
+    """Information gain (collision-probability measure) from probe overlap q."""
+    return np.log2(2.0 - q * q)
+
+
+def shannon_gain(q):
     """Information gain (Shannon measure) from probe overlap q."""
-    return 1.0 - binary_entropy(0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - q * q))))
+    return 1.0 - binary_entropy(0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - q * q))))
+
+
+def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
+    """A, B and A's common denominator, unchecked (see :func:`build_matrices`)."""
+    den = 1.0 - (1.0 - epsilon) * np.cos(2.0 * alpha + theta)
+    half = alpha + 0.5 * theta
+    root = np.sqrt(epsilon * (2.0 - epsilon))
+    a = SymMat2(
+        m11=(2.0 - epsilon) * np.sin(half) ** 2 / den,
+        m12=-root * np.sin(2.0 * alpha + theta) / (2.0 * den),
+        m22=epsilon * np.cos(half) ** 2 / den,
+    )
+    full = alpha + theta
+    b = SymMat2(
+        m11=(1.0 - 0.5 * epsilon) * np.cos(full),
+        m12=np.sqrt((1.0 - 0.5 * epsilon) * 0.5 * epsilon) * np.sin(full),
+        m22=-0.5 * epsilon * np.cos(full),
+    )
+    return a, b, den
 
 
 def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2, SymMat2]:
@@ -98,268 +170,209 @@ def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2,
     """
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"noise parameter outside [0, 1]: {epsilon}")
-    den = 1.0 - (1.0 - epsilon) * math.cos(2.0 * alpha + theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b, den = _matrices(alpha, theta, epsilon)
     if den <= 1e-15:
         raise DegenerateChannelError(
             "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
-    half = alpha + 0.5 * theta
-    root = math.sqrt(epsilon * (2.0 - epsilon))
-    a = SymMat2(
-        m11=(2.0 - epsilon) * math.sin(half) ** 2 / den,
-        m12=-root * math.sin(2.0 * alpha + theta) / (2.0 * den),
-        m22=epsilon * math.cos(half) ** 2 / den,
-    )
-    full = alpha + theta
-    b = SymMat2(
-        m11=(1.0 - 0.5 * epsilon) * math.cos(full),
-        m12=math.sqrt((1.0 - 0.5 * epsilon) * 0.5 * epsilon) * math.sin(full),
-        m22=-0.5 * epsilon * math.cos(full),
-    )
     return a, b
 
 
-def constraint_max(b: SymMat2) -> float:
+def constraint_max(b: SymMat2):
     """Largest value of Tr[B xi] over orthogonal xi.
 
     Equals sqrt((B11 - B22)^2 + 4 B12^2), the sum of B's singular values
     when its eigenvalues have opposite signs.
     """
-    if b.det() > 1e-12:
+    if np.any(b.det() > 1e-12):
         raise DomainError("constraint matrix must have non-positive determinant")
-    return math.hypot(b.m11 - b.m22, 2.0 * b.m12)
+    return np.hypot(b.m11 - b.m22, 2.0 * b.m12)
 
 
 # --- stationary families ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Type1Curve:
-    """xi = [[cos eta, sin eta], [sin eta, -cos eta]] on the probe block.
+class Families:
+    """The stationary families of |Q| under a fixed constraint value.
 
-    Q and B are both pure cosine waves in eta; the B amplitude equals the
-    reachability limit, so this family always reaches any feasible target.
-    """
-
-    qc: float  # A11 - A22
-    qs: float  # 2 A12
-    bc: float  # B11 - B22
-    bs: float  # 2 B12
-
-    family = "type1"
-
-    def q_of(self, eta: float) -> float:
-        return self.qc * math.cos(eta) + self.qs * math.sin(eta)
-
-    def b_of(self, eta: float) -> float:
-        return self.bc * math.cos(eta) + self.bs * math.sin(eta)
-
-    def b_amplitude(self) -> float:
-        return math.hypot(self.bc, self.bs)
-
-    def solve_b(self, target: float) -> list[float]:
-        amp = self.b_amplitude()
-        if abs(target) > amp * (1.0 + 1e-12) + 1e-15:
-            return []
-        shift = math.atan2(self.bs, self.bc)
-        d = math.acos(min(1.0, max(-1.0, target / amp)))
-        return [shift + d, shift - d]
-
-    def q_zero_etas(self) -> list[float]:
-        shift = math.atan2(self.qs, self.qc)
-        return [shift + 0.5 * math.pi, shift - 0.5 * math.pi]
-
-
-@dataclass(frozen=True)
-class Type3Curve:
-    """xi = sign * diag(1, cos eta) in the eigenbasis singled out by kappa.
-
-    Exists for noisy channels only (the multiplier kappa needs det B != 0).
-    Q and B are affine in cos eta.
-    """
-
-    sign: float
-    tr_a_pa: float  # <a|A|a>
-    tr_b_pa: float  # <a|B|a>
-    tr_b: float     # Tr B
-    projector_eigs: tuple[float, float]
-
-    @property
-    def family(self) -> str:
-        return "type3+" if self.sign > 0 else "type3-"
-
-    def valid(self) -> bool:
-        """Numerical sanity of the rank-1 projector behind the family."""
-        lo, hi = min(self.projector_eigs), max(self.projector_eigs)
-        return -1e-9 <= lo and hi <= 1.0 + 1e-9
-
-    def q_of(self, eta: float) -> float:
-        x = math.cos(eta)
-        return self.sign * (self.tr_a_pa * (1.0 - x) + x)
-
-    def b_of(self, eta: float) -> float:
-        x = math.cos(eta)
-        return self.sign * (self.tr_b_pa * (1.0 - x) + x * self.tr_b)
-
-    def b_interval(self) -> tuple[float, float]:
-        ends = (self.b_of(0.0), self.b_of(math.pi))
-        return (min(ends), max(ends))
-
-    def _eta_from_x(self, x: float) -> float:
-        return math.acos(min(1.0, max(-1.0, x)))
-
-    def solve_b(self, target: float) -> list[float]:
-        den = self.tr_b - self.tr_b_pa
-        if abs(den) < 1e-14:
-            # B constant along the family
-            if abs(self.sign * self.tr_b_pa - target) < 1e-12:
-                return [0.0, math.pi]
-            return []
-        x = (self.sign * target - self.tr_b_pa) / den
-        if abs(x) > 1.0 + 1e-9:
-            return []
-        return [self._eta_from_x(x)]
-
-    def q_zero_etas(self) -> list[float]:
-        den = 1.0 - self.tr_a_pa
-        if abs(den) < 1e-14:
-            return []
-        x = -self.tr_a_pa / den
-        if abs(x) > 1.0:
-            return []
-        return [self._eta_from_x(x)]
-
-
-def stationary_curves(a: SymMat2, b: SymMat2) -> list:
-    """All stationary families of |Q| under a fixed constraint value.
+    type1 is xi = [[cos eta, sin eta], [sin eta, -cos eta]] on the probe
+    block: Q = qc cos eta + qs sin eta and B = bc cos eta + bs sin eta, and
+    the B amplitude equals the reachability limit, so it reaches every
+    feasible target.  type3+- is xi = +-diag(1, cos eta) in the eigenbasis
+    of the rank-1 projector P = (A - kappa B) / Tr(A - kappa B); with
+    x = cos eta, Q = +-(a_p (1 - x) + x) and B = +-(b_p (1 - x) + x tr_b),
+    where a_p = Tr[A P] and b_p = Tr[B P].  ``type3`` marks entries where P
+    is numerically a projector; ``degenerate`` marks det B = 0 (a noiseless
+    channel), where no family exists.  ``free_limit`` is the largest |B| on
+    the zero set of Q over the families: the zero-overlap limit, 0 where
+    degenerate.
 
     The pure-rotation family is omitted: its interior points are never
     stationary for the full problem and its endpoints give |Q| = 1, so it
     cannot supply a minimum (this neglect is exercised against the oracle
-    in the test suite).  Requires a noisy channel; for a noiseless one the
-    closed form q = |B target| / |cos(alpha + theta)| applies instead.
+    in the test suite).
     """
-    det_b = b.det()
-    if abs(det_b) < 1e-15:
-        raise DegenerateChannelError(
-            "stationary families need det B != 0 (noisy channel); "
-            "use the noiseless closed form")
-    curves: list = [Type1Curve(qc=a.m11 - a.m22, qs=2.0 * a.m12,
-                               bc=b.m11 - b.m22, bs=2.0 * b.m12)]
+
+    qc: np.ndarray
+    qs: np.ndarray
+    bc: np.ndarray
+    bs: np.ndarray
+    a_p: np.ndarray
+    b_p: np.ndarray
+    tr_b: np.ndarray
+    type3: np.ndarray
+    degenerate: np.ndarray
+    free_limit: np.ndarray
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
+    """All stationary families of |Q| for broadcast matrices (A, B)."""
+    det_b = np.asarray(b.det(), dtype=float)
+    degenerate = np.abs(det_b) < DET_SLOP
+    # kappa makes A - kappa B singular, since det A = 0
     kappa = (a.m11 * b.m22 + a.m22 * b.m11 - 2.0 * a.m12 * b.m12) / det_b
-    m = a.as_array() - kappa * b.as_array()
-    trace = float(np.trace(m))
-    if abs(trace) < 1e-14:
-        return curves
-    projector = m / trace
-    eigs = tuple(float(e) for e in np.linalg.eigvalsh(projector))
-    tr_a_pa = float(np.trace(a.as_array() @ projector))
-    tr_b_pa = float(np.trace(b.as_array() @ projector))
-    for sign in (1.0, -1.0):
-        curve = Type3Curve(sign=sign, tr_a_pa=tr_a_pa, tr_b_pa=tr_b_pa,
-                           tr_b=b.trace(), projector_eigs=eigs)
-        if curve.valid():
-            curves.append(curve)
-    return curves
+    tr_b = b.trace()
+    trace = a.trace() - kappa * tr_b
+    p11 = (a.m11 - kappa * b.m11) / trace
+    p12 = (a.m12 - kappa * b.m12) / trace
+    p22 = (a.m22 - kappa * b.m22) / trace
+    # P's eigenvalues are mean -+ spread; both must lie in [0, 1]
+    mean = 0.5 * (p11 + p22)
+    spread = np.hypot(0.5 * (p11 - p22), p12)
+    type3 = (~degenerate & (np.abs(trace) >= 1e-14)
+             & (mean - spread >= -1e-9) & (mean + spread <= 1.0 + 1e-9))
+    qc, qs, bc, bs = a.m11 - a.m22, 2.0 * a.m12, b.m11 - b.m22, 2.0 * b.m12
+    a_p = a.m11 * p11 + 2.0 * a.m12 * p12 + a.m22 * p22
+    b_p = b.m11 * p11 + 2.0 * b.m12 * p12 + b.m22 * p22
+    # type1: Q vanishes at eta = atan2(qs, qc) +- pi/2, where
+    # |B| = |bs qc - bc qs| / hypot(qc, qs) on both roots
+    limit = np.abs(bs * qc - bc * qs) / np.hypot(qc, qs)
+    # type3: Q vanishes at x = -a_p / (1 - a_p)
+    x = -a_p / (1.0 - a_p)
+    on = type3 & (np.abs(1.0 - a_p) >= 1e-14) & (np.abs(x) <= 1.0)
+    limit = np.maximum(limit, np.where(on, np.abs(b_p * (1.0 - x) + x * tr_b), 0.0))
+    return Families(qc=qc, qs=qs, bc=bc, bs=bs, a_p=a_p, b_p=b_p, tr_b=tr_b, type3=type3,
+                    degenerate=degenerate, free_limit=np.where(degenerate, 0.0, limit))
 
 
-def zero_overlap_limit(a: SymMat2, b: SymMat2) -> float:
+def _clip1(x):
+    return np.minimum(1.0, np.maximum(-1.0, x))
+
+
+def _overlap(f: Families, t, bmax):
+    """Minimum |Q| at constraint value 0 <= t <= bmax: (q, regime, eta).
+
+    Below the zero-overlap limit the minimum is 0.  Above it the smallest
+    |Q| over the families' roots wins, taken in the order type1 (two
+    roots), type3+, type3-; a tie keeps the earlier root.  Degenerate
+    entries take the eps = 0 closed form q = t / bmax.
+    """
+    # type1 roots: B = bmax cos(eta - shift) = t
+    ratio = t / bmax
+    shift = np.arctan2(f.bs, f.bc)
+    d = np.arccos(_clip1(ratio))
+    candidates = [(np.abs(f.qc * np.cos(eta) + f.qs * np.sin(eta)), eta, TYPE1)
+                  for eta in (shift + d, shift - d)]
+    # type3+- roots: B = +-(b_p (1 - x) + x tr_b) = t is affine in x = cos eta;
+    # a family that misses t offers |Q| = inf
+    den = f.tr_b - f.b_p
+    for target, regime in ((t, TYPE3P), (-t, TYPE3M)):
+        x = (target - f.b_p) / den
+        on = f.type3 & (np.abs(den) >= 1e-14) & (np.abs(x) <= 1.0 + 1e-9)
+        x = _clip1(x)
+        candidates.append((np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf),
+                           np.arccos(x), regime))
+    q, eta, regime = candidates[0]
+    for q_k, eta_k, regime_k in candidates[1:]:
+        better = q_k < q
+        q = np.where(better, q_k, q)
+        eta = np.where(better, eta_k, eta)
+        regime = np.where(better, regime_k, regime)
+    q = np.where(f.degenerate, ratio, q)
+    eta = np.where(f.degenerate, d, eta)
+    free = t <= f.free_limit + FREE_SLOP
+    return (np.where(free, 0.0, q), np.where(free, FREE, regime),
+            np.where(free, 0.0, eta))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def zero_overlap_limit(a: SymMat2, b: SymMat2):
     """Largest |constraint value| at which the overlap can vanish.
 
-    Maximizes |B| over the zero set of Q across the stationary families.
-    Callers handle the noiseless case (where the limit is exactly 0).
+    Maximizes |B| over the zero set of Q across the stationary families;
+    exactly 0 for a noiseless channel.
     """
-    best = 0.0
-    for curve in stationary_curves(a, b):
-        for eta in curve.q_zero_etas():
-            best = max(best, abs(curve.b_of(eta)))
-    return best
+    return stationary_curves(a, b).free_limit
 
 
-def min_overlap_at(a: SymMat2, b: SymMat2, target: float,
-                   ) -> tuple[float, StationaryCandidate]:
-    """Minimum |Q| subject to Tr[B xi] = target (exact constraint).
+@np.errstate(divide="ignore", invalid="ignore")
+def min_overlap_at(a: SymMat2, b: SymMat2, target):
+    """Minimum |Q| subject to Tr[B xi] = target: (q, regime, eta) arrays.
 
     Even in the sign of the target (xi -> -xi flips both traces); below the
-    zero-overlap limit the minimum is 0, above it the best stationary-family
-    root wins.  Ties go to the always-present family for deterministic
-    output.
+    zero-overlap limit the minimum is 0 (regime FREE), above it the best
+    stationary-family root wins.
     """
-    t = abs(target)
+    t = np.abs(target)
     bmax = constraint_max(b)
-    if t > bmax + REACH_SLOP:
-        raise DomainError(f"constraint target {t:.6f} exceeds the maximum {bmax:.6f}")
-    t = min(t, bmax)
-    if t <= zero_overlap_limit(a, b) + 1e-12:
-        return 0.0, FREE
-    best: tuple[float, int, StationaryCandidate] | None = None
-    for curve in stationary_curves(a, b):
-        rank = 0 if curve.family == "type1" else 1
-        for eta in curve.solve_b(t):
-            q = abs(curve.q_of(eta))
-            key = (q, rank, StationaryCandidate(curve.family, eta))
-            if best is None or key[:2] < best[:2]:
-                best = key
-    if best is None:  # unreachable: type1 spans the full interval
-        raise DomainError(f"no stationary point reaches constraint value {t}")
-    return best[0], best[2]
+    if np.any(t > bmax + REACH_SLOP):
+        raise DomainError(f"constraint target {np.max(t):.6f} exceeds the maximum")
+    return _overlap(stationary_curves(a, b), np.minimum(t, bmax), bmax)
 
 
-def _effective_target(alpha_prime: float, transmission: float) -> float:
-    """Smallest |Tr[B xi]| compatible with the loss-widened unitarity band.
+@np.errstate(divide="ignore", invalid="ignore")
+def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
+    """Eve's maximum information gain on correct bits over broadcast arrays.
 
-    The band is |T * Tr[B xi] - cos(alpha')| <= 1 - T; Eve always prefers
-    the feasible value closest to zero.
+    Out-of-range inputs raise :class:`DomainError`; an unreachable or
+    degenerate channel is reported in ``status`` instead.
     """
-    return (math.cos(alpha_prime) - (1.0 - transmission)) / transmission
+    alpha_prime, alpha, theta, epsilon, transmission = (
+        np.asarray(v, dtype=float) for v in (alpha_prime, alpha, theta, epsilon, transmission))
+    for values, ok, message in (
+            (alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= math.pi / 2.0),
+             "signal angle outside [0, pi/2]"),
+            (transmission, (0.0 < transmission) & (transmission <= 1.0),
+             "transmission outside (0, 1]"),
+            (epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")):
+        if not ok.all():
+            raise DomainError(f"{message}: {values[~ok].flat[0]}")
+    a, b, den = _matrices(alpha, theta, epsilon)
+    f = stationary_curves(a, b)
+    bmax = constraint_max(b)
+    # smallest |Tr[B xi]| compatible with the loss-widened unitarity band
+    # |T Tr[B xi] - cos(alpha')| <= 1 - T; Eve prefers the value closest to 0
+    lo = (np.cos(alpha_prime) - (1.0 - transmission)) / transmission
+    unreachable = lo > bmax + REACH_SLOP
+    t = np.minimum(lo, bmax)
+    q, regime, eta = _overlap(f, t, bmax)
+    status = np.where(~f.degenerate & (den <= 1e-15), DEGENERATE,
+                      np.where(unreachable, UNREACHABLE, OK))
+    return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
+                       target=np.where(unreachable, lo, t), regime=regime, eta=eta,
+                       status=status)
 
 
-def _gain_result(alpha_prime: float, alpha: float, theta: float, epsilon: float,
-                 transmission: float) -> EveBoundResult:
-    if not 0.0 <= alpha_prime <= math.pi / 2.0:
-        raise DomainError(f"signal angle outside [0, pi/2]: {alpha_prime}")
-    if not 0.0 < transmission <= 1.0:
-        raise DomainError(f"transmission outside (0, 1]: {transmission}")
-    if epsilon < NOISELESS_EPS:
-        bmax = abs(math.cos(alpha + theta))
-        free_limit = 0.0
-        lo = _effective_target(alpha_prime, transmission)
-        if lo > bmax + REACH_SLOP:
-            raise UnreachableChannelError(
-                f"observed channel needs constraint value {lo:.6f} > maximum {bmax:.6f}")
-        lo = min(lo, bmax)
-        if lo <= free_limit + FREE_SLOP:
-            q, cand = 0.0, FREE
-        else:
-            q = lo / bmax
-            cand = StationaryCandidate("type1", math.acos(min(1.0, max(-1.0, q))))
-    else:
-        a, b = build_matrices(alpha, theta, epsilon)
-        bmax = constraint_max(b)
-        free_limit = zero_overlap_limit(a, b)
-        lo = _effective_target(alpha_prime, transmission)
-        if lo > bmax + REACH_SLOP:
-            raise UnreachableChannelError(
-                f"observed channel needs constraint value {lo:.6f} > maximum {bmax:.6f}")
-        lo = min(lo, bmax)
-        if lo <= free_limit + FREE_SLOP:
-            q, cand = 0.0, FREE
-        else:
-            q, cand = min_overlap_at(a, b, lo)
+def _one(bound: BoundArrays) -> EveBoundResult:
+    bound.check()
+    q = float(bound.overlap_min)
     return EveBoundResult(
         overlap_min=q,
-        free_limit=free_limit,
-        constraint_max=bmax,
-        achieving=cand,
-        info_gain=collision_gain(q),
-        info_gain_shannon=shannon_gain(q),
-        target=lo,
+        free_limit=float(bound.free_limit),
+        constraint_max=float(bound.constraint_max),
+        achieving=StationaryCandidate(FAMILIES[int(bound.regime)], float(bound.eta)),
+        info_gain=float(collision_gain(q)),
+        info_gain_shannon=float(shannon_gain(q)),
+        target=float(bound.target),
     )
 
 
 def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
     """Eve's maximum information gain on correct bits for one channel triple."""
-    return _gain_result(alpha_prime, alpha, triple.theta, triple.epsilon,
-                        triple.transmission)
+    return _one(eve_bound(alpha_prime, alpha, triple.theta, triple.epsilon,
+                          triple.transmission))
 
 
 def flipped_bit_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
@@ -368,5 +381,5 @@ def flipped_bit_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult
     Identical optimization with the tilt angle replaced by
     -2 alpha - theta, which exchanges the roles of the conclusive outcomes.
     """
-    return _gain_result(alpha_prime, alpha, -2.0 * alpha - triple.theta,
-                        triple.epsilon, triple.transmission)
+    return _one(eve_bound(alpha_prime, alpha, -2.0 * alpha - triple.theta,
+                          triple.epsilon, triple.transmission))

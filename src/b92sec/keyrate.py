@@ -4,6 +4,13 @@ The net key gain per pulse charges three costs against the conclusive
 rate: privacy amplification of correct bits, privacy amplification of
 flipped bits, and the encrypted error-correction redundancy h(e).  All
 figures assume the analyzer matched to the signal angle (alpha' = alpha).
+
+:func:`key_gains` computes the accounting over broadcast arrays of
+(alpha, theta, eps, T), with Eve's bounds on correct and flipped bits from
+one call of :func:`~b92sec.evebound.eve_bound`; :func:`secret_key_gain` is
+its one-entry wrapper.  The angle scan, the distance sweep and the CLI
+sweeps are single array calls; the golden-section and bisection searches
+chain one-entry calls.
 """
 
 from __future__ import annotations
@@ -11,13 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .entropy import binary_entropy
-from .errors import DegenerateLinkError, DomainError
-from .estimation import ChannelTriple
-from .evebound import eve_max_gain, flipped_bit_gain
-from .states import Povm5, symmetrized_density
+import numpy as np
 
-MODES = ("collision", "shannon")
+from .entropy import binary_entropy
+from .errors import B92Error, DegenerateLinkError, DomainError
+from .estimation import ChannelTriple
+from .evebound import OK, BoundArrays, collision_gain, eve_bound, shannon_gain
+
+# information Eve draws from probe overlap q, by estimation mode
+INFORMATION = {"collision": collision_gain, "shannon": shannon_gain}
+MODES = tuple(INFORMATION)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,6 +81,76 @@ class KeyGainReport:
     mode: str
 
 
+@dataclass(frozen=True)
+class KeyGains:
+    """Key-gain accounting over broadcast arrays (bits per pulse).
+
+    ``bounds`` stacks Eve's bound on correct bits (index 0) over that on
+    flipped bits (index 1).  ``failed`` marks the entries where
+    :func:`secret_key_gain` raises: no conclusive events, an error rate of
+    one, or a failed bound.  Their other fields carry no meaning.
+    """
+
+    p_conc: np.ndarray
+    error_rate: np.ndarray
+    info_correct: np.ndarray
+    info_flipped: np.ndarray
+    gain_correct: np.ndarray
+    gain_flipped: np.ndarray
+    gain: np.ndarray
+    failed: np.ndarray
+    bounds: BoundArrays
+
+    def error(self, k: int) -> B92Error | None:
+        """The exception the scalar call raises at flat entry ``k``, if any."""
+        e = self.error_rate.flat[k]
+        if not self.p_conc.flat[k] > 0.0:
+            return DomainError("conclusive probability vanishes; key gain undefined")
+        if not e < 1.0:
+            return DomainError(f"error rate must be below 1: {e}")
+        return self.bounds.error(k) or (self.bounds.error(self.p_conc.size + k)
+                                        if e > 0.0 else None)
+
+    def check(self) -> None:
+        """Raise the scalar call's exception for the first failed entry."""
+        failed = np.flatnonzero(self.failed)
+        if failed.size:
+            raise self.error(failed[0])
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> KeyGains:
+    """Net secret-key gain per pulse over broadcast arrays of the channel.
+
+    Out-of-range inputs and unknown modes raise :class:`DomainError`; a
+    failing entry is marked in ``failed`` instead.
+    """
+    if mode not in INFORMATION:
+        raise DomainError(f"unknown estimation mode: {mode!r}")
+    alpha, theta, epsilon, transmission = np.broadcast_arrays(alpha, theta, epsilon, transmission)
+    # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
+    # error, "1b" a correct bit
+    p_error = 0.25 * transmission * np.maximum(0.0, 1.0 - (1.0 - epsilon) * np.cos(theta))
+    p_conc = p_error + 0.25 * transmission * np.maximum(
+        0.0, 1.0 - (1.0 - epsilon) * np.cos(2.0 * alpha + theta))
+    e = p_error / p_conc
+    defined = (p_conc > 0.0) & (e < 1.0)
+    # flipped bits see the tilt -2 alpha - theta; entries without conclusive
+    # events get no bound, so they pass a valid stand-in transmission
+    bounds = eve_bound(alpha, alpha, np.stack((theta, -2.0 * alpha - theta)), epsilon,
+                       np.where(defined, transmission, 1.0))
+    info = INFORMATION[mode](bounds.overlap_min)
+    flipped = e > 0.0
+    info_f = np.where(flipped, info[1], 0.0)
+    gain_correct = p_conc * (1.0 - e) * (1.0 - info[0])
+    gain_flipped = p_conc * e * (1.0 - info_f)
+    failed = ~defined | (bounds.status[0] != OK) | (flipped & (bounds.status[1] != OK))
+    return KeyGains(p_conc=p_conc, error_rate=e, info_correct=info[0], info_flipped=info_f,
+                    gain_correct=gain_correct, gain_flipped=gain_flipped,
+                    gain=gain_correct + gain_flipped - p_conc * binary_entropy(e),
+                    failed=failed, bounds=bounds)
+
+
 def secret_key_gain(alpha: float, triple: ChannelTriple, mode: str = "collision",
                     security_correct: float = 0.0, security_flipped: float = 0.0,
                     n_total: int | None = None) -> KeyGainReport:
@@ -82,35 +162,15 @@ def secret_key_gain(alpha: float, triple: ChannelTriple, mode: str = "collision"
     ``security_flipped`` are finite-length security parameters, charged as
     s/n_total; by default the long-key limit is used.
     """
-    if mode not in MODES:
-        raise DomainError(f"unknown estimation mode: {mode!r}")
-    povm = Povm5(alpha)
-    rho0 = symmetrized_density(triple, alpha, 0)
-    p_error = povm.probability("0b", rho0)
-    p_conc = p_error + povm.probability("1b", rho0)
-    if p_conc <= 0.0:
-        raise DomainError("conclusive probability vanishes; key gain undefined")
-    e = p_error / p_conc
-    if e >= 1.0:
-        raise DomainError(f"error rate must be below 1: {e}")
-
-    correct = eve_max_gain(alpha, alpha, triple)
-    info_c = correct.info_gain if mode == "collision" else correct.info_gain_shannon
-    if e > 0.0:
-        flipped = flipped_bit_gain(alpha, alpha, triple)
-        info_f = flipped.info_gain if mode == "collision" else flipped.info_gain_shannon
-    else:
-        info_f = 0.0
-
+    g = key_gains(alpha, triple.theta, triple.epsilon, triple.transmission, mode)
+    g.check()
     finite_c = security_correct / n_total if n_total else 0.0
     finite_f = security_flipped / n_total if n_total else 0.0
-    gain_correct = p_conc * (1.0 - e) * (1.0 - info_c) - finite_c
-    gain_flipped = p_conc * e * (1.0 - info_f) - finite_f
-    gain = gain_correct + gain_flipped - p_conc * binary_entropy(e)
-    return KeyGainReport(alpha=alpha, p_conc=p_conc, error_rate=e,
-                         info_correct=info_c, info_flipped=info_f,
-                         gain_correct=gain_correct, gain_flipped=gain_flipped,
-                         gain=gain, mode=mode)
+    return KeyGainReport(alpha=alpha, p_conc=float(g.p_conc), error_rate=float(g.error_rate),
+                         info_correct=float(g.info_correct), info_flipped=float(g.info_flipped),
+                         gain_correct=float(g.gain_correct) - finite_c,
+                         gain_flipped=float(g.gain_flipped) - finite_f,
+                         gain=float(g.gain) - finite_c - finite_f, mode=mode)
 
 
 def noiseless_gain(alpha: float, transmission: float) -> float:
@@ -125,11 +185,17 @@ def noiseless_gain(alpha: float, transmission: float) -> float:
             * (1.0 - math.log2(2.0 - q * q)))
 
 
-def _gain_or_neg_inf(alpha: float, triple: ChannelTriple, mode: str) -> float:
-    try:
-        return secret_key_gain(alpha, triple, mode).gain
-    except DomainError:
-        return -math.inf
+def _gains(alphas, triple: ChannelTriple, mode: str) -> np.ndarray:
+    """Key gain at each angle; -inf where the scalar call raises a DomainError.
+
+    Any other failure, such as an unreachable channel, is raised.
+    """
+    g = key_gains(alphas, triple.theta, triple.epsilon, triple.transmission, mode)
+    for k in np.flatnonzero(g.failed):
+        error = g.error(k)
+        if not isinstance(error, DomainError):
+            raise error
+    return np.where(g.failed, -math.inf, g.gain)[()]
 
 
 def optimal_angle(triple: ChannelTriple, mode: str = "collision",
@@ -142,7 +208,7 @@ def optimal_angle(triple: ChannelTriple, mode: str = "collision",
     yields positive gain, meaning the protocol cannot produce a key.
     """
     grid = [k * math.pi / 180.0 for k in range(1, 91)]
-    gains = [_gain_or_neg_inf(a, triple, mode) for a in grid]
+    gains = _gains(grid, triple, mode)
     best = max(range(len(grid)), key=gains.__getitem__)
     if gains[best] <= 0.0:
         return 0.0, 0.0
@@ -151,19 +217,19 @@ def optimal_angle(triple: ChannelTriple, mode: str = "collision",
     # golden-section maximization on [lo, hi]
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1 = _gain_or_neg_inf(x1, triple, mode)
-    f2 = _gain_or_neg_inf(x2, triple, mode)
+    f1 = _gains(x1, triple, mode)
+    f2 = _gains(x2, triple, mode)
     while hi - lo > tol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLDEN * (hi - lo)
-            f2 = _gain_or_neg_inf(x2, triple, mode)
+            f2 = _gains(x2, triple, mode)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
-            f1 = _gain_or_neg_inf(x1, triple, mode)
+            f1 = _gains(x1, triple, mode)
     alpha_star = 0.5 * (lo + hi)
-    return alpha_star, _gain_or_neg_inf(alpha_star, triple, mode)
+    return alpha_star, float(_gains(alpha_star, triple, mode))
 
 
 def positive_noise_limit(transmission: float, mode: str = "collision",
@@ -248,10 +314,10 @@ class DistancePoint:
 def distance_sweep(link: PhysicalLink, lengths_km, alpha: float,
                    mode: str = "collision") -> list[DistancePoint]:
     """Key gain of both protocols along a fiber, at a fixed signal angle."""
-    points = []
-    for length in lengths_km:
-        triple = link_to_channel(link.at_length(float(length)))
-        b92 = secret_key_gain(alpha, triple, mode).gain
-        bb84 = bb84_key_gain(triple.transmission, link.dark_mean).gain
-        points.append(DistancePoint(float(length), b92, bb84))
-    return points
+    lengths = [float(length) for length in lengths_km]
+    triples = [link_to_channel(link.at_length(length)) for length in lengths]
+    b92 = key_gains(alpha, [t.theta for t in triples], [t.epsilon for t in triples],
+                    [t.transmission for t in triples], mode)
+    b92.check()
+    return [DistancePoint(length, gain, bb84_key_gain(t.transmission, link.dark_mean).gain)
+            for length, gain, t in zip(lengths, b92.gain.tolist(), triples)]

@@ -158,19 +158,7 @@ def run_simulation(config: SimConfig, block_size: int = 1 << 20) -> SimResult:
         flat = (bits * len(branches) + branch) * len(OUTCOMES) + outcome
         joint += np.bincount(flat, minlength=joint.size).reshape(joint.shape)
 
-    by_bit_outcome = joint.sum(axis=1)
-    index = {label: k for k, label in enumerate(OUTCOMES)}
-    counts = ObservedCounts(
-        n_total=config.n_total,
-        n00=int(by_bit_outcome[0, index["0"]]),
-        n01=int(by_bit_outcome[0, index["1"]]),
-        n0b0=int(by_bit_outcome[0, index["0b"]]),
-        n0b1=int(by_bit_outcome[0, index["1b"]]),
-        n10=int(by_bit_outcome[1, index["0"]]),
-        n11=int(by_bit_outcome[1, index["1"]]),
-        n1b0=int(by_bit_outcome[1, index["0b"]]),
-        n1b1=int(by_bit_outcome[1, index["1b"]]),
-    )
+    counts = ObservedCounts.from_table(config.n_total, joint.sum(axis=1))
 
     # outcome "1b" decodes to received bit 0, "0b" to received bit 1
     conclusive = counts.n0b0 + counts.n0b1 + counts.n1b0 + counts.n1b1
@@ -180,7 +168,7 @@ def run_simulation(config: SimConfig, block_size: int = 1 << 20) -> SimResult:
     accuracy = None
     recorded = matched = 0
     for bit in (0, 1):
-        correct_outcome = index["1b"] if bit == 0 else index["0b"]
+        correct_outcome = OUTCOMES.index("1b" if bit == 0 else "0b")
         for b in range(len(branches)):
             if guesses[b] < 0:
                 continue

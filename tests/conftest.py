@@ -26,6 +26,11 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def sym_matrix(m) -> np.ndarray:
+    """The 2x2 array of a symmetric matrix given by its entries m11, m12, m22."""
+    return np.array([[m.m11, m.m12], [m.m12, m.m22]])
+
+
 def explicit_qubit_block(theta: float, epsilon: float, transmission: float,
                          alpha: float, bit: int) -> np.ndarray:
     """T [(1 - eps/2)|sigma><sigma| + (eps/2)|bar><bar|] built from kets."""

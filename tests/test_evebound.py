@@ -5,18 +5,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from b92sec.errors import (
+    B92Error,
     DegenerateChannelError,
     DomainError,
     UnreachableChannelError,
 )
 from b92sec.estimation import ChannelTriple
 from b92sec.evebound import (
+    DET_SLOP,
+    FAMILIES,
+    FREE,
+    OK,
+    TYPE1,
+    TYPE3P,
     SymMat2,
-    Type1Curve,
-    Type3Curve,
     build_matrices,
     collision_gain,
     constraint_max,
+    eve_bound,
     eve_max_gain,
     flipped_bit_gain,
     min_overlap_at,
@@ -25,13 +31,13 @@ from b92sec.evebound import (
     zero_overlap_limit,
 )
 
-from conftest import DEG
+from conftest import DEG, sym_matrix
 
 
 def contraction_grid_max_b(b: SymMat2, steps: int = 720) -> float:
     """Independent grid maximum of Tr[B xi] over orthogonal 2x2 xi."""
     best = -math.inf
-    arr = b.as_array()
+    arr = sym_matrix(b)
     for eta in np.linspace(0.0, 2 * math.pi, steps, endpoint=False):
         c, s = math.cos(eta), math.sin(eta)
         for xi in (np.array([[c, -s], [s, c]]), np.array([[c, s], [s, -c]])):
@@ -97,55 +103,70 @@ class TestConstraintMax:
                                                   abs=1e-4)
 
 
+def type3_b(f, sign: float, x):
+    """Constraint value B = sign (b_p (1 - x) + x Tr B) on family type3 at x = cos eta."""
+    return sign * (f.b_p * (1.0 - x) + x * f.tr_b)
+
+
 class TestStationaryCurves:
     def test_reference_point_families(self):
         # alpha=10deg, eps=0.05, theta=15deg: the rotation-reflection family
         # plus both signs of the rank-1 family; only the negative sign covers
         # negative constraint values (its mirror covers the plotted window)
         a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
-        curves = stationary_curves(a, b)
-        families = [c.family for c in curves]
-        assert families[0] == "type1"
-        assert "type3+" in families and "type3-" in families
-        plus = next(c for c in curves if c.family == "type3+")
-        minus = next(c for c in curves if c.family == "type3-")
-        lo_p, hi_p = plus.b_interval()
+        f = stationary_curves(a, b)
+        assert not f.degenerate
+        assert f.type3
+        ends = (type3_b(f, 1.0, 1.0), type3_b(f, 1.0, -1.0))
+        lo_p, hi_p = min(ends), max(ends)
         assert lo_p > 0.0  # covers only positive constraint values here
-        assert_allclose(sorted((-hi_p, -lo_p)), sorted(minus.b_interval()),
-                        atol=1e-14)
+        minus = (type3_b(f, -1.0, 1.0), type3_b(f, -1.0, -1.0))
+        assert_allclose(sorted((-hi_p, -lo_p)), sorted(minus), atol=1e-14)
+        # the written-out 2x2 algebra against numpy's: P is the rank-1
+        # projector along the nonzero generalized eigenvalue of (A, B)
+        kappa = max(np.linalg.eigvals(np.linalg.solve(sym_matrix(b), sym_matrix(a))),
+                    key=abs).real
+        m = sym_matrix(a) - kappa * sym_matrix(b)
+        p = m / np.trace(m)
+        assert_allclose(np.linalg.eigvalsh(p), [0.0, 1.0], atol=1e-12)
+        assert f.a_p == pytest.approx(np.trace(sym_matrix(a) @ p), abs=1e-12)
+        assert f.b_p == pytest.approx(np.trace(sym_matrix(b) @ p), abs=1e-12)
 
     def test_type3_endpoints_hit_unit_overlap(self):
         a, b = build_matrices(0.7, 0.1, 0.3)
-        for curve in stationary_curves(a, b):
-            if isinstance(curve, Type3Curve):
-                assert abs(curve.q_of(0.0)) == pytest.approx(1.0, abs=1e-12)
+        f = stationary_curves(a, b)
+        if f.type3:
+            # Q = +-(a_p (1 - x) + x) at x = cos 0
+            assert abs(f.a_p * (1.0 - 1.0) + 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_type1_small_noise_limit(self):
         a, b = build_matrices(0.5, 0.0, 1e-7)
-        curve = stationary_curves(a, b)[0]
-        assert isinstance(curve, Type1Curve)
-        assert curve.q_of(0.0) == pytest.approx(1.0, abs=1e-5)
+        f = stationary_curves(a, b)
+        assert not f.degenerate
+        # Q = qc cos eta + qs sin eta at eta = 0
+        assert f.qc == pytest.approx(1.0, abs=1e-5)
 
     def test_noiseless_routes_to_closed_form(self):
         a = SymMat2(1.0, 0.0, 0.0)
         b = SymMat2(0.8, 0.0, 0.0)
-        with pytest.raises(DegenerateChannelError):
-            stationary_curves(a, b)
+        assert stationary_curves(a, b).degenerate
+        q, regime, _ = min_overlap_at(a, b, 0.6)
+        assert q == pytest.approx(0.6 / 0.8, abs=1e-15)
+        assert regime == TYPE1
 
 
 class TestMinOverlap:
     def test_zero_target_is_free(self):
         a, b = build_matrices(0.6, 0.1, 0.2)
-        q, cand = min_overlap_at(a, b, 0.0)
+        q, regime, _ = min_overlap_at(a, b, 0.0)
         assert q == 0.0
-        assert cand.family == "free"
+        assert FAMILIES[regime] == "free"
 
     def test_even_in_target(self):
         a, b = build_matrices(0.5, -0.2, 0.35)
-        for t in np.linspace(0.0, constraint_max(b), 40):
-            qp, _ = min_overlap_at(a, b, t)
-            qm, _ = min_overlap_at(a, b, -t)
-            assert qp == qm
+        t = np.linspace(0.0, constraint_max(b), 40)
+        np.testing.assert_array_equal(min_overlap_at(a, b, t)[0],
+                                      min_overlap_at(a, b, -t)[0])
 
     def test_nondecreasing_in_target(self):
         for alpha, theta, eps in ((10 * DEG, 15 * DEG, 0.05),
@@ -153,8 +174,7 @@ class TestMinOverlap:
                                   (25 * DEG, -10 * DEG, 0.6)):
             a, b = build_matrices(alpha, theta, eps)
             grid = np.linspace(0.0, constraint_max(b), 200)
-            values = [min_overlap_at(a, b, t)[0] for t in grid]
-            diffs = np.diff(values)
+            diffs = np.diff(min_overlap_at(a, b, grid)[0])
             assert diffs.min() >= -1e-9
 
     def test_target_beyond_reach_rejected(self):
@@ -176,7 +196,7 @@ class TestMinOverlap:
                 q2 = abs(math.cos(eta))           # its overlap
                 if abs(b2) > constraint_max(b):
                     continue
-                q_best, _ = min_overlap_at(a, b, b2)
+                q_best = min_overlap_at(a, b, b2)[0]
                 assert q_best <= q2 + 1e-9
 
 
@@ -248,6 +268,20 @@ class TestEveMaxGain:
         assert res.overlap_min == pytest.approx(expected, abs=1e-12)
         assert res.free_limit == 0.0
 
+    def test_no_jump_at_the_noiseless_switch(self):
+        # the eps = 0 formula takes over only where det B = -eps (1 - eps/2) / 2
+        # vanishes; below the switch q falls like sqrt(eps), so a switch at
+        # a larger eps would make q jump
+        alpha = 10 * DEG
+        eps = np.logspace(-16, -8, 161)
+        q = eve_bound(alpha, alpha, 0.0, eps, 0.9).overlap_min
+        assert np.diff(q).max() <= 1e-15  # non-increasing up to rounding
+        noisy = eps * (1.0 - eps / 2.0) / 2.0 >= DET_SLOP
+        k = int(np.argmax(noisy))
+        assert 0.0 <= q[k - 1] - q[k] <= 1e-7
+        slope = (q[0] - q[noisy]) / np.sqrt(eps[noisy])
+        assert 0.48 < slope.min() and slope.max() < 0.49
+
 
 class TestFlippedBits:
     def test_symmetric_midpoint_is_fixed_point(self):
@@ -281,6 +315,55 @@ class TestFlippedBits:
         a, b = build_matrices(alpha, -2 * alpha - theta, eps)
         oracle = oracle_min_overlap_lossy(a, b, alpha, t, resolution=48)
         assert direct.overlap_min == pytest.approx(oracle.value, abs=1e-3)
+
+
+class TestArrayParity:
+    """One array call equals the one-entry calls, failures included."""
+
+    @staticmethod
+    def channels():
+        # criterion 01's box, plus noiseless, near-noiseless and lossless rows
+        rng = np.random.default_rng(20240811)
+        n = 400
+        alpha = rng.uniform(2 * DEG, 80 * DEG, n)
+        theta = rng.uniform(-30 * DEG, 30 * DEG, n)
+        eps = rng.uniform(0.01, 0.9, n)
+        t = rng.uniform(0.2, 1.0, n)
+        eps[::8] = 0.0
+        eps[1::8] = 10.0 ** rng.uniform(-16, -9, eps[1::8].size)
+        t[2::8] = 1.0
+        return alpha, theta, eps, t
+
+    @pytest.mark.parametrize("scalar,tilt", [
+        (eve_max_gain, lambda alpha, theta: theta),
+        (flipped_bit_gain, lambda alpha, theta: -2.0 * alpha - theta),
+    ], ids=["correct", "flipped"])
+    def test_array_matches_scalar_calls(self, scalar, tilt):
+        alpha, theta, eps, t = self.channels()
+        bound = eve_bound(alpha, alpha, tilt(alpha, theta), eps, t)
+        failures = 0
+        for k in range(alpha.size):
+            try:
+                res = scalar(alpha[k], alpha[k], ChannelTriple(theta[k], eps[k], t[k]))
+            except B92Error as exc:
+                assert type(bound.error(k)) is type(exc)
+                failures += 1
+                continue
+            assert bound.status[k] == OK
+            assert abs(bound.overlap_min[k] - res.overlap_min) <= 1e-12
+            assert abs(bound.free_limit[k] - res.free_limit) <= 1e-12
+            assert abs(bound.constraint_max[k] - res.constraint_max) <= 1e-12
+            assert abs(bound.target[k] - res.target) <= 1e-12
+            assert FAMILIES[bound.regime[k]] == res.achieving.family
+        assert 0 < failures == np.count_nonzero(bound.status != OK)
+        with pytest.raises(UnreachableChannelError):
+            bound.check()
+
+    def test_free_type1_and_type3_regimes_occur(self):
+        alpha, theta, eps, t = self.channels()
+        bound = eve_bound(alpha, alpha, theta, eps, t)
+        regimes = set(bound.regime[bound.status == OK].tolist())
+        assert {FREE, TYPE1, TYPE3P} <= regimes
 
 
 def test_gain_formulas():

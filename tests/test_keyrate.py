@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from b92sec.entropy import binary_entropy
-from b92sec.errors import DomainError
+from b92sec.errors import B92Error, DomainError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple
 from b92sec.keyrate import (
     KTH_LINK,
+    MODES,
     PhysicalLink,
     bb84_key_gain,
     distance_sweep,
+    key_gains,
     link_to_channel,
     noiseless_gain,
     optimal_angle,
@@ -68,6 +70,33 @@ class TestSecretKeyGain:
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             secret_key_gain(0.5, ChannelTriple(0.0, 0.0, 1.0), mode="renyi")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_array_matches_scalar_calls(self, mode):
+        # criterion 09's noise grid, the noiseless (alpha, T) grid, and one
+        # entry for each failure: unreachable, no conclusive events (T = 0)
+        # and an error rate of one (theta = -2 alpha, eps = 0)
+        grid_t, grid_alpha = np.meshgrid(np.linspace(0.55, 1.0, 10),
+                                         np.linspace(2 * DEG, 55 * DEG, 25))
+        alpha = np.concatenate((np.full(91, 12 * DEG), grid_alpha.ravel(),
+                                [2 * DEG, 0.5, 0.3]))
+        theta = np.concatenate((np.zeros(91 + 250), [30 * DEG, 0.0, -0.6]))
+        eps = np.concatenate((np.linspace(0.0, 0.9, 91), np.zeros(250), [0.01, 0.1, 0.0]))
+        t = np.concatenate((np.full(91, 0.3), grid_t.ravel(), [0.2, 0.0, 0.9]))
+        g = key_gains(alpha, theta, eps, t, mode)
+        raised = []
+        for k in range(alpha.size):
+            try:
+                rep = secret_key_gain(alpha[k], ChannelTriple(theta[k], eps[k], t[k]), mode)
+            except B92Error as exc:
+                assert g.failed[k] and type(g.error(k)) is type(exc)
+                raised.append(type(exc))
+                continue
+            assert not g.failed[k]
+            for name in ("p_conc", "error_rate", "info_correct", "info_flipped",
+                         "gain_correct", "gain_flipped", "gain"):
+                assert abs(getattr(g, name)[k] - getattr(rep, name)) <= 1e-12, name
+        assert raised == [UnreachableChannelError, DomainError, DomainError]
 
 
 class TestOptimalAngle:

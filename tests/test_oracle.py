@@ -15,7 +15,7 @@ from b92sec.oracle import (
     oracle_min_overlap_lossy,
 )
 
-from conftest import DEG
+from conftest import DEG, sym_matrix
 
 
 class TestContraction:
@@ -69,9 +69,9 @@ class TestOracleTrivials:
         a = SymMat2(0.6, 0.1, 0.2)
         b = SymMat2(0.8, 0.05, -0.1)
         reach = nuclear_norm(b)
-        assert reach == pytest.approx(np.abs(np.linalg.eigvalsh(b.as_array())).sum())
+        assert reach == pytest.approx(np.abs(np.linalg.eigvalsh(sym_matrix(b))).sum())
         got = oracle_min_overlap(a, b, reach - 1e-6, resolution=24)
-        met = np.trace(b.as_array() @ got.point.matrix())
+        met = np.trace(sym_matrix(b) @ got.point.matrix())
         assert met == pytest.approx(reach - 1e-6, abs=1e-9)
         with pytest.raises(OracleInfeasibleError):
             oracle_min_overlap(a, b, reach + 1e-6, resolution=24)

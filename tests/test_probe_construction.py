@@ -24,7 +24,7 @@ from numpy.testing import assert_allclose
 
 from b92sec.evebound import build_matrices
 
-from conftest import DEG, bar_ket, ket
+from conftest import DEG, bar_ket, ket, sym_matrix
 
 
 def coefficient_vectors(alpha, theta, eps, t, flipped=False):
@@ -66,7 +66,7 @@ def test_overlap_matrix_from_probe_states(alpha, theta, eps):
     assert abs(c[0] * d[1] - c[1] * d[0]) < 1e-14
     direct = np.outer(c, d) / (np.linalg.norm(c) * np.linalg.norm(d))
     a, _ = build_matrices(alpha, theta, eps)
-    assert_allclose(direct, a.as_array(), atol=1e-12)
+    assert_allclose(direct, sym_matrix(a), atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha,theta,eps", CASES)
@@ -74,7 +74,7 @@ def test_constraint_matrix_from_unitarity(alpha, theta, eps):
     direct = unitarity_form(alpha, theta, eps, t=0.8)
     assert_allclose(direct, direct.T, atol=1e-14)
     _, b = build_matrices(alpha, theta, eps)
-    assert_allclose(direct, b.as_array(), atol=1e-12)
+    assert_allclose(direct, sym_matrix(b), atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha,theta,eps", CASES)
@@ -86,9 +86,9 @@ def test_flipped_problem_is_the_conjugated_substitution(alpha, theta, eps):
     c, d = coefficient_vectors(alpha, theta, eps, t=0.8, flipped=True)
     direct = np.outer(c, d) / (np.linalg.norm(c) * np.linalg.norm(d))
     a_sub, b_sub = build_matrices(alpha, -2.0 * alpha - theta, eps)
-    assert_allclose(direct, s @ a_sub.as_array() @ s, atol=1e-12)
+    assert_allclose(direct, s @ sym_matrix(a_sub) @ s, atol=1e-12)
     constraint = unitarity_form(alpha, theta, eps, t=0.8)
-    assert_allclose(constraint, s @ b_sub.as_array() @ s, atol=1e-12)
+    assert_allclose(constraint, s @ sym_matrix(b_sub) @ s, atol=1e-12)
 
 
 def test_overlap_values_agree_on_random_probe_blocks(rng):
@@ -101,5 +101,5 @@ def test_overlap_values_agree_on_random_probe_blocks(rng):
     for _ in range(50):
         x = rng.uniform(-1.0, 1.0, size=(2, 2))
         direct = float(c @ x @ d) / norm
-        via_trace = float(np.trace(a.as_array() @ x))
+        via_trace = float(np.trace(sym_matrix(a) @ x))
         assert direct == pytest.approx(via_trace, abs=1e-12)
