@@ -140,6 +140,19 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(cfg))
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("bad", ("seed = -1", "seed = 1.5",
+                                     "n_total = lots", "alpha_deg = ten"))
+    def test_bad_seed_or_value_is_domain_error(self, capsys, tmp_path, bad):
+        entries = {"n_total": "1000", "alpha_deg": "12", "seed": "4"}
+        key, value = (part.strip() for part in bad.split("="))
+        entries[key] = value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestOracleCheck:
     def test_small_run_passes(self, capsys):

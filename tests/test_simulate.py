@@ -1,10 +1,22 @@
+import json
 import math
 
+import numpy as np
 import pytest
+from numpy.random import Philox
 
-from b92sec.attacks import depolarize, identity_attack, loss, rotation_attack
+from b92sec.attacks import (
+    AttackBranch,
+    AttackChannel,
+    critical_weakness,
+    depolarize,
+    identity_attack,
+    loss,
+    parse_attack,
+    rotation_attack,
+)
 from b92sec.errors import DomainError
-from b92sec.estimation import ChannelTriple
+from b92sec.estimation import ChannelTriple, ObservedCounts
 from b92sec.keyrate import noiseless_gain
 from b92sec.simulate import (
     SimConfig,
@@ -218,3 +230,120 @@ class TestConfigFile:
         record = json.loads(result.to_json())
         assert record["counts"]["n_total"] == 10000
         assert 0.0 <= record["estimated"]["epsilon"] <= 1.0
+
+
+def float_uniform_joint(config: SimConfig, block_size: int = 1 << 20) -> np.ndarray:
+    """Reference: the float-uniform sampler the integer thresholds replaced.
+
+    Each pulse's three uniforms u = (w >> 11) * 2**-53 from its Philox block
+    are inverted through the branch and outcome CDFs with ``searchsorted``.
+    """
+    branches = config.attack.branches
+    weight_cdf = np.empty((2, len(branches)))
+    for bit in (0, 1):
+        weight_cdf[bit] = np.cumsum([br.weights[bit] for br in branches])
+    outcome_cdf = np.cumsum(outcome_distribution(config), axis=2)
+    joint = np.zeros((2, len(branches), len(OUTCOMES)), dtype=np.int64)
+    for start in range(0, config.n_total, block_size):
+        count = min(block_size, config.n_total - start)
+        raw = Philox(key=config.seed, counter=start).random_raw(4 * count)
+        u = (raw.reshape(count, 4)[:, :3] >> np.uint64(11)) * 2.0 ** -53
+        bits = (u[:, 0] >= 0.5).astype(np.intp)
+        branch = np.empty(count, dtype=np.intp)
+        outcome = np.empty(count, dtype=np.intp)
+        for bit in (0, 1):
+            mask = bits == bit
+            branch[mask] = np.searchsorted(weight_cdf[bit], u[mask, 1], side="right")
+        np.clip(branch, 0, len(branches) - 1, out=branch)
+        for bit in (0, 1):
+            for b in range(len(branches)):
+                mask = (bits == bit) & (branch == b)
+                if not mask.any():
+                    continue
+                outcome[mask] = np.searchsorted(outcome_cdf[bit, b], u[mask, 2],
+                                                side="right")
+        np.clip(outcome, 0, len(OUTCOMES) - 1, out=outcome)
+        flat = (bits * len(branches) + branch) * len(OUTCOMES) + outcome
+        joint += np.bincount(flat, minlength=joint.size).reshape(joint.shape)
+    return joint
+
+
+# bit 0 never takes the first branch and bit 1 never the second; the
+# unrotated T = 1 rows put all weight on four outcomes, so their outcome CDF
+# reaches exactly 1.0 before its last entry; the third branch is all vacuum
+EDGE_CHANNEL = AttackChannel("edges", (
+    AttackBranch((0.0, 0.6), (0.3, -0.2), guess=1),
+    AttackBranch((0.7, 0.0), (0.1, 0.0), guess=0),
+    AttackBranch((0.3, 0.4), to_vacuum=True),
+))
+
+
+PARITY_ATTACKS = {
+    "identity": "identity",
+    "rotation": "rotation",
+    "weak-meas": "weak-meas(q={q0!r})",
+    "mixed": "mixed(q={q0!r}, lambda=0.3)",
+    "depolarize|loss": "depolarize(epsilon=0.05)|loss(T=0.9)",
+    "loss": "loss(T=0.6)",
+}
+
+
+class TestSamplerParity:
+    @pytest.mark.parametrize("seed", (0, 5, 99))
+    @pytest.mark.parametrize("name", (*PARITY_ATTACKS, "edges"))
+    def test_joint_counts_equal_the_float_sampler(self, name, seed):
+        channel = EDGE_CHANNEL if name == "edges" else parse_attack(
+            PARITY_ATTACKS[name].format(q0=critical_weakness(ALPHA)), ALPHA)
+        for n in (10 ** 6, 123457):
+            cfg = config(channel, n=n, seed=seed)
+            expected = float_uniform_joint(cfg).tolist()
+            assert run_simulation(cfg).joint == tuple(
+                tuple(map(tuple, plane)) for plane in expected)
+            assert np.array_equal(run_simulation(cfg, block_size=777).joint, expected)
+
+    def test_edge_channel_has_its_edge_rows(self):
+        weights = np.array([br.weights for br in EDGE_CHANNEL.branches]).T
+        assert (weights == 0.0).sum(axis=1).tolist() == [1, 1]
+        cdf = np.cumsum(outcome_distribution(config(EDGE_CHANNEL)), axis=2)
+        assert (cdf[:, :2, -2] == 1.0).all()
+        assert (cdf[:, 2, :-1] == 0.0).all()
+
+    def test_counts_export_config_is_pinned(self):
+        alpha = math.radians(12)
+        cfg = SimConfig(n_total=20000, alpha_prime=alpha, alpha=alpha,
+                        attack=parse_attack("depolarize(epsilon=0.05)|loss(T=0.9)", alpha),
+                        seed=4)
+        assert run_simulation(cfg).counts == ObservedCounts(
+            n00=4328, n01=4246, n0b0=150, n0b1=292, n10=4183, n11=4468,
+            n1b0=282, n1b1=100, n_total=20000)
+
+    def test_joint_counts_in_json(self):
+        result = run_simulation(config(depolarize(0.1).compose(loss(0.8)), n=5000, seed=3))
+        joint = json.loads(result.to_json())["joint"]
+        assert np.array_equal(joint, result.joint)
+        assert np.array(joint).shape == (2, 4, len(OUTCOMES))
+        assert np.array(joint).sum() == 5000
+        assert ObservedCounts.from_table(5000, np.array(joint).sum(axis=1)) == result.counts
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("seed", (-1, 1 << 128, 1.5, "4"))
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError):
+            config(identity_attack(), n=10, seed=seed)
+
+    def test_largest_seed_runs(self):
+        result = run_simulation(config(depolarize(0.2), n=20000, seed=(1 << 128) - 1))
+        assert result.counts.detected() == 20000
+
+    @pytest.mark.parametrize("line", ("seed = -1", "seed = 1.5", "seed = x",
+                                      "n_total = 1e5", "n_total = many",
+                                      "alpha_deg = ten"))
+    def test_bad_value_in_file_is_domain_error(self, tmp_path, line):
+        entries = {"n_total": "5000", "alpha_deg": "12", "seed": "4"}
+        key, value = (part.strip() for part in line.split("="))
+        entries[key] = value
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        with pytest.raises(DomainError):
+            SimConfig.from_file(path)
