@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`b92sec.states` - Bloch-sphere signal states and Bob's five-outcome
-  measurement
+- :mod:`b92sec.states` - Bloch-sphere signal states and Bob's five outcome
+  probabilities as one array closed form
 - :mod:`b92sec.estimation` - observed counts to channel parameters
 - :mod:`b92sec.evebound` - Eve's maximum information gain (closed form)
 - :mod:`b92sec.oracle` - brute-force contraction-search verification oracle

@@ -274,47 +274,65 @@ def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:
 _STAGE_RE = re.compile(r"^\s*([a-zA-Z-]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
+# stage name -> (builder taking alpha and the parameters in order,
+#                parameter defaults, None where the key is required)
+_STAGES = {
+    "identity": (lambda alpha: identity_attack(), {}),
+    "rotation": (lambda alpha: rotation_attack(alpha)[0], {}),
+    "weak-meas": (lambda alpha, q: weak_measurement_attack(q, alpha), {"q": None}),
+    "mixed": (lambda alpha, q, lam: mix(weak_measurement_attack(q, alpha),
+                                        rotation_attack(alpha)[0], lam),
+              {"q": None, "lambda": 0.5}),
+    "depolarize": (lambda alpha, epsilon: depolarize(epsilon), {"epsilon": 0.0}),
+    "loss": (lambda alpha, t: loss(t), {"t": 1.0}),
+}
+_STAGES["weak"] = _STAGES["weak-meas"]
+_KEY_ALIASES = {"eps": "epsilon", "lam": "lambda", "transmission": "t"}
+
+
 def parse_attack(text: str, alpha: float) -> AttackChannel:
     """Build a channel from a description like ``depolarize(epsilon=0.1)|loss(T=0.8)``.
 
     Stages separated by ``|`` compose in order.  Available stages:
     ``identity``, ``rotation``, ``weak-meas(q=...)``,
-    ``mixed(q=..., lambda=...)``, ``depolarize(epsilon=...)``, ``loss(T=...)``.
-    The protocol angle ``alpha`` parametrizes the rotation-based attacks.
+    ``mixed(q=..., lambda=...)``, ``depolarize(epsilon=...)``, ``loss(T=...)``;
+    ``eps``, ``lam`` and ``transmission`` are accepted as key aliases.  The
+    protocol angle ``alpha`` parametrizes the rotation-based attacks.  An
+    unknown, repeated, missing or non-numeric key raises
+    :class:`DomainError` naming the stage and the key.
     """
     channel = None
     for stage_text in text.split("|"):
         match = _STAGE_RE.match(stage_text)
         if not match:
             raise DomainError(f"cannot parse attack stage: {stage_text!r}")
-        name = match.group(1).lower()
-        args = {}
-        if match.group(2):
-            for item in match.group(2).split(","):
-                key, _, value = item.partition("=")
-                if not _:
-                    raise DomainError(f"expected key=value in attack stage: {item!r}")
-                args[key.strip().lower()] = float(value)
-        stage = _build_stage(name, args, alpha)
+        stage = _build_stage(match.group(1).lower(), match.group(2), alpha)
         channel = stage if channel is None else channel.compose(stage)
-    if channel is None:
-        raise DomainError("empty attack description")
     return channel
 
 
-def _build_stage(name: str, args: dict, alpha: float) -> AttackChannel:
-    if name == "identity":
-        return identity_attack()
-    if name == "rotation":
-        return rotation_attack(alpha)[0]
-    if name in ("weak-meas", "weak"):
-        return weak_measurement_attack(args["q"], alpha)
-    if name == "mixed":
-        q = args["q"]
-        lam = args.get("lambda", args.get("lam", 0.5))
-        return mix(weak_measurement_attack(q, alpha), rotation_attack(alpha)[0], lam)
-    if name == "depolarize":
-        return depolarize(args.get("epsilon", args.get("eps", 0.0)))
-    if name == "loss":
-        return loss(args.get("t", args.get("transmission", 1.0)))
-    raise DomainError(f"unknown attack stage: {name!r}")
+def _build_stage(name: str, arg_text: str | None, alpha: float) -> AttackChannel:
+    if name not in _STAGES:
+        raise DomainError(f"unknown attack stage: {name!r}")
+    build, defaults = _STAGES[name]
+    values = {}
+    for item in arg_text.split(",") if arg_text else ():
+        key, sep, value = item.partition("=")
+        key = key.strip().lower()
+        if not sep:
+            raise DomainError(f"expected key=value in attack stage {name!r}: {item!r}")
+        param = _KEY_ALIASES.get(key, key)
+        if param not in defaults:
+            raise DomainError(f"attack stage {name!r} takes no key {key!r}")
+        if param in values:
+            raise DomainError(f"attack stage {name!r} sets {param!r} twice")
+        try:
+            values[param] = float(value)
+        except ValueError:
+            raise DomainError(f"attack stage {name!r}: key {key!r} needs a number, "
+                              f"got {value.strip()!r}") from None
+    values = {param: values.get(param, default) for param, default in defaults.items()}
+    missing = [param for param, value in values.items() if value is None]
+    if missing:
+        raise DomainError(f"attack stage {name!r} misses required key {missing[0]!r}")
+    return build(alpha, *values.values())

@@ -98,11 +98,11 @@ def cmd_infogain(args) -> int:
     bound = eve_bound(alpha_prime, alpha, theta, args.eps_grid, args.T)
     bound.check()
     q = bound.overlap_min
-    bound_applies = args.theta == 0.0 and math.isclose(alpha, alpha_prime)
-    rows = [(eps, *gains, shannon_upper_bound(alpha, eps, args.T).upper_bound
-             if bound_applies else math.nan)
-            for eps, *gains in zip(args.eps_grid.tolist(), q.tolist(),
-                                   collision_gain(q).tolist(), shannon_gain(q).tolist())]
+    if args.theta == 0.0 and math.isclose(alpha, alpha_prime):
+        upper = shannon_upper_bound(alpha, args.eps_grid, args.T).upper_bound
+    else:
+        upper = np.full_like(q, math.nan)
+    rows = zip(*(c.tolist() for c in (args.eps_grid, q, collision_gain(q), shannon_gain(q), upper)))
     _emit(args, SCHEMAS["infogain"], rows)
     return EXIT_OK
 
@@ -214,6 +214,8 @@ def _oracle_sample(k: int, rng: np.random.Generator, resolution: int):
 def cmd_oracle_check(args) -> int:
     if _maybe_schema(args):
         return EXIT_OK
+    if args.samples < 1:
+        raise DomainError(f"--samples must be at least 1: {args.samples}")
     # one child generator per sample: sample k does not depend on the others
     sample_rngs = np.random.default_rng(args.seed).spawn(args.samples)
     rows = [_oracle_sample(k, r, args.resolution)

@@ -14,12 +14,14 @@ import json
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     DegenerateAngleError,
     DomainError,
     EstimationInfeasibleError,
 )
-from .states import OUTCOMES, Povm5, SignalDensity, symmetrized_density, wrap_angle
+from .states import OUTCOMES, SignalDensity, outcome_table, wrap_angle
 
 # counter field of each (Alice's bit, Bob's outcome); "V" events are not counted
 COUNT_TABLE = {
@@ -163,10 +165,10 @@ def expected_counts(triple: ChannelTriple, alpha: float, n_total: int) -> Observ
     Fractional expectations are kept exact by scaling; they are rounded to
     integers, so pick ``n_total`` large enough for the precision you need.
     """
-    povm = Povm5(alpha)
-    rhos = [symmetrized_density(triple, alpha, bit) for bit in (0, 1)]
-    table = [[round(povm.probability(outcome, rho) * n_total / 2.0) for outcome in OUTCOMES]
-             for rho in rhos]
+    # the symmetrized bit-0 and bit-1 states sit at -(alpha + theta) and +(alpha + theta)
+    phi = np.array([-1.0, 1.0]) * (alpha + triple.theta)
+    table = np.rint(outcome_table(alpha, phi, 1.0 - triple.epsilon, triple.transmission)
+                    * (n_total / 2.0))
     return ObservedCounts.from_table(n_total, table)
 
 

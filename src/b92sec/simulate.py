@@ -29,7 +29,7 @@ from .attacks import AttackChannel, parse_attack
 from .errors import DomainError
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGainReport, secret_key_gain
-from .states import OUTCOMES, Povm5, SignalDensity, make_alice_states, wrap_angle
+from .states import OUTCOMES, make_alice_states, outcome_table, wrap_angle
 
 # sampled counts can fluctuate slightly past the exact-arithmetic boundary
 SAMPLING_CLAMP_TOL = 1e-2
@@ -53,6 +53,9 @@ class SimConfig:
             raise DomainError(f"n_total must be at least 1: {self.n_total}")
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 1 << 128:
             raise DomainError(f"seed must be an integer in [0, 2**128): {self.seed!r}")
+        for name in ("alpha", "alpha_prime"):
+            if not 0.0 <= getattr(self, name) <= math.pi / 2.0:
+                raise DomainError(f"{name} outside [0, pi/2]: {getattr(self, name)}")
 
     @classmethod
     def from_file(cls, path) -> "SimConfig":
@@ -135,19 +138,11 @@ def _word_thresholds(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def outcome_distribution(config: SimConfig) -> np.ndarray:
     """Bob's outcome probabilities per (bit, branch), shape (2, n_branches, 5)."""
-    povm = Povm5(config.alpha)
-    state0, state1 = make_alice_states(config.alpha_prime)
-    inputs = (state0.phi, state1.phi)
-    table = np.empty((2, len(config.attack.branches), len(OUTCOMES)))
-    for bit in (0, 1):
-        for b, branch in enumerate(config.attack.branches):
-            vac, phi = config.attack.output(bit, inputs[bit], branch)
-            if vac:
-                state = SignalDensity.vacuum()
-            else:
-                state = SignalDensity(1.0, (math.sin(phi), 0.0, math.cos(phi)))
-            table[bit, b] = [povm.probability(label, state) for label in OUTCOMES]
-    return table
+    outputs = [[config.attack.output(bit, state.phi, branch)
+                for branch in config.attack.branches]
+               for bit, state in enumerate(make_alice_states(config.alpha_prime))]
+    vacuum, phi = np.array(outputs).transpose(2, 0, 1)
+    return outcome_table(config.alpha, phi, 1.0, 1.0 - vacuum)
 
 
 def run_simulation(config: SimConfig, block_size: int = 1 << 14) -> SimResult:

@@ -1,10 +1,11 @@
-"""Bloch-sphere state algebra for the two-state protocol.
+"""Bloch-sphere state algebra and Bob's outcome table for the two-state protocol.
 
 All signal states live on the x-z great circle of the Bloch sphere, so a
 pure polarization state is a single angle.  A transmitted pulse is either
 one photon (a qubit) or vacuum; density operators are therefore stored as
 a transmission weight for the qubit block plus its Bloch vector, which
-keeps every computation at 2x2 size.
+keeps every computation at 2x2 size.  Bob's five outcome probabilities
+for such a state are one closed form over arrays, :func:`outcome_table`.
 """
 
 from __future__ import annotations
@@ -46,36 +47,12 @@ class BlochState:
     def __post_init__(self):
         object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
 
-    def ket(self) -> np.ndarray:
-        """Amplitudes in the z basis: (cos(phi/2), sin(phi/2))."""
-        return np.array([math.cos(self.phi / 2.0), math.sin(self.phi / 2.0)])
-
-    def bar_ket(self) -> np.ndarray:
-        """Amplitudes of the orthogonal partner state.
-
-        The sign convention flips at phi < 0, which changes only a global
-        phase in every observable quantity.
-        """
-        s, c = math.sin(self.phi / 2.0), math.cos(self.phi / 2.0)
-        if self.phi >= 0.0:
-            return np.array([s, -c])
-        return np.array([-s, c])
-
-    def bar(self) -> "BlochState":
-        """Orthogonal partner as a state (angle phi + pi, up to phase)."""
-        return BlochState(self.phi + math.pi)
-
     def overlap(self, other: "BlochState") -> float:
         """Inner product with another great-circle state: cos((a - b)/2)."""
         return math.cos((self.phi - other.phi) / 2.0)
 
     def bloch_vector(self) -> np.ndarray:
         return np.array([math.sin(self.phi), 0.0, math.cos(self.phi)])
-
-    def projector(self) -> np.ndarray:
-        """Rank-1 density matrix |state><state| in the z basis."""
-        k = self.ket()
-        return np.outer(k, k)
 
 
 @dataclass(frozen=True)
@@ -109,50 +86,30 @@ class SignalDensity:
     def vacuum(cls) -> "SignalDensity":
         return cls(0.0, (0.0, 0.0, 0.0))
 
-    def qubit_matrix(self) -> np.ndarray:
-        """Normalized 2x2 qubit block (I + v.sigma)/2."""
-        x, y, z = self.bloch
-        return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
+def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
+    """Bob's five outcome probabilities at analyzer angle ``alpha``.
 
-@dataclass(frozen=True)
-class Povm5:
-    """Bob's five-outcome measurement at analyzer angle ``alpha``.
+    The state is T * rho_qubit (+) (1 - T)|vac><vac| with the qubit's Bloch
+    vector at angle ``phi`` and length ``r`` in the x-z plane.  Bob picks one
+    of two conjugate bases with probability 1/2; his four polarization
+    effects are half-weight projectors at -a, pi - a, a and pi + a.  With
+    c0 = r cos(phi + a) and c1 = r cos(phi - a) the table is
 
-    Two conjugate polarization bases, each selected with probability 1/2,
-    plus the photon-number outcome "V".  The four polarization effects are
-    half-weight projectors; they sum with the V effect to the identity on
-    each photon-number sector.
+        (T/4)(1 + c0), (T/4)(1 - c0), (T/4)(1 + c1), (T/4)(1 - c1), 1 - T
+
+    in ``OUTCOMES`` order, along a new last axis of the broadcast inputs.
     """
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not 0.0 <= a <= math.pi / 2.0:
-            raise DomainError(f"analyzer angle outside [0, pi/2]: {a}")
-        object.__setattr__(self, "alpha", a)
-
-    def effect_state(self, label: str) -> BlochState:
-        """Direction of the rank-1 polarization effect for one outcome."""
-        a = self.alpha
-        angles = {"0": -a, "0b": -a + math.pi, "1": a, "1b": a + math.pi}
-        if label not in angles:
-            raise DomainError(f"unknown outcome label: {label!r}")
-        return BlochState(angles[label])
-
-    def probability(self, label: str, state: SignalDensity) -> float:
-        """Outcome probability Tr[F rho] for one effect."""
-        if label == "V":
-            return 1.0 - state.transmission
-        n = self.effect_state(label).bloch_vector()
-        v = np.asarray(state.bloch)
-        # 1 + n.v can round to a tiny negative for antipodal directions
-        return 0.5 * state.transmission * 0.5 * max(0.0, 1.0 + float(n @ v))
-
-    def probabilities(self, state: SignalDensity) -> dict[str, float]:
-        """All five outcome probabilities; they sum to one."""
-        return {label: self.probability(label, state) for label in OUTCOMES}
+    alpha = np.asarray(alpha, dtype=float)
+    if not ((alpha >= 0.0) & (alpha <= math.pi / 2.0)).all():
+        raise DomainError(f"analyzer angle outside [0, pi/2]: {alpha}")
+    alpha, phi, r, transmission = np.broadcast_arrays(alpha, phi, r, transmission)
+    c0 = r * np.cos(phi + alpha)
+    c1 = r * np.cos(phi - alpha)
+    # 1 -+ c can round to a tiny negative for antipodal directions
+    polarization = np.maximum(0.0, 1.0 + np.stack((c0, -c0, c1, -c1), axis=-1))
+    return np.concatenate((0.25 * transmission[..., np.newaxis] * polarization,
+                           1.0 - transmission[..., np.newaxis]), axis=-1)
 
 
 def make_alice_states(alpha_prime: float) -> tuple[BlochState, BlochState]:

@@ -1,8 +1,9 @@
 """Shared helpers: explicit 2x2 matrix algebra used as an independent check.
 
-The library computes probabilities through Bloch-vector dot products; these
-helpers rebuild the same quantities from full kets, outer products and
-matrix traces, so agreement is a real cross-check rather than a tautology.
+The library computes Bob's outcome probabilities in closed form from Bloch
+angles (``states.outcome_table``); these helpers rebuild the same
+quantities from full kets, outer products and matrix traces, so agreement
+is a real cross-check rather than a tautology.
 """
 
 import math
@@ -58,6 +59,14 @@ def explicit_povm_effects(alpha: float) -> dict[str, np.ndarray]:
     }
 
 
+def symmetrized_outcomes(triple, alpha: float) -> np.ndarray:
+    """Bob's (2, 5) outcome table on the symmetrized bit-0 and bit-1 states."""
+    from b92sec.states import outcome_table
+
+    phi = np.array([-1.0, 1.0]) * (alpha + triple.theta)
+    return outcome_table(alpha, phi, 1.0 - triple.epsilon, triple.transmission)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
@@ -71,14 +80,11 @@ def estimator_sigmas(triple, alpha: float, n_total: int) -> np.ndarray:
     closed-form inversion.  Used to define the 3-sigma acceptance windows
     for sampled runs.
     """
-    from b92sec.states import OUTCOMES, Povm5, symmetrized_density
+    from b92sec.states import OUTCOMES
 
-    povm = Povm5(alpha)
-    probs = {}
-    for bit in (0, 1):
-        rho = symmetrized_density(triple, alpha, bit)
-        for label in OUTCOMES:
-            probs[bit, label] = 0.5 * povm.probability(label, rho)
+    table = symmetrized_outcomes(triple, alpha)
+    probs = {(bit, label): 0.5 * table[bit, k]
+             for bit in (0, 1) for k, label in enumerate(OUTCOMES)}
 
     # raw statistics: S1, S2 (asymmetry sums / n) and D (detected fraction)
     coeff = {

@@ -31,9 +31,9 @@ from b92sec.keyrate import (
 )
 from b92sec.oracle import backend_name, oracle_min_overlap_lossy
 from b92sec.simulate import SimConfig, run_simulation
-from b92sec.states import OUTCOMES, Povm5, symmetrized_density
+from b92sec.states import OUTCOMES
 
-from conftest import DEG, estimator_sigmas
+from conftest import DEG, estimator_sigmas, symmetrized_outcomes
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -227,12 +227,7 @@ def test_criterion_10_weighted_floor_convexity():
 def _sample_counts(triple: ChannelTriple, alpha: float, n_total: int,
                    seed: int) -> ObservedCounts:
     """Multinomial sample of the ten (bit, outcome) categories."""
-    povm = Povm5(alpha)
-    probs = []
-    for bit in (0, 1):
-        rho = symmetrized_density(triple, alpha, bit)
-        probs.extend(0.5 * povm.probability(label, rho) for label in OUTCOMES)
-    probs = np.asarray(probs)
+    probs = 0.5 * symmetrized_outcomes(triple, alpha).ravel()
     probs[-1] += 1.0 - probs.sum()  # absorb rounding into the last V cell
     draw = np.random.Generator(Philox(key=seed)).multinomial(n_total, probs)
     cells = draw.reshape(2, len(OUTCOMES))

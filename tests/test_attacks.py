@@ -23,9 +23,9 @@ from b92sec.attacks import (
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
 from b92sec.evebound import eve_max_gain
-from b92sec.states import BlochState, make_alice_states
+from b92sec.states import make_alice_states
 
-from conftest import DEG, ket, projector
+from conftest import DEG, bar_ket, ket, projector
 
 
 class TestRotationAttack:
@@ -50,9 +50,8 @@ class TestRotationAttack:
             vac, phi = channel.output(1, one.phi, branch)
             assert not vac
             mixture += branch.weights[1] * projector(ket(phi))
-        state = BlochState(alpha)
-        expected = (math.cos(alpha) ** 2 * projector(state.ket())
-                    + math.sin(alpha) ** 2 * projector(state.bar_ket()))
+        expected = (math.cos(alpha) ** 2 * projector(ket(alpha))
+                    + math.sin(alpha) ** 2 * projector(bar_ket(alpha)))
         assert_allclose(mixture, expected, atol=1e-12)
 
     def test_branch_guesses_cover_both_bits(self):
@@ -210,3 +209,30 @@ class TestChannelPlumbing:
             parse_attack("teleport", 0.3)
         with pytest.raises(DomainError):
             parse_attack("weak-meas(q)", 0.3)
+
+    def test_parse_keeps_aliases_and_defaults(self):
+        assert parse_attack("depolarize(eps=0.1)", 0.3) == depolarize(0.1)
+        assert parse_attack("loss(transmission=0.6)", 0.3) == loss(0.6)
+        assert parse_attack("loss(t=0.6)", 0.3) == loss(0.6)
+        assert parse_attack("loss", 0.3) == loss(1.0)
+        assert parse_attack("depolarize", 0.3) == depolarize(0.0)
+        assert parse_attack("mixed(q=0.1, lam=0.3)", 0.3) == parse_attack(
+            "mixed(q=0.1, lambda=0.3)", 0.3)
+        assert parse_attack("mixed(q=0.1)", 0.3) == parse_attack(
+            "mixed(q=0.1, lambda=0.5)", 0.3)
+        assert parse_attack("weak(q=0.2)", 0.3) == parse_attack("weak-meas(q=0.2)", 0.3)
+
+    @pytest.mark.parametrize("text, stage, key", (
+        ("loss(transmision=0.5)", "loss", "transmision"),
+        ("identity(q=3)", "identity", "q"),
+        ("depolarize(eps=0.1, foo=3)", "depolarize", "foo"),
+        ("weak-meas", "weak-meas", "q"),
+        ("mixed(lambda=0.2)", "mixed", "q"),
+        ("loss(T=abc)", "loss", "t"),
+        ("depolarize(eps=0.1, epsilon=0.2)", "depolarize", "epsilon"),
+    ))
+    def test_bad_keys_name_stage_and_key(self, text, stage, key):
+        with pytest.raises(DomainError) as excinfo:
+            parse_attack(f"identity|{text}", 0.3)
+        message = str(excinfo.value)
+        assert repr(stage) in message and repr(key) in message

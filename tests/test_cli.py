@@ -154,6 +154,19 @@ class TestSimulate:
         assert err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("extra", ({"attack": "loss(transmision=0.5)"},
+                                       {"attack": "weak-meas"},
+                                       {"alpha_deg": "100", "alpha_prime_deg": "10"}))
+    def test_bad_attack_or_angle_is_domain_error(self, capsys, tmp_path, extra):
+        entries = {"n_total": "1000", "alpha_deg": "12", "seed": "4", **extra}
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 class TestOracleCheck:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--samples", "3",
@@ -162,6 +175,13 @@ class TestOracleCheck:
         lines = out.strip().splitlines()
         assert lines[0] == "sample,alpha_deg,theta_deg,eps,T,analytic,oracle,diff"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("samples", ("0", "-1"))
+    def test_sample_count_below_one_is_domain_error(self, capsys, samples):
+        code, out, err = run(capsys, "oracle-check", "--samples", samples)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_impossible_tolerance_exits_mismatch(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--samples", "2",

@@ -7,58 +7,70 @@ from b92sec.entropy import binary_entropy
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
 from b92sec.evebound import eve_max_gain
-from b92sec.infobounds import (
-    bit_error_rate,
-    conclusive_entropy_floor,
-    conclusive_probability,
-    shannon_upper_bound,
-)
+from b92sec.infobounds import conclusive_entropy_floor, shannon_upper_bound
 
-from conftest import DEG
+from conftest import DEG, explicit_povm_effects, explicit_qubit_block
 
 
 class TestConclusiveProbability:
     def test_quarter_at_45_degrees(self):
-        assert conclusive_probability(math.pi / 4, 0.0, 1.0) == pytest.approx(0.25)
+        assert shannon_upper_bound(math.pi / 4, 0.0, 1.0).p_conc == pytest.approx(0.25)
 
     def test_half_for_orthogonal_signals(self):
-        assert conclusive_probability(math.pi / 2, 0.0, 1.0) == pytest.approx(0.5)
+        assert shannon_upper_bound(math.pi / 2, 0.0, 1.0).p_conc == pytest.approx(0.5)
 
     def test_depolarized_channel(self):
         for alpha in (0.1, 0.5, 1.2):
-            assert conclusive_probability(alpha, 1.0, 0.7) == pytest.approx(0.35)
+            assert shannon_upper_bound(alpha, 1.0, 0.7).p_conc == pytest.approx(0.35)
 
     def test_matches_povm_computation(self, rng):
         # the closed form agrees with summing Bob's conclusive effects
-        from b92sec.states import Povm5, symmetrized_density
         for _ in range(50):
             alpha = rng.uniform(0.05, 1.5)
             eps = rng.uniform(0, 1)
             t = rng.uniform(0.05, 1)
-            povm = Povm5(alpha)
-            rho0 = symmetrized_density(ChannelTriple(0.0, eps, t), alpha, 0)
-            direct = povm.probability("0b", rho0) + povm.probability("1b", rho0)
-            assert conclusive_probability(alpha, eps, t) == pytest.approx(
-                direct, abs=1e-12)
+            effects = explicit_povm_effects(alpha)
+            rho0 = explicit_qubit_block(0.0, eps, t, alpha, 0)
+            direct = np.trace((effects["0b"] + effects["1b"]) @ rho0)
+            assert shannon_upper_bound(alpha, eps, t).p_conc == pytest.approx(
+                float(np.real(direct)), abs=1e-12)
+
+    def test_broadcasts_over_the_inputs(self):
+        eps = np.linspace(0.0, 1.0, 5)
+        rep = shannon_upper_bound(np.array([[0.3], [0.6]]), eps, 0.8)
+        assert rep.p_conc.shape == rep.upper_bound.shape == rep.vacuous.shape == (2, 5)
+        for i, alpha in enumerate((0.3, 0.6)):
+            for j, e in enumerate(eps):
+                one = shannon_upper_bound(alpha, e, 0.8)
+                assert rep.upper_bound[i, j] == one.upper_bound
+                assert rep.error_rate[i, j] == one.error_rate
 
 
 class TestBitErrorRate:
     def test_noiseless(self):
-        assert bit_error_rate(0.3, 0.0) == 0.0
+        assert shannon_upper_bound(0.3, 0.0, 1.0).error_rate == 0.0
 
     def test_fully_mixed(self):
-        assert bit_error_rate(0.3, 1.0) == pytest.approx(0.5)
+        assert shannon_upper_bound(0.3, 1.0, 1.0).error_rate == pytest.approx(0.5)
 
     def test_reference_value(self):
         # frozen from the closed form at alpha = 10 deg, eps = 0.13
-        got = bit_error_rate(10 * DEG, 0.13)
+        got = shannon_upper_bound(10 * DEG, 0.13, 1.0).error_rate
         assert got == pytest.approx(0.13 / (2 - 0.87 * (math.cos(20 * DEG) + 1)),
                                     abs=1e-15)
         assert got == pytest.approx(0.4160433751, abs=1e-9)
 
     def test_degenerate_denominator(self):
         with pytest.raises(DomainError):
-            bit_error_rate(0.0, 0.0)
+            shannon_upper_bound(0.0, 0.0, 1.0)
+        # one vanishing entry fails the whole array
+        with pytest.raises(DomainError):
+            shannon_upper_bound(np.array([0.3, 0.0]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("eps, t", [(-0.1, 1.0), (1.5, 1.0), (0.1, 0.0), (0.1, 1.5)])
+    def test_noise_or_transmission_out_of_range_rejected(self, eps, t):
+        with pytest.raises(DomainError):
+            shannon_upper_bound(0.3, np.array([0.1, eps]), t)
 
 
 class TestEntropyFloor:

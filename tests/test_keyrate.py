@@ -19,6 +19,7 @@ from b92sec.keyrate import (
     positive_noise_limit,
     secret_key_gain,
 )
+from b92sec.states import OUTCOMES, outcome_table
 
 from conftest import DEG
 
@@ -97,6 +98,37 @@ class TestSecretKeyGain:
                          "gain_correct", "gain_flipped", "gain"):
                 assert abs(getattr(g, name)[k] - getattr(rep, name)) <= 1e-12, name
         assert raised == [UnreachableChannelError, DomainError, DomainError]
+
+
+class TestConclusiveRatesMatchTheOutcomeTable:
+    """``key_gains`` keeps its own two lines for p_conc and e (its one-entry
+    calls are the angle and noise-limit searches' inner loop); they must equal
+    Bob's outcome table on the symmetrized bit-0 state."""
+
+    @staticmethod
+    def table_rates(alpha, theta, eps, t):
+        table = outcome_table(alpha, -(alpha + theta), 1.0 - eps, t)
+        p_error, p_correct = table[..., OUTCOMES.index("0b")], table[..., OUTCOMES.index("1b")]
+        return p_error + p_correct, p_error / (p_error + p_correct)
+
+    def test_on_criterion_09_grid_and_random_channels(self, rng):
+        n = 400
+        alpha = np.concatenate((np.full(91, 12 * DEG), rng.uniform(0.0, math.pi / 2, n)))
+        theta = np.concatenate((np.zeros(91), rng.uniform(-math.pi / 2, math.pi / 2, n)))
+        eps = np.concatenate((np.linspace(0.0, 0.9, 91), rng.uniform(0.0, 1.0, n)))
+        t = np.concatenate((np.full(91, 0.3), rng.uniform(0.05, 1.0, n)))
+        g = key_gains(alpha, theta, eps, t)
+        p_conc, e = self.table_rates(alpha, theta, eps, t)
+        assert np.abs(g.p_conc - p_conc).max() <= 1e-15
+        assert np.abs(g.error_rate - e).max() <= 1e-15
+
+    def test_noiseless_rows_have_no_errors(self):
+        grid_t, grid_alpha = np.meshgrid(np.linspace(0.55, 1.0, 10),
+                                         np.linspace(2 * DEG, 55 * DEG, 25))
+        g = key_gains(grid_alpha, 0.0, 0.0, grid_t)
+        _, e = self.table_rates(grid_alpha, 0.0, 0.0, grid_t)
+        assert (e == 0.0).all() and (g.error_rate == 0.0).all()
+        assert (g.info_flipped == 0.0).all()
 
 
 class TestOptimalAngle:

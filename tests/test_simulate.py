@@ -24,9 +24,9 @@ from b92sec.simulate import (
     outcome_distribution,
     run_simulation,
 )
-from b92sec.states import OUTCOMES, Povm5, symmetrized_density
+from b92sec.states import OUTCOMES
 
-from conftest import DEG, estimator_sigmas
+from conftest import DEG, estimator_sigmas, symmetrized_outcomes
 
 ALPHA = 10 * DEG
 
@@ -76,13 +76,9 @@ class TestCounting:
         # per-cell relative frequencies stay within four binomial standard
         # errors of Tr[F rho] in at least 99% of seeded runs
         cfg0 = config(depolarize(0.2), n=100000, seed=0)
-        povm = Povm5(cfg0.alpha)
-        triple = ChannelTriple(0.0, 0.2, 1.0)
-        expected = {}
-        for bit in (0, 1):
-            rho = symmetrized_density(triple, cfg0.alpha, bit)
-            for label in ("0", "1", "0b", "1b"):
-                expected[bit, label] = povm.probability(label, rho)
+        table = symmetrized_outcomes(ChannelTriple(0.0, 0.2, 1.0), cfg0.alpha)
+        expected = {(bit, label): table[bit, OUTCOMES.index(label)]
+                    for bit in (0, 1) for label in ("0", "1", "0b", "1b")}
         passed = 0
         for seed in range(100):
             counts = run_simulation(config(depolarize(0.2), n=100000,
@@ -335,6 +331,19 @@ class TestConfigValidation:
     def test_largest_seed_runs(self):
         result = run_simulation(config(depolarize(0.2), n=20000, seed=(1 << 128) - 1))
         assert result.counts.detected() == 20000
+
+    @pytest.mark.parametrize("name", ("alpha", "alpha_prime"))
+    @pytest.mark.parametrize("bad", (-0.1, math.pi / 2 + 0.1, math.nan))
+    def test_angle_outside_quarter_turn_rejected(self, name, bad):
+        angles = {"alpha": 0.3, "alpha_prime": 0.3, name: bad}
+        with pytest.raises(DomainError):
+            SimConfig(n_total=10, attack=identity_attack(), seed=0, **angles)
+
+    def test_analyzer_angle_in_file_is_checked(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("n_total = 1000\nalpha_deg = 100\nalpha_prime_deg = 10\n")
+        with pytest.raises(DomainError):
+            SimConfig.from_file(path)
 
     @pytest.mark.parametrize("line", ("seed = -1", "seed = 1.5", "seed = x",
                                       "n_total = 1e5", "n_total = many",

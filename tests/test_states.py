@@ -9,18 +9,19 @@ from b92sec.estimation import ChannelTriple
 from b92sec.states import (
     OUTCOMES,
     BlochState,
-    Povm5,
-    SignalDensity,
     make_alice_states,
+    outcome_table,
     symmetrized_density,
 )
 
 from conftest import (
     DEG,
+    bar_ket,
     bloch_of_matrix,
     explicit_povm_effects,
     explicit_qubit_block,
     ket,
+    projector,
 )
 
 
@@ -33,18 +34,6 @@ class TestBlochState:
                 lhs = BlochState(a).overlap(BlochState(b)) ** 2
                 rhs = math.cos((a - b) / 2.0) ** 2
                 assert abs(lhs - rhs) < 1e-12
-
-    def test_bar_state_orthogonal_everywhere(self):
-        for phi in np.linspace(-math.pi + 1e-9, math.pi, 101):
-            state = BlochState(phi)
-            assert abs(float(state.ket() @ state.bar_ket())) < 1e-12
-
-    def test_bar_ket_sign_convention_split(self):
-        # the explicit sign flip below phi = 0
-        assert_allclose(BlochState(0.6).bar_ket(),
-                        [math.sin(0.3), -math.cos(0.3)], atol=1e-15)
-        assert_allclose(BlochState(-0.6).bar_ket(),
-                        [math.sin(0.3), math.cos(0.3)], atol=1e-15)
 
     def test_angle_wrapping(self):
         assert BlochState(3 * math.pi).phi == pytest.approx(math.pi)
@@ -72,21 +61,17 @@ class TestAliceStates:
 
 class TestPovm:
     def test_vacuum_outcome_on_pure_vacuum(self):
-        povm = Povm5(0.3)
-        assert povm.probability("V", SignalDensity.vacuum()) == pytest.approx(1.0)
+        assert outcome_table(0.3, 0.0, 0.0, 0.0)[OUTCOMES.index("V")] == pytest.approx(1.0)
 
     def test_half_weight_on_own_eigenvector(self):
         alpha = 0.4
-        povm = Povm5(alpha)
-        state = SignalDensity.pure(BlochState(-alpha))
-        assert povm.probability("0", state) == pytest.approx(0.5, abs=1e-15)
+        got = outcome_table(alpha, -alpha, 1.0, 1.0)[OUTCOMES.index("0")]
+        assert got == pytest.approx(0.5, abs=1e-15)
 
     def test_conclusive_error_effect_value(self):
         # F_1b on |sigma_-alpha> at alpha = 10 deg: (1/2) sin^2(alpha)
         alpha = 10 * DEG
-        povm = Povm5(alpha)
-        state = SignalDensity.pure(BlochState(-alpha))
-        got = povm.probability("1b", state)
+        got = outcome_table(alpha, -alpha, 1.0, 1.0)[OUTCOMES.index("1b")]
         assert got == pytest.approx(0.015076844803522902, abs=1e-15)
         # cross-check by explicit 2x2 trace
         explicit = np.trace(explicit_povm_effects(alpha)["1b"] @ np.outer(ket(-alpha), ket(-alpha)))
@@ -97,30 +82,37 @@ class TestPovm:
     def test_completeness_on_random_states(self, rng):
         for _ in range(200):
             alpha = rng.uniform(0.0, math.pi / 2)
-            povm = Povm5(alpha)
             t = rng.uniform(0.0, 1.0)
-            direction = rng.normal(size=3)
-            direction *= rng.uniform(0.0, 1.0) / np.linalg.norm(direction)
-            state = SignalDensity(t, tuple(direction))
-            total = sum(povm.probabilities(state).values())
+            phi = rng.uniform(-math.pi, math.pi)
+            r = rng.uniform(0.0, 1.0)
+            total = outcome_table(alpha, phi, r, t).sum()
             assert abs(total - 1.0) < 1e-12
 
     def test_probabilities_match_explicit_matrices(self, rng):
         alpha = 23 * DEG
-        povm = Povm5(alpha)
         effects = explicit_povm_effects(alpha)
         for _ in range(50):
             phi = rng.uniform(-math.pi, math.pi)
             t = rng.uniform(0.1, 1.0)
-            state = SignalDensity(t, (math.sin(phi) * 0.9, 0.0, math.cos(phi) * 0.9))
-            rho = t * np.asarray(state.qubit_matrix())
+            # Bloch length 0.9: weight 0.95 on |phi>, 0.05 on its partner
+            rho = t * (0.95 * projector(ket(phi)) + 0.05 * projector(bar_ket(phi)))
+            table = outcome_table(alpha, phi, 0.9, t)
             for label, effect in effects.items():
-                assert povm.probability(label, state) == pytest.approx(
+                assert table[OUTCOMES.index(label)] == pytest.approx(
                     float(np.real(np.trace(effect @ rho))), abs=1e-12)
 
-    def test_unknown_label_rejected(self):
+    def test_broadcasts_and_appends_the_outcome_axis(self):
+        table = outcome_table(0.3, np.zeros((2, 1)), 0.9, np.array([0.0, 0.5, 1.0]))
+        assert table.shape == (2, 3, len(OUTCOMES))
+        assert_allclose(table.sum(axis=-1), 1.0, atol=1e-15)
+        assert_allclose(table[..., OUTCOMES.index("V")], [[1.0, 0.5, 0.0]] * 2)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.pi / 2 + 0.1, math.nan])
+    def test_analyzer_angle_out_of_range_rejected(self, bad):
         with pytest.raises(DomainError):
-            Povm5(0.2).effect_state("2")
+            outcome_table(bad, 0.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            outcome_table(np.array([0.2, bad]), 0.0, 1.0, 1.0)
 
     def test_effects_resolve_identity_on_the_qubit_sector(self):
         # the four polarization effects are half-weight projectors over two
@@ -165,11 +157,10 @@ class TestSymmetrizedDensity:
         # Tr[(F0 - F0b) rho_0^s] == (T/2)(1 - eps) cos(theta): the relation
         # the count inversion relies on
         theta, eps, alpha, t = 0.22, 0.13, 0.3, 0.77
-        povm = Povm5(alpha)
-        rho0 = symmetrized_density(ChannelTriple(theta, eps, t), alpha, 0)
-        lhs = povm.probability("0", rho0) - povm.probability("0b", rho0)
+        p = dict(zip(OUTCOMES, outcome_table(alpha, -(alpha + theta), 1 - eps, t)))
+        lhs = p["0"] - p["0b"]
         assert lhs == pytest.approx(0.5 * t * (1 - eps) * math.cos(theta), abs=1e-12)
-        lhs2 = povm.probability("1", rho0) - povm.probability("1b", rho0)
+        lhs2 = p["1"] - p["1b"]
         assert lhs2 == pytest.approx(
             0.5 * t * (1 - eps) * math.cos(theta + 2 * alpha), abs=1e-12)
 
