@@ -9,8 +9,9 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 (alpha, theta, eps, T), with Eve's bounds on correct and flipped bits from
 one call of :func:`~b92sec.evebound.eve_bound`; :func:`secret_key_gain` is
 its one-entry wrapper.  The angle scan, the distance sweep and the CLI
-sweeps are single array calls; the golden-section and bisection searches
-chain one-entry calls.
+sweeps are single array calls.  At its default tolerance the angle search is
+four array calls, the coarse scan and three grid sections; the noise-limit
+bisection chains angle searches.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from .evebound import OK, BoundArrays, collision_gain, eve_bound, shannon_gain
 INFORMATION = {"collision": collision_gain, "shannon": shannon_gain}
 MODES = tuple(INFORMATION)
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# cells per grid-section step of the angle search; each step keeps the two
+# cells beside the best sample, so the bracket narrows SECTIONS / 2 times
+SECTIONS = 66
 
 
 @dataclass(frozen=True)
@@ -198,38 +201,42 @@ def _gains(alphas, triple: ChannelTriple, mode: str) -> np.ndarray:
     return np.where(g.failed, -math.inf, g.gain)[()]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and positive: {tol}")
+
+
 def optimal_angle(triple: ChannelTriple, mode: str = "collision",
                   tol: float = 1e-6) -> tuple[float, float]:
     """Angle maximizing the key gain, and the gain there.
 
-    A 90-point coarse scan over (0, pi/2] seeds a golden-section search
-    (the gain is not concave near the full-information boundary, so the
-    scan guards against the wrong basin).  Returns (0, 0) when no angle
-    yields positive gain, meaning the protocol cannot produce a key.
+    A 90-point coarse scan over (0, pi/2] brackets the best degree (the gain
+    is not concave near the full-information boundary, so the scan guards
+    against the wrong basin).  Each grid-section step then samples
+    ``SECTIONS + 1`` evenly spaced angles across the bracket in one call and
+    keeps the two cells beside the best sample, until the bracket is no
+    wider than ``tol``; from the 2-degree bracket at ``tol = 1e-6`` that is
+    three steps.  Returns the best sampled angle and its gain, or (0, 0)
+    when no angle yields positive gain, meaning the protocol cannot produce
+    a key.
     """
-    grid = [k * math.pi / 180.0 for k in range(1, 91)]
+    _check_tol(tol)
+    grid = np.arange(1, 91) * math.pi / 180.0
     gains = _gains(grid, triple, mode)
-    best = max(range(len(grid)), key=gains.__getitem__)
+    best = int(np.argmax(gains))
     if gains[best] <= 0.0:
         return 0.0, 0.0
     lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best + 1 < len(grid) else grid[-1]
-    # golden-section maximization on [lo, hi]
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1 = _gains(x1, triple, mode)
-    f2 = _gains(x2, triple, mode)
+    hi = grid[best + 1] if best + 1 < grid.size else grid[-1]
     while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = _gains(x2, triple, mode)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = _gains(x1, triple, mode)
-    alpha_star = 0.5 * (lo + hi)
-    return alpha_star, float(_gains(alpha_star, triple, mode))
+        grid = np.linspace(lo, hi, SECTIONS + 1)
+        gains = _gains(grid, triple, mode)
+        best = int(np.argmax(gains))
+        bracket = grid[max(best - 1, 0)], grid[min(best + 1, SECTIONS)]
+        if bracket == (lo, hi):  # cells below float resolution
+            break
+        lo, hi = bracket
+    return float(grid[best]), float(gains[best])
 
 
 def positive_noise_limit(transmission: float, mode: str = "collision",
@@ -239,6 +246,8 @@ def positive_noise_limit(transmission: float, mode: str = "collision",
     Scans eps upward to bracket the sign change of the optimized gain,
     then bisects.  Returns 0 when even a noiseless channel yields nothing.
     """
+    _check_tol(tol)
+
     def g_star(eps: float) -> float:
         return optimal_angle(ChannelTriple(0.0, eps, transmission), mode)[1]
 
@@ -253,13 +262,14 @@ def positive_noise_limit(transmission: float, mode: str = "collision",
         lo = eps
     if hi is None:
         return 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
         if g_star(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def link_to_channel(link: PhysicalLink) -> ChannelTriple:

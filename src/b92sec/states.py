@@ -51,9 +51,6 @@ class BlochState:
         """Inner product with another great-circle state: cos((a - b)/2)."""
         return math.cos((self.phi - other.phi) / 2.0)
 
-    def bloch_vector(self) -> np.ndarray:
-        return np.array([math.sin(self.phi), 0.0, math.cos(self.phi)])
-
 
 @dataclass(frozen=True)
 class SignalDensity:
@@ -77,10 +74,6 @@ class SignalDensity:
             raise DomainError(f"bloch vector norm exceeds 1: {v}")
         object.__setattr__(self, "transmission", t)
         object.__setattr__(self, "bloch", v)
-
-    @classmethod
-    def pure(cls, state: BlochState, transmission: float = 1.0) -> "SignalDensity":
-        return cls(transmission, tuple(state.bloch_vector()))
 
     @classmethod
     def vacuum(cls) -> "SignalDensity":
@@ -121,27 +114,3 @@ def make_alice_states(alpha_prime: float) -> tuple[BlochState, BlochState]:
     if not 0.0 <= alpha_prime <= math.pi / 2.0:
         raise DomainError(f"signal angle outside [0, pi/2]: {alpha_prime}")
     return BlochState(-alpha_prime), BlochState(alpha_prime)
-
-
-def symmetrized_density(params, alpha: float, bit: int) -> SignalDensity:
-    """Signal operator Bob reconstructs from the symmetrized channel.
-
-    ``params`` is any object with ``theta``, ``epsilon`` and ``transmission``
-    attributes (a :class:`~b92sec.estimation.ChannelTriple`).  The qubit
-    block mixes the signal direction at +-(alpha + theta) with weight
-    1 - epsilon/2 and its orthogonal partner with weight epsilon/2, so the
-    Bloch vector shrinks by (1 - epsilon) and stays in the x-z plane.  Bit 1
-    is the mirror image of bit 0 through the z axis.
-    """
-    eps = float(params.epsilon)
-    t = float(params.transmission)
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"noise parameter outside [0, 1]: {eps}")
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"transmission outside [0, 1]: {t}")
-    if bit not in (0, 1):
-        raise DomainError(f"bit must be 0 or 1: {bit}")
-    phi = alpha + float(params.theta)
-    sign = -1.0 if bit == 0 else 1.0
-    r = 1.0 - eps
-    return SignalDensity(t, (r * math.sin(sign * phi), 0.0, r * math.cos(phi)))

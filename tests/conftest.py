@@ -59,6 +59,18 @@ def explicit_povm_effects(alpha: float) -> dict[str, np.ndarray]:
     }
 
 
+def symmetrized_bloch(triple, alpha: float, bit: int) -> tuple[float, float, float]:
+    """Bloch vector of the symmetrized qubit block for ``bit``.
+
+    The signal direction at -+(alpha + theta) in the x-z plane (bit 0 takes
+    the minus sign), shrunk by 1 - eps.
+    """
+    sign = -1.0 if bit == 0 else 1.0
+    phi = alpha + triple.theta
+    r = 1.0 - triple.epsilon
+    return (r * math.sin(sign * phi), 0.0, r * math.cos(phi))
+
+
 def symmetrized_outcomes(triple, alpha: float) -> np.ndarray:
     """Bob's (2, 5) outcome table on the symmetrized bit-0 and bit-1 states."""
     from b92sec.states import outcome_table

@@ -17,9 +17,9 @@ from b92sec.estimation import (
     relabeled,
     symmetrize_densities,
 )
-from b92sec.states import OUTCOMES, BlochState, SignalDensity, symmetrized_density
+from b92sec.states import OUTCOMES, SignalDensity
 
-from conftest import DEG, symmetrized_outcomes
+from conftest import DEG, symmetrized_bloch, symmetrized_outcomes
 
 # large enough that integer rounding of exact expectations is ~1e-14 relative
 EXACT_N = 2 ** 48
@@ -141,8 +141,8 @@ class TestSymmetrizeDensities:
     def test_fixed_point_on_symmetric_inputs(self):
         alpha = 0.3
         triple = ChannelTriple(0.17, 0.22, 0.8)
-        rho0 = symmetrized_density(triple, alpha, 0)
-        rho1 = symmetrized_density(triple, alpha, 1)
+        rho0 = SignalDensity(triple.transmission, symmetrized_bloch(triple, alpha, 0))
+        rho1 = SignalDensity(triple.transmission, symmetrized_bloch(triple, alpha, 1))
         got, (out0, out1) = symmetrize_densities(rho0, rho1, alpha)
         assert_allclose(out0.bloch, rho0.bloch, atol=1e-14)
         assert_allclose(out1.bloch, rho1.bloch, atol=1e-14)
@@ -156,8 +156,8 @@ class TestSymmetrizeDensities:
         assert out1.bloch[1] == 0.0
 
     def test_transmissions_average(self):
-        rho0 = SignalDensity.pure(BlochState(-0.5), transmission=0.6)
-        rho1 = SignalDensity.pure(BlochState(0.5), transmission=1.0)
+        rho0 = SignalDensity(0.6, (math.sin(-0.5), 0.0, math.cos(-0.5)))
+        rho1 = SignalDensity(1.0, (math.sin(0.5), 0.0, math.cos(0.5)))
         triple, _ = symmetrize_densities(rho0, rho1, 0.5)
         assert triple.transmission == pytest.approx(0.8)
 

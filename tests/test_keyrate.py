@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from b92sec import keyrate
 from b92sec.entropy import binary_entropy
 from b92sec.errors import B92Error, DomainError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple
@@ -10,6 +11,7 @@ from b92sec.keyrate import (
     KTH_LINK,
     MODES,
     PhysicalLink,
+    _gains,
     bb84_key_gain,
     distance_sweep,
     key_gains,
@@ -101,9 +103,9 @@ class TestSecretKeyGain:
 
 
 class TestConclusiveRatesMatchTheOutcomeTable:
-    """``key_gains`` keeps its own two lines for p_conc and e (its one-entry
-    calls are the angle and noise-limit searches' inner loop); they must equal
-    Bob's outcome table on the symmetrized bit-0 state."""
+    """``key_gains`` keeps its own two lines for p_conc and e (it is the angle
+    and noise-limit searches' inner loop); they must equal Bob's outcome
+    table on the symmetrized bit-0 state."""
 
     @staticmethod
     def table_rates(alpha, theta, eps, t):
@@ -179,6 +181,163 @@ class TestPositiveNoiseLimit:
         assert limit > 0.0
         assert optimal_angle(ChannelTriple(0.0, limit - 5e-3, 0.8))[1] > 0.0
         assert optimal_angle(ChannelTriple(0.0, limit + 5e-3, 0.8))[1] == 0.0
+
+
+@pytest.fixture
+def gain_calls(monkeypatch):
+    """Counts the searches' calls of ``keyrate.key_gains``; a search that runs
+    away fails at the 1000th call instead of hanging."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        assert len(calls) < 1000, "the search does not stop"
+        return key_gains(*args, **kwargs)
+
+    monkeypatch.setattr(keyrate, "key_gains", counted)
+    return calls
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("eps", (0.0, 0.01, 0.03))
+    def test_one_search_is_at_most_five_gain_calls(self, gain_calls, mode, eps):
+        triple = ChannelTriple(0.0, eps, 0.8)
+        alpha_star, gain_star = optimal_angle(triple, mode)
+        assert gain_star > 0.0
+        assert len(gain_calls) <= 5
+        # the returned gain is the one computed at the returned angle
+        assert gain_star == secret_key_gain(alpha_star, triple, mode).gain
+
+    @pytest.mark.parametrize("tol", (0.0, -1.0, math.nan, math.inf))
+    def test_bad_tolerance_rejected_before_any_gain_call(self, monkeypatch, tol):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search with a bad tolerance computed gains")
+
+        monkeypatch.setattr(keyrate, "key_gains", refuse)
+        with pytest.raises(DomainError):
+            optimal_angle(ChannelTriple(0.0, 0.01, 0.8), tol=tol)
+        with pytest.raises(DomainError):
+            positive_noise_limit(0.8, tol=tol)
+
+    def test_tolerance_below_float_resolution_stops(self, gain_calls):
+        triple = ChannelTriple(0.0, 0.01, 0.8)
+        alpha_star, gain_star = optimal_angle(triple, tol=1e-300)
+        assert len(gain_calls) <= 20
+        want = optimal_angle(triple)
+        assert abs(alpha_star - want[0]) <= 1e-6 and gain_star >= want[1]
+        gain_calls.clear()
+        assert positive_noise_limit(0.8, tol=1e-300) == pytest.approx(
+            positive_noise_limit(0.8), abs=1e-5)
+        assert len(gain_calls) <= 300
+
+
+# The golden-section search the grid sections replaced, kept verbatim as the
+# parity reference; it reads the same gains through ``keyrate._gains``.
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_optimal_angle(triple: ChannelTriple, mode: str = "collision",
+                         tol: float = 1e-6) -> tuple[float, float]:
+    grid = [k * math.pi / 180.0 for k in range(1, 91)]
+    gains = _gains(grid, triple, mode)
+    best = max(range(len(grid)), key=gains.__getitem__)
+    if gains[best] <= 0.0:
+        return 0.0, 0.0
+    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
+    hi = grid[best + 1] if best + 1 < len(grid) else grid[-1]
+    # golden-section maximization on [lo, hi]
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1 = _gains(x1, triple, mode)
+    f2 = _gains(x2, triple, mode)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = _gains(x2, triple, mode)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = _gains(x1, triple, mode)
+    alpha_star = 0.5 * (lo + hi)
+    return alpha_star, float(_gains(alpha_star, triple, mode))
+
+
+def golden_positive_noise_limit(transmission: float, mode: str = "collision",
+                                tol: float = 1e-5) -> float:
+    def g_star(eps: float) -> float:
+        return golden_optimal_angle(ChannelTriple(0.0, eps, transmission), mode)[1]
+
+    if g_star(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, None
+    for k in range(1, 51):
+        eps = k / 50.0
+        if g_star(eps) <= 0.0:
+            hi = eps
+            break
+        lo = eps
+    if hi is None:
+        return 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if g_star(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+LIMIT_TS = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+def parity_channels() -> list[ChannelTriple]:
+    """Criterion 07's noise grid at T = 0.8, a (T, eps) grid and random tilts."""
+    limit = golden_positive_noise_limit(0.8, tol=1e-4)
+    channels = [ChannelTriple(0.0, float(eps), 0.8)
+                for eps in np.linspace(0.0, limit * 0.95, 12)]
+    channels += [ChannelTriple(0.0, float(eps), t)
+                 for t in LIMIT_TS for eps in np.linspace(0.0, 0.05, 21)]
+    rng = np.random.default_rng(20261018)
+    channels += [ChannelTriple(*row) for row in zip(
+        rng.uniform(-0.03, 0.03, 200).tolist(), rng.uniform(0.0, 0.05, 200).tolist(),
+        rng.uniform(0.2, 1.0, 200).tolist())]
+    return channels
+
+
+def search_outcome(search, triple: ChannelTriple, mode: str):
+    try:
+        return search(triple, mode)
+    except B92Error as exc:
+        return type(exc), str(exc)
+
+
+class TestGridSectionParity:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_optimal_angle_matches_golden_section(self, mode):
+        kinds = {"positive": 0, "zero": 0, "raised": 0}
+        worst_alpha = worst_gain = 0.0
+        for triple in parity_channels():
+            want = search_outcome(golden_optimal_angle, triple, mode)
+            got = search_outcome(optimal_angle, triple, mode)
+            if isinstance(want[0], type) or want == (0.0, 0.0):
+                assert got == want, triple
+                kinds["raised" if isinstance(want[0], type) else "zero"] += 1
+                continue
+            assert isinstance(got[0], float) and got != (0.0, 0.0), triple
+            kinds["positive"] += 1
+            worst_alpha = max(worst_alpha, abs(got[0] - want[0]))
+            worst_gain = max(worst_gain, abs(got[1] - want[1]))
+        assert min(kinds.values()) >= 50, kinds
+        assert worst_alpha <= 1e-6
+        assert worst_gain <= 1e-12
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_noise_limit_matches_golden_section(self, mode):
+        for t in LIMIT_TS:
+            assert abs(positive_noise_limit(t, mode)
+                       - golden_positive_noise_limit(t, mode)) <= 1e-5, t
 
 
 class TestLinkModel:

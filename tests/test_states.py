@@ -6,13 +6,7 @@ from numpy.testing import assert_allclose
 
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
-from b92sec.states import (
-    OUTCOMES,
-    BlochState,
-    make_alice_states,
-    outcome_table,
-    symmetrized_density,
-)
+from b92sec.states import OUTCOMES, BlochState, SignalDensity, make_alice_states, outcome_table
 
 from conftest import (
     DEG,
@@ -22,6 +16,7 @@ from conftest import (
     explicit_qubit_block,
     ket,
     projector,
+    symmetrized_bloch,
 )
 
 
@@ -124,22 +119,22 @@ class TestPovm:
 class TestSymmetrizedDensity:
     def test_noiseless_is_pure_signal(self):
         triple = ChannelTriple(0.0, 0.0, 1.0)
-        rho = symmetrized_density(triple, 0.35, bit=1)
-        assert_allclose(rho.bloch, BlochState(0.35).bloch_vector(), atol=1e-15)
-        assert rho.transmission == 1.0
+        bloch = symmetrized_bloch(triple, 0.35, bit=1)
+        assert_allclose(bloch, [math.sin(0.35), 0.0, math.cos(0.35)], atol=1e-15)
+        assert_allclose(bloch, bloch_of_matrix(projector(ket(0.35))), atol=1e-15)
 
     def test_full_noise_is_maximally_mixed(self):
         triple = ChannelTriple(0.7, 1.0, 0.9)
-        rho = symmetrized_density(triple, 0.2, bit=0)
-        assert_allclose(rho.bloch, [0.0, 0.0, 0.0], atol=1e-15)
+        bloch = symmetrized_bloch(triple, 0.2, bit=0)
+        assert_allclose(bloch, [0.0, 0.0, 0.0], atol=1e-15)
 
     def test_derived_bloch_vector_matches_explicit_construction(self):
         theta, eps, alpha, t = 15 * DEG, 0.05, 10 * DEG, 0.8
         triple = ChannelTriple(theta, eps, t)
         for bit in (0, 1):
-            rho = symmetrized_density(triple, alpha, bit)
+            bloch = symmetrized_bloch(triple, alpha, bit)
             explicit = explicit_qubit_block(theta, eps, t, alpha, bit)
-            assert_allclose(t * np.array(rho.bloch), bloch_of_matrix(explicit),
+            assert_allclose(t * np.array(bloch), bloch_of_matrix(explicit),
                             atol=1e-12)
 
     def test_reflection_symmetry(self, rng):
@@ -147,11 +142,11 @@ class TestSymmetrizedDensity:
             triple = ChannelTriple(rng.uniform(-0.5, 0.5), rng.uniform(0, 1),
                                    rng.uniform(0, 1))
             alpha = rng.uniform(0.05, 1.4)
-            r0 = symmetrized_density(triple, alpha, 0)
-            r1 = symmetrized_density(triple, alpha, 1)
-            assert r0.bloch[2] == pytest.approx(r1.bloch[2], abs=1e-15)
-            assert r0.bloch[0] == pytest.approx(-r1.bloch[0], abs=1e-15)
-            assert r0.bloch[1] == 0.0 == r1.bloch[1]
+            r0 = symmetrized_bloch(triple, alpha, 0)
+            r1 = symmetrized_bloch(triple, alpha, 1)
+            assert r0[2] == pytest.approx(r1[2], abs=1e-15)
+            assert r0[0] == pytest.approx(-r1[0], abs=1e-15)
+            assert r0[1] == 0.0 == r1[1]
 
     def test_forward_model_for_estimator(self):
         # Tr[(F0 - F0b) rho_0^s] == (T/2)(1 - eps) cos(theta): the relation
@@ -165,8 +160,14 @@ class TestSymmetrizedDensity:
             0.5 * t * (1 - eps) * math.cos(theta + 2 * alpha), abs=1e-12)
 
     def test_parameter_validation(self):
+        # the signal operator holds the symmetrized block of a valid triple and
+        # refuses a Bloch vector past the sphere or a weight outside [0, 1]
+        bloch = symmetrized_bloch(ChannelTriple(0.0, 0.0, 1.0), 0.3, bit=0)
+        assert SignalDensity(1.0, bloch).bloch == bloch
         with pytest.raises(DomainError):
-            symmetrized_density(ChannelTriple(0.0, 0.0, 1.0), 0.3, bit=2)
+            SignalDensity(1.0, tuple(1.5 * c for c in bloch))
+        with pytest.raises(DomainError):
+            SignalDensity(1.5, bloch)
 
 
 def test_outcome_labels_are_fixed():
