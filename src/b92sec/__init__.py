@@ -6,7 +6,7 @@ Library layout:
   probabilities as one array closed form
 - :mod:`b92sec.estimation` - observed counts to channel parameters
 - :mod:`b92sec.evebound` - Eve's maximum information gain (closed form)
-- :mod:`b92sec.oracle` - brute-force contraction-search verification oracle
+- :mod:`b92sec.oracle` - exact Lagrange-dual verification oracle with a certificate
 - :mod:`b92sec.infobounds` - information-theoretic ceiling on the Shannon gain
 - :mod:`b92sec.attacks` - explicit attacks reaching the full-information region
 - :mod:`b92sec.keyrate` - secret-key gain, angle optimization, link physics

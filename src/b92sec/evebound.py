@@ -143,11 +143,13 @@ def shannon_gain(q):
 
 def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
     """A, B and A's common denominator, unchecked (see :func:`build_matrices`)."""
-    den = 1.0 - (1.0 - epsilon) * np.cos(2.0 * alpha + theta)
     half = alpha + 0.5 * theta
+    sin2 = np.sin(half) ** 2
+    # 1 - (1 - eps) cos(2 half), written without its cancellation near half = 0
+    den = 2.0 * sin2 + epsilon * np.cos(2.0 * alpha + theta)
     root = np.sqrt(epsilon * (2.0 - epsilon))
     a = SymMat2(
-        m11=(2.0 - epsilon) * np.sin(half) ** 2 / den,
+        m11=(2.0 - epsilon) * sin2 / den,
         m12=-root * np.sin(2.0 * alpha + theta) / (2.0 * den),
         m22=epsilon * np.cos(half) ** 2 / den,
     )
@@ -334,6 +336,8 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     for values, ok, message in (
             (alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= math.pi / 2.0),
              "signal angle outside [0, pi/2]"),
+            (alpha, np.isfinite(alpha), "analyzer angle not finite"),
+            (theta, np.isfinite(theta), "tilt angle not finite"),
             (transmission, (0.0 < transmission) & (transmission <= 1.0),
              "transmission outside (0, 1]"),
             (epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")):

@@ -29,7 +29,7 @@ from b92sec.keyrate import (
     positive_noise_limit,
     secret_key_gain,
 )
-from b92sec.oracle import backend_name, oracle_min_overlap_lossy
+from b92sec.oracle import oracle_min_overlap_lossy
 from b92sec.simulate import SimConfig, run_simulation
 from b92sec.states import OUTCOMES
 
@@ -44,8 +44,8 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_oracle_equivalence():
-    # 100 seeded random channels: analytic minimum within 1e-3 of the
-    # brute-force oracle (resolution-64 (u, v) scan plus refinement), within 5 min
+    # 100 seeded random channels: analytic minimum within 1e-3 of the exact
+    # dual oracle, within 5 min
     rng = np.random.default_rng(20240811)
     start = time.time()
     worst = 0.0
@@ -64,15 +64,15 @@ def test_criterion_01_oracle_equivalence():
             # the observed channel is unphysical; the oracle must agree
             if infeasible_cross_checked < 3:
                 with pytest.raises(OracleInfeasibleError):
-                    oracle_min_overlap_lossy(a, b, alpha, t, resolution=32)
+                    oracle_min_overlap_lossy(a, b, alpha, t)
                 infeasible_cross_checked += 1
             continue
-        oracle = oracle_min_overlap_lossy(a, b, alpha, t, resolution=64).value
+        oracle = oracle_min_overlap_lossy(a, b, alpha, t).value
         worst = max(worst, abs(analytic - oracle))
         checked += 1
     elapsed = time.time() - start
     report(1, "oracle-equivalence", worst <= 1e-3 and elapsed <= 300.0,
-           f"worst diff {worst:.2e}, {elapsed:.1f}s, backend {backend_name()}")
+           f"worst diff {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_criterion_02_full_information_boundary():

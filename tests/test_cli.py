@@ -45,10 +45,13 @@ class TestInfogain:
         assert "eps,q_min" in out
 
     def test_domain_error_exit_code(self, capsys):
-        code, _, err = run(capsys, "infogain", "--alpha", "120",
-                           "--eps-grid", "0:0.1:2")
-        assert code == EXIT_DOMAIN
-        assert "error" in err
+        for angles in (("--alpha", "120"), ("--alpha", "10", "--theta", "nan"),
+                       ("--alpha", "10", "--theta", "inf"),
+                       ("--alpha", "nan", "--alpha-prime", "10")):
+            code, out, err = run(capsys, "infogain", *angles, "--eps-grid", "0:0.1:3")
+            assert code == EXIT_DOMAIN, angles
+            assert out == ""
+            assert "error" in err
 
     def test_unreachable_exit_code(self, capsys):
         # tiny angle, deep loss, almost no noise: inconsistent inputs
@@ -169,12 +172,17 @@ class TestSimulate:
 
 class TestOracleCheck:
     def test_small_run_passes(self, capsys):
-        code, out, _ = run(capsys, "oracle-check", "--samples", "3",
-                           "--resolution", "24", "--seed", "7")
+        code, out, err = run(capsys, "oracle-check", "--samples", "3", "--seed", "7")
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert lines[0] == "sample,alpha_deg,theta_deg,eps,T,analytic,oracle,diff"
         assert len(lines) == 4
+        assert err.startswith("# worst_diff=") and " worst_gap=" in err
+
+    def test_resolution_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oracle-check", "--samples", "1", "--resolution", "24"])
+        assert excinfo.value.code == 2  # argparse's usage error
 
     @pytest.mark.parametrize("samples", ("0", "-1"))
     def test_sample_count_below_one_is_domain_error(self, capsys, samples):
@@ -185,8 +193,37 @@ class TestOracleCheck:
 
     def test_impossible_tolerance_exits_mismatch(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--samples", "2",
-                         "--resolution", "24", "--seed", "7", "--tol", "-1")
+                         "--seed", "7", "--tol", "-1")
         assert code == EXIT_MISMATCH
+
+    @pytest.mark.parametrize("tol", ("nan", "inf"))
+    def test_non_finite_tolerance_is_domain_error(self, capsys, tol):
+        code, out, err = run(capsys, "oracle-check", "--samples", "2", "--tol", tol)
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("nan_at", (0, 2))
+    def test_nan_difference_exits_mismatch(self, capsys, monkeypatch, nan_at):
+        # wherever the NaN row sits, max() must not drop it
+        import numpy as np
+
+        from b92sec import cli
+        from b92sec.oracle import OracleResult
+
+        calls = []
+        real = cli.oracle_min_overlap_lossy
+
+        def oracle(*args):
+            calls.append(None)
+            if len(calls) - 1 == nan_at:
+                return OracleResult(value=math.nan, point=np.zeros((2, 2)), gap=0.0)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "oracle_min_overlap_lossy", oracle)
+        code, _, err = run(capsys, "oracle-check", "--samples", "3", "--seed", "7")
+        assert code == EXIT_MISMATCH
+        assert "worst_diff=nan" in err
 
 
 def test_entry_point_runs_as_module():

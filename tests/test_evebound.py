@@ -75,6 +75,23 @@ class TestBuildMatrices:
         with pytest.raises(DegenerateChannelError):
             build_matrices(0.3, -0.6, 0.0)
 
+    def test_denominator_near_its_zero(self):
+        # 1 - (1 - eps) cos(2 alpha + theta) as 2 alpha + theta -> 0, against
+        # a 50-digit reference; the direct form loses it to cancellation
+        import mpmath
+
+        from b92sec.evebound import _matrices
+
+        rng = np.random.default_rng(20240811)
+        mpmath.mp.dps = 50
+        for _ in range(500):
+            alpha = rng.uniform(2 * DEG, 45 * DEG)
+            theta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -1.0) - 2.0 * alpha
+            eps = 0.0 if rng.random() < 0.25 else 10.0 ** rng.uniform(-14.0, -2.0)
+            den = _matrices(alpha, theta, eps)[2]
+            want = 1 - (1 - mpmath.mpf(eps)) * mpmath.cos(2 * mpmath.mpf(alpha) + mpmath.mpf(theta))
+            assert abs(den - want) <= 1e-14 * want, (alpha, theta, eps)
+
     def test_derived_entries_at_reference_point(self):
         a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
         # frozen from direct evaluation of the closed-form entries
@@ -211,14 +228,14 @@ class TestZeroOverlapLimit:
                 math.cos(alpha), abs=1e-12)
 
     def test_oracle_brackets_the_plateau_edge(self):
-        # the brute-force oracle can still drive the overlap to zero just
+        # the oracle can still drive the overlap to zero just
         # below the limit and cannot just above it
         from b92sec.oracle import oracle_min_overlap
 
         a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
         limit = zero_overlap_limit(a, b)
-        below = oracle_min_overlap(a, b, limit - 0.01, resolution=48).value
-        above = oracle_min_overlap(a, b, limit + 0.01, resolution=48).value
+        below = oracle_min_overlap(a, b, limit - 0.01).value
+        above = oracle_min_overlap(a, b, limit + 0.01).value
         assert below < 1e-6
         assert above > 1e-3
 
@@ -254,6 +271,15 @@ class TestEveMaxGain:
             assert 0.0 <= res.info_gain <= 1.0
             assert (res.info_gain == 1.0) == (res.overlap_min == 0.0)
             assert res.info_gain_shannon <= res.info_gain + 1e-12
+
+    @pytest.mark.parametrize("alpha, theta", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.3, math.nan), (0.3, math.inf), (0.3, -math.inf),
+    ])
+    def test_non_finite_angles_rejected(self, alpha, theta):
+        with pytest.raises(DomainError):
+            eve_bound(0.3, alpha, theta, 0.1, 0.5)
+        with pytest.raises(DomainError):
+            eve_max_gain(0.3, alpha, ChannelTriple(theta, 0.1, 0.5))
 
     def test_unreachable_channel_flagged(self):
         # tiny angle, deep loss, almost no noise: the required constraint
@@ -313,7 +339,7 @@ class TestFlippedBits:
         alpha, theta, eps, t = 40 * DEG, 5 * DEG, 0.15, 0.85
         direct = flipped_bit_gain(alpha, alpha, ChannelTriple(theta, eps, t))
         a, b = build_matrices(alpha, -2 * alpha - theta, eps)
-        oracle = oracle_min_overlap_lossy(a, b, alpha, t, resolution=48)
+        oracle = oracle_min_overlap_lossy(a, b, alpha, t)
         assert direct.overlap_min == pytest.approx(oracle.value, abs=1e-3)
 
 

@@ -70,6 +70,10 @@ class TestSecretKeyGain:
                                  security_flipped=30.0, n_total=10 ** 6)
         assert finite.gain == pytest.approx(base.gain - 60.0 / 10 ** 6, abs=1e-15)
 
+    def test_non_finite_tilt_rejected(self):
+        with pytest.raises(DomainError):
+            secret_key_gain(0.5, ChannelTriple(math.nan, 0.05, 0.9))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             secret_key_gain(0.5, ChannelTriple(0.0, 0.0, 1.0), mode="renyi")

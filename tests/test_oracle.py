@@ -3,78 +3,71 @@ import math
 import numpy as np
 import pytest
 
-from b92sec.errors import OracleInfeasibleError, UnreachableChannelError
-from b92sec.estimation import ChannelTriple
-from b92sec.evebound import SymMat2, build_matrices, eve_max_gain
-from b92sec.oracle import (
-    Contraction2,
-    _inner_min,
-    backend_name,
-    nuclear_norm,
-    oracle_min_overlap,
-    oracle_min_overlap_lossy,
+from b92sec.errors import (
+    DegenerateChannelError,
+    OracleInfeasibleError,
+    UnreachableChannelError,
 )
+from b92sec.estimation import ChannelTriple
+from b92sec.evebound import DEGENERATE, SymMat2, build_matrices, eve_bound, eve_max_gain
+from b92sec.oracle import nuclear_norm, oracle_min_overlap, oracle_min_overlap_lossy
 
 from conftest import DEG, sym_matrix
 
 
-class TestContraction:
-    def test_matrix_is_a_contraction(self, rng):
-        for _ in range(100):
-            point = Contraction2(u=rng.uniform(0, 2 * math.pi),
-                                 v=rng.uniform(0, math.pi),
-                                 s1=rng.uniform(0, 1), s2=rng.uniform(-1, 1))
-            svals = np.linalg.svd(point.matrix(), compute_uv=False)
-            assert svals.max() <= 1.0 + 1e-12
+def assert_certified(a, b, lo, hi, result):
+    """The certificate is a feasible contraction that attains the value."""
+    point = result.point
+    met = np.trace(sym_matrix(b) @ point)
+    assert result.gap <= 1e-11
+    assert np.linalg.norm(point, 2) <= 1.0 + 1e-12
+    assert lo - 1e-11 <= met <= hi + 1e-11
+    assert abs(np.trace(sym_matrix(a) @ point)) == pytest.approx(result.value, abs=1e-11)
 
-    def test_signed_s2_reaches_reflections(self):
-        # the det < 0 block [[cos, sin], [sin, -cos]] is representable
-        eta = 0.8
-        point = Contraction2(u=eta, v=0.0, s1=1.0, s2=-1.0)
-        expected = np.array([[math.cos(eta), math.sin(eta)],
-                             [math.sin(eta), -math.cos(eta)]])
-        np.testing.assert_allclose(point.matrix(), expected, atol=1e-15)
+
+def lossy_band(alpha_prime, t):
+    c = math.cos(alpha_prime)
+    return (c - (1.0 - t)) / t, (c + (1.0 - t)) / t
 
 
 class TestOracleTrivials:
     def test_zero_target_reaches_zero(self):
         a = SymMat2(0.6, 0.1, 0.2)
         b = SymMat2(0.5, 0.2, -0.3)
-        assert oracle_min_overlap(a, b, 0.0, resolution=32).value < 1e-9
+        assert oracle_min_overlap(a, b, 0.0).value < 1e-9
 
     def test_identical_objectives(self):
         a = SymMat2(0.6, 0.1, 0.2)
-        r = oracle_min_overlap(a, a, 0.37, resolution=32)
+        r = oracle_min_overlap(a, a, 0.37)
         assert r.value == pytest.approx(0.37, abs=1e-9)
 
     def test_lossless_band_reduces_to_equality(self):
         a = SymMat2(0.6, 0.1, 0.2)
         b = SymMat2(0.8, 0.05, -0.1)
-        lossy = oracle_min_overlap_lossy(a, b, 0.7, 1.0, resolution=32)
-        equality = oracle_min_overlap(a, b, math.cos(0.7), resolution=32)
+        lossy = oracle_min_overlap_lossy(a, b, 0.7, 1.0)
+        equality = oracle_min_overlap(a, b, math.cos(0.7))
         assert lossy.value == pytest.approx(equality.value, abs=1e-12)
 
     def test_vanishing_transmission_makes_constraint_vacuous(self):
         a = SymMat2(0.6, 0.1, 0.2)
         b = SymMat2(0.8, 0.05, -0.1)
-        assert oracle_min_overlap_lossy(a, b, 0.7, 1e-9, resolution=16).value == 0.0
+        assert oracle_min_overlap_lossy(a, b, 0.7, 1e-9).value == 0.0
 
     def test_unreachable_target_is_infeasible(self):
         a = SymMat2(0.6, 0.1, 0.2)
         b = SymMat2(0.8, 0.05, -0.1)  # reachable range ends near 0.906
         with pytest.raises(OracleInfeasibleError):
-            oracle_min_overlap(a, b, 0.95, resolution=24)
+            oracle_min_overlap(a, b, 0.95)
 
     def test_reachable_limit_is_the_nuclear_norm(self):
         a = SymMat2(0.6, 0.1, 0.2)
         b = SymMat2(0.8, 0.05, -0.1)
         reach = nuclear_norm(b)
         assert reach == pytest.approx(np.abs(np.linalg.eigvalsh(sym_matrix(b))).sum())
-        got = oracle_min_overlap(a, b, reach - 1e-6, resolution=24)
-        met = np.trace(sym_matrix(b) @ got.point.matrix())
-        assert met == pytest.approx(reach - 1e-6, abs=1e-9)
+        got = oracle_min_overlap(a, b, reach - 1e-6)
+        assert_certified(a, b, reach - 1e-6, reach - 1e-6, got)
         with pytest.raises(OracleInfeasibleError):
-            oracle_min_overlap(a, b, reach + 1e-6, resolution=24)
+            oracle_min_overlap(a, b, reach + 1e-6)
 
 
 class TestOracleAgainstClosedForm:
@@ -91,35 +84,54 @@ class TestOracleAgainstClosedForm:
             except UnreachableChannelError:
                 continue
             a, b = build_matrices(alpha, theta, eps)
-            got = oracle_min_overlap_lossy(a, b, alpha, t, resolution=48)
+            got = oracle_min_overlap_lossy(a, b, alpha, t)
             assert got.value == pytest.approx(analytic, abs=1e-3)
-            # refined points satisfy the constraint exactly, so the oracle
-            # cannot undershoot the true minimum
+            # the certificate is feasible, so the oracle cannot undershoot
+            # the true minimum
             assert got.value >= analytic - 5e-3
             checked += 1
 
-    def test_resolution_halving_is_stable(self):
-        a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
-        coarse = {}
-        refined = {}
-        for res in (24, 48):
-            r = oracle_min_overlap(a, b, 0.5, resolution=res)
-            coarse[res] = r.coarse_value
-            refined[res] = r.value
-        # refinement converges to the same value from any sane grid
-        assert refined[48] == pytest.approx(refined[24], abs=5e-3)
-        # a finer grid cannot raise the coarse scan by more than the step bound
-        step_bound = 4.0 * math.pi / 24
-        assert coarse[48] <= coarse[24] + step_bound
+
+class TestTheFace:
+    """Targets at the reachable limit +-|B|_*, where strong duality fails.
+
+    There the feasible set is the face Tr[B X] = |B|_*: the polar factor of
+    B alone, or for singular B the segment diag(1, c), c in [-1, 1], in B's
+    eigenbasis.  Targets just inside the limit must approach the face value.
+    """
+
+    @staticmethod
+    def face_value(a, b):
+        if b.det() != 0.0:
+            # polar factor from the SVD, independent of the oracle's eigh
+            u, _, vt = np.linalg.svd(sym_matrix(b))
+            return abs(np.trace(sym_matrix(a) @ u @ vt))
+        # diagonal singular B with b11 > 0: min |a11 + c a22| over the segment
+        assert b.m12 == 0.0 and b.m22 == 0.0 and b.m11 > 0.0
+        return max(0.0, abs(a.m11) - abs(a.m22))
+
+    @pytest.mark.parametrize("a, b", [
+        (SymMat2(0.6, 0.1, 0.2), SymMat2(0.8, 0.05, -0.1)),
+        (SymMat2(0.6, 0.1, 0.2), SymMat2(0.8, 0.0, 0.0)),
+        build_matrices(20 * DEG, 10 * DEG, 0.0),
+    ], ids=["nonsingular", "singular", "eps-0"])
+    def test_value_at_and_near_the_limit(self, a, b):
+        reach = nuclear_norm(b)
+        face = self.face_value(a, b)
+        for target in (reach, -reach):
+            got = oracle_min_overlap(a, b, target)
+            assert got.value == pytest.approx(face, abs=1e-12)
+            assert_certified(a, b, target, target, got)
+        # the true distance shrinks like the square root of the margin, or
+        # linearly for singular B
+        dist = [abs(oracle_min_overlap(a, b, reach - 10.0 ** -k).value - face)
+                for k in range(4, 15)]
+        assert all(d1 < d0 for d0, d1 in zip(dist, dist[1:]))
+        assert all(d <= 10.0 ** (-k / 2.0) for k, d in zip(range(4, 15), dist))
 
 
 class TestNearTheReachableLimit:
-    """Reachable channels whose feasible (u, v) region is a thin sliver.
-
-    A resolution-64 grid has no feasible cell on some of these, so only the
-    polar-factor seed finds them.  The closed-form values were matched by a
-    resolution-128 grid as well.
-    """
+    """Reachable channels whose feasible set is a thin sliver at the limit."""
 
     @pytest.mark.parametrize("alpha, theta, eps, t, q", [
         (0.8266 * DEG, 0.9409 * DEG, 0.55660, 0.51874, 0.998208),
@@ -132,12 +144,15 @@ class TestNearTheReachableLimit:
         analytic = eve_max_gain(alpha, alpha, ChannelTriple(theta, eps, t)).overlap_min
         assert analytic == pytest.approx(q, abs=5e-7)
         a, b = build_matrices(alpha, theta, eps)
-        got = oracle_min_overlap_lossy(a, b, alpha, t, resolution=64)
-        assert got.value == pytest.approx(analytic, abs=1e-6)
+        got = oracle_min_overlap_lossy(a, b, alpha, t)
+        assert got.value == pytest.approx(analytic, abs=1e-9)
+        assert_certified(a, b, *lossy_band(alpha, t), got)
 
 
 # edge strata of the physical domain: criterion 01's box with one
-# coordinate drawn from outside it
+# coordinate drawn from outside it, the near-singular channels where A's
+# denominator 1 - (1 - eps) cos(2 alpha + theta) nearly vanishes, and the
+# whole domain
 def _box(rng, alpha=None, theta=None, eps=None, t=None):
     return (rng.uniform(2 * DEG, 80 * DEG) if alpha is None else alpha,
             rng.uniform(-30 * DEG, 30 * DEG) if theta is None else theta,
@@ -145,6 +160,20 @@ def _box(rng, alpha=None, theta=None, eps=None, t=None):
             rng.uniform(0.2, 1.0) if t is None else t)
 
 
+def _near_singular(rng):
+    alpha = rng.uniform(2 * DEG, 45 * DEG)
+    tilt = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-8.0, -1.0)
+    eps = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-14.0, -2.0)
+    return alpha, tilt - 2.0 * alpha, eps, rng.uniform(0.2, 1.0)
+
+
+def _whole_domain(rng):
+    eps = (0.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-14.0, 0.0))[rng.integers(3)]
+    return (rng.uniform(0.0, 90 * DEG), rng.uniform(-90 * DEG, 90 * DEG), eps,
+            rng.uniform(1e-3, 1.0))
+
+
+# a new stratum's name sorts after the others, so theirs keep their seeds
 STRATA = {
     "tiny-noise": lambda rng: _box(rng, eps=10.0 ** rng.uniform(-8.0, -2.0)),
     "heavy-noise": lambda rng: _box(rng, eps=rng.uniform(0.9, 1.0)),
@@ -152,76 +181,36 @@ STRATA = {
     "wide-angle": lambda rng: _box(rng, alpha=rng.uniform(80 * DEG, 90 * DEG)),
     "wide-tilt": lambda rng: _box(rng, theta=rng.uniform(-90 * DEG, 90 * DEG)),
     "heavy-loss": lambda rng: _box(rng, t=rng.uniform(1e-3, 0.2)),
+    "wide-whole-domain": _whole_domain,
+    "zero-denominator": _near_singular,
 }
 
 
 @pytest.mark.parametrize("stratum", sorted(STRATA))
 def test_whole_domain_agreement(stratum):
-    # 40 seeded reachable channels per edge stratum of the physical domain;
-    # every unreachable draw on the way must be called infeasible too
+    # 40 seeded reachable channels per stratum of the physical domain, each
+    # with its certificate checked; every unreachable draw on the way must
+    # be called infeasible too
     rng = np.random.default_rng([20240811, sorted(STRATA).index(stratum)])
     checked = 0
     while checked < 40:
         alpha, theta, eps, t = STRATA[stratum](rng)
-        a, b = build_matrices(alpha, theta, eps)
+        try:
+            a, b = build_matrices(alpha, theta, eps)
+        except DegenerateChannelError:
+            # A is 0/0 here; the closed form reports the channel degenerate,
+            # or, noiseless, answers it with its eps = 0 formula, which
+            # needs no A
+            assert eps == 0.0 or eve_bound(alpha, alpha, theta, eps, t).status == DEGENERATE
+            continue
         try:
             analytic = eve_max_gain(alpha, alpha,
                                     ChannelTriple(theta, eps, t)).overlap_min
         except UnreachableChannelError:
             with pytest.raises(OracleInfeasibleError):
-                oracle_min_overlap_lossy(a, b, alpha, t, resolution=64)
+                oracle_min_overlap_lossy(a, b, alpha, t)
             continue
-        got = oracle_min_overlap_lossy(a, b, alpha, t, resolution=64)
-        assert got.value == pytest.approx(analytic, abs=1e-6), (alpha, theta, eps, t)
+        got = oracle_min_overlap_lossy(a, b, alpha, t)
+        assert got.value == pytest.approx(analytic, abs=1e-9), (alpha, theta, eps, t)
+        assert_certified(a, b, *lossy_band(alpha, t), got)
         checked += 1
-
-
-class TestInnerSolvers:
-    """Edge cases of the exact fixed-rotation sub-problem.
-
-    An equality constraint is the slab with lo == hi; an empty feasible set
-    reports an infinite value.
-    """
-
-    def test_segment_through_box_corner(self):
-        # line s1 + s2 = 2 touches the box only at (1, 1)
-        value, s1, s2 = _inner_min(0.3, -0.7, 1.0, 1.0, 2.0, 2.0)
-        assert (s1, s2) == pytest.approx((1.0, 1.0), abs=1e-9)
-        assert value == pytest.approx(0.4, abs=1e-9)
-
-    def test_segment_misses_box(self):
-        assert _inner_min(0.3, -0.7, 1.0, 1.0, 2.5, 2.5)[0] == math.inf
-
-    def test_degenerate_constraint_row(self):
-        # zero constraint coefficients: feasible only for zero target
-        assert _inner_min(0.5, 0.5, 0.0, 0.0, 0.1, 0.1)[0] == math.inf
-        assert _inner_min(0.5, 0.5, 0.0, 0.0, 0.0, 0.0)[0] == 0.0
-
-    def test_band_zero_line_crossing(self):
-        # objective zero line s1 = s2 crosses the slab
-        value, s1, s2 = _inner_min(1.0, -1.0, 1.0, 0.0, 0.2, 0.6)
-        assert value == 0.0
-        assert 0.2 - 1e-9 <= s1 <= 0.6 + 1e-9
-        assert s1 == pytest.approx(s2, abs=1e-9)
-
-    def test_band_minimum_at_vertex(self):
-        # objective |s1| with slab on s2: best is s1 = 0 on the slab edge
-        value, s1, s2 = _inner_min(1.0, 0.0, 0.0, 1.0, 0.5, 0.8)
-        assert value == pytest.approx(0.0, abs=1e-12)
-        assert s1 == pytest.approx(0.0, abs=1e-9)
-
-    def test_band_vacuous_objective(self):
-        assert _inner_min(0.0, 0.0, 1.0, 0.0, 0.2, 0.4)[0] == 0.0
-
-    def test_cases_agree_when_stacked(self):
-        # one vectorized call over all the cases above gives the same values
-        rows = np.array([(0.3, -0.7, 1.0, 1.0), (0.5, 0.5, 0.0, 0.0),
-                         (1.0, -1.0, 1.0, 0.0), (1.0, 0.0, 0.0, 1.0),
-                         (0.0, 0.0, 1.0, 0.0)])
-        value, _, _ = _inner_min(*rows.T, 0.0, 0.5)
-        for row, got in zip(rows, value):
-            assert got == _inner_min(*row, 0.0, 0.5)[0]
-
-
-def test_backend_name_reports_something():
-    assert backend_name() == "numpy"
