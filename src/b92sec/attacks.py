@@ -7,6 +7,12 @@ the photon, and leaves Eve a record from which she will guess surviving
 correct bits.  This covers the pure rotation attack, the
 weak-measurement-then-rotate attack, and the depolarize/loss test
 channels, alone or composed in sequence.
+
+The two explicit attacks exist at every signal angle in (0, pi/2).  The
+weak measurement's critical weakness, where its output is symmetric, is
+the one real root of a cubic (:func:`critical_weakness`); past 45 degrees
+the rotated signals pass the opposite pole and the symmetrized channel
+has tilt pi.
 """
 
 from __future__ import annotations
@@ -17,10 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import B92Error, DomainError
+from .errors import DomainError
 from .estimation import ChannelTriple
 from .evebound import eve_bound
 from .states import wrap_angle
+
+# Newton steps of critical_weakness; from q = 0 the third step is within a
+# relative 3e-14 of the root at every signal angle, the fourth reaches rounding
+NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -95,8 +105,10 @@ def rotation_attack(alpha: float) -> tuple[AttackChannel, ChannelTriple]:
 
     Rotating by -2 alpha maps Alice's bit-1 state onto the bit-0 state, so
     any surviving correct bit in that branch must be 0 (and symmetrically
-    for +2 alpha).  The symmetrized channel it produces is
-    (theta, eps, T) = (0, 2 sin^2 alpha, 1).
+    for +2 alpha).  The symmetrized channel it produces has
+    eps = 1 - |cos 2 alpha| and T = 1: (0, 2 sin^2 alpha, 1) up to 45
+    degrees, and (pi, 2 cos^2 alpha, 1) beyond, where the rotated signals
+    pass the opposite pole.
     """
     if not 0.0 < alpha < math.pi / 2.0:
         raise DomainError(f"signal angle outside (0, pi/2): {alpha}")
@@ -106,8 +118,9 @@ def rotation_attack(alpha: float) -> tuple[AttackChannel, ChannelTriple]:
         AttackBranch(weights=(0.5, 0.5), rotations=(-2.0 * alpha, -2.0 * alpha),
                      guess=0, label="-2a"),
     ))
-    predicted = ChannelTriple(theta=0.0, epsilon=2.0 * math.sin(alpha) ** 2,
-                              transmission=1.0)
+    s, c = math.sin(alpha), math.cos(alpha)
+    predicted = ChannelTriple(theta=0.0 if s <= c else math.pi,
+                              epsilon=2.0 * min(s, c) ** 2, transmission=1.0)
     return channel, predicted
 
 
@@ -132,14 +145,14 @@ def outcome_probability(q: float, alpha: float, bit: int, plus: bool) -> float:
 def post_measurement_angle(q: float, alpha: float) -> float:
     """Bloch angle between the two post-measurement states.
 
-    Monotone increasing from 0 (projective, q = 0) to 2 alpha (no
-    measurement, q = 1/2).
+    beta = 2 atan2(2 sin(alpha) sqrt(q (1 - q)), cos alpha), monotone
+    increasing from 0 (projective, q = 0) to 2 alpha (no measurement,
+    q = 1/2).
     """
     if not 0.0 <= q <= 0.5:
         raise DomainError(f"weakness parameter outside [0, 1/2]: {q}")
-    denom = 1.0 - (1.0 - 2.0 * q) ** 2 * math.sin(alpha) ** 2
-    ratio = math.cos(alpha) / math.sqrt(denom)
-    return 2.0 * math.acos(min(1.0, max(-1.0, ratio)))
+    return 2.0 * math.atan2(2.0 * math.sin(alpha) * math.sqrt(q * (1.0 - q)),
+                            math.cos(alpha))
 
 
 def weak_measurement_attack(q: float, alpha: float) -> AttackChannel:
@@ -175,48 +188,50 @@ def _balance_residual(q: float, alpha: float) -> float:
     return math.sin(beta) / math.sin(2.0 * alpha) - p1_minus / p1_plus
 
 
-def critical_weakness(alpha: float, tol: float = 1e-12) -> float:
+def critical_weakness(alpha: float) -> float:
     """The non-trivial weakness q0 at which the attack output is symmetric.
 
     The balance condition has two roots in [0, 1/2]; q = 1/2 is the pure
-    rotation attack, and the returned q0 < 1/2 gives the smaller noise rate
-    (the lower edge of the full-information region).
+    rotation attack, and q0 < 1/2 gives the smaller noise rate (the lower
+    edge of the full-information region).  With s = sin alpha and
+    k = 1 - 2q the condition reads sqrt(1 - k^2) = (1 - k s)^2; squaring and
+    removing the trivial root k = 0 leaves an increasing cubic in k with
+    one real root, in (0, 1).  In q the cubic is
+
+        g(q) = (1 - s)^4 - 2 (3 s^4 - 8 s^3 + 6 s^2 + 1) q
+               + (12 s^4 - 16 s^3) q^2 - 8 s^4 q^3,
+
+    decreasing and concave on q >= 0, so Newton's method from q = 0 lands
+    above q0 and then descends to it.  1 - s is taken as cos^2(alpha) /
+    (1 + s), so q0 ~ (1 - s)^4 / 4 keeps its relative accuracy as alpha
+    approaches pi/2.
     """
     if not 0.0 < alpha < math.pi / 2.0:
         raise DomainError(f"signal angle outside (0, pi/2): {alpha}")
-    lo, hi = 1e-6, 0.5 - 1e-6
-    f_lo = _balance_residual(lo, alpha)
-    f_hi = _balance_residual(hi, alpha)
-    if f_lo == 0.0:
-        return lo
-    if (f_lo < 0.0) == (f_hi < 0.0):
-        raise B92Error(
-            f"root isolation failed on [{lo}, {hi}]: "
-            f"residuals {f_lo:.3e} and {f_hi:.3e} have equal sign")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = _balance_residual(mid, alpha)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    s = math.sin(alpha)
+    c0 = (math.cos(alpha) ** 2 / (1.0 + s)) ** 4
+    c1 = -2.0 * (3.0 * s ** 4 - 8.0 * s ** 3 + 6.0 * s ** 2 + 1.0)
+    c2 = 12.0 * s ** 4 - 16.0 * s ** 3
+    c3 = -8.0 * s ** 4
+    q = 0.0
+    for _ in range(NEWTON_STEPS):
+        q -= (c0 + q * (c1 + q * (c2 + q * c3))) / (c1 + q * (2.0 * c2 + 3.0 * q * c3))
+    return q
 
 
 def attack_noise_rate(q: float, alpha: float, balance_tol: float = 1e-6) -> float:
     """Noise rate eps of the symmetrized channel produced by the attack.
 
     Only meaningful where the balance condition holds (q = q0 or q = 1/2):
-    eps = 1 - sin(2 alpha + beta) / (sin 2 alpha + sin beta).
+    eps = 1 - |sin(2 alpha + beta)| / (sin 2 alpha + sin beta).  The tilt
+    is 0, or pi where sin(2 alpha + beta) < 0.
     """
     residual = _balance_residual(q, alpha)
     if abs(residual) > balance_tol:
         raise DomainError(
             f"attack output is not symmetric at q={q} (residual {residual:.3e})")
     beta = post_measurement_angle(q, alpha)
-    return 1.0 - math.sin(2.0 * alpha + beta) / (math.sin(2.0 * alpha) + math.sin(beta))
+    return 1.0 - abs(math.sin(2.0 * alpha + beta)) / (math.sin(2.0 * alpha) + math.sin(beta))
 
 
 def depolarize(epsilon: float) -> AttackChannel:

@@ -82,16 +82,7 @@ def _emit(args, header: str, rows) -> None:
         sys.stdout.write(text)
 
 
-def _maybe_schema(args) -> bool:
-    if args.schema:
-        print(f"{args.command} v{__version__}: {SCHEMAS[args.command]}")
-        return True
-    return False
-
-
 def cmd_infogain(args) -> int:
-    if _maybe_schema(args):
-        return EXIT_OK
     alpha = math.radians(args.alpha)
     alpha_prime = math.radians(args.alpha_prime if args.alpha_prime is not None
                                else args.alpha)
@@ -109,8 +100,6 @@ def cmd_infogain(args) -> int:
 
 
 def cmd_region(args) -> int:
-    if _maybe_schema(args):
-        return EXIT_OK
     region = full_info_region(np.radians(args.alpha_grid), args.eps_grid, args.T)
     rows = [(float(alpha_deg), float(eps), int(region[i, j]))
             for i, alpha_deg in enumerate(args.alpha_grid)
@@ -120,8 +109,6 @@ def cmd_region(args) -> int:
 
 
 def cmd_keygain(args) -> int:
-    if _maybe_schema(args):
-        return EXIT_OK
     g = key_gains(math.radians(args.alpha), 0.0, args.eps_grid, args.T, args.mode)
     g.check()
     columns = (args.eps_grid, g.p_conc, g.error_rate, g.info_correct, g.info_flipped,
@@ -133,8 +120,6 @@ def cmd_keygain(args) -> int:
 
 
 def cmd_optangle(args) -> int:
-    if _maybe_schema(args):
-        return EXIT_OK
     rows = []
     for eps in args.eps_grid:
         alpha_star, gain_star = optimal_angle(
@@ -145,8 +130,6 @@ def cmd_optangle(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    if _maybe_schema(args):
-        return EXIT_OK
     if args.preset:
         link = LINK_PRESETS[args.preset]
     else:
@@ -168,8 +151,6 @@ def cmd_distance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if _maybe_schema(args):
-        return EXIT_OK
     config = SimConfig.from_file(args.config)
     result, report = closed_loop_report(config, args.mode)
     record = json.loads(result.to_json())
@@ -213,8 +194,6 @@ def _oracle_sample(k: int, rng: np.random.Generator):
 
 
 def cmd_oracle_check(args) -> int:
-    if _maybe_schema(args):
-        return EXIT_OK
     if args.samples < 1:
         raise DomainError(f"--samples must be at least 1: {args.samples}")
     if not math.isfinite(args.tol):
@@ -299,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.schema:
+        print(f"{args.command} v{__version__}: {SCHEMAS[args.command]}")
+        return EXIT_OK
     try:
         return args.fn(args)
     except DomainError as exc:

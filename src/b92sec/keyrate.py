@@ -189,15 +189,8 @@ def noiseless_gain(alpha: float, transmission: float) -> float:
 
 
 def _gains(alphas, triple: ChannelTriple, mode: str) -> np.ndarray:
-    """Key gain at each angle; -inf where the scalar call raises a DomainError.
-
-    Any other failure, such as an unreachable channel, is raised.
-    """
+    """Key gain at each angle; -inf where the scalar call raises."""
     g = key_gains(alphas, triple.theta, triple.epsilon, triple.transmission, mode)
-    for k in np.flatnonzero(g.failed):
-        error = g.error(k)
-        if not isinstance(error, DomainError):
-            raise error
     return np.where(g.failed, -math.inf, g.gain)[()]
 
 
@@ -216,9 +209,11 @@ def optimal_angle(triple: ChannelTriple, mode: str = "collision",
     ``SECTIONS + 1`` evenly spaced angles across the bracket in one call and
     keeps the two cells beside the best sample, until the bracket is no
     wider than ``tol``; from the 2-degree bracket at ``tol = 1e-6`` that is
-    three steps.  Returns the best sampled angle and its gain, or (0, 0)
-    when no angle yields positive gain, meaning the protocol cannot produce
-    a key.
+    three steps.  Angles where the channel is unreachable or the gain is
+    undefined are skipped.  Returns the best sampled angle and its gain, or
+    (0, 0) when no angle yields positive gain, meaning the protocol cannot
+    produce a key.  It never raises :class:`UnreachableChannelError`: at
+    pi/2 the target (cos alpha - (1 - T))/T <= 0 is always reachable.
     """
     _check_tol(tol)
     grid = np.arange(1, 91) * math.pi / 180.0

@@ -189,19 +189,12 @@ def run_simulation(config: SimConfig, block_size: int = 1 << 14) -> SimResult:
     errors = counts.n0b0 + counts.n1b1
     error_rate = errors / conclusive if conclusive else None
 
-    accuracy = None
-    recorded = matched = 0
-    for bit in (0, 1):
-        correct_outcome = OUTCOMES.index("1b" if bit == 0 else "0b")
-        for b in range(len(branches)):
-            if guesses[b] < 0:
-                continue
-            n = int(joint[bit, b, correct_outcome])
-            recorded += n
-            if guesses[b] == bit:
-                matched += n
-    if recorded:
-        accuracy = matched / recorded
+    # surviving correct bits per (bit, branch), outcome 1b for bit 0 and 0b for
+    # bit 1, against the bit Eve recorded in each branch
+    correct = joint[[0, 1], :, [OUTCOMES.index("1b"), OUTCOMES.index("0b")]]
+    recorded = int(correct[:, guesses >= 0].sum())
+    matched = int(correct[guesses == np.arange(2)[:, np.newaxis]].sum())
+    accuracy = matched / recorded if recorded else None
 
     estimated = estimate_channel(counts, config.alpha, clamp_tol=SAMPLING_CLAMP_TOL)
     return SimResult(counts=counts, conclusive_error_rate=error_rate,

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,14 +19,39 @@ from b92sec.attacks import (
     post_measurement_angle,
     rotation_attack,
     weak_measurement_attack,
+    _balance_residual,
     _sqrt_effect_angle,
 )
 from b92sec.errors import DomainError
-from b92sec.estimation import ChannelTriple
+from b92sec.estimation import ChannelTriple, symmetrize_densities
 from b92sec.evebound import eve_max_gain
-from b92sec.states import make_alice_states
+from b92sec.simulate import SimConfig, run_simulation
+from b92sec.states import SignalDensity, make_alice_states
 
 from conftest import DEG, bar_ket, ket, projector
+
+# signal angles on both sides of 45 degrees, where the attacks' tilt flips
+SYMMETRY_DEGREES = (10, 30, 44, 46, 60, 80, 85)
+
+
+def delivered_states(channel: AttackChannel, alpha: float) -> list[SignalDensity]:
+    """The states the channel delivers for bit 0 and bit 1, branch by branch."""
+    states = []
+    for bit, signal in enumerate(make_alice_states(alpha)):
+        transmission, bloch = 0.0, np.zeros(3)
+        for branch in channel.branches:
+            vacuum, phi = channel.output(bit, signal.phi, branch)
+            if not vacuum:
+                transmission += branch.weights[bit]
+                bloch += branch.weights[bit] * np.array([math.sin(phi), 0.0, math.cos(phi)])
+        states.append(SignalDensity(transmission, tuple(bloch / transmission)))
+    return states
+
+
+def assert_symmetrizes_to(channel: AttackChannel, alpha: float, theta: float, eps: float):
+    got, _ = symmetrize_densities(*delivered_states(channel, alpha), alpha)
+    assert abs(math.remainder(got.theta - theta, 2 * math.pi)) <= 1e-12
+    assert got.epsilon == pytest.approx(eps, abs=1e-12)
 
 
 class TestRotationAttack:
@@ -57,6 +83,21 @@ class TestRotationAttack:
     def test_branch_guesses_cover_both_bits(self):
         channel, _ = rotation_attack(0.3)
         assert sorted(br.guess for br in channel.branches) == [0, 1]
+
+    @pytest.mark.parametrize("alpha_deg", SYMMETRY_DEGREES)
+    def test_predicted_triple_is_the_symmetrized_output(self, alpha_deg):
+        # past 45 degrees the rotated signals pass the opposite pole: the
+        # tilt is pi and eps = 2 cos^2 alpha stays inside [0, 1]
+        alpha = alpha_deg * DEG
+        channel, predicted = rotation_attack(alpha)
+        assert predicted.theta == (0.0 if alpha_deg < 45 else math.pi)
+        assert_symmetrizes_to(channel, alpha, predicted.theta, predicted.epsilon)
+
+    def test_full_information_at_60_degrees(self):
+        alpha = 60 * DEG
+        result = run_simulation(SimConfig(n_total=10 ** 5, alpha_prime=alpha, alpha=alpha,
+                                          attack=parse_attack("rotation", alpha), seed=7))
+        assert result.eve_accuracy_correct == 1.0
 
 
 class TestWeakMeasurement:
@@ -108,21 +149,38 @@ class TestWeakMeasurement:
 
 class TestCriticalWeakness:
     def test_balance_residual_vanishes_at_root(self):
-        from b92sec.attacks import _balance_residual
-        for alpha_deg in (10, 20, 30, 40):
+        for alpha_deg in (0.001, 10, 20, 30, 40, 60, 75, 80, 85, 89):
             alpha = alpha_deg * DEG
             q0 = critical_weakness(alpha)
             assert 0.0 < q0 < 0.5
             assert abs(_balance_residual(q0, alpha)) < 1e-10
 
     def test_half_is_also_a_root(self):
-        from b92sec.attacks import _balance_residual
         assert abs(_balance_residual(0.5, 0.6)) < 1e-12
 
     def test_derived_value_at_30_degrees(self):
         # frozen from the bisection, double-checked through the noise rate
         q0 = critical_weakness(30 * DEG)
         assert q0 == pytest.approx(0.018392, abs=1e-5)
+
+    def test_matches_the_50_digit_root(self):
+        # the cubic's root in q, bracketed on [0, 1/2] at 50 digits; q0 spans
+        # 1/2 (alpha -> 0) down to 1e-40 (alpha -> 90 degrees)
+        degrees = np.concatenate((np.geomspace(1e-6, 1.0, 25), np.linspace(1.0, 89.999, 120)))
+        for alpha in np.radians(degrees).tolist():
+            with mpmath.workdps(50):
+                s = mpmath.sin(alpha)
+
+                def cubic(q):
+                    return ((1 - s) ** 4 - 2 * (3 * s ** 4 - 8 * s ** 3 + 6 * s ** 2 + 1) * q
+                            + (12 * s ** 4 - 16 * s ** 3) * q ** 2 - 8 * s ** 4 * q ** 3)
+
+                want = mpmath.findroot(cubic, (mpmath.mpf(0), mpmath.mpf(0.5)),
+                                       solver="anderson")
+                got = critical_weakness(alpha)
+                assert abs(got - want) <= 1e-13 * want, math.degrees(alpha)
+            assert abs(_balance_residual(got, alpha)) <= 1e-15
+        assert attack_noise_rate(critical_weakness(89.999 * DEG), 89.999 * DEG) > 0.0
 
 
 class TestAttackNoiseRate:
@@ -139,16 +197,28 @@ class TestAttackNoiseRate:
         # eps(q0) and eps(1/2) both sit on the edge of the full-information
         # region computed independently from the overlap bound: the point is
         # inside, and stepping outward (down from the lower edge, up from the
-        # upper edge) leaves the region
-        for alpha_deg in (10, 20, 30, 40):
+        # upper edge) leaves the region; the q = 1/2 side has tilt 0 only
+        # below 45 degrees
+        for alpha_deg in (10, 20, 30, 40, 60, 75, 80, 85):
             alpha = alpha_deg * DEG
-            for q, outward in ((critical_weakness(alpha), -2e-3), (0.5, 2e-3)):
+            sides = [(critical_weakness(alpha), -2e-3)] + [(0.5, 2e-3)] * (alpha_deg < 45)
+            for q, outward in sides:
                 eps = attack_noise_rate(q, alpha)
                 inside = eve_max_gain(alpha, alpha, ChannelTriple(0.0, eps, 1.0))
                 assert inside.overlap_min <= 1e-9
                 stepped = eve_max_gain(alpha, alpha,
                                        ChannelTriple(0.0, eps + outward, 1.0))
                 assert stepped.overlap_min > 1e-9
+
+    @pytest.mark.parametrize("alpha_deg", SYMMETRY_DEGREES)
+    def test_noise_rate_is_the_symmetrized_output(self, alpha_deg):
+        # the tilt is pi where sin(2 alpha + beta) < 0
+        alpha = alpha_deg * DEG
+        for q in (critical_weakness(alpha), 0.5):
+            beta = post_measurement_angle(q, alpha)
+            theta = 0.0 if math.sin(2 * alpha + beta) > 0.0 else math.pi
+            assert_symmetrizes_to(weak_measurement_attack(q, alpha), alpha, theta,
+                                  attack_noise_rate(q, alpha))
 
     def test_mixing_spans_the_interval(self):
         alpha = 20 * DEG

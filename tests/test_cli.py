@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+from b92sec import __version__
 from b92sec.cli import (
     EXIT_DOMAIN,
     EXIT_INFEASIBLE,
     EXIT_MISMATCH,
     EXIT_OK,
+    SCHEMAS,
     main,
 )
 
@@ -16,6 +18,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# each subcommand with its required arguments; the simulate config does not
+# exist, so the schema must print before the command runs
+SCHEMA_ARGS = {
+    "infogain": ("--alpha", "1", "--eps-grid", "0:0:1"),
+    "region": ("--alpha-grid", "1:2:2", "--eps-grid", "0:0:1"),
+    "keygain": ("--alpha", "1", "--eps-grid", "0:0:1"),
+    "optangle": ("--eps-grid", "0:0:1"),
+    "distance": (),
+    "simulate": ("--config", "no-such-config.cfg"),
+    "oracle-check": (),
+}
+
+
+@pytest.mark.parametrize("command", SCHEMA_ARGS)
+def test_schema_flag(capsys, command):
+    code, out, err = run(capsys, command, "--schema", *SCHEMA_ARGS[command])
+    assert code == EXIT_OK and err == ""
+    assert out == f"{command} v{__version__}: {SCHEMAS[command]}\n"
 
 
 class TestInfogain:
@@ -37,12 +59,6 @@ class TestInfogain:
         row = [float(x) for x in out.strip().splitlines()[1].split(",")]
         assert row[1] == pytest.approx(1.0)   # undisturbed: full overlap
         assert row[2] == pytest.approx(0.0)   # nothing leaks
-
-    def test_schema_flag(self, capsys):
-        code, out, _ = run(capsys, "infogain", "--schema", "--alpha", "1",
-                           "--eps-grid", "0:0:1")
-        assert code == EXIT_OK
-        assert "eps,q_min" in out
 
     def test_domain_error_exit_code(self, capsys):
         for angles in (("--alpha", "120"), ("--alpha", "10", "--theta", "nan"),
