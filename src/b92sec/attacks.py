@@ -31,6 +31,13 @@ from .states import wrap_angle
 # Newton steps of critical_weakness; from q = 0 the third step is within a
 # relative 3e-14 of the root at every signal angle, the fourth reaches rounding
 NEWTON_STEPS = 4
+# largest balance residual at which attack_noise_rate accepts a weakness
+BALANCE_TOL = 1e-6
+
+
+def _check_signal_angle(alpha: float) -> None:
+    if not 0.0 < alpha < math.pi / 2.0:
+        raise DomainError(f"signal angle outside (0, pi/2): {alpha}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,7 @@ def rotation_attack(alpha: float) -> tuple[AttackChannel, ChannelTriple]:
     degrees, and (pi, 2 cos^2 alpha, 1) beyond, where the rotated signals
     pass the opposite pole.
     """
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise DomainError(f"signal angle outside (0, pi/2): {alpha}")
+    _check_signal_angle(alpha)
     channel = AttackChannel("rotation", (
         AttackBranch(weights=(0.5, 0.5), rotations=(2.0 * alpha, 2.0 * alpha),
                      guess=1, label="+2a"),
@@ -163,8 +169,7 @@ def weak_measurement_attack(q: float, alpha: float) -> AttackChannel:
     "-" mirrors this.  At q = 1/2 the measurement is trivial and the attack
     reduces to the pure rotation attack.
     """
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise DomainError(f"signal angle outside (0, pi/2): {alpha}")
+    _check_signal_angle(alpha)
     beta = post_measurement_angle(q, alpha)
     weights_plus = (outcome_probability(q, alpha, 0, True),
                     outcome_probability(q, alpha, 1, True))
@@ -206,8 +211,7 @@ def critical_weakness(alpha: float) -> float:
     (1 + s), so q0 ~ (1 - s)^4 / 4 keeps its relative accuracy as alpha
     approaches pi/2.
     """
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise DomainError(f"signal angle outside (0, pi/2): {alpha}")
+    _check_signal_angle(alpha)
     s = math.sin(alpha)
     c0 = (math.cos(alpha) ** 2 / (1.0 + s)) ** 4
     c1 = -2.0 * (3.0 * s ** 4 - 8.0 * s ** 3 + 6.0 * s ** 2 + 1.0)
@@ -219,15 +223,18 @@ def critical_weakness(alpha: float) -> float:
     return q
 
 
-def attack_noise_rate(q: float, alpha: float, balance_tol: float = 1e-6) -> float:
+def attack_noise_rate(q: float, alpha: float) -> float:
     """Noise rate eps of the symmetrized channel produced by the attack.
 
     Only meaningful where the balance condition holds (q = q0 or q = 1/2):
     eps = 1 - |sin(2 alpha + beta)| / (sin 2 alpha + sin beta).  The tilt
-    is 0, or pi where sin(2 alpha + beta) < 0.
+    is 0, or pi where sin(2 alpha + beta) < 0.  A signal angle outside
+    (0, pi/2), or a weakness whose balance residual exceeds ``BALANCE_TOL``,
+    raises :class:`DomainError`.
     """
+    _check_signal_angle(alpha)
     residual = _balance_residual(q, alpha)
-    if abs(residual) > balance_tol:
+    if abs(residual) > BALANCE_TOL:
         raise DomainError(
             f"attack output is not symmetric at q={q} (residual {residual:.3e})")
     beta = post_measurement_angle(q, alpha)

@@ -40,7 +40,7 @@ from .keyrate import (
     PhysicalLink,
     distance_sweep,
     key_gains,
-    optimal_angle,
+    optimal_angles,
 )
 from .oracle import oracle_min_overlap_lossy
 from .simulate import SimConfig, closed_loop_report
@@ -120,11 +120,9 @@ def cmd_keygain(args) -> int:
 
 
 def cmd_optangle(args) -> int:
-    rows = []
-    for eps in args.eps_grid:
-        alpha_star, gain_star = optimal_angle(
-            ChannelTriple(0.0, float(eps), args.T), args.mode)
-        rows.append((float(eps), math.degrees(alpha_star), gain_star))
+    alpha, gain = optimal_angles(
+        [ChannelTriple(0.0, eps, args.T) for eps in args.eps_grid.tolist()], args.mode)
+    rows = zip(args.eps_grid.tolist(), np.degrees(alpha).tolist(), gain.tolist())
     _emit(args, SCHEMAS["optangle"], rows)
     return EXIT_OK
 

@@ -80,6 +80,24 @@ def symmetrized_outcomes(triple, alpha: float) -> np.ndarray:
 
 
 @pytest.fixture
+def gain_calls(monkeypatch):
+    """Counts the searches' calls of ``keyrate.key_gains``; a search that runs
+    away fails at the 1000th call instead of hanging."""
+    from b92sec import keyrate
+
+    key_gains = keyrate.key_gains
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        assert len(calls) < 1000, "the search does not stop"
+        return key_gains(*args, **kwargs)
+
+    monkeypatch.setattr(keyrate, "key_gains", counted)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
 

@@ -193,6 +193,18 @@ class TestAttackNoiseRate:
         with pytest.raises(DomainError):
             attack_noise_rate(0.3, 0.5)
 
+    @pytest.mark.parametrize("alpha", (0.0, -0.3, math.pi / 2, 2.0, math.nan))
+    @pytest.mark.parametrize("attack", ("rotation", "weak-meas", "q0", "noise"))
+    def test_signal_angle_outside_the_open_quarter_rejected(self, attack, alpha):
+        # the noise rate used to divide by sin 2 alpha = 0 at alpha = 0, and
+        # returned eps = 1.83 and 1.65 at alpha = -0.3 and 2.0
+        build = {"rotation": rotation_attack,
+                 "weak-meas": lambda a: weak_measurement_attack(0.5, a),
+                 "q0": critical_weakness,
+                 "noise": lambda a: attack_noise_rate(0.5, a)}[attack]
+        with pytest.raises(DomainError, match="signal angle"):
+            build(alpha)
+
     def test_critical_weakness_lands_on_region_boundary(self):
         # eps(q0) and eps(1/2) both sit on the edge of the full-information
         # region computed independently from the overlap bound: the point is

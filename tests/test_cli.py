@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from b92sec import __version__
@@ -12,6 +13,8 @@ from b92sec.cli import (
     SCHEMAS,
     main,
 )
+from b92sec.estimation import ChannelTriple
+from b92sec.keyrate import optimal_angle
 
 
 def run(capsys, *argv):
@@ -103,6 +106,25 @@ class TestKeygainCommands:
         assert code == EXIT_OK
         row = [float(x) for x in out.strip().splitlines()[1].split(",")]
         assert row[1] == pytest.approx(52.1, abs=0.2)
+
+    def test_optangle_searches_the_grid_in_one_batch(self, capsys, gain_calls):
+        # the per-row loop the batched search replaced is the reference
+        lines = [SCHEMAS["optangle"]]
+        for eps in np.linspace(0.0, 0.04, 41):
+            alpha_star, gain_star = optimal_angle(ChannelTriple(0.0, float(eps), 0.8))
+            lines.append(f"{float(eps)},{math.degrees(alpha_star)},{gain_star}")
+        gain_calls.clear()
+        code, out, _ = run(capsys, "optangle", "--T", "0.8", "--eps-grid", "0:0.04:41")
+        assert code == EXIT_OK
+        assert out == "\n".join(lines) + "\n"
+        assert len(gain_calls) <= 4
+
+    @pytest.mark.parametrize("args", (("--T", "1.5", "--eps-grid", "0:0.04:5"),
+                                      ("--T", "-0.5", "--eps-grid", "0:0.04:5"),
+                                      ("--T", "0.8", "--eps-grid", "0:1.5:4")))
+    def test_optangle_rejects_rows_outside_the_domain(self, capsys, args):
+        code, out, err = run(capsys, "optangle", *args)
+        assert code == EXIT_DOMAIN and out == "" and err.startswith("error:")
 
     def test_distance_preset(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

@@ -11,13 +11,13 @@ from b92sec.keyrate import (
     KTH_LINK,
     MODES,
     PhysicalLink,
-    _gains,
     bb84_key_gain,
     distance_sweep,
     key_gains,
     link_to_channel,
     noiseless_gain,
     optimal_angle,
+    optimal_angles,
     positive_noise_limit,
     secret_key_gain,
 )
@@ -177,9 +177,12 @@ class TestOptimalAngle:
         rng = np.random.default_rng(20261018)
         rows = zip(rng.uniform(-0.5, 0.5, 200).tolist(), rng.uniform(0.0, 0.3, 200).tolist(),
                    rng.uniform(0.05, 1.0, 200).tolist())
-        for row in rows:
-            triple = ChannelTriple(*row)
+        triples = [ChannelTriple(*row) for row in rows]
+        batch = optimal_angles(triples)
+        for k, triple in enumerate(triples):
             alpha_star, gain_star = optimal_angle(triple)
+            # the batched search gives every row the numbers it gets on its own
+            assert (batch[0][k], batch[1][k]) == (alpha_star, gain_star), triple
             if gain_star > 0.0:
                 assert secret_key_gain(alpha_star, triple).gain == gain_star
             else:
@@ -204,6 +207,36 @@ def test_flipped_bits_contribute_nothing_in_working_regimes():
         warnings.warn(f"flipped bits contribute unexpectedly: {flagged}")
 
 
+# The noise-limit bisection that ran a whole angle search at every step,
+# kept verbatim as the parity reference.
+def chained_positive_noise_limit(transmission: float, mode: str = "collision",
+                                 tol: float = 1e-5) -> float:
+    keyrate._check_tol(tol)
+
+    def g_star(eps: float) -> float:
+        return optimal_angle(ChannelTriple(0.0, eps, transmission), mode)[1]
+
+    if g_star(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, None
+    for k in range(1, 51):
+        eps = k / 50.0
+        if g_star(eps) <= 0.0:
+            hi = eps
+            break
+        lo = eps
+    if hi is None:
+        return 1.0
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        if g_star(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 class TestPositiveNoiseLimit:
     def test_brackets_the_sign_change(self):
         limit = positive_noise_limit(0.8, tol=1e-4)
@@ -211,20 +244,17 @@ class TestPositiveNoiseLimit:
         assert optimal_angle(ChannelTriple(0.0, limit - 5e-3, 0.8))[1] > 0.0
         assert optimal_angle(ChannelTriple(0.0, limit + 5e-3, 0.8))[1] == 0.0
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_the_chained_angle_searches(self, mode):
+        # the coarse scan's maximum is positive exactly when the angle search
+        # returns a positive gain, so every bisection step goes the same way
+        for t in np.linspace(0.05, 1.0, 20).tolist():
+            assert positive_noise_limit(t, mode) == chained_positive_noise_limit(t, mode), t
 
-@pytest.fixture
-def gain_calls(monkeypatch):
-    """Counts the searches' calls of ``keyrate.key_gains``; a search that runs
-    away fails at the 1000th call instead of hanging."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        assert len(calls) < 1000, "the search does not stop"
-        return key_gains(*args, **kwargs)
-
-    monkeypatch.setattr(keyrate, "key_gains", counted)
-    return calls
+    @pytest.mark.parametrize("transmission", (-0.5, 1.5, math.nan))
+    def test_transmission_outside_unit_interval_rejected(self, transmission):
+        with pytest.raises(DomainError):
+            positive_noise_limit(transmission)
 
 
 class TestSearchBudget:
@@ -237,6 +267,12 @@ class TestSearchBudget:
         assert len(gain_calls) <= 5
         # the returned gain is the one computed at the returned angle
         assert gain_star == secret_key_gain(alpha_star, triple, mode).gain
+
+    def test_noise_limit_is_one_gain_call_per_step(self, gain_calls):
+        # 3 scan steps and 11 bisection steps; 38 calls when every step ran
+        # a whole angle search
+        positive_noise_limit(0.8)
+        assert len(gain_calls) <= 16
 
     @pytest.mark.parametrize("tol", (0.0, -1.0, math.nan, math.inf))
     def test_bad_tolerance_rejected_before_any_gain_call(self, monkeypatch, tol):
@@ -264,6 +300,10 @@ class TestSearchBudget:
 # The golden-section search the grid sections replaced, kept verbatim as the
 # parity reference; it reads the same gains through ``keyrate._gains``.
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _gains(alphas, triple: ChannelTriple, mode: str):
+    return keyrate._gains(alphas, triple.theta, triple.epsilon, triple.transmission, mode)
 
 
 def golden_optimal_angle(triple: ChannelTriple, mode: str = "collision",
