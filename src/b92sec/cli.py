@@ -4,6 +4,10 @@ Angles are accepted in degrees and converted at this boundary.  Grids use
 the syntax ``start:stop:count`` (inclusive linspace).  Exit codes: 0 ok,
 2 domain error, 3 infeasible or inconsistent inputs, 4 oracle mismatch.
 
+:func:`_emit` is the one place CSV is formatted, column by column: each
+command passes the arrays it computed, and every cell is ``str()`` of its
+value.
+
 ``oracle-check`` compares the closed form with the exact dual oracle on
 seeded random channels, one after another.  The oracle takes the range of
 Tr[A X] over the feasible contractions from the Lagrange dual of the
@@ -72,9 +76,15 @@ def _grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _emit(args, header: str, rows) -> None:
-    lines = [header] + [",".join(str(c) for c in row) for row in rows]
-    text = "\n".join(lines) + "\n"
+def _emit(args, header: str, columns) -> None:
+    """Write a CSV with one row per entry of the equally long ``columns``.
+
+    Each column, an array or a sequence, becomes Python values once and
+    strings once, by ``str()``: for a double the shortest text that reads
+    back as the same double.
+    """
+    cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
+    text = "\n".join([header, *map(",".join, zip(*cells)), ""])
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -94,36 +104,37 @@ def cmd_infogain(args) -> int:
         upper = shannon_upper_bound(alpha, args.eps_grid, args.T).upper_bound
     else:
         upper = np.full_like(q, math.nan)
-    rows = zip(*(c.tolist() for c in (args.eps_grid, q, collision_gain(q), shannon_gain(q), upper)))
-    _emit(args, SCHEMAS["infogain"], rows)
+    _emit(args, SCHEMAS["infogain"],
+          (args.eps_grid, q, collision_gain(q), shannon_gain(q), upper))
     return EXIT_OK
 
 
 def cmd_region(args) -> int:
     region = full_info_region(np.radians(args.alpha_grid), args.eps_grid, args.T)
-    rows = [(float(alpha_deg), float(eps), int(region[i, j]))
-            for i, alpha_deg in enumerate(args.alpha_grid)
-            for j, eps in enumerate(args.eps_grid)]
-    _emit(args, SCHEMAS["region"], rows)
+    # alpha-major rows: row k is (alpha[k // n_eps], eps[k % n_eps])
+    alpha_text = list(map(str, args.alpha_grid.tolist()))
+    eps_text = list(map(str, args.eps_grid.tolist()))
+    _emit(args, SCHEMAS["region"],
+          ([a for a in alpha_text for _ in eps_text], eps_text * len(alpha_text),
+           region.ravel().astype(int)))
     return EXIT_OK
 
 
 def cmd_keygain(args) -> int:
     g = key_gains(math.radians(args.alpha), 0.0, args.eps_grid, args.T, args.mode)
     g.check()
-    columns = (args.eps_grid, g.p_conc, g.error_rate, g.info_correct, g.info_flipped,
-               g.gain_correct, g.gain_flipped, g.gain)
-    # raw gain kept for root finding; the clipped copy is the usable rate
-    rows = [(*row, max(row[-1], 0.0)) for row in zip(*(c.tolist() for c in columns))]
-    _emit(args, SCHEMAS["keygain"], rows)
+    # raw gain kept for root finding; the clipped copy is the usable rate.  The
+    # clip leaves a gain of -0.0 as it is, where np.maximum would write 0.0
+    _emit(args, SCHEMAS["keygain"],
+          (args.eps_grid, g.p_conc, g.error_rate, g.info_correct, g.info_flipped,
+           g.gain_correct, g.gain_flipped, g.gain, np.where(g.gain < 0.0, 0.0, g.gain)))
     return EXIT_OK
 
 
 def cmd_optangle(args) -> int:
     alpha, gain = optimal_angles(
         [ChannelTriple(0.0, eps, args.T) for eps in args.eps_grid.tolist()], args.mode)
-    rows = zip(args.eps_grid.tolist(), np.degrees(alpha).tolist(), gain.tolist())
-    _emit(args, SCHEMAS["optangle"], rows)
+    _emit(args, SCHEMAS["optangle"], (args.eps_grid, np.degrees(alpha), gain))
     return EXIT_OK
 
 
@@ -144,7 +155,7 @@ def cmd_distance(args) -> int:
     rows = [(p.length_km, p.gain_b92, p.gain_bb84,
              log10_or_nan(p.gain_b92), log10_or_nan(p.gain_bb84))
             for p in points]
-    _emit(args, SCHEMAS["distance"], rows)
+    _emit(args, SCHEMAS["distance"], zip(*rows))
     return EXIT_OK
 
 
@@ -199,7 +210,7 @@ def cmd_oracle_check(args) -> int:
     # one child generator per sample: sample k does not depend on the others
     sample_rngs = np.random.default_rng(args.seed).spawn(args.samples)
     rows, gaps = zip(*(_oracle_sample(k, r) for k, r in enumerate(sample_rngs)))
-    _emit(args, SCHEMAS["oracle-check"], rows)
+    _emit(args, SCHEMAS["oracle-check"], zip(*rows))
     # np.max propagates a NaN wherever it sits; a NaN difference never passes
     worst = np.max([row[-1] for row in rows])
     print(f"# worst_diff={worst:.3e} worst_gap={np.max(gaps):.3e}", file=sys.stderr)

@@ -135,13 +135,18 @@ class KeyGains:
 def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> KeyGains:
     """Net secret-key gain per pulse over broadcast arrays of the channel.
 
-    Out-of-range inputs and unknown modes raise :class:`DomainError`; a
-    failing entry is marked in ``failed`` instead.
+    Out-of-range inputs, such as a transmission outside [0, 1] or NaN, and
+    unknown modes raise :class:`DomainError`; a failing entry, such as one
+    with T = 0, is marked in ``failed`` instead.
     """
     if mode not in INFORMATION:
         raise DomainError(f"unknown estimation mode: {mode!r}")
     alpha, theta, epsilon, transmission = (
         np.asarray(v, dtype=float) for v in (alpha, theta, epsilon, transmission))
+    # eve_bound cannot check T: entries without conclusive events pass it a stand-in
+    in_range = (0.0 <= transmission) & (transmission <= 1.0)
+    if not in_range.all():
+        raise DomainError(f"transmission outside [0, 1]: {transmission[~in_range].flat[0]}")
     # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
     # error, "1b" a correct bit
     p_error = 0.25 * transmission * np.maximum(0.0, 1.0 - (1.0 - epsilon) * np.cos(theta))
@@ -290,7 +295,6 @@ def positive_noise_limit(transmission: float, mode: str = "collision",
     at the default ``tol`` fell short of it by 1.1e-5.
     """
     _check_tol(tol)
-    ChannelTriple(0.0, 0.0, transmission)  # rejects a transmission outside [0, 1]
 
     def positive(eps: float) -> bool:
         return np.max(_gains(COARSE, 0.0, eps, transmission, mode)) > 0.0

@@ -5,16 +5,27 @@ import numpy as np
 import pytest
 
 from b92sec import __version__
+from b92sec.attacks import full_info_region
 from b92sec.cli import (
     EXIT_DOMAIN,
     EXIT_INFEASIBLE,
     EXIT_MISMATCH,
     EXIT_OK,
     SCHEMAS,
+    _grid,
+    _oracle_sample,
     main,
 )
 from b92sec.estimation import ChannelTriple
-from b92sec.keyrate import optimal_angle
+from b92sec.evebound import collision_gain, eve_bound, shannon_gain
+from b92sec.keyrate import (
+    KTH_LINK,
+    MODES,
+    PhysicalLink,
+    distance_sweep,
+    key_gains,
+    optimal_angle,
+)
 
 
 def run(capsys, *argv):
@@ -99,6 +110,13 @@ class TestKeygainCommands:
         for line in out.strip().splitlines()[1:]:
             row = [float(x) for x in line.split(",")]
             assert row[-1] == max(row[-2], 0.0)
+
+    @pytest.mark.parametrize("transmission", ("-0.5", "nan", "1.5"))
+    def test_keygain_rejects_transmission_outside_unit_interval(self, capsys, transmission):
+        code, out, err = run(capsys, "keygain", "--alpha", "12", "--T", transmission,
+                             "--eps-grid", "0:0.1:3")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"error: transmission outside [0, 1]: {float(transmission)}\n"
 
     def test_optangle_at_zero_noise(self, capsys):
         code, out, _ = run(capsys, "optangle", "--T", "0.8",
@@ -262,6 +280,95 @@ class TestOracleCheck:
         code, _, err = run(capsys, "oracle-check", "--samples", "3", "--seed", "7")
         assert code == EXIT_MISMATCH
         assert "worst_diff=nan" in err
+
+
+def assert_cells(out: str, header: str, rows) -> None:
+    """Each CSV cell is exactly str() of the library's value for its row."""
+    lines = out.split("\n")
+    assert lines[0] == header and lines[-1] == ""
+    rows = list(rows)
+    assert len(lines) - 2 == len(rows)
+    for line, row in zip(lines[1:-1], rows):
+        assert line.split(",") == [str(v) for v in row], line
+
+
+class TestExactCells:
+    def test_infogain_tilted_with_another_analyzer(self, capsys):
+        code, out, _ = run(capsys, "infogain", "--alpha", "20", "--alpha-prime", "25",
+                           "--theta", "5", "--T", "0.8", "--eps-grid", "0.05:0.5:10")
+        assert code == EXIT_OK
+        eps = np.linspace(0.05, 0.5, 10).tolist()
+        rows = []
+        for e in eps:
+            q = float(eve_bound(math.radians(25), math.radians(20), math.radians(5), e,
+                                0.8).overlap_min)
+            rows.append((e, q, float(collision_gain(q)), float(shannon_gain(q)), math.nan))
+        assert_cells(out, SCHEMAS["infogain"], rows)
+        assert out.count(",nan\n") == 10  # no Shannon ceiling off the symmetric channel
+
+    @pytest.mark.parametrize("alpha_grid, eps_grid", (("10:30:3", "0:0.4:5"),
+                                                      ("10:10:1", "0.0603:0.0603:1")))
+    def test_region_rows_run_alpha_major(self, capsys, alpha_grid, eps_grid):
+        code, out, _ = run(capsys, "region", "--alpha-grid", alpha_grid,
+                           "--eps-grid", eps_grid, "--T", "1")
+        assert code == EXIT_OK
+        alpha, eps = _grid(alpha_grid).tolist(), _grid(eps_grid).tolist()
+        region = full_info_region(np.radians(alpha), eps, 1.0)
+        rows = [(alpha[k // len(eps)], eps[k % len(eps)],
+                 int(region[k // len(eps), k % len(eps)]))
+                for k in range(len(alpha) * len(eps))]
+        assert_cells(out, SCHEMAS["region"], rows)
+        assert {row[2] for row in rows} == ({0, 1} if len(rows) > 1 else {1})
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_keygain_clips_negative_gains(self, capsys, mode):
+        code, out, _ = run(capsys, "keygain", "--alpha", "12", "--T", "0.3",
+                           "--eps-grid", "0:0.1:11", "--mode", mode)
+        assert code == EXIT_OK
+        rows = []
+        for e in np.linspace(0.0, 0.1, 11).tolist():
+            g = key_gains(math.radians(12), 0.0, e, 0.3, mode)
+            values = [float(v) for v in (g.p_conc, g.error_rate, g.info_correct,
+                                         g.info_flipped, g.gain_correct, g.gain_flipped,
+                                         g.gain)]
+            rows.append((e, *values, max(values[-1], 0.0)))
+        assert_cells(out, SCHEMAS["keygain"], rows)
+        assert any(row[-2] < 0.0 for row in rows) and any(row[-2] > 0.0 for row in rows)
+
+    def test_optangle(self, capsys):
+        code, out, _ = run(capsys, "optangle", "--T", "0.8", "--eps-grid", "0:0.2:6")
+        assert code == EXIT_OK
+        rows = []
+        for e in np.linspace(0.0, 0.2, 6).tolist():
+            alpha, gain = optimal_angle(ChannelTriple(0.0, e, 0.8))
+            rows.append((e, math.degrees(alpha), gain))
+        assert_cells(out, SCHEMAS["optangle"], rows)
+        assert rows[-1][1:] == (0.0, 0.0)  # no key at eps = 0.2
+
+    @pytest.mark.parametrize("argv, link, alpha, lengths", (
+        (("--preset", "kth", "--alpha", "11", "--l-grid", "0:60:7"),
+         KTH_LINK, 11.0, np.linspace(0.0, 60.0, 7)),
+        (("--alpha", "30", "--l-grid", "0:200:21"),
+         PhysicalLink(0.0, 0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21))))
+    def test_distance(self, capsys, argv, link, alpha, lengths):
+        code, out, _ = run(capsys, "distance", *argv)
+        assert code == EXIT_OK
+
+        def log10_or_nan(x):
+            return math.log10(x) if x > 0.0 else math.nan
+
+        rows = [(p.length_km, p.gain_b92, p.gain_bb84,
+                 log10_or_nan(p.gain_b92), log10_or_nan(p.gain_bb84))
+                for p in distance_sweep(link, lengths, math.radians(alpha))]
+        assert_cells(out, SCHEMAS["distance"], rows)
+        assert ",nan," in out  # the B92 gain falls to or below zero on both links
+
+    def test_oracle_check(self, capsys):
+        code, out, _ = run(capsys, "oracle-check", "--samples", "3", "--seed", "7")
+        assert code == EXIT_OK
+        rngs = np.random.default_rng(7).spawn(3)
+        rows = [_oracle_sample(k, r)[0] for k, r in enumerate(rngs)]
+        assert_cells(out, SCHEMAS["oracle-check"], rows)
 
 
 def test_entry_point_runs_as_module():

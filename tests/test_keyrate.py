@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +79,24 @@ class TestSecretKeyGain:
     def test_unknown_mode_rejected(self):
         with pytest.raises(DomainError):
             secret_key_gain(0.5, ChannelTriple(0.0, 0.0, 1.0), mode="renyi")
+
+    @pytest.mark.parametrize("transmission", (-0.5, math.nan, 1.5))
+    def test_transmission_outside_unit_interval_rejected(self, transmission):
+        # such entries have no conclusive events, so eve_bound never sees
+        # their transmission; key_gains must reject it itself
+        message = f"transmission outside [0, 1]: {transmission}"
+        for t in (transmission, [0.5, transmission]):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                key_gains(0.5, 0.0, 0.1, t)
+        # a triple-like record that skips ChannelTriple's own check
+        triple = SimpleNamespace(theta=0.0, epsilon=0.1, transmission=transmission)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            secret_key_gain(0.5, triple)
+
+    def test_zero_transmission_is_a_failed_entry(self):
+        g = key_gains(0.5, 0.0, 0.1, [0.0, 0.5])
+        assert g.failed.tolist() == [True, False]
+        assert str(g.error(0)) == "conclusive probability vanishes; key gain undefined"
 
     @pytest.mark.parametrize("mode", MODES)
     def test_array_matches_scalar_calls(self, mode):
