@@ -6,7 +6,10 @@ the syntax ``start:stop:count`` (inclusive linspace).  Exit codes: 0 ok,
 
 :func:`_emit` is the one place CSV is formatted, column by column: each
 command passes the arrays it computed, and every cell is ``str()`` of its
-value.
+value.  :func:`_write` is the one place a command's output goes to its file
+or to stdout.  A config or output file that cannot be read or written ends
+the command with ``error: ...`` and exit code 2.  The parser is built once
+per process, so in-process callers of :func:`main` pay for it once.
 
 ``oracle-check`` compares the closed form with the exact dual oracle on
 seeded random channels, one after another.  The oracle takes the range of
@@ -20,6 +23,7 @@ matrix's nuclear norm.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,9 +88,13 @@ def _emit(args, header: str, columns) -> None:
     back as the same double.
     """
     cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
-    text = "\n".join([header, *map(",".join, zip(*cells)), ""])
-    if args.output:
-        with open(args.output, "w") as fh:
+    _write(args.output, "\n".join([header, *map(",".join, zip(*cells)), ""]))
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -132,8 +140,7 @@ def cmd_keygain(args) -> int:
 
 
 def cmd_optangle(args) -> int:
-    alpha, gain = optimal_angles(
-        [ChannelTriple(0.0, eps, args.T) for eps in args.eps_grid.tolist()], args.mode)
+    alpha, gain = optimal_angles(0.0, args.eps_grid, args.T, args.mode)
     _emit(args, SCHEMAS["optangle"], (args.eps_grid, np.degrees(alpha), gain))
     return EXIT_OK
 
@@ -146,16 +153,11 @@ def cmd_distance(args) -> int:
                             receiver_loss_db=args.receiver_loss,
                             dark_mean=args.dark_mean,
                             det_efficiency=args.efficiency)
-    points = distance_sweep(link, args.l_grid, math.radians(args.alpha),
-                            args.mode)
-
-    def log10_or_nan(x: float) -> float:
-        return math.log10(x) if x > 0.0 else math.nan
-
-    rows = [(p.length_km, p.gain_b92, p.gain_bb84,
-             log10_or_nan(p.gain_b92), log10_or_nan(p.gain_bb84))
-            for p in points]
-    _emit(args, SCHEMAS["distance"], zip(*rows))
+    sweep = distance_sweep(link, args.l_grid, math.radians(args.alpha), args.mode)
+    gains = np.array([sweep.gain_b92, sweep.gain_bb84])
+    # log10 where the gain is positive, NaN elsewhere
+    logs = np.log10(gains, out=np.full_like(gains, math.nan), where=gains > 0.0)
+    _emit(args, SCHEMAS["distance"], (sweep.length_km, *gains, *logs))
     return EXIT_OK
 
 
@@ -172,15 +174,9 @@ def cmd_simulate(args) -> int:
         "e": report.error_rate,
         "mode": report.mode,
     }
-    payload = json.dumps(record)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        sys.stdout.write(payload + "\n")
+    _write(args.output, json.dumps(record) + "\n")
     if args.counts_csv:
-        with open(args.counts_csv, "w") as fh:
-            fh.write(result.counts.to_csv())
+        _write(args.counts_csv, result.counts.to_csv())
     return EXIT_OK
 
 
@@ -219,6 +215,7 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="b92sec",
@@ -299,7 +296,8 @@ def main(argv=None) -> int:
             OracleInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except B92Error as exc:
+    except (B92Error, OSError, UnicodeDecodeError) as exc:
+        # bad parameters, or a config or output file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -8,20 +8,27 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 :func:`key_gains` computes the accounting over broadcast arrays of
 (alpha, theta, eps, T), with Eve's bounds on correct and flipped bits from
 one call of :func:`~b92sec.evebound.eve_bound`; :func:`secret_key_gain` is
-its one-entry wrapper.  The angle scan, the distance sweep and the CLI
-sweeps are single array calls.  The angle search takes rows of channels and
-spends one array call per step on all of them: at its default tolerance four
-calls, the coarse scan and three grid sections, so ``optangle`` searches its
-whole noise grid in four calls.  Each scan and bisection step of the noise
-limit is one call on the coarse scan's 90 angles: 13 to 15 calls per limit
-for T from 0.2 to 1 at the default tolerance.
+its one-entry wrapper.  The batch calls take arrays and return arrays, and
+each scalar call is a thin wrapper of one:
+
+- :func:`optimal_angles` searches broadcast arrays of channels with one
+  array call per step on all of them: at its default tolerance four calls,
+  the coarse scan and three grid sections, so ``optangle`` searches its
+  whole noise grid in four calls.  :func:`optimal_angle` is its one-row case.
+- :func:`distance_sweep` is one array pass: :func:`link_channels` gives
+  (eps, T) at every length, then one :func:`key_gains` call and one
+  :func:`bb84_key_gain` call give the columns of a :class:`DistanceSweep`.
+  :func:`link_to_channel` is the one-length case of the link model.
+
+Each scan and bisection step of the noise limit is one call on the coarse
+scan's 90 angles: 13 to 15 calls per limit for T from 0.2 to 1 at the
+default tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,13 +69,10 @@ class PhysicalLink:
     def __post_init__(self):
         for name in ("length_km", "channel_loss_db_km", "receiver_loss_db",
                      "dark_mean", "det_efficiency"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be non-negative")
+            if not getattr(self, name) >= 0.0:  # NaN fails too
+                raise DomainError(f"{name} must be non-negative: {getattr(self, name)}")
         if self.det_efficiency > 1.0:
             raise DomainError("det_efficiency must not exceed 1")
-
-    def at_length(self, length_km: float) -> "PhysicalLink":
-        return replace(self, length_km=length_km)
 
 
 # measured parameters of a deployed fiber testbed, used throughout as preset
@@ -217,11 +221,12 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and positive: {tol}")
 
 
-def optimal_angles(triples: Sequence[ChannelTriple], mode: str = "collision",
+def optimal_angles(theta, epsilon, transmission, mode: str = "collision",
                    tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Angle maximizing the key gain, and the gain there, for each channel.
 
-    ``triples`` is a sequence of :class:`ChannelTriple`, one row each.  A
+    Each entry of the broadcast arrays (theta, eps, T) is one channel, and
+    both results take their broadcast shape.  A
     90-point coarse scan over (0, pi/2] brackets each row's best degree (the
     gain is not concave near the full-information boundary, so the scan
     guards against the wrong basin).  Each grid-section step then samples
@@ -238,8 +243,9 @@ def optimal_angles(triples: Sequence[ChannelTriple], mode: str = "collision",
     """
     _check_tol(tol)
     # angles run down axis 0 and channels along axis 1, one column per channel
-    theta, epsilon, transmission = np.array(
-        [(t.theta, t.epsilon, t.transmission) for t in triples], dtype=float).reshape(-1, 3).T
+    columns = np.broadcast_arrays(theta, epsilon, transmission)
+    shape = columns[0].shape
+    theta, epsilon, transmission = (c.ravel() for c in columns)
     gains = _gains(COARSE[:, None], theta, epsilon, transmission, mode)
     best = np.argmax(gains, axis=0)
     top = gains[best, np.arange(best.size)]
@@ -266,7 +272,7 @@ def optimal_angles(triples: Sequence[ChannelTriple], mode: str = "collision",
         go_on = ((new_lo != lo) | (new_hi != hi)) & (new_hi - new_lo > tol)
         live, lo, hi = live[go_on], new_lo[go_on], new_hi[go_on]
         theta, epsilon, transmission = theta[go_on], epsilon[go_on], transmission[go_on]
-    return alpha, gain
+    return alpha.reshape(shape), gain.reshape(shape)
 
 
 def optimal_angle(triple: ChannelTriple, mode: str = "collision",
@@ -276,8 +282,8 @@ def optimal_angle(triple: ChannelTriple, mode: str = "collision",
     The one-row case of :func:`optimal_angles`: (0, 0) when no angle yields
     positive gain.
     """
-    alpha, gain = optimal_angles((triple,), mode, tol)
-    return float(alpha[0]), float(gain[0])
+    alpha, gain = optimal_angles(triple.theta, triple.epsilon, triple.transmission, mode, tol)
+    return float(alpha), float(gain)
 
 
 def positive_noise_limit(transmission: float, mode: str = "collision",
@@ -320,62 +326,86 @@ def positive_noise_limit(transmission: float, mode: str = "collision",
     return mid
 
 
-def link_to_channel(link: PhysicalLink) -> ChannelTriple:
-    """Channel triple seen through a fiber link with Poissonian dark counts.
+def link_channels(link: PhysicalLink, lengths_km) -> tuple[np.ndarray, np.ndarray]:
+    """Noise rate and transmission (eps, T) through a fiber link, per length.
 
-    T combines the attenuated signal with dark counts that fire when the
-    photon was lost; every dark-count click is unpolarized, which sets eps.
+    ``link.length_km`` is ignored: the link is evaluated at every entry of
+    ``lengths_km``.  T combines the attenuated signal with Poissonian dark
+    counts that fire when the photon was lost; every dark-count click is
+    unpolarized, which sets eps.
     """
-    attenuation = 10.0 ** (-(link.length_km * link.channel_loss_db_km
-                             + link.receiver_loss_db) / 10.0)
+    lengths = np.asarray(lengths_km, dtype=float)
+    valid = lengths >= 0.0
+    if not valid.all():
+        raise DomainError(f"length_km must be non-negative: {lengths[~valid].flat[0]}")
+    attenuation = 10.0 ** (-(lengths * link.channel_loss_db_km + link.receiver_loss_db) / 10.0)
     survive = math.exp(-link.dark_mean)
     signal = survive * link.det_efficiency * attenuation
     dark = survive * link.dark_mean * (1.0 - attenuation)
     transmission = signal + dark
-    if transmission <= 0.0:
+    if not (transmission > 0.0).all():
         raise DegenerateLinkError("link transmission is zero")
-    return ChannelTriple(theta=0.0, epsilon=dark / transmission,
-                         transmission=transmission)
+    return dark / transmission, transmission
+
+
+def link_to_channel(link: PhysicalLink) -> ChannelTriple:
+    """Channel triple seen through a fiber link at its own ``length_km``.
+
+    The one-length case of :func:`link_channels`.
+    """
+    epsilon, transmission = link_channels(link, link.length_km)
+    return ChannelTriple(theta=0.0, epsilon=float(epsilon), transmission=float(transmission))
 
 
 @dataclass(frozen=True)
 class Bb84Gain:
-    gain: float
-    error_rate: float
-    saturated: bool
+    """BB84 key gain, error rate and saturation flag over broadcast arrays."""
+
+    gain: np.ndarray
+    error_rate: np.ndarray
+    saturated: np.ndarray
 
 
-def bb84_key_gain(transmission: float, dark_mean: float) -> Bb84Gain:
+def bb84_key_gain(transmission, dark_mean) -> Bb84Gain:
     """Single-photon BB84 key gain with dark-count-dominated errors.
 
     G = (T/2)[1 - log2(1 + 4e - 4e^2) + e log2 e + (1-e) log2(1-e)] with
-    e = dark_mean / (2T).  At e >= 1/2 the formula is void and the gain is
-    reported as zero with the saturation flag set.
+    e = dark_mean / (2T), over broadcast arrays.  Where e >= 1/2 the formula
+    is void and the gain is reported as zero with the saturation flag set.
+    A transmission that is not positive raises :class:`DomainError`.
     """
-    if transmission <= 0.0:
-        raise DomainError(f"transmission must be positive: {transmission}")
+    transmission = np.asarray(transmission, dtype=float)
+    positive = transmission > 0.0
+    if not positive.all():
+        raise DomainError(f"transmission must be positive: {transmission[~positive].flat[0]}")
     e = dark_mean / (2.0 * transmission)
-    if e >= 0.5:
-        return Bb84Gain(0.0, e, True)
-    gain = 0.5 * transmission * (1.0 - math.log2(1.0 + 4.0 * e - 4.0 * e * e)
-                                 - binary_entropy(e))
-    return Bb84Gain(gain, e, False)
+    saturated = e >= 0.5
+    # saturated entries take the formula at e = 0, and gain 0 after it
+    x = np.where(saturated, 0.0, e)
+    gain = 0.5 * transmission * (1.0 - np.log2(1.0 + 4.0 * x - 4.0 * x * x) - binary_entropy(x))
+    return Bb84Gain(np.where(saturated, 0.0, gain), e, saturated)
 
 
 @dataclass(frozen=True)
-class DistancePoint:
-    length_km: float
-    gain_b92: float
-    gain_bb84: float
+class DistanceSweep:
+    """Key gain of both protocols (bits per pulse), one entry per fiber length."""
+
+    length_km: np.ndarray
+    gain_b92: np.ndarray
+    gain_bb84: np.ndarray
 
 
 def distance_sweep(link: PhysicalLink, lengths_km, alpha: float,
-                   mode: str = "collision") -> list[DistancePoint]:
-    """Key gain of both protocols along a fiber, at a fixed signal angle."""
-    lengths = [float(length) for length in lengths_km]
-    triples = [link_to_channel(link.at_length(length)) for length in lengths]
-    b92 = key_gains(alpha, [t.theta for t in triples], [t.epsilon for t in triples],
-                    [t.transmission for t in triples], mode)
+                   mode: str = "collision") -> DistanceSweep:
+    """Key gain of both protocols along a fiber, at a fixed signal angle.
+
+    One array pass: :func:`link_channels` over the lengths, one
+    :func:`key_gains` call and one :func:`bb84_key_gain` call.  A negative
+    or NaN length raises :class:`DomainError`, a link without transmission
+    :class:`DegenerateLinkError`, and a failed B92 entry its scalar error.
+    """
+    lengths = np.asarray(lengths_km, dtype=float)
+    epsilon, transmission = link_channels(link, lengths)
+    b92 = key_gains(alpha, 0.0, epsilon, transmission, mode)
     b92.check()
-    return [DistancePoint(length, gain, bb84_key_gain(t.transmission, link.dark_mean).gain)
-            for length, gain, t in zip(lengths, b92.gain.tolist(), triples)]
+    return DistanceSweep(lengths, b92.gain, bb84_key_gain(transmission, link.dark_mean).gain)

@@ -190,11 +190,11 @@ def test_criterion_07_optimal_angle_structure():
 
 
 def test_criterion_08_distance_comparison():
-    points = distance_sweep(KTH_LINK, np.linspace(0.0, 60.0, 61), 11 * DEG)
-    ok = points[0].gain_b92 > 0.0
-    ok &= all(p.gain_b92 < p.gain_bb84 for p in points)
+    sweep = distance_sweep(KTH_LINK, np.linspace(0.0, 60.0, 61), 11 * DEG)
+    ok = sweep.gain_b92[0] > 0.0
+    ok &= all(b92 < bb84 for b92, bb84 in zip(sweep.gain_b92, sweep.gain_bb84))
     report(8, "distance-comparison", ok,
-           f"g_b92(0)={points[0].gain_b92:.2e}, g_bb84(0)={points[0].gain_bb84:.2e}")
+           f"g_b92(0)={sweep.gain_b92[0]:.2e}, g_bb84(0)={sweep.gain_bb84[0]:.2e}")
 
 
 def test_criterion_09_shannon_mode_dominance():

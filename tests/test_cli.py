@@ -14,6 +14,7 @@ from b92sec.cli import (
     SCHEMAS,
     _grid,
     _oracle_sample,
+    build_parser,
     main,
 )
 from b92sec.estimation import ChannelTriple
@@ -165,13 +166,57 @@ class TestKeygainCommands:
         assert code == code2 == EXIT_OK
         assert preset == explicit
 
+    def test_csv_to_a_directory_is_domain_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "distance", "--output", str(tmp_path))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("args, message", (
+        (("--l-grid=-1:1:3",), "error: length_km must be non-negative: -1.0\n"),
+        (("--l-grid", "0:nan:2"), "error: length_km must be non-negative: nan\n"),
+        (("--efficiency", "0", "--dark-mean", "0"), "error: link transmission is zero\n"),
+        (("--channel-loss", "nan"), "error: channel_loss_db_km must be non-negative: nan\n")))
+    def test_distance_rejects_bad_lengths_and_dead_links(self, capsys, args, message):
+        code, out, err = run(capsys, "distance", *args)
+        assert code == EXIT_DOMAIN and out == "" and err == message
+
     def test_bad_grid_syntax_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["optangle", "--T", "0.8", "--eps-grid", "0-0.1-5"])
         assert excinfo.value.code == 2
 
 
+def test_options_do_not_leak_between_calls(capsys):
+    # the parser is built once per process, and each call parses afresh
+    assert build_parser() is build_parser()
+    second = ("infogain", "--alpha", "20", "--T", "0.8", "--eps-grid", "0:0.2:3")
+    _, alone, _ = run(capsys, *second)
+    code, out, _ = run(capsys, "infogain", "--alpha", "20", "--alpha-prime", "25",
+                       "--theta", "5", "--T", "0.8", "--eps-grid", "0:0.2:3")
+    assert code == EXIT_OK and out != alone
+    assert run(capsys, *second) == (EXIT_OK, alone, "")
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("content", (None, b"n_total = 1000\xff\xfe\n"))
+    def test_missing_or_undecodable_config_is_domain_error(self, capsys, tmp_path, content):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ("--output", "--counts-csv"))
+    def test_unwritable_output_is_domain_error(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
+                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = 4\n")
+        target = tmp_path / "no-such-dir" / "out"
+        code, _, err = run(capsys, "simulate", "--config", str(cfg), flag, str(target))
+        assert code == EXIT_DOMAIN
+        assert err.startswith("error: ") and str(target) in err
+
     def test_full_run_with_counts_export(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
@@ -355,11 +400,12 @@ class TestExactCells:
         assert code == EXIT_OK
 
         def log10_or_nan(x):
-            return math.log10(x) if x > 0.0 else math.nan
+            return float(np.log10(x)) if x > 0.0 else math.nan
 
-        rows = [(p.length_km, p.gain_b92, p.gain_bb84,
-                 log10_or_nan(p.gain_b92), log10_or_nan(p.gain_bb84))
-                for p in distance_sweep(link, lengths, math.radians(alpha))]
+        sweep = distance_sweep(link, lengths, math.radians(alpha))
+        rows = [(length, b92, bb84, log10_or_nan(b92), log10_or_nan(bb84))
+                for length, b92, bb84 in zip(sweep.length_km.tolist(), sweep.gain_b92.tolist(),
+                                             sweep.gain_bb84.tolist())]
         assert_cells(out, SCHEMAS["distance"], rows)
         assert ",nan," in out  # the B92 gain falls to or below zero on both links
 

@@ -7,7 +7,7 @@ import pytest
 
 from b92sec import keyrate
 from b92sec.entropy import binary_entropy
-from b92sec.errors import B92Error, DomainError, UnreachableChannelError
+from b92sec.errors import B92Error, DegenerateLinkError, DomainError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple
 from b92sec.keyrate import (
     KTH_LINK,
@@ -198,7 +198,8 @@ class TestOptimalAngle:
         rows = zip(rng.uniform(-0.5, 0.5, 200).tolist(), rng.uniform(0.0, 0.3, 200).tolist(),
                    rng.uniform(0.05, 1.0, 200).tolist())
         triples = [ChannelTriple(*row) for row in rows]
-        batch = optimal_angles(triples)
+        batch = optimal_angles(*np.array([(t.theta, t.epsilon, t.transmission)
+                                          for t in triples]).T)
         for k, triple in enumerate(triples):
             alpha_star, gain_star = optimal_angle(triple)
             # the batched search gives every row the numbers it gets on its own
@@ -484,14 +485,54 @@ class TestBb84:
         assert bb84_key_gain(0.4, 1e-3).gain < 0.2
 
 
+def reference_sweep_point(link: PhysicalLink, length: float, alpha: float, mode: str):
+    """One length of the sweep by scalar arithmetic: the link model, the B92
+    gain through ``secret_key_gain`` and the BB84 gain, all with ``math``."""
+    attenuation = 10.0 ** (-(length * link.channel_loss_db_km + link.receiver_loss_db) / 10.0)
+    survive = math.exp(-link.dark_mean)
+    signal = survive * link.det_efficiency * attenuation
+    dark = survive * link.dark_mean * (1.0 - attenuation)
+    transmission = signal + dark
+    gain_b92 = secret_key_gain(alpha, ChannelTriple(0.0, dark / transmission, transmission),
+                               mode).gain
+    e = link.dark_mean / (2.0 * transmission)
+    gain_bb84 = 0.0 if e >= 0.5 else 0.5 * transmission * (
+        1.0 - math.log2(1.0 + 4.0 * e - 4.0 * e * e) - float(binary_entropy(e)))
+    return gain_b92, gain_bb84
+
+
 class TestDistanceSweep:
     def test_kth_comparison_shape(self):
-        points = distance_sweep(KTH_LINK, np.linspace(0.0, 60.0, 13), 11 * DEG)
-        assert points[0].gain_b92 > 0.0
-        for p in points:
-            assert p.gain_b92 < p.gain_bb84
+        sweep = distance_sweep(KTH_LINK, np.linspace(0.0, 60.0, 13), 11 * DEG)
+        assert sweep.gain_b92[0] > 0.0
+        for b92, bb84 in zip(sweep.gain_b92, sweep.gain_bb84):
+            assert b92 < bb84
         # the gain decays while positive (it dies past ~17 km on this link)
-        b92 = [p.gain_b92 for p in points]
+        b92 = sweep.gain_b92.tolist()
         positive = [g for g in b92 if g > 0.0]
         assert 2 <= len(positive) < len(b92)
         assert all(d < 0 for d in np.diff(positive))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("link, alpha_deg, lengths", (
+        (KTH_LINK, 11.0, np.linspace(0.0, 60.0, 61)),
+        (PhysicalLink(0.0, 0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21)),
+        (PhysicalLink(0.0, 0.35, 3.0, 1e-5, 0.6), 25.0, np.linspace(0.0, 150.0, 31)),
+        # saturated BB84 rows far along a noisy link
+        (PhysicalLink(0.0, 0.5, 2.0, 1e-2, 0.1), 40.0, np.linspace(0.0, 80.0, 17))))
+    def test_matches_the_scalar_reference_per_length(self, link, alpha_deg, lengths, mode):
+        sweep = distance_sweep(link, lengths, alpha_deg * DEG, mode)
+        assert sweep.length_km.tolist() == lengths.tolist()
+        for k, length in enumerate(lengths.tolist()):
+            gain_b92, gain_bb84 = reference_sweep_point(link, length, alpha_deg * DEG, mode)
+            assert sweep.gain_b92[k] == pytest.approx(gain_b92, rel=1e-14, abs=0.0), length
+            assert sweep.gain_bb84[k] == pytest.approx(gain_bb84, rel=1e-14, abs=0.0), length
+
+    @pytest.mark.parametrize("lengths", ([-1.0], [0.0, math.nan], [10.0, -0.5]))
+    def test_negative_or_nan_length_rejected(self, lengths):
+        with pytest.raises(DomainError):
+            distance_sweep(KTH_LINK, lengths, 11 * DEG)
+
+    def test_dead_link_rejected(self):
+        with pytest.raises(DegenerateLinkError):
+            distance_sweep(PhysicalLink(0.0, 0.2, 1.0, 0.0, 0.0), [0.0, 10.0], 11 * DEG)
