@@ -149,7 +149,7 @@ def cmd_distance(args) -> int:
     if args.preset:
         link = LINK_PRESETS[args.preset]
     else:
-        link = PhysicalLink(length_km=0.0, channel_loss_db_km=args.channel_loss,
+        link = PhysicalLink(channel_loss_db_km=args.channel_loss,
                             receiver_loss_db=args.receiver_loss,
                             dark_mean=args.dark_mean,
                             det_efficiency=args.efficiency)
@@ -164,7 +164,10 @@ def cmd_distance(args) -> int:
 def cmd_simulate(args) -> int:
     config = SimConfig.from_file(args.config)
     result, report = closed_loop_report(config, args.mode)
-    record = json.loads(result.to_json())
+    # the counts file first: a failed write leaves no JSON record behind
+    if args.counts_csv:
+        _write(args.counts_csv, result.counts.to_csv())
+    record = result.record()
     record["key_gain"] = {
         "alpha_deg": math.degrees(report.alpha),
         "g": report.gain,
@@ -175,8 +178,6 @@ def cmd_simulate(args) -> int:
         "mode": report.mode,
     }
     _write(args.output, json.dumps(record) + "\n")
-    if args.counts_csv:
-        _write(args.counts_csv, result.counts.to_csv())
     return EXIT_OK
 
 

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy
-from .errors import B92Error, DegenerateChannelError, DomainError, UnreachableChannelError
+from .errors import (
+    B92Error,
+    DegenerateChannelError,
+    DomainError,
+    FirstFailure,
+    UnreachableChannelError,
+    require,
+)
 
 # floating-point grace on the reachability test
 REACH_SLOP = 1e-9
@@ -91,7 +98,7 @@ class EveBoundResult:
 
 
 @dataclass(frozen=True)
-class BoundArrays:
+class BoundArrays(FirstFailure):
     """Outcome of the overlap minimization over broadcast channel arrays.
 
     The fields match :class:`EveBoundResult`; ``regime`` indexes
@@ -111,6 +118,10 @@ class BoundArrays:
     eta: np.ndarray
     status: np.ndarray
 
+    @property
+    def failed(self) -> np.ndarray:
+        return self.status != OK
+
     def error(self, k: int) -> B92Error | None:
         """The exception the scalar API raises for flat entry ``k``, if any."""
         status = self.status.flat[k]
@@ -120,15 +131,8 @@ class BoundArrays:
                 f"observed channel needs constraint value {self.target.flat[k]:.6f} "
                 f"> maximum {bmax:.6f}")
         if status == DEGENERATE:
-            return DegenerateChannelError(
-                "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
+            return _singular_error()
         return None
-
-    def check(self) -> None:
-        """Raise the scalar API's exception for the first failed entry."""
-        failed = np.flatnonzero(self.status != OK)
-        if failed.size:
-            raise self.error(failed[0])
 
 
 def collision_gain(q):
@@ -139,6 +143,16 @@ def collision_gain(q):
 def shannon_gain(q):
     """Information gain (Shannon measure) from probe overlap q."""
     return 1.0 - binary_entropy(0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - q * q))))
+
+
+def _singular(den):
+    """Where A's common denominator leaves the probe matrices singular."""
+    return den <= 1e-15
+
+
+def _singular_error() -> DegenerateChannelError:
+    return DegenerateChannelError(
+        "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
 
 
 def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
@@ -170,13 +184,11 @@ def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2,
     Requires 1 - (1 - eps) cos(2 alpha + theta) > 0, which fails only for a
     noiseless channel with 2 alpha + theta = 0.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"noise parameter outside [0, 1]: {epsilon}")
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, den = _matrices(alpha, theta, epsilon)
-    if den <= 1e-15:
-        raise DegenerateChannelError(
-            "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
+    if _singular(den):
+        raise _singular_error()
     return a, b
 
 
@@ -300,16 +312,6 @@ def _overlap(f: Families, t, bmax):
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def zero_overlap_limit(a: SymMat2, b: SymMat2):
-    """Largest |constraint value| at which the overlap can vanish.
-
-    Maximizes |B| over the zero set of Q across the stationary families;
-    exactly 0 for a noiseless channel.
-    """
-    return stationary_curves(a, b).free_limit
-
-
-@np.errstate(divide="ignore", invalid="ignore")
 def min_overlap_at(a: SymMat2, b: SymMat2, target):
     """Minimum |Q| subject to Tr[B xi] = target: (q, regime, eta) arrays.
 
@@ -333,16 +335,13 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     """
     alpha_prime, alpha, theta, epsilon, transmission = (
         np.asarray(v, dtype=float) for v in (alpha_prime, alpha, theta, epsilon, transmission))
-    for values, ok, message in (
-            (alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= math.pi / 2.0),
-             "signal angle outside [0, pi/2]"),
-            (alpha, np.isfinite(alpha), "analyzer angle not finite"),
-            (theta, np.isfinite(theta), "tilt angle not finite"),
-            (transmission, (0.0 < transmission) & (transmission <= 1.0),
-             "transmission outside (0, 1]"),
-            (epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")):
-        if not ok.all():
-            raise DomainError(f"{message}: {values[~ok].flat[0]}")
+    require(alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= math.pi / 2.0),
+            "signal angle outside [0, pi/2]")
+    require(alpha, np.isfinite(alpha), "analyzer angle not finite")
+    require(theta, np.isfinite(theta), "tilt angle not finite")
+    require(transmission, (0.0 < transmission) & (transmission <= 1.0),
+            "transmission outside (0, 1]")
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     a, b, den = _matrices(alpha, theta, epsilon)
     f = stationary_curves(a, b)
     bmax = constraint_max(b)
@@ -352,7 +351,7 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     unreachable = lo > bmax + REACH_SLOP
     t = np.minimum(lo, bmax)
     q, regime, eta = _overlap(f, t, bmax)
-    status = np.where(~f.degenerate & (den <= 1e-15), DEGENERATE,
+    status = np.where(~f.degenerate & _singular(den), DEGENERATE,
                       np.where(unreachable, UNREACHABLE, OK))
     return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
                        target=np.where(unreachable, lo, t), regime=regime, eta=eta,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy
-from .errors import DomainError
+from .errors import DomainError, require
 from .states import OUTCOMES, outcome_table
 
 
@@ -36,9 +36,7 @@ def conclusive_entropy_floor(x, alpha):
     any entry is out of range.
     """
     x, alpha = np.broadcast_arrays(np.asarray(x, dtype=float), alpha)
-    positive = x > 0.0
-    if not positive.all():
-        raise DomainError(f"conclusive probability must be positive: {x[~positive].flat[0]}")
+    require(x, x > 0.0, "conclusive probability must be positive")
     ratio = (1.0 - 2.0 * x) / np.cos(alpha)
     beyond = np.abs(ratio) > 1.0 + 1e-12
     if beyond.any():
@@ -81,12 +79,9 @@ def shannon_upper_bound(alpha, epsilon, transmission) -> BoundReport:
     conclusive events.
     """
     alpha, epsilon, transmission = np.broadcast_arrays(alpha, epsilon, transmission)
-    for values, ok, message in (
-            (epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]"),
-            (transmission, (0.0 < transmission) & (transmission <= 1.0),
-             "transmission outside (0, 1]")):
-        if not ok.all():
-            raise DomainError(f"{message}: {values[~ok].flat[0]}")
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
+    require(transmission, (0.0 < transmission) & (transmission <= 1.0),
+            "transmission outside (0, 1]")
     table = outcome_table(alpha, -alpha, 1.0 - epsilon, transmission)
     p_error, p_correct = table[..., OUTCOMES.index("0b")], table[..., OUTCOMES.index("1b")]
     p_conc = p_error + p_correct

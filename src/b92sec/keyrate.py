@@ -18,7 +18,6 @@ each scalar call is a thin wrapper of one:
 - :func:`distance_sweep` is one array pass: :func:`link_channels` gives
   (eps, T) at every length, then one :func:`key_gains` call and one
   :func:`bb84_key_gain` call give the columns of a :class:`DistanceSweep`.
-  :func:`link_to_channel` is the one-length case of the link model.
 
 Each scan and bisection step of the noise limit is one call on the coarse
 scan's 90 angles: 13 to 15 calls per limit for T from 0.2 to 1 at the
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy
-from .errors import B92Error, DegenerateLinkError, DomainError
+from .errors import B92Error, DegenerateLinkError, DomainError, FirstFailure, require
 from .estimation import ChannelTriple
 from .evebound import OK, BoundArrays, collision_gain, eve_bound, shannon_gain
 
@@ -54,30 +53,27 @@ PAIR = np.array([True, False])
 
 @dataclass(frozen=True)
 class PhysicalLink:
-    """Fiber-link hardware parameters.
+    """Fiber-link hardware parameters; the fiber length is a sweep input.
 
     ``dark_mean`` is the mean dark count per pulse (detector dark rate
     times the resolution time); dark counts are Poissonian.
     """
 
-    length_km: float
     channel_loss_db_km: float
     receiver_loss_db: float
     dark_mean: float
     det_efficiency: float
 
     def __post_init__(self):
-        for name in ("length_km", "channel_loss_db_km", "receiver_loss_db",
-                     "dark_mean", "det_efficiency"):
-            if not getattr(self, name) >= 0.0:  # NaN fails too
-                raise DomainError(f"{name} must be non-negative: {getattr(self, name)}")
+        for name, value in vars(self).items():
+            if not value >= 0.0:  # NaN fails too
+                raise DomainError(f"{name} must be non-negative: {value}")
         if self.det_efficiency > 1.0:
             raise DomainError("det_efficiency must not exceed 1")
 
 
 # measured parameters of a deployed fiber testbed, used throughout as preset
-KTH_LINK = PhysicalLink(length_km=20.0, channel_loss_db_km=0.2,
-                        receiver_loss_db=1.0, dark_mean=2e-4,
+KTH_LINK = PhysicalLink(channel_loss_db_km=0.2, receiver_loss_db=1.0, dark_mean=2e-4,
                         det_efficiency=0.18)
 
 LINK_PRESETS = {"kth": KTH_LINK}
@@ -99,7 +95,7 @@ class KeyGainReport:
 
 
 @dataclass(frozen=True)
-class KeyGains:
+class KeyGains(FirstFailure):
     """Key-gain accounting over broadcast arrays (bits per pulse).
 
     ``bounds`` stacks Eve's bound on correct bits (index 0) over that on
@@ -128,12 +124,6 @@ class KeyGains:
         return self.bounds.error(k) or (self.bounds.error(self.p_conc.size + k)
                                         if e > 0.0 else None)
 
-    def check(self) -> None:
-        """Raise the scalar call's exception for the first failed entry."""
-        failed = np.flatnonzero(self.failed)
-        if failed.size:
-            raise self.error(failed[0])
-
 
 @np.errstate(divide="ignore", invalid="ignore")
 def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> KeyGains:
@@ -148,9 +138,8 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
     alpha, theta, epsilon, transmission = (
         np.asarray(v, dtype=float) for v in (alpha, theta, epsilon, transmission))
     # eve_bound cannot check T: entries without conclusive events pass it a stand-in
-    in_range = (0.0 <= transmission) & (transmission <= 1.0)
-    if not in_range.all():
-        raise DomainError(f"transmission outside [0, 1]: {transmission[~in_range].flat[0]}")
+    require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
+            "transmission outside [0, 1]")
     # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
     # error, "1b" a correct bit
     p_error = 0.25 * transmission * np.maximum(0.0, 1.0 - (1.0 - epsilon) * np.cos(theta))
@@ -176,26 +165,21 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
                     failed=failed, bounds=bounds)
 
 
-def secret_key_gain(alpha: float, triple: ChannelTriple, mode: str = "collision",
-                    security_correct: float = 0.0, security_flipped: float = 0.0,
-                    n_total: int | None = None) -> KeyGainReport:
+def secret_key_gain(alpha: float, triple: ChannelTriple,
+                    mode: str = "collision") -> KeyGainReport:
     """Net secret-key gain per pulse for analyzer angle ``alpha`` (= alpha').
 
-    The conclusive rate and error rate follow from the channel triple; the
-    leak estimates come from the overlap minimization (collision measure by
-    default, Shannon with ``mode="shannon"``).  ``security_correct`` and
-    ``security_flipped`` are finite-length security parameters, charged as
-    s/n_total; by default the long-key limit is used.
+    The one-entry case of :func:`key_gains`, in the long-key limit: the
+    conclusive rate and error rate follow from the channel triple; the leak
+    estimates come from the overlap minimization (collision measure by
+    default, Shannon with ``mode="shannon"``).
     """
     g = key_gains(alpha, triple.theta, triple.epsilon, triple.transmission, mode)
     g.check()
-    finite_c = security_correct / n_total if n_total else 0.0
-    finite_f = security_flipped / n_total if n_total else 0.0
     return KeyGainReport(alpha=alpha, p_conc=float(g.p_conc), error_rate=float(g.error_rate),
                          info_correct=float(g.info_correct), info_flipped=float(g.info_flipped),
-                         gain_correct=float(g.gain_correct) - finite_c,
-                         gain_flipped=float(g.gain_flipped) - finite_f,
-                         gain=float(g.gain) - finite_c - finite_f, mode=mode)
+                         gain_correct=float(g.gain_correct), gain_flipped=float(g.gain_flipped),
+                         gain=float(g.gain), mode=mode)
 
 
 def noiseless_gain(alpha: float, transmission: float) -> float:
@@ -329,15 +313,12 @@ def positive_noise_limit(transmission: float, mode: str = "collision",
 def link_channels(link: PhysicalLink, lengths_km) -> tuple[np.ndarray, np.ndarray]:
     """Noise rate and transmission (eps, T) through a fiber link, per length.
 
-    ``link.length_km`` is ignored: the link is evaluated at every entry of
-    ``lengths_km``.  T combines the attenuated signal with Poissonian dark
-    counts that fire when the photon was lost; every dark-count click is
-    unpolarized, which sets eps.
+    T combines the attenuated signal with Poissonian dark counts that fire
+    when the photon was lost; every dark-count click is unpolarized, which
+    sets eps.
     """
     lengths = np.asarray(lengths_km, dtype=float)
-    valid = lengths >= 0.0
-    if not valid.all():
-        raise DomainError(f"length_km must be non-negative: {lengths[~valid].flat[0]}")
+    require(lengths, lengths >= 0.0, "length_km must be non-negative")
     attenuation = 10.0 ** (-(lengths * link.channel_loss_db_km + link.receiver_loss_db) / 10.0)
     survive = math.exp(-link.dark_mean)
     signal = survive * link.det_efficiency * attenuation
@@ -346,15 +327,6 @@ def link_channels(link: PhysicalLink, lengths_km) -> tuple[np.ndarray, np.ndarra
     if not (transmission > 0.0).all():
         raise DegenerateLinkError("link transmission is zero")
     return dark / transmission, transmission
-
-
-def link_to_channel(link: PhysicalLink) -> ChannelTriple:
-    """Channel triple seen through a fiber link at its own ``length_km``.
-
-    The one-length case of :func:`link_channels`.
-    """
-    epsilon, transmission = link_channels(link, link.length_km)
-    return ChannelTriple(theta=0.0, epsilon=float(epsilon), transmission=float(transmission))
 
 
 @dataclass(frozen=True)
@@ -375,9 +347,7 @@ def bb84_key_gain(transmission, dark_mean) -> Bb84Gain:
     A transmission that is not positive raises :class:`DomainError`.
     """
     transmission = np.asarray(transmission, dtype=float)
-    positive = transmission > 0.0
-    if not positive.all():
-        raise DomainError(f"transmission must be positive: {transmission[~positive].flat[0]}")
+    require(transmission, transmission > 0.0, "transmission must be positive")
     e = dark_mean / (2.0 * transmission)
     saturated = e >= 0.5
     # saturated entries take the formula at e = 0, and gain 0 after it

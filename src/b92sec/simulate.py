@@ -16,10 +16,9 @@ CDFs in floating point, whatever the block size.  On a 2-core VM (Python
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,17 +107,18 @@ class SimResult:
     estimated: ChannelTriple
     joint: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def to_json(self) -> str:
+    def record(self) -> dict:
+        """The run as the dict ``json.dumps`` writes for ``simulate``."""
         est = self.estimated
-        return json.dumps({
-            "counts": json.loads(self.counts.to_json()),
+        return {
+            "counts": asdict(self.counts),
             "conclusive_error_rate": self.conclusive_error_rate,
             "eve_accuracy_correct": self.eve_accuracy_correct,
             "estimated": {"theta": est.theta, "epsilon": est.epsilon,
                           "transmission": est.transmission,
                           "clamped": est.clamped},
             "joint": self.joint,
-        })
+        }
 
 
 def _word_thresholds(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 
 # Bob's five measurement outcomes.  "0b"/"1b" are the conclusive outcomes
 # (detection in the state orthogonal to one of Alice's signals), "V" is the
@@ -94,8 +94,8 @@ def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
     in ``OUTCOMES`` order, along a new last axis of the broadcast inputs.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if not ((alpha >= 0.0) & (alpha <= math.pi / 2.0)).all():
-        raise DomainError(f"analyzer angle outside [0, pi/2]: {alpha}")
+    require(alpha, (alpha >= 0.0) & (alpha <= math.pi / 2.0),
+            "analyzer angle outside [0, pi/2]")
     alpha, phi, r, transmission = np.broadcast_arrays(alpha, phi, r, transmission)
     c0 = r * np.cos(phi + alpha)
     c1 = r * np.cos(phi - alpha)

@@ -217,6 +217,20 @@ class TestSimulate:
         assert code == EXIT_DOMAIN
         assert err.startswith("error: ") and str(target) in err
 
+    def test_unwritable_counts_csv_leaves_no_json_record(self, capsys, tmp_path):
+        # the counts file is written first, so its failure comes before any JSON
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
+                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = 4\n")
+        counts = str(tmp_path / "no-such-dir" / "c.csv")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg), "--counts-csv", counts)
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and counts in err
+        record = tmp_path / "run.json"
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--counts-csv", counts,
+                           "--output", str(record))
+        assert code == EXIT_DOMAIN and out == "" and not record.exists()
+
     def test_full_run_with_counts_export(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
@@ -394,7 +408,7 @@ class TestExactCells:
         (("--preset", "kth", "--alpha", "11", "--l-grid", "0:60:7"),
          KTH_LINK, 11.0, np.linspace(0.0, 60.0, 7)),
         (("--alpha", "30", "--l-grid", "0:200:21"),
-         PhysicalLink(0.0, 0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21))))
+         PhysicalLink(0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21))))
     def test_distance(self, capsys, argv, link, alpha, lengths):
         code, out, _ = run(capsys, "distance", *argv)
         assert code == EXIT_OK

@@ -28,7 +28,6 @@ from b92sec.evebound import (
     min_overlap_at,
     shannon_gain,
     stationary_curves,
-    zero_overlap_limit,
 )
 
 from conftest import DEG, sym_matrix
@@ -224,7 +223,7 @@ class TestZeroOverlapLimit:
         for alpha_deg in (5, 10, 20, 30, 40):
             alpha = alpha_deg * DEG
             a, b = build_matrices(alpha, 0.0, 2 * math.sin(alpha) ** 2)
-            assert zero_overlap_limit(a, b) == pytest.approx(
+            assert stationary_curves(a, b).free_limit == pytest.approx(
                 math.cos(alpha), abs=1e-12)
 
     def test_oracle_brackets_the_plateau_edge(self):
@@ -233,7 +232,7 @@ class TestZeroOverlapLimit:
         from b92sec.oracle import oracle_min_overlap
 
         a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
-        limit = zero_overlap_limit(a, b)
+        limit = stationary_curves(a, b).free_limit
         below = oracle_min_overlap(a, b, limit - 0.01).value
         above = oracle_min_overlap(a, b, limit + 0.01).value
         assert below < 1e-6

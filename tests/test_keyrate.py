@@ -16,7 +16,7 @@ from b92sec.keyrate import (
     bb84_key_gain,
     distance_sweep,
     key_gains,
-    link_to_channel,
+    link_channels,
     noiseless_gain,
     optimal_angle,
     optimal_angles,
@@ -63,14 +63,6 @@ class TestSecretKeyGain:
             collision = secret_key_gain(alpha, ChannelTriple(0.0, float(eps), t),
                                         "collision").gain
             assert shannon >= collision - 1e-12
-
-    def test_finite_length_terms_charge_linearly(self):
-        alpha = 0.5
-        triple = ChannelTriple(0.0, 0.05, 0.9)
-        base = secret_key_gain(alpha, triple)
-        finite = secret_key_gain(alpha, triple, security_correct=30.0,
-                                 security_flipped=30.0, n_total=10 ** 6)
-        assert finite.gain == pytest.approx(base.gain - 60.0 / 10 ** 6, abs=1e-15)
 
     def test_non_finite_tilt_rejected(self):
         with pytest.raises(DomainError):
@@ -444,30 +436,30 @@ class TestGridSectionParity:
 
 class TestLinkModel:
     def test_zero_length_zero_darks(self):
-        link = PhysicalLink(0.0, 0.2, 1.0, 0.0, 0.18)
-        triple = link_to_channel(link)
-        assert triple.epsilon == 0.0
-        assert triple.transmission == pytest.approx(0.18 * 10 ** -0.1)
+        link = PhysicalLink(0.2, 1.0, 0.0, 0.18)
+        epsilon, transmission = link_channels(link, 0.0)
+        assert epsilon == 0.0
+        assert transmission == pytest.approx(0.18 * 10 ** -0.1)
 
     def test_no_darks_means_no_noise_anywhere(self):
-        link = PhysicalLink(35.0, 0.2, 1.0, 0.0, 0.18)
-        assert link_to_channel(link).epsilon == 0.0
+        link = PhysicalLink(0.2, 1.0, 0.0, 0.18)
+        assert link_channels(link, 35.0)[0] == 0.0
 
     def test_kth_preset_at_20km(self):
-        triple = link_to_channel(KTH_LINK)
+        epsilon, transmission = link_channels(KTH_LINK, 20.0)
         # frozen from the closed form: att = 10^-0.5, e^-nu ~ 0.9998
         att = 10.0 ** -0.5
         survive = math.exp(-2e-4)
         t_expected = survive * (0.18 * att + 2e-4 * (1 - att))
-        assert triple.transmission == pytest.approx(t_expected, abs=1e-15)
-        assert triple.transmission == pytest.approx(0.057046, abs=1e-6)
-        assert triple.epsilon == pytest.approx(
+        assert transmission == pytest.approx(t_expected, abs=1e-15)
+        assert transmission == pytest.approx(0.057046, abs=1e-6)
+        assert epsilon == pytest.approx(
             survive * 2e-4 * (1 - att) / t_expected, abs=1e-15)
-        assert triple.epsilon == pytest.approx(0.00239677241, abs=1e-9)
+        assert epsilon == pytest.approx(0.00239677241, abs=1e-9)
 
     def test_dead_link_rejected(self):
         with pytest.raises(DomainError):
-            link_to_channel(PhysicalLink(10.0, 0.2, 1.0, 0.0, 0.0))
+            link_channels(PhysicalLink(0.2, 1.0, 0.0, 0.0), 10.0)
 
 
 class TestBb84:
@@ -516,10 +508,10 @@ class TestDistanceSweep:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("link, alpha_deg, lengths", (
         (KTH_LINK, 11.0, np.linspace(0.0, 60.0, 61)),
-        (PhysicalLink(0.0, 0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21)),
-        (PhysicalLink(0.0, 0.35, 3.0, 1e-5, 0.6), 25.0, np.linspace(0.0, 150.0, 31)),
+        (PhysicalLink(0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21)),
+        (PhysicalLink(0.35, 3.0, 1e-5, 0.6), 25.0, np.linspace(0.0, 150.0, 31)),
         # saturated BB84 rows far along a noisy link
-        (PhysicalLink(0.0, 0.5, 2.0, 1e-2, 0.1), 40.0, np.linspace(0.0, 80.0, 17))))
+        (PhysicalLink(0.5, 2.0, 1e-2, 0.1), 40.0, np.linspace(0.0, 80.0, 17))))
     def test_matches_the_scalar_reference_per_length(self, link, alpha_deg, lengths, mode):
         sweep = distance_sweep(link, lengths, alpha_deg * DEG, mode)
         assert sweep.length_km.tolist() == lengths.tolist()
@@ -535,4 +527,4 @@ class TestDistanceSweep:
 
     def test_dead_link_rejected(self):
         with pytest.raises(DegenerateLinkError):
-            distance_sweep(PhysicalLink(0.0, 0.2, 1.0, 0.0, 0.0), [0.0, 10.0], 11 * DEG)
+            distance_sweep(PhysicalLink(0.2, 1.0, 0.0, 0.0), [0.0, 10.0], 11 * DEG)

@@ -223,7 +223,7 @@ class TestConfigFile:
     def test_json_emission_parses(self):
         result = run_simulation(config(depolarize(0.05), n=10000, seed=2))
         import json
-        record = json.loads(result.to_json())
+        record = json.loads(json.dumps(result.record()))
         assert record["counts"]["n_total"] == 10000
         assert 0.0 <= record["estimated"]["epsilon"] <= 1.0
 
@@ -315,7 +315,7 @@ class TestSamplerParity:
 
     def test_joint_counts_in_json(self):
         result = run_simulation(config(depolarize(0.1).compose(loss(0.8)), n=5000, seed=3))
-        joint = json.loads(result.to_json())["joint"]
+        joint = json.loads(json.dumps(result.record()))["joint"]
         assert np.array_equal(joint, result.joint)
         assert np.array(joint).shape == (2, 4, len(OUTCOMES))
         assert np.array(joint).sum() == 5000
