@@ -204,6 +204,8 @@ def cmd_oracle_check(args) -> int:
         raise DomainError(f"--samples must be at least 1: {args.samples}")
     if not math.isfinite(args.tol):
         raise DomainError(f"--tol must be finite: {args.tol}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be non-negative: {args.seed}")
     # one child generator per sample: sample k does not depend on the others
     sample_rngs = np.random.default_rng(args.seed).spawn(args.samples)
     rows, gaps = zip(*(_oracle_sample(k, r) for k, r in enumerate(sample_rngs)))

@@ -159,19 +159,23 @@ def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
     """A, B and A's common denominator, unchecked (see :func:`build_matrices`)."""
     half = alpha + 0.5 * theta
     sin2 = np.sin(half) ** 2
+    tilt = 2.0 * alpha + theta
     # 1 - (1 - eps) cos(2 half), written without its cancellation near half = 0
-    den = 2.0 * sin2 + epsilon * np.cos(2.0 * alpha + theta)
-    root = np.sqrt(epsilon * (2.0 - epsilon))
+    den = 2.0 * sin2 + epsilon * np.cos(tilt)
+    two_eps = 2.0 - epsilon
     a = SymMat2(
-        m11=(2.0 - epsilon) * sin2 / den,
-        m12=-root * np.sin(2.0 * alpha + theta) / (2.0 * den),
+        m11=two_eps * sin2 / den,
+        m12=-np.sqrt(epsilon * two_eps) * np.sin(tilt) / (2.0 * den),
         m22=epsilon * np.cos(half) ** 2 / den,
     )
     full = alpha + theta
+    cos_full = np.cos(full)
+    half_eps = 0.5 * epsilon
+    keep = 1.0 - half_eps
     b = SymMat2(
-        m11=(1.0 - 0.5 * epsilon) * np.cos(full),
-        m12=np.sqrt((1.0 - 0.5 * epsilon) * 0.5 * epsilon) * np.sin(full),
-        m22=-0.5 * epsilon * np.cos(full),
+        m11=keep * cos_full,
+        m12=np.sqrt(keep * 0.5 * epsilon) * np.sin(full),
+        m22=-half_eps * cos_full,
     )
     return a, b, den
 
@@ -198,9 +202,14 @@ def constraint_max(b: SymMat2):
     Equals sqrt((B11 - B22)^2 + 4 B12^2), the sum of B's singular values
     when its eigenvalues have opposite signs.
     """
-    if np.any(b.det() > 1e-12):
+    return _constraint_max(b.det(), b.m11 - b.m22, 2.0 * b.m12)
+
+
+def _constraint_max(det_b, bc, bs):
+    """:func:`constraint_max` from det B, B11 - B22 and 2 B12."""
+    if np.any(det_b > 1e-12):
         raise DomainError("constraint matrix must have non-positive determinant")
-    return np.hypot(b.m11 - b.m22, 2.0 * b.m12)
+    return np.hypot(bc, bs)
 
 
 # --- stationary families ---------------------------------------------------------
@@ -220,7 +229,8 @@ class Families:
     is numerically a projector; ``degenerate`` marks det B = 0 (a noiseless
     channel), where no family exists.  ``free_limit`` is the largest |B| on
     the zero set of Q over the families: the zero-overlap limit, 0 where
-    degenerate.
+    degenerate.  ``bmax`` is the largest reachable |B|, the
+    :func:`constraint_max` of B.
 
     The pure-rotation family is omitted: its interior points are never
     stationary for the full problem and its endpoints give |Q| = 1, so it
@@ -238,17 +248,23 @@ class Families:
     type3: np.ndarray
     degenerate: np.ndarray
     free_limit: np.ndarray
+    bmax: np.ndarray
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
-    """All stationary families of |Q| for broadcast matrices (A, B)."""
+    """All stationary families of |Q| for broadcast matrices (A, B).
+
+    B must have non-positive determinant, as in :func:`constraint_max`.
+    """
     det_b = np.asarray(b.det(), dtype=float)
+    qc, qs, bc, bs = a.m11 - a.m22, 2.0 * a.m12, b.m11 - b.m22, 2.0 * b.m12
+    bmax = _constraint_max(det_b, bc, bs)
     degenerate = np.abs(det_b) < DET_SLOP
     # kappa makes A - kappa B singular, since det A = 0
-    kappa = (a.m11 * b.m22 + a.m22 * b.m11 - 2.0 * a.m12 * b.m12) / det_b
-    tr_b = b.trace()
-    trace = a.trace() - kappa * tr_b
+    kappa = (a.m11 * b.m22 + a.m22 * b.m11 - qs * b.m12) / det_b
+    tr_b = b.m11 + b.m22
+    trace = a.m11 + a.m22 - kappa * tr_b
     p11 = (a.m11 - kappa * b.m11) / trace
     p12 = (a.m12 - kappa * b.m12) / trace
     p22 = (a.m22 - kappa * b.m22) / trace
@@ -257,26 +273,27 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     spread = np.hypot(0.5 * (p11 - p22), p12)
     type3 = (~degenerate & (np.abs(trace) >= 1e-14)
              & (mean - spread >= -1e-9) & (mean + spread <= 1.0 + 1e-9))
-    qc, qs, bc, bs = a.m11 - a.m22, 2.0 * a.m12, b.m11 - b.m22, 2.0 * b.m12
-    a_p = a.m11 * p11 + 2.0 * a.m12 * p12 + a.m22 * p22
-    b_p = b.m11 * p11 + 2.0 * b.m12 * p12 + b.m22 * p22
+    a_p = a.m11 * p11 + qs * p12 + a.m22 * p22
+    b_p = b.m11 * p11 + bs * p12 + b.m22 * p22
     # type1: Q vanishes at eta = atan2(qs, qc) +- pi/2, where
     # |B| = |bs qc - bc qs| / hypot(qc, qs) on both roots
     limit = np.abs(bs * qc - bc * qs) / np.hypot(qc, qs)
     # type3: Q vanishes at x = -a_p / (1 - a_p)
-    x = -a_p / (1.0 - a_p)
-    on = type3 & (np.abs(1.0 - a_p) >= 1e-14) & (np.abs(x) <= 1.0)
+    rest = 1.0 - a_p
+    x = -a_p / rest
+    on = type3 & (np.abs(rest) >= 1e-14) & (np.abs(x) <= 1.0)
     limit = np.maximum(limit, np.where(on, np.abs(b_p * (1.0 - x) + x * tr_b), 0.0))
     return Families(qc=qc, qs=qs, bc=bc, bs=bs, a_p=a_p, b_p=b_p, tr_b=tr_b, type3=type3,
-                    degenerate=degenerate, free_limit=np.where(degenerate, 0.0, limit))
+                    degenerate=degenerate, free_limit=np.where(degenerate, 0.0, limit),
+                    bmax=bmax)
 
 
 def _clip1(x):
     return np.minimum(1.0, np.maximum(-1.0, x))
 
 
-def _overlap(f: Families, t, bmax):
-    """Minimum |Q| at constraint value 0 <= t <= bmax: (q, regime, eta).
+def _overlap(f: Families, t):
+    """Minimum |Q| at constraint value 0 <= t <= f.bmax: (q, regime, eta).
 
     Below the zero-overlap limit the minimum is 0.  Above it the smallest
     |Q| over the families' roots wins, taken in the order type1 (two
@@ -284,7 +301,7 @@ def _overlap(f: Families, t, bmax):
     entries take the eps = 0 closed form q = t / bmax.
     """
     # type1 roots: B = bmax cos(eta - shift) = t
-    ratio = t / bmax
+    ratio = t / f.bmax
     shift = np.arctan2(f.bs, f.bc)
     d = np.arccos(_clip1(ratio))
     candidates = [(np.abs(f.qc * np.cos(eta) + f.qs * np.sin(eta)), eta, TYPE1)
@@ -292,9 +309,10 @@ def _overlap(f: Families, t, bmax):
     # type3+- roots: B = +-(b_p (1 - x) + x tr_b) = t is affine in x = cos eta;
     # a family that misses t offers |Q| = inf
     den = f.tr_b - f.b_p
+    type3 = f.type3 & (np.abs(den) >= 1e-14)
     for target, regime in ((t, TYPE3P), (-t, TYPE3M)):
         x = (target - f.b_p) / den
-        on = f.type3 & (np.abs(den) >= 1e-14) & (np.abs(x) <= 1.0 + 1e-9)
+        on = type3 & (np.abs(x) <= 1.0 + 1e-9)
         x = _clip1(x)
         candidates.append((np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf),
                            np.arccos(x), regime))
@@ -320,10 +338,10 @@ def min_overlap_at(a: SymMat2, b: SymMat2, target):
     stationary-family root wins.
     """
     t = np.abs(target)
-    bmax = constraint_max(b)
-    if np.any(t > bmax + REACH_SLOP):
+    f = stationary_curves(a, b)
+    if np.any(t > f.bmax + REACH_SLOP):
         raise DomainError(f"constraint target {np.max(t):.6f} exceeds the maximum")
-    return _overlap(stationary_curves(a, b), np.minimum(t, bmax), bmax)
+    return _overlap(f, np.minimum(t, f.bmax))
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -344,13 +362,13 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     a, b, den = _matrices(alpha, theta, epsilon)
     f = stationary_curves(a, b)
-    bmax = constraint_max(b)
+    bmax = f.bmax
     # smallest |Tr[B xi]| compatible with the loss-widened unitarity band
     # |T Tr[B xi] - cos(alpha')| <= 1 - T; Eve prefers the value closest to 0
     lo = (np.cos(alpha_prime) - (1.0 - transmission)) / transmission
     unreachable = lo > bmax + REACH_SLOP
     t = np.minimum(lo, bmax)
-    q, regime, eta = _overlap(f, t, bmax)
+    q, regime, eta = _overlap(f, t)
     status = np.where(~f.degenerate & _singular(den), DEGENERATE,
                       np.where(unreachable, UNREACHABLE, OK))
     return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,

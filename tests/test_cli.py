@@ -306,6 +306,12 @@ class TestOracleCheck:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_negative_seed_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "oracle-check", "--samples", "2", "--seed", "-1")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == "error: --seed must be non-negative: -1\n"
+
     def test_impossible_tolerance_exits_mismatch(self, capsys):
         code, _, _ = run(capsys, "oracle-check", "--samples", "2",
                          "--seed", "7", "--tol", "-1")

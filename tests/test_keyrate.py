@@ -250,6 +250,36 @@ def chained_positive_noise_limit(transmission: float, mode: str = "collision",
     return mid
 
 
+# The noise limit that made one key_gains call per scan or bisection step,
+# kept verbatim as the parity reference for the batched lookahead.
+def stepwise_positive_noise_limit(transmission: float, mode: str = "collision",
+                                  tol: float = 1e-5) -> float:
+    keyrate._check_tol(tol)
+
+    def positive(eps: float) -> bool:
+        return np.max(keyrate._gains(keyrate.COARSE, 0.0, eps, transmission, mode)) > 0.0
+
+    if not positive(0.0):
+        return 0.0
+    lo, hi = 0.0, None
+    for k in range(1, 51):
+        eps = k / 50.0
+        if not positive(eps):
+            hi = eps
+            break
+        lo = eps
+    if hi is None:
+        return 1.0
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 class TestPositiveNoiseLimit:
     def test_brackets_the_sign_change(self):
         limit = positive_noise_limit(0.8, tol=1e-4)
@@ -263,6 +293,26 @@ class TestPositiveNoiseLimit:
         # returns a positive gain, so every bisection step goes the same way
         for t in np.linspace(0.05, 1.0, 20).tolist():
             assert positive_noise_limit(t, mode) == chained_positive_noise_limit(t, mode), t
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_one_gain_call_per_step(self, mode):
+        # every step reads the sign the one-call step computes, so the floats
+        # match exactly, whichever batch a step's sign came from
+        for t in np.linspace(0.05, 1.0, 20).tolist():
+            for tol in (1e-4, 1e-5):
+                assert (positive_noise_limit(t, mode, tol)
+                        == stepwise_positive_noise_limit(t, mode, tol)), (t, tol)
+        for t in (0.3, 0.8, 1.0):
+            assert (positive_noise_limit(t, mode, 1e-300)
+                    == stepwise_positive_noise_limit(t, mode, 1e-300)), t
+
+    def test_scan_past_the_first_batch(self, gain_calls):
+        # Shannon at T = 1 passes eps = 0.06, the first call's last scan step
+        limit = positive_noise_limit(1.0, "shannon")
+        # two scan calls, then four of the bisection
+        assert len(gain_calls) == 6
+        assert 0.06 < limit < 0.08
+        assert limit == stepwise_positive_noise_limit(1.0, "shannon")
 
     @pytest.mark.parametrize("transmission", (-0.5, 1.5, math.nan))
     def test_transmission_outside_unit_interval_rejected(self, transmission):
@@ -282,10 +332,11 @@ class TestSearchBudget:
         assert gain_star == secret_key_gain(alpha_star, triple, mode).gain
 
     def test_noise_limit_is_one_gain_call_per_step(self, gain_calls):
-        # 3 scan steps and 11 bisection steps; 38 calls when every step ran
-        # a whole angle search
+        # 3 scan steps and 11 bisection steps: one call for eps = 0 and the
+        # first three scan steps, and one per three bisection levels; 14
+        # calls at one per step, 38 when every step ran a whole angle search
         positive_noise_limit(0.8)
-        assert len(gain_calls) <= 16
+        assert len(gain_calls) <= 5
 
     @pytest.mark.parametrize("tol", (0.0, -1.0, math.nan, math.inf))
     def test_bad_tolerance_rejected_before_any_gain_call(self, monkeypatch, tol):
