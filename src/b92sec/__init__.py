@@ -12,19 +12,24 @@ Library layout:
 - :mod:`b92sec.keyrate` - secret-key gain, angle optimization, link physics
 - :mod:`b92sec.simulate` - reproducible Monte-Carlo protocol runs
 - :mod:`b92sec.cli` - batch commands reproducing every figure as CSV
+
+The core computes over arrays, and the scalar calls are one-entry cases of
+array calls.  :func:`secret_key_gain` returns the :class:`KeyGains` of
+:func:`b92sec.keyrate.key_gains` itself, with fields of shape ();
+:func:`eve_max_gain` returns an :class:`EveBoundResult` record.
 """
 
 __version__ = "0.1.0"
 
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .evebound import EveBoundResult, eve_max_gain, flipped_bit_gain
-from .keyrate import KeyGainReport, optimal_angle, secret_key_gain
+from .keyrate import KeyGains, optimal_angle, secret_key_gain
 from .simulate import SimConfig, SimResult, run_simulation
 
 __all__ = [
     "ChannelTriple",
     "EveBoundResult",
-    "KeyGainReport",
+    "KeyGains",
     "ObservedCounts",
     "SimConfig",
     "SimResult",

@@ -6,7 +6,9 @@ rotates the signal in the Bloch x-z plane by a per-bit angle or absorbs
 the photon, and leaves Eve a record from which she will guess surviving
 correct bits.  This covers the pure rotation attack, the
 weak-measurement-then-rotate attack, and the depolarize/loss test
-channels, alone or composed in sequence.
+channels, alone or composed in sequence.  A channel is its tuple of
+branches and nothing more: the simulator samples the branches, and the
+description string that :func:`parse_attack` reads is its only name.
 
 The two explicit attacks exist at every signal angle in (0, pi/2).  The
 weak measurement's critical weakness, where its output is symmetric, is
@@ -55,12 +57,10 @@ class AttackBranch:
     rotations: tuple[float, float] = (0.0, 0.0)
     guess: int | None = None
     to_vacuum: bool = False
-    label: str = ""
 
 
 @dataclass(frozen=True)
 class AttackChannel:
-    name: str
     branches: tuple[AttackBranch, ...]
 
     def __post_init__(self):
@@ -97,14 +97,12 @@ class AttackChannel:
                                first.rotations[1] + second.rotations[1]),
                     guess=second.guess if second.guess is not None else first.guess,
                     to_vacuum=first.to_vacuum or second.to_vacuum,
-                    label=f"{first.label}+{second.label}".strip("+"),
                 ))
-        return AttackChannel(name=f"{self.name}|{other.name}",
-                             branches=tuple(branches))
+        return AttackChannel(tuple(branches))
 
 
 def identity_attack() -> AttackChannel:
-    return AttackChannel("identity", (AttackBranch(weights=(1.0, 1.0), label="id"),))
+    return AttackChannel((AttackBranch(weights=(1.0, 1.0)),))
 
 
 def rotation_attack(alpha: float) -> tuple[AttackChannel, ChannelTriple]:
@@ -118,27 +116,14 @@ def rotation_attack(alpha: float) -> tuple[AttackChannel, ChannelTriple]:
     pass the opposite pole.
     """
     _check_signal_angle(alpha)
-    channel = AttackChannel("rotation", (
-        AttackBranch(weights=(0.5, 0.5), rotations=(2.0 * alpha, 2.0 * alpha),
-                     guess=1, label="+2a"),
-        AttackBranch(weights=(0.5, 0.5), rotations=(-2.0 * alpha, -2.0 * alpha),
-                     guess=0, label="-2a"),
+    channel = AttackChannel((
+        AttackBranch(weights=(0.5, 0.5), rotations=(2.0 * alpha, 2.0 * alpha), guess=1),
+        AttackBranch(weights=(0.5, 0.5), rotations=(-2.0 * alpha, -2.0 * alpha), guess=0),
     ))
     s, c = math.sin(alpha), math.cos(alpha)
     predicted = ChannelTriple(theta=0.0 if s <= c else math.pi,
                               epsilon=2.0 * min(s, c) ** 2, transmission=1.0)
     return channel, predicted
-
-
-def _sqrt_effect_angle(q: float, phi: float, plus: bool) -> float:
-    """Angle of sqrt(A+-) |sigma_phi> for the x-basis weak measurement."""
-    a = math.sqrt(1.0 - q) if plus else math.sqrt(q)
-    b = math.sqrt(q) if plus else math.sqrt(1.0 - q)
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    # sqrt effect in the z basis: [[(a+b)/2, (a-b)/2], [(a-b)/2, (a+b)/2]]
-    up = 0.5 * ((a + b) * c + (a - b) * s)
-    dn = 0.5 * ((a - b) * c + (a + b) * s)
-    return wrap_angle(2.0 * math.atan2(dn, up))
 
 
 def outcome_probability(q: float, alpha: float, bit: int, plus: bool) -> float:
@@ -177,11 +162,9 @@ def weak_measurement_attack(q: float, alpha: float) -> AttackChannel:
                      outcome_probability(q, alpha, 1, False))
     # per-bit rotations so that outputs land at (alpha, alpha + beta) for "+"
     # and (-alpha - beta, -alpha) for "-"
-    return AttackChannel(f"weak-meas(q={q:g})", (
-        AttackBranch(weights=weights_plus, rotations=(2.0 * alpha, beta),
-                     guess=1, label="+"),
-        AttackBranch(weights=weights_minus, rotations=(-beta, -2.0 * alpha),
-                     guess=0, label="-"),
+    return AttackChannel((
+        AttackBranch(weights=weights_plus, rotations=(2.0 * alpha, beta), guess=1),
+        AttackBranch(weights=weights_minus, rotations=(-beta, -2.0 * alpha), guess=0),
     ))
 
 
@@ -245,10 +228,9 @@ def depolarize(epsilon: float) -> AttackChannel:
     """Isotropic in-plane noise: flip to the orthogonal state with probability eps/2."""
     if not 0.0 <= epsilon <= 1.0:
         raise DomainError(f"noise parameter outside [0, 1]: {epsilon}")
-    return AttackChannel(f"depolarize(eps={epsilon:g})", (
-        AttackBranch(weights=(1.0 - 0.5 * epsilon,) * 2, label="keep"),
-        AttackBranch(weights=(0.5 * epsilon,) * 2, rotations=(math.pi, math.pi),
-                     label="flip"),
+    return AttackChannel((
+        AttackBranch(weights=(1.0 - 0.5 * epsilon,) * 2),
+        AttackBranch(weights=(0.5 * epsilon,) * 2, rotations=(math.pi, math.pi)),
     ))
 
 
@@ -256,9 +238,9 @@ def loss(transmission: float) -> AttackChannel:
     """Bit-independent photon loss."""
     if not 0.0 <= transmission <= 1.0:
         raise DomainError(f"transmission outside [0, 1]: {transmission}")
-    return AttackChannel(f"loss(T={transmission:g})", (
-        AttackBranch(weights=(transmission,) * 2, label="pass"),
-        AttackBranch(weights=(1.0 - transmission,) * 2, to_vacuum=True, label="drop"),
+    return AttackChannel((
+        AttackBranch(weights=(transmission,) * 2),
+        AttackBranch(weights=(1.0 - transmission,) * 2, to_vacuum=True),
     ))
 
 
@@ -273,10 +255,8 @@ def mix(first: AttackChannel, second: AttackChannel, weight: float) -> AttackCha
         for br in channel.branches:
             branches.append(AttackBranch(
                 weights=(scale * br.weights[0], scale * br.weights[1]),
-                rotations=br.rotations, guess=br.guess,
-                to_vacuum=br.to_vacuum, label=f"{channel.name}:{br.label}"))
-    return AttackChannel(f"mix({first.name},{second.name},{weight:g})",
-                         tuple(branches))
+                rotations=br.rotations, guess=br.guess, to_vacuum=br.to_vacuum))
+    return AttackChannel(tuple(branches))
 
 
 def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:

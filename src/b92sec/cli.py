@@ -163,19 +163,19 @@ def cmd_distance(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = SimConfig.from_file(args.config)
-    result, report = closed_loop_report(config, args.mode)
+    result, g = closed_loop_report(config, args.mode)
     # the counts file first: a failed write leaves no JSON record behind
     if args.counts_csv:
         _write(args.counts_csv, result.counts.to_csv())
     record = result.record()
     record["key_gain"] = {
-        "alpha_deg": math.degrees(report.alpha),
-        "g": report.gain,
-        "g_correct": report.gain_correct,
-        "g_flipped": report.gain_flipped,
-        "p_conc": report.p_conc,
-        "e": report.error_rate,
-        "mode": report.mode,
+        "alpha_deg": math.degrees(config.alpha),
+        "g": float(g.gain),
+        "g_correct": float(g.gain_correct),
+        "g_flipped": float(g.gain_flipped),
+        "p_conc": float(g.p_conc),
+        "e": float(g.error_rate),
+        "mode": args.mode,
     }
     _write(args.output, json.dumps(record) + "\n")
     return EXIT_OK

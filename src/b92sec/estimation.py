@@ -4,6 +4,12 @@ Bob's eight conclusive/inconclusive counters determine the channel triple
 (theta, epsilon, T) in closed form: two projections of the shrunken Bloch
 vector give theta and epsilon through a 2x2 linear system, and the total
 single-photon fraction gives T.
+
+:class:`ObservedCounts` holds the eight counters and reads and writes them
+as a one-record CSV or a JSON object; ``simulate --counts-csv`` writes the
+CSV.  Each counter is a non-negative integer; anything else raises
+:class:`DomainError`.  :func:`expected_counts` gives the exact, unsampled
+counters of a channel triple, which :func:`estimate_channel` inverts.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +28,7 @@ from .errors import (
     DomainError,
     EstimationInfeasibleError,
 )
-from .states import OUTCOMES, SignalDensity, outcome_table, wrap_angle
+from .states import OUTCOMES, outcome_table
 
 # counter field of each (Alice's bit, Bob's outcome); "V" events are not counted
 COUNT_TABLE = {
@@ -52,8 +59,8 @@ class ObservedCounts:
     def __post_init__(self):
         for name in COUNT_FIELDS:
             value = getattr(self, name)
-            if value < 0 or value != int(value):
-                raise DomainError(f"count {name} must be a non-negative integer: {value}")
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise DomainError(f"count {name} must be a non-negative integer: {value!r}")
             object.__setattr__(self, name, int(value))
         if self.n_total <= 0:
             raise DomainError("n_total must be positive")
@@ -170,39 +177,3 @@ def expected_counts(triple: ChannelTriple, alpha: float, n_total: int) -> Observ
     table = np.rint(outcome_table(alpha, phi, 1.0 - triple.epsilon, triple.transmission)
                     * (n_total / 2.0))
     return ObservedCounts.from_table(n_total, table)
-
-
-def symmetrize_densities(rho0: SignalDensity, rho1: SignalDensity, alpha: float,
-                         ) -> tuple[ChannelTriple, tuple[SignalDensity, SignalDensity]]:
-    """Average the delivered states over the protocol's symmetry group.
-
-    The group is generated by complex conjugation in the z basis (which
-    kills the y Bloch component) and the pi rotation about z combined with
-    a bit swap (which mirrors bit 1 onto bit 0).  The output pair is fully
-    described by a channel triple: equal transmissions (T0 + T1)/2, a
-    common shrink factor 1 - epsilon and tilt theta relative to the signal
-    angle ``alpha``.
-    """
-    t0, t1 = rho0.transmission, rho1.transmission
-    transmission = 0.5 * (t0 + t1)
-    if transmission == 0.0:
-        return (ChannelTriple(0.0, 0.0, 0.0),
-                (SignalDensity.vacuum(), SignalDensity.vacuum()))
-    v0 = rho0.bloch
-    v1 = rho1.bloch
-    # conjugation zeroes y; the mirrored partner contributes with x negated
-    vx = (t0 * v0[0] - t1 * v1[0]) / (2.0 * transmission)
-    vz = (t0 * v0[2] + t1 * v1[2]) / (2.0 * transmission)
-    r = math.hypot(vx, vz)
-    epsilon = 1.0 - min(r, 1.0)
-    theta = wrap_angle(-math.atan2(vx, vz) - alpha) if r > 0.0 else 0.0
-    sym0 = SignalDensity(transmission, (vx, 0.0, vz))
-    sym1 = SignalDensity(transmission, (-vx, 0.0, vz))
-    return ChannelTriple(theta=theta, epsilon=epsilon, transmission=transmission), (sym0, sym1)
-
-
-def relabeled(counts: ObservedCounts) -> ObservedCounts:
-    """Swap the bit labels of both parties (the mirror symmetry of the protocol)."""
-    mirror = {"0": "1", "1": "0", "0b": "1b", "1b": "0b"}
-    return replace(counts, **{name: counts.count(1 - bit, mirror[outcome])
-                              for (bit, outcome), name in COUNT_TABLE.items()})

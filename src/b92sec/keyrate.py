@@ -7,9 +7,11 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 
 :func:`key_gains` computes the accounting over broadcast arrays of
 (alpha, theta, eps, T), with Eve's bounds on correct and flipped bits from
-one call of :func:`~b92sec.evebound.eve_bound`; :func:`secret_key_gain` is
-its one-entry wrapper.  The batch calls take arrays and return arrays, and
-each scalar call is a thin wrapper of one:
+one call of :func:`~b92sec.evebound.eve_bound`, and returns one
+:class:`KeyGains`.  :func:`secret_key_gain` is its one-entry wrapper: it
+returns the same :class:`KeyGains` with fields of shape (), after raising
+the error of a failed entry.  The batch calls take arrays and return
+arrays, and each scalar call is a thin wrapper of one:
 
 - :func:`optimal_angles` searches broadcast arrays of channels with one
   array call per step on all of them: at its default tolerance four calls,
@@ -69,6 +71,8 @@ class PhysicalLink:
         for name, value in vars(self).items():
             if not value >= 0.0:  # NaN fails too
                 raise DomainError(f"{name} must be non-negative: {value}")
+            if value == math.inf:
+                raise DomainError(f"{name} must be finite: {value}")
         if self.det_efficiency > 1.0:
             raise DomainError("det_efficiency must not exceed 1")
 
@@ -78,21 +82,6 @@ KTH_LINK = PhysicalLink(channel_loss_db_km=0.2, receiver_loss_db=1.0, dark_mean=
                         det_efficiency=0.18)
 
 LINK_PRESETS = {"kth": KTH_LINK}
-
-
-@dataclass(frozen=True)
-class KeyGainReport:
-    """Per-configuration record of the key-gain accounting (bits per pulse)."""
-
-    alpha: float
-    p_conc: float
-    error_rate: float
-    info_correct: float
-    info_flipped: float
-    gain_correct: float
-    gain_flipped: float
-    gain: float
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -167,20 +156,19 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
 
 
 def secret_key_gain(alpha: float, triple: ChannelTriple,
-                    mode: str = "collision") -> KeyGainReport:
+                    mode: str = "collision") -> KeyGains:
     """Net secret-key gain per pulse for analyzer angle ``alpha`` (= alpha').
 
     The one-entry case of :func:`key_gains`, in the long-key limit: the
     conclusive rate and error rate follow from the channel triple; the leak
     estimates come from the overlap minimization (collision measure by
-    default, Shannon with ``mode="shannon"``).
+    default, Shannon with ``mode="shannon"``).  Returns the :class:`KeyGains`
+    of that one entry, with fields of shape (), after raising the error of a
+    failed entry.
     """
     g = key_gains(alpha, triple.theta, triple.epsilon, triple.transmission, mode)
     g.check()
-    return KeyGainReport(alpha=alpha, p_conc=float(g.p_conc), error_rate=float(g.error_rate),
-                         info_correct=float(g.info_correct), info_flipped=float(g.info_flipped),
-                         gain_correct=float(g.gain_correct), gain_flipped=float(g.gain_flipped),
-                         gain=float(g.gain), mode=mode)
+    return g
 
 
 def noiseless_gain(alpha: float, transmission: float) -> float:

@@ -27,7 +27,7 @@ from numpy.random import Philox
 from .attacks import AttackChannel, parse_attack
 from .errors import DomainError
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
-from .keyrate import KeyGainReport, secret_key_gain
+from .keyrate import KeyGains, secret_key_gain
 from .states import OUTCOMES, make_alice_states, outcome_table, wrap_angle
 
 # sampled counts can fluctuate slightly past the exact-arithmetic boundary
@@ -48,8 +48,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_total < 1:
-            raise DomainError(f"n_total must be at least 1: {self.n_total}")
+        if not isinstance(self.n_total, numbers.Integral) or self.n_total < 1:
+            raise DomainError(f"n_total must be an integer of at least 1: {self.n_total!r}")
         if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 1 << 128:
             raise DomainError(f"seed must be an integer in [0, 2**128): {self.seed!r}")
         for name in ("alpha", "alpha_prime"):
@@ -203,10 +203,14 @@ def run_simulation(config: SimConfig, block_size: int = 1 << 14) -> SimResult:
 
 
 def closed_loop_report(config: SimConfig, mode: str = "collision",
-                       ) -> tuple[SimResult, KeyGainReport]:
-    """Run the simulation and push the estimated channel through the key gain."""
+                       ) -> tuple[SimResult, KeyGains]:
+    """Run the simulation and push the estimated channel through the key gain.
+
+    Returns the run and :func:`~b92sec.keyrate.secret_key_gain`'s
+    :class:`~b92sec.keyrate.KeyGains`, with fields of shape (), at the
+    estimated channel.
+    """
     if abs(wrap_angle(config.alpha_prime - config.alpha)) > 1e-12:
         raise DomainError("key-gain accounting assumes alpha_prime = alpha")
     result = run_simulation(config)
-    report = secret_key_gain(config.alpha, result.estimated, mode)
-    return result, report
+    return result, secret_key_gain(config.alpha, result.estimated, mode)

@@ -2,10 +2,11 @@
 
 All signal states live on the x-z great circle of the Bloch sphere, so a
 pure polarization state is a single angle.  A transmitted pulse is either
-one photon (a qubit) or vacuum; density operators are therefore stored as
-a transmission weight for the qubit block plus its Bloch vector, which
-keeps every computation at 2x2 size.  Bob's five outcome probabilities
-for such a state are one closed form over arrays, :func:`outcome_table`.
+one photon (a qubit) or vacuum, so a delivered state is T * rho_qubit (+)
+(1 - T)|vac><vac|: a transmission weight T and the qubit's Bloch vector,
+which in the x-z plane is an angle and a length.  Bob's five outcome
+probabilities for such a state are one closed form over arrays of those
+three numbers, :func:`outcome_table`.
 """
 
 from __future__ import annotations
@@ -50,34 +51,6 @@ class BlochState:
     def overlap(self, other: "BlochState") -> float:
         """Inner product with another great-circle state: cos((a - b)/2)."""
         return math.cos((self.phi - other.phi) / 2.0)
-
-
-@dataclass(frozen=True)
-class SignalDensity:
-    """Signal operator  T * rho_qubit  (+)  (1 - T) |vac><vac|.
-
-    ``bloch`` is the Bloch vector of the normalized qubit block, so the full
-    operator has unit trace and the qubit block carries trace T.
-    """
-
-    transmission: float
-    bloch: tuple[float, float, float]
-
-    def __post_init__(self):
-        t = float(self.transmission)
-        if not 0.0 <= t <= 1.0:
-            raise DomainError(f"transmission outside [0, 1]: {t}")
-        v = tuple(float(c) for c in self.bloch)
-        if len(v) != 3:
-            raise DomainError("bloch vector must have three components")
-        if math.hypot(*v) > 1.0 + 1e-9:
-            raise DomainError(f"bloch vector norm exceeds 1: {v}")
-        object.__setattr__(self, "transmission", t)
-        object.__setattr__(self, "bloch", v)
-
-    @classmethod
-    def vacuum(cls) -> "SignalDensity":
-        return cls(0.0, (0.0, 0.0, 0.0))
 
 
 def outcome_table(alpha, phi, r, transmission) -> np.ndarray:

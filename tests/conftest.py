@@ -3,13 +3,21 @@
 The library computes Bob's outcome probabilities in closed form from Bloch
 angles (``states.outcome_table``); these helpers rebuild the same
 quantities from full kets, outer products and matrix traces, so agreement
-is a real cross-check rather than a tautology.
+is a real cross-check rather than a tautology.  The protocol's symmetry
+steps are checked here too: :func:`symmetrize_densities` averages a pair
+of delivered :class:`SignalDensity` states over the symmetry group, and
+:func:`relabeled` mirrors a count record.
 """
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+
+from b92sec.errors import DomainError
+from b92sec.estimation import COUNT_TABLE, ChannelTriple, ObservedCounts
+from b92sec.states import wrap_angle
 
 DEG = math.pi / 180.0
 
@@ -78,6 +86,81 @@ def symmetrized_outcomes(triple, alpha: float) -> np.ndarray:
     phi = np.array([-1.0, 1.0]) * (alpha + triple.theta)
     return outcome_table(alpha, phi, 1.0 - triple.epsilon, triple.transmission)
 
+
+
+def sqrt_effect_angle(q: float, phi: float, plus: bool) -> float:
+    """Angle of sqrt(A+-) |sigma_phi> for the x-basis weak measurement."""
+    a = math.sqrt(1.0 - q) if plus else math.sqrt(q)
+    b = math.sqrt(q) if plus else math.sqrt(1.0 - q)
+    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    # sqrt effect in the z basis: [[(a+b)/2, (a-b)/2], [(a-b)/2, (a+b)/2]]
+    up = 0.5 * ((a + b) * c + (a - b) * s)
+    dn = 0.5 * ((a - b) * c + (a + b) * s)
+    return wrap_angle(2.0 * math.atan2(dn, up))
+
+
+@dataclass(frozen=True)
+class SignalDensity:
+    """Signal operator  T * rho_qubit  (+)  (1 - T) |vac><vac|.
+
+    ``bloch`` is the Bloch vector of the normalized qubit block, so the full
+    operator has unit trace and the qubit block carries trace T.
+    """
+
+    transmission: float
+    bloch: tuple[float, float, float]
+
+    def __post_init__(self):
+        t = float(self.transmission)
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"transmission outside [0, 1]: {t}")
+        v = tuple(float(c) for c in self.bloch)
+        if len(v) != 3:
+            raise DomainError("bloch vector must have three components")
+        if math.hypot(*v) > 1.0 + 1e-9:
+            raise DomainError(f"bloch vector norm exceeds 1: {v}")
+        object.__setattr__(self, "transmission", t)
+        object.__setattr__(self, "bloch", v)
+
+    @classmethod
+    def vacuum(cls) -> "SignalDensity":
+        return cls(0.0, (0.0, 0.0, 0.0))
+
+
+def symmetrize_densities(rho0: SignalDensity, rho1: SignalDensity, alpha: float,
+                         ) -> tuple[ChannelTriple, tuple[SignalDensity, SignalDensity]]:
+    """Average the delivered states over the protocol's symmetry group.
+
+    The group is generated by complex conjugation in the z basis (which
+    kills the y Bloch component) and the pi rotation about z combined with
+    a bit swap (which mirrors bit 1 onto bit 0).  The output pair is fully
+    described by a channel triple: equal transmissions (T0 + T1)/2, a
+    common shrink factor 1 - epsilon and tilt theta relative to the signal
+    angle ``alpha``.
+    """
+    t0, t1 = rho0.transmission, rho1.transmission
+    transmission = 0.5 * (t0 + t1)
+    if transmission == 0.0:
+        return (ChannelTriple(0.0, 0.0, 0.0),
+                (SignalDensity.vacuum(), SignalDensity.vacuum()))
+    v0 = rho0.bloch
+    v1 = rho1.bloch
+    # conjugation zeroes y; the mirrored partner contributes with x negated
+    vx = (t0 * v0[0] - t1 * v1[0]) / (2.0 * transmission)
+    vz = (t0 * v0[2] + t1 * v1[2]) / (2.0 * transmission)
+    r = math.hypot(vx, vz)
+    epsilon = 1.0 - min(r, 1.0)
+    theta = wrap_angle(-math.atan2(vx, vz) - alpha) if r > 0.0 else 0.0
+    sym0 = SignalDensity(transmission, (vx, 0.0, vz))
+    sym1 = SignalDensity(transmission, (-vx, 0.0, vz))
+    return ChannelTriple(theta=theta, epsilon=epsilon, transmission=transmission), (sym0, sym1)
+
+
+def relabeled(counts: ObservedCounts) -> ObservedCounts:
+    """Swap the bit labels of both parties (the mirror symmetry of the protocol)."""
+    mirror = {"0": "1", "1": "0", "0b": "1b", "1b": "0b"}
+    return replace(counts, **{name: counts.count(1 - bit, mirror[outcome])
+                              for (bit, outcome), name in COUNT_TABLE.items()})
 
 @pytest.fixture
 def gain_calls(monkeypatch):

@@ -20,15 +20,22 @@ from b92sec.attacks import (
     rotation_attack,
     weak_measurement_attack,
     _balance_residual,
-    _sqrt_effect_angle,
 )
 from b92sec.errors import DomainError
-from b92sec.estimation import ChannelTriple, symmetrize_densities
+from b92sec.estimation import ChannelTriple
 from b92sec.evebound import eve_max_gain
 from b92sec.simulate import SimConfig, run_simulation
-from b92sec.states import SignalDensity, make_alice_states
+from b92sec.states import make_alice_states
 
-from conftest import DEG, bar_ket, ket, projector
+from conftest import (
+    DEG,
+    SignalDensity,
+    bar_ket,
+    ket,
+    projector,
+    sqrt_effect_angle,
+    symmetrize_densities,
+)
 
 # signal angles on both sides of 45 degrees, where the attacks' tilt flips
 SYMMETRY_DEGREES = (10, 30, 44, 46, 60, 80, 85)
@@ -123,8 +130,8 @@ class TestWeakMeasurement:
     def test_angle_matches_post_measurement_geometry(self):
         # independent check via explicit sqrt-effect action on the signals
         alpha, q = 0.5, 0.17
-        post0 = _sqrt_effect_angle(q, -alpha, plus=True)
-        post1 = _sqrt_effect_angle(q, alpha, plus=True)
+        post0 = sqrt_effect_angle(q, -alpha, plus=True)
+        post1 = sqrt_effect_angle(q, alpha, plus=True)
         assert post1 - post0 == pytest.approx(post_measurement_angle(q, alpha),
                                               abs=1e-12)
 
@@ -268,7 +275,7 @@ class TestChannelPlumbing:
     def test_weights_must_normalize(self):
         from b92sec.attacks import AttackBranch
         with pytest.raises(DomainError):
-            AttackChannel("bad", (AttackBranch(weights=(0.6, 0.6)),))
+            AttackChannel((AttackBranch(weights=(0.6, 0.6)),))
 
     def test_compose_absorbs_vacuum(self):
         channel = loss(0.5).compose(rotation_attack(0.3)[0])

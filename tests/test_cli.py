@@ -26,7 +26,9 @@ from b92sec.keyrate import (
     distance_sweep,
     key_gains,
     optimal_angle,
+    secret_key_gain,
 )
+from b92sec.simulate import SimConfig, run_simulation
 
 
 def run(capsys, *argv):
@@ -175,7 +177,9 @@ class TestKeygainCommands:
         (("--l-grid=-1:1:3",), "error: length_km must be non-negative: -1.0\n"),
         (("--l-grid", "0:nan:2"), "error: length_km must be non-negative: nan\n"),
         (("--efficiency", "0", "--dark-mean", "0"), "error: link transmission is zero\n"),
-        (("--channel-loss", "nan"), "error: channel_loss_db_km must be non-negative: nan\n")))
+        (("--channel-loss", "nan"), "error: channel_loss_db_km must be non-negative: nan\n"),
+        (("--channel-loss", "inf"), "error: channel_loss_db_km must be finite: inf\n")))
+    @pytest.mark.filterwarnings("error")  # one error line, and no numpy warning before it
     def test_distance_rejects_bad_lengths_and_dead_links(self, capsys, args, message):
         code, out, err = run(capsys, "distance", *args)
         assert code == EXIT_DOMAIN and out == "" and err == message
@@ -251,6 +255,20 @@ class TestSimulate:
         counts = ObservedCounts.from_csv(counts_path.read_text())
         est = estimate_channel(counts, math.radians(12), clamp_tol=1e-2)
         assert est.epsilon == pytest.approx(record["estimated"]["epsilon"])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_key_gain_block_is_the_key_gain_at_the_estimate(self, capsys, tmp_path, mode):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
+                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = 4\n")
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--mode", mode)
+        assert code == EXIT_OK
+        config = SimConfig.from_file(cfg)
+        g = secret_key_gain(config.alpha, run_simulation(config).estimated, mode)
+        assert json.loads(out)["key_gain"] == {
+            "alpha_deg": math.degrees(config.alpha), "g": float(g.gain),
+            "g_correct": float(g.gain_correct), "g_flipped": float(g.gain_flipped),
+            "p_conc": float(g.p_conc), "e": float(g.error_rate), "mode": mode}
 
     def test_missing_config_key_is_domain_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -14,12 +14,17 @@ from b92sec.estimation import (
     ObservedCounts,
     estimate_channel,
     expected_counts,
+)
+from b92sec.states import OUTCOMES
+
+from conftest import (
+    DEG,
+    SignalDensity,
     relabeled,
     symmetrize_densities,
+    symmetrized_bloch,
+    symmetrized_outcomes,
 )
-from b92sec.states import OUTCOMES, SignalDensity
-
-from conftest import DEG, symmetrized_bloch, symmetrized_outcomes
 
 # large enough that integer rounding of exact expectations is ~1e-14 relative
 EXACT_N = 2 ** 48
@@ -36,6 +41,16 @@ class TestObservedCounts:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             make_counts(n00=-1)
+
+    @pytest.mark.parametrize("name", ("n00", "n1b1", "n_total"))
+    @pytest.mark.parametrize("bad", (2.5, 7.0, math.nan, math.inf, "5", None))
+    def test_rejects_non_integer_counter(self, name, bad):
+        with pytest.raises(DomainError, match=f"count {name} must be a non-negative integer"):
+            make_counts(**{name: bad})
+
+    def test_numpy_integer_counters_become_ints(self):
+        counts = make_counts(n00=np.int64(100), n_total=np.uint32(1000))
+        assert counts == make_counts() and type(counts.n00) is int
 
     def test_rejects_overflow(self):
         with pytest.raises(DomainError):

@@ -267,7 +267,7 @@ def float_uniform_joint(config: SimConfig, block_size: int = 1 << 20) -> np.ndar
 # bit 0 never takes the first branch and bit 1 never the second; the
 # unrotated T = 1 rows put all weight on four outcomes, so their outcome CDF
 # reaches exactly 1.0 before its last entry; the third branch is all vacuum
-EDGE_CHANNEL = AttackChannel("edges", (
+EDGE_CHANNEL = AttackChannel((
     AttackBranch((0.0, 0.6), (0.3, -0.2), guess=1),
     AttackBranch((0.7, 0.0), (0.1, 0.0), guess=0),
     AttackBranch((0.3, 0.4), to_vacuum=True),
@@ -327,6 +327,11 @@ class TestConfigValidation:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError):
             config(identity_attack(), n=10, seed=seed)
+
+    @pytest.mark.parametrize("n_total", (0, 1000.5, 1000.0, math.nan, "1000"))
+    def test_bad_pulse_count_rejected(self, n_total):
+        with pytest.raises(DomainError):
+            config(identity_attack(), n=n_total, seed=0)
 
     def test_largest_seed_runs(self):
         result = run_simulation(config(depolarize(0.2), n=20000, seed=(1 << 128) - 1))

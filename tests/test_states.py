@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
-from b92sec.states import OUTCOMES, BlochState, SignalDensity, make_alice_states, outcome_table
+from b92sec.states import OUTCOMES, BlochState, make_alice_states, outcome_table
 
 from conftest import (
     DEG,
+    SignalDensity,
     bar_ket,
     bloch_of_matrix,
     explicit_povm_effects,
