@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`b92sec.states` - Bloch-sphere signal states and Bob's five outcome
-  probabilities as one array closed form
+- :mod:`b92sec.states` - Bob's five outcome probabilities for Bloch-plane
+  states, as one array closed form
 - :mod:`b92sec.estimation` - observed counts to channel parameters
 - :mod:`b92sec.evebound` - Eve's maximum information gain (closed form)
 - :mod:`b92sec.oracle` - exact Lagrange-dual verification oracle with a certificate

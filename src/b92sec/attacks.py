@@ -7,8 +7,11 @@ the photon, and leaves Eve a record from which she will guess surviving
 correct bits.  This covers the pure rotation attack, the
 weak-measurement-then-rotate attack, and the depolarize/loss test
 channels, alone or composed in sequence.  A channel is its tuple of
-branches and nothing more: the simulator samples the branches, and the
-description string that :func:`parse_attack` reads is its only name.
+branches and nothing more: the simulator reads each branch's weights,
+rotations and vacuum flag straight into its outcome table and samples the
+branches, and the description string that :func:`parse_attack` reads is
+its only name.  Rotations add to the signal angle unreduced; angles that
+differ by 2 pi give the same state.
 
 The two explicit attacks exist at every signal angle in (0, pi/2).  The
 weak measurement's critical weakness, where its output is symmetric, is
@@ -28,7 +31,6 @@ import numpy as np
 from .errors import DomainError
 from .estimation import ChannelTriple
 from .evebound import eve_bound
-from .states import wrap_angle
 
 # Newton steps of critical_weakness; from q = 0 the third step is within a
 # relative 3e-14 of the root at every signal angle, the fourth reaches rounding
@@ -69,13 +71,6 @@ class AttackChannel:
             if abs(total - 1.0) > 1e-9:
                 raise DomainError(
                     f"branch weights for bit {j} sum to {total}, expected 1")
-
-    def output(self, bit: int, phi_in: float, branch: AttackBranch,
-               ) -> tuple[bool, float]:
-        """(is_vacuum, output angle) for one branch acting on one signal."""
-        if branch.to_vacuum:
-            return True, 0.0
-        return False, wrap_angle(phi_in + branch.rotations[bit])
 
     def compose(self, other: "AttackChannel") -> "AttackChannel":
         """This channel followed by ``other`` (product of branch mixtures).

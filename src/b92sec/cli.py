@@ -39,10 +39,10 @@ from .errors import (
     OracleInfeasibleError,
     UnreachableChannelError,
 )
-from .estimation import ChannelTriple
-from .evebound import build_matrices, collision_gain, eve_bound, eve_max_gain, shannon_gain
+from .evebound import UNREACHABLE, build_matrices, collision_gain, eve_bound, shannon_gain
 from .infobounds import shannon_upper_bound
 from .keyrate import (
+    KTH_LINK,
     LINK_PRESETS,
     MODES,
     PhysicalLink,
@@ -187,11 +187,11 @@ def _oracle_sample(k: int, rng: np.random.Generator):
         theta = rng.uniform(math.radians(-30.0), math.radians(30.0))
         eps = rng.uniform(0.01, 0.9)
         transmission = rng.uniform(0.2, 1.0)
-        triple = ChannelTriple(theta, eps, transmission)
-        try:
-            analytic = eve_max_gain(alpha, alpha, triple).overlap_min
-        except UnreachableChannelError:
+        bound = eve_bound(alpha, alpha, theta, eps, transmission)
+        if bound.status == UNREACHABLE:
             continue  # inconsistent observed channel; resample
+        bound.check()
+        analytic = float(bound.overlap_min)
         a, b = build_matrices(alpha, theta, eps)
         oracle = oracle_min_overlap_lossy(a, b, alpha, transmission)
         row = (k, math.degrees(alpha), math.degrees(theta), eps, transmission,
@@ -262,11 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("distance", cmd_distance, "distance sweep against BB84")
     p.add_argument("--preset", choices=sorted(LINK_PRESETS))
-    p.add_argument("--channel-loss", type=float, default=0.2,
+    p.add_argument("--channel-loss", type=float, default=KTH_LINK.channel_loss_db_km,
                    help="dB/km (ignored with --preset)")
-    p.add_argument("--receiver-loss", type=float, default=1.0, help="dB")
-    p.add_argument("--dark-mean", type=float, default=2e-4, help="per pulse")
-    p.add_argument("--efficiency", type=float, default=0.18)
+    p.add_argument("--receiver-loss", type=float, default=KTH_LINK.receiver_loss_db,
+                   help="dB")
+    p.add_argument("--dark-mean", type=float, default=KTH_LINK.dark_mean, help="per pulse")
+    p.add_argument("--efficiency", type=float, default=KTH_LINK.det_efficiency)
     p.add_argument("--alpha", type=float, default=11.0)
     p.add_argument("--l-grid", default="0:60:61", type=_grid)
     p.add_argument("--mode", choices=MODES, default="collision")
@@ -292,9 +293,6 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (EstimationInfeasibleError, UnreachableChannelError,
             OracleInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

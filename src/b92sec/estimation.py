@@ -8,8 +8,11 @@ single-photon fraction gives T.
 :class:`ObservedCounts` holds the eight counters and reads and writes them
 as a one-record CSV or a JSON object; ``simulate --counts-csv`` writes the
 CSV.  Each counter is a non-negative integer; anything else raises
-:class:`DomainError`.  :func:`expected_counts` gives the exact, unsampled
-counters of a channel triple, which :func:`estimate_channel` inverts.
+:class:`DomainError`, and so does a record that is malformed: text that is
+not JSON, JSON that is not an object, or a missing field, column or cell.
+The error names the field where there is one.  :func:`expected_counts`
+gives the exact, unsampled counters of a channel triple, which
+:func:`estimate_channel` inverts.
 """
 
 from __future__ import annotations
@@ -71,10 +74,6 @@ class ObservedCounts:
         """Number of single-photon detections (everything except V)."""
         return sum(getattr(self, name) for name in COUNT_TABLE.values())
 
-    def count(self, bit: int, outcome: str) -> int:
-        """Counter for (j, mu) with mu in {"0", "1", "0b", "1b"}."""
-        return getattr(self, COUNT_TABLE[bit, outcome])
-
     @classmethod
     def from_table(cls, n_total: int, table) -> "ObservedCounts":
         """Counters from a (2, 5) table indexed by bit and outcome in ``OUTCOMES`` order."""
@@ -84,9 +83,22 @@ class ObservedCounts:
     # --- external record formats -------------------------------------------------
 
     @classmethod
-    def from_json(cls, text: str) -> "ObservedCounts":
-        record = json.loads(text)
+    def _from_record(cls, record: dict, kind: str) -> "ObservedCounts":
+        """Counters from a parsed record; a missing field raises DomainError."""
+        missing = [name for name in COUNT_FIELDS if record.get(name) is None]
+        if missing:
+            raise DomainError(f"counts {kind} misses field {missing[0]}")
         return cls(**{name: record[name] for name in COUNT_FIELDS})
+
+    @classmethod
+    def from_json(cls, text: str) -> "ObservedCounts":
+        try:
+            record = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"counts record is not JSON: {exc}") from None
+        if not isinstance(record, dict):
+            raise DomainError(f"counts JSON must be an object, got {type(record).__name__}")
+        return cls._from_record(record, "JSON")
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in COUNT_FIELDS})
@@ -96,7 +108,15 @@ class ObservedCounts:
         rows = list(csv.DictReader(io.StringIO(text)))
         if len(rows) != 1:
             raise DomainError(f"counts CSV must hold exactly one record, got {len(rows)}")
-        return cls(**{name: int(rows[0][name]) for name in COUNT_FIELDS})
+        record = {}
+        for name in COUNT_FIELDS:
+            cell = rows[0].get(name)  # None for a missing column or a short row
+            try:
+                record[name] = None if cell is None else int(cell)
+            except ValueError:
+                raise DomainError(f"count {name} must be a non-negative integer: "
+                                  f"{cell!r}") from None
+        return cls._from_record(record, "CSV")
 
     def to_csv(self) -> str:
         out = io.StringIO()

@@ -14,7 +14,9 @@ The closed form runs over arrays.  :func:`eve_bound` takes broadcast
 once, with the 2x2 algebra written out, and returns for every entry the
 minimum overlap, the regime that decided it (the free region, where the
 overlap vanishes, or the family type1, type3+ or type3- whose root wins)
-and a status (ok, unreachable, degenerate) in place of an exception.
+and a status (ok, unreachable, degenerate) in place of an exception.  A
+minimizer is reported by its family alone, which :func:`eve_max_gain`
+names in ``achieving``.
 :func:`eve_max_gain` and :func:`flipped_bit_gain` are one-entry wrappers
 that raise a failed status as the matching exception.  The families need
 det B != 0; since det B = -eps (1 - eps/2) / 2, they vanish only for
@@ -71,10 +73,9 @@ class SymMat2:
 
 @dataclass(frozen=True)
 class StationaryCandidate:
-    """A point on one of the stationary families of the constrained problem."""
+    """The stationary family, or the free region, that decided a bound."""
 
     family: str  # "type1" | "type3+" | "type3-" | "free"
-    eta: float
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,10 @@ class BoundArrays(FirstFailure):
     """Outcome of the overlap minimization over broadcast channel arrays.
 
     The fields match :class:`EveBoundResult`; ``regime`` indexes
-    ``FAMILIES`` and ``eta`` is the minimizer's family parameter.
-    ``status`` is OK, UNREACHABLE (the target exceeds ``constraint_max``
-    and is kept unclipped) or DEGENERATE (singular probe matrices); the
-    other fields of a failed entry carry no meaning.  ``free_limit`` and
+    ``FAMILIES``, the family whose root decided the entry.  ``status`` is
+    OK, UNREACHABLE (the target exceeds ``constraint_max`` and is kept
+    unclipped) or DEGENERATE (singular probe matrices); the other fields
+    of a failed entry carry no meaning.  ``free_limit`` and
     ``constraint_max`` do not depend on alpha' or T and keep the broadcast
     shape of (alpha, theta, eps); the other fields have the full shape.
     """
@@ -115,7 +116,6 @@ class BoundArrays(FirstFailure):
     constraint_max: np.ndarray
     target: np.ndarray
     regime: np.ndarray
-    eta: np.ndarray
     status: np.ndarray
 
     @property
@@ -293,7 +293,7 @@ def _clip1(x):
 
 
 def _overlap(f: Families, t):
-    """Minimum |Q| at constraint value 0 <= t <= f.bmax: (q, regime, eta).
+    """Minimum |Q| at constraint value 0 <= t <= f.bmax: (q, regime).
 
     Below the zero-overlap limit the minimum is 0.  Above it the smallest
     |Q| over the families' roots wins, taken in the order type1 (two
@@ -304,8 +304,8 @@ def _overlap(f: Families, t):
     ratio = t / f.bmax
     shift = np.arctan2(f.bs, f.bc)
     d = np.arccos(_clip1(ratio))
-    candidates = [(np.abs(f.qc * np.cos(eta) + f.qs * np.sin(eta)), eta, TYPE1)
-                  for eta in (shift + d, shift - d)]
+    candidates = [(np.abs(f.qc * np.cos(root) + f.qs * np.sin(root)), TYPE1)
+                  for root in (shift + d, shift - d)]
     # type3+- roots: B = +-(b_p (1 - x) + x tr_b) = t is affine in x = cos eta;
     # a family that misses t offers |Q| = inf
     den = f.tr_b - f.b_p
@@ -314,24 +314,20 @@ def _overlap(f: Families, t):
         x = (target - f.b_p) / den
         on = type3 & (np.abs(x) <= 1.0 + 1e-9)
         x = _clip1(x)
-        candidates.append((np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf),
-                           np.arccos(x), regime))
-    q, eta, regime = candidates[0]
-    for q_k, eta_k, regime_k in candidates[1:]:
+        candidates.append((np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf), regime))
+    q, regime = candidates[0]
+    for q_k, regime_k in candidates[1:]:
         better = q_k < q
         q = np.where(better, q_k, q)
-        eta = np.where(better, eta_k, eta)
         regime = np.where(better, regime_k, regime)
     q = np.where(f.degenerate, ratio, q)
-    eta = np.where(f.degenerate, d, eta)
     free = t <= f.free_limit + FREE_SLOP
-    return (np.where(free, 0.0, q), np.where(free, FREE, regime),
-            np.where(free, 0.0, eta))
+    return np.where(free, 0.0, q), np.where(free, FREE, regime)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def min_overlap_at(a: SymMat2, b: SymMat2, target):
-    """Minimum |Q| subject to Tr[B xi] = target: (q, regime, eta) arrays.
+    """Minimum |Q| subject to Tr[B xi] = target: (q, regime) arrays.
 
     Even in the sign of the target (xi -> -xi flips both traces); below the
     zero-overlap limit the minimum is 0 (regime FREE), above it the best
@@ -368,12 +364,11 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     lo = (np.cos(alpha_prime) - (1.0 - transmission)) / transmission
     unreachable = lo > bmax + REACH_SLOP
     t = np.minimum(lo, bmax)
-    q, regime, eta = _overlap(f, t)
+    q, regime = _overlap(f, t)
     status = np.where(~f.degenerate & _singular(den), DEGENERATE,
                       np.where(unreachable, UNREACHABLE, OK))
     return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
-                       target=np.where(unreachable, lo, t), regime=regime, eta=eta,
-                       status=status)
+                       target=np.where(unreachable, lo, t), regime=regime, status=status)
 
 
 def _one(bound: BoundArrays) -> EveBoundResult:
@@ -383,7 +378,7 @@ def _one(bound: BoundArrays) -> EveBoundResult:
         overlap_min=q,
         free_limit=float(bound.free_limit),
         constraint_max=float(bound.constraint_max),
-        achieving=StationaryCandidate(FAMILIES[int(bound.regime)], float(bound.eta)),
+        achieving=StationaryCandidate(FAMILIES[int(bound.regime)]),
         info_gain=float(collision_gain(q)),
         info_gain_shannon=float(shannon_gain(q)),
         target=float(bound.target),

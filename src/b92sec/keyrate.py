@@ -171,18 +171,6 @@ def secret_key_gain(alpha: float, triple: ChannelTriple,
     return g
 
 
-def noiseless_gain(alpha: float, transmission: float) -> float:
-    """Closed form for the key gain on a lossy but noiseless channel.
-
-    G = (T/4)(1 - cos 2a)[1 - log2(2 - ((cos a - 1 + T)/(T cos a))^2)].
-    Valid where cos(alpha) >= 1 - T (otherwise loss alone hands Eve the
-    full key and the general expression applies instead).
-    """
-    q = (math.cos(alpha) - 1.0 + transmission) / (transmission * math.cos(alpha))
-    return (0.25 * transmission * (1.0 - math.cos(2.0 * alpha))
-            * (1.0 - math.log2(2.0 - q * q)))
-
-
 def _gains(alphas, theta, epsilon, transmission, mode: str) -> np.ndarray:
     """Key gain at each entry; -inf where the scalar call raises."""
     g = key_gains(alphas, theta, epsilon, transmission, mode)

@@ -10,8 +10,10 @@ Each pulse is decided from its raw 64-bit words by integer thresholds:
 word 0's top bit is Alice's bit, and words 1 and 2 are compared against the
 branch and outcome CDFs turned into word thresholds.  The counts equal
 those of drawing the uniforms u = (w >> 11) * 2**-53 and inverting the
-CDFs in floating point, whatever the block size.  On a 2-core VM (Python
-3.11, numpy 2.4) this samples about 3e7 pulses per second.
+CDFs in floating point.  The outcome CDFs come from one
+:func:`~b92sec.states.outcome_table` call over Alice's two signal angles
+plus every branch's rotations (:func:`outcome_distribution`).  On a 2-core
+VM (Python 3.11, numpy 2.4) this samples about 3e7 pulses per second.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ from .attacks import AttackChannel, parse_attack
 from .errors import DomainError
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
-from .states import OUTCOMES, make_alice_states, outcome_table, wrap_angle
+from .states import OUTCOMES, outcome_table
 
 # sampled counts can fluctuate slightly past the exact-arithmetic boundary
 SAMPLING_CLAMP_TOL = 1e-2
 
 _WORDS_PER_PULSE = 4
+# pulses drawn per Philox call; the counts do not depend on it
+_PULSES_PER_BLOCK = 1 << 14
 _NO_WORD = np.uint64(2 ** 64 - 1)
 
 
@@ -137,15 +141,19 @@ def _word_thresholds(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def outcome_distribution(config: SimConfig) -> np.ndarray:
-    """Bob's outcome probabilities per (bit, branch), shape (2, n_branches, 5)."""
-    outputs = [[config.attack.output(bit, state.phi, branch)
-                for branch in config.attack.branches]
-               for bit, state in enumerate(make_alice_states(config.alpha_prime))]
-    vacuum, phi = np.array(outputs).transpose(2, 0, 1)
+    """Bob's outcome probabilities per (bit, branch), shape (2, n_branches, 5).
+
+    Alice's signal for bit j sits at -+alpha'; a branch adds its rotation for
+    that bit, and a vacuum branch delivers no photon (T = 0).
+    """
+    branches = config.attack.branches
+    phi = (np.array([[-config.alpha_prime], [config.alpha_prime]])
+           + np.array([br.rotations for br in branches]).T)
+    vacuum = np.array([br.to_vacuum for br in branches])
     return outcome_table(config.alpha, phi, 1.0, 1.0 - vacuum)
 
 
-def run_simulation(config: SimConfig, block_size: int = 1 << 14) -> SimResult:
+def run_simulation(config: SimConfig) -> SimResult:
     """Execute the protocol and close the loop through the estimator.
 
     Per pulse: draw Alice's bit uniformly, draw the attack branch from its
@@ -169,8 +177,8 @@ def run_simulation(config: SimConfig, block_size: int = 1 << 14) -> SimResult:
 
     joint = np.zeros(2 * n_branches * n_outcomes, dtype=np.int64)
     stream = Philox(key=config.seed, counter=0)
-    for start in range(0, config.n_total, block_size):
-        count = min(block_size, config.n_total - start)
+    for start in range(0, config.n_total, _PULSES_PER_BLOCK):
+        count = min(_PULSES_PER_BLOCK, config.n_total - start)
         words = stream.random_raw(_WORDS_PER_PULSE * count).reshape(count, _WORDS_PER_PULSE)
         bit = (words[:, 0] >> np.uint64(63)).astype(np.intp)
         row = row_base[bit]
@@ -210,7 +218,7 @@ def closed_loop_report(config: SimConfig, mode: str = "collision",
     :class:`~b92sec.keyrate.KeyGains`, with fields of shape (), at the
     estimated channel.
     """
-    if abs(wrap_angle(config.alpha_prime - config.alpha)) > 1e-12:
+    if abs(config.alpha_prime - config.alpha) > 1e-12:  # both lie in [0, pi/2]
         raise DomainError("key-gain accounting assumes alpha_prime = alpha")
     result = run_simulation(config)
     return result, secret_key_gain(config.alpha, result.estimated, mode)

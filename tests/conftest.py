@@ -6,7 +6,9 @@ quantities from full kets, outer products and matrix traces, so agreement
 is a real cross-check rather than a tautology.  The protocol's symmetry
 steps are checked here too: :func:`symmetrize_densities` averages a pair
 of delivered :class:`SignalDensity` states over the symmetry group, and
-:func:`relabeled` mirrors a count record.
+:func:`relabeled` mirrors a count record.  :func:`noiseless_gain` is the
+paper's closed-form key gain on a lossy, noiseless channel, and
+:func:`count` reads one counter of a record by (bit, outcome).
 """
 
 import math
@@ -17,9 +19,18 @@ import pytest
 
 from b92sec.errors import DomainError
 from b92sec.estimation import COUNT_TABLE, ChannelTriple, ObservedCounts
-from b92sec.states import wrap_angle
 
 DEG = math.pi / 180.0
+
+
+def wrap_angle(phi: float) -> float:
+    """Reduce an angle to the canonical (-pi, pi] window."""
+    phi = math.fmod(phi, 2.0 * math.pi)
+    if phi <= -math.pi:
+        phi += 2.0 * math.pi
+    elif phi > math.pi:
+        phi -= 2.0 * math.pi
+    return phi
 
 
 def ket(phi: float) -> np.ndarray:
@@ -156,11 +167,29 @@ def symmetrize_densities(rho0: SignalDensity, rho1: SignalDensity, alpha: float,
     return ChannelTriple(theta=theta, epsilon=epsilon, transmission=transmission), (sym0, sym1)
 
 
+def count(counts: ObservedCounts, bit: int, outcome: str) -> int:
+    """Counter for (j, mu) with mu in {"0", "1", "0b", "1b"}."""
+    return getattr(counts, COUNT_TABLE[bit, outcome])
+
+
 def relabeled(counts: ObservedCounts) -> ObservedCounts:
     """Swap the bit labels of both parties (the mirror symmetry of the protocol)."""
     mirror = {"0": "1", "1": "0", "0b": "1b", "1b": "0b"}
-    return replace(counts, **{name: counts.count(1 - bit, mirror[outcome])
+    return replace(counts, **{name: count(counts, 1 - bit, mirror[outcome])
                               for (bit, outcome), name in COUNT_TABLE.items()})
+
+
+def noiseless_gain(alpha: float, transmission: float) -> float:
+    """Closed form for the key gain on a lossy but noiseless channel.
+
+    G = (T/4)(1 - cos 2a)[1 - log2(2 - ((cos a - 1 + T)/(T cos a))^2)].
+    Valid where cos(alpha) >= 1 - T (otherwise loss alone hands Eve the
+    full key and the general expression applies instead).
+    """
+    q = (math.cos(alpha) - 1.0 + transmission) / (transmission * math.cos(alpha))
+    return (0.25 * transmission * (1.0 - math.cos(2.0 * alpha))
+            * (1.0 - math.log2(2.0 - q * q)))
+
 
 @pytest.fixture
 def gain_calls(monkeypatch):

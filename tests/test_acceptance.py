@@ -24,7 +24,6 @@ from b92sec.infobounds import conclusive_entropy_floor, shannon_upper_bound
 from b92sec.keyrate import (
     KTH_LINK,
     distance_sweep,
-    noiseless_gain,
     optimal_angle,
     positive_noise_limit,
     secret_key_gain,
@@ -33,7 +32,7 @@ from b92sec.oracle import oracle_min_overlap_lossy
 from b92sec.simulate import SimConfig, run_simulation
 from b92sec.states import OUTCOMES
 
-from conftest import DEG, estimator_sigmas, symmetrized_outcomes
+from conftest import DEG, estimator_sigmas, noiseless_gain, symmetrized_outcomes
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -25,7 +25,6 @@ from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
 from b92sec.evebound import eve_max_gain
 from b92sec.simulate import SimConfig, run_simulation
-from b92sec.states import make_alice_states
 
 from conftest import (
     DEG,
@@ -44,11 +43,11 @@ SYMMETRY_DEGREES = (10, 30, 44, 46, 60, 80, 85)
 def delivered_states(channel: AttackChannel, alpha: float) -> list[SignalDensity]:
     """The states the channel delivers for bit 0 and bit 1, branch by branch."""
     states = []
-    for bit, signal in enumerate(make_alice_states(alpha)):
+    for bit, signal in enumerate((-alpha, alpha)):
         transmission, bloch = 0.0, np.zeros(3)
         for branch in channel.branches:
-            vacuum, phi = channel.output(bit, signal.phi, branch)
-            if not vacuum:
+            if not branch.to_vacuum:
+                phi = signal + branch.rotations[bit]
                 transmission += branch.weights[bit]
                 bloch += branch.weights[bit] * np.array([math.sin(phi), 0.0, math.cos(phi)])
         states.append(SignalDensity(transmission, tuple(bloch / transmission)))
@@ -77,12 +76,10 @@ class TestRotationAttack:
         # cos^2(a)|sigma_a><sigma_a| + sin^2(a)|bar><bar| exactly
         alpha = 0.4
         channel, _ = rotation_attack(alpha)
-        _, one = make_alice_states(alpha)
         mixture = np.zeros((2, 2))
         for branch in channel.branches:
-            vac, phi = channel.output(1, one.phi, branch)
-            assert not vac
-            mixture += branch.weights[1] * projector(ket(phi))
+            assert not branch.to_vacuum
+            mixture += branch.weights[1] * projector(ket(alpha + branch.rotations[1]))
         expected = (math.cos(alpha) ** 2 * projector(ket(alpha))
                     + math.sin(alpha) ** 2 * projector(bar_ket(alpha)))
         assert_allclose(mixture, expected, atol=1e-12)

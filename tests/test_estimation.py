@@ -20,6 +20,7 @@ from b92sec.states import OUTCOMES
 from conftest import (
     DEG,
     SignalDensity,
+    count,
     relabeled,
     symmetrize_densities,
     symmetrized_bloch,
@@ -67,6 +68,40 @@ class TestObservedCounts:
     def test_csv_header_contract(self):
         header = make_counts().to_csv().splitlines()[0]
         assert header == "n00,n01,n0b0,n0b1,n10,n11,n1b0,n1b1,n_total"
+
+
+HEADER = "n00,n01,n0b0,n0b1,n10,n11,n1b0,n1b1,n_total"
+GOOD_ROW = "100,80,5,30,80,100,30,5,1000"
+
+
+class TestMalformedRecords:
+    """A malformed count record raises DomainError naming the field."""
+
+    def test_csv_cell_not_an_integer(self):
+        with pytest.raises(DomainError, match="count n0b0 must be a non-negative integer: '1.5'"):
+            ObservedCounts.from_csv(f"{HEADER}\n100,80,1.5,30,80,100,30,5,1000\n")
+
+    def test_csv_missing_column(self):
+        header, row = HEADER.replace(",n1b1", ""), GOOD_ROW.replace(",5,1000", ",1000")
+        with pytest.raises(DomainError, match="counts CSV misses field n1b1"):
+            ObservedCounts.from_csv(f"{header}\n{row}\n")
+
+    def test_csv_short_row(self):
+        with pytest.raises(DomainError, match="counts CSV misses field n_total"):
+            ObservedCounts.from_csv(f"{HEADER}\n100,80,5,30,80,100,30,5\n")
+
+    def test_text_that_is_not_json(self):
+        with pytest.raises(DomainError, match="counts record is not JSON"):
+            ObservedCounts.from_json(f"{HEADER}\n{GOOD_ROW}\n")
+
+    def test_json_that_is_not_an_object(self):
+        with pytest.raises(DomainError, match="counts JSON must be an object, got list"):
+            ObservedCounts.from_json("[100, 80, 5, 30, 80, 100, 30, 5, 1000]")
+
+    def test_json_missing_key(self):
+        record = make_counts().to_json().replace('"n11": 100, ', "")
+        with pytest.raises(DomainError, match="counts JSON misses field n11"):
+            ObservedCounts.from_json(record)
 
 
 class TestEstimateChannel:
@@ -119,7 +154,7 @@ class TestEstimateChannel:
         table = symmetrized_outcomes(got, alpha)
         for bit in (0, 1):
             for outcome in ("0", "1", "0b", "1b"):
-                expected = counts.count(bit, outcome) / (EXACT_N / 2)
+                expected = count(counts, bit, outcome) / (EXACT_N / 2)
                 assert table[bit, OUTCOMES.index(outcome)] == pytest.approx(
                     expected, abs=1e-10)
 

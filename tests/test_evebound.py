@@ -166,7 +166,7 @@ class TestStationaryCurves:
         a = SymMat2(1.0, 0.0, 0.0)
         b = SymMat2(0.8, 0.0, 0.0)
         assert stationary_curves(a, b).degenerate
-        q, regime, _ = min_overlap_at(a, b, 0.6)
+        q, regime = min_overlap_at(a, b, 0.6)
         assert q == pytest.approx(0.6 / 0.8, abs=1e-15)
         assert regime == TYPE1
 
@@ -174,7 +174,7 @@ class TestStationaryCurves:
 class TestMinOverlap:
     def test_zero_target_is_free(self):
         a, b = build_matrices(0.6, 0.1, 0.2)
-        q, regime, _ = min_overlap_at(a, b, 0.0)
+        q, regime = min_overlap_at(a, b, 0.0)
         assert q == 0.0
         assert FAMILIES[regime] == "free"
 

@@ -17,7 +17,6 @@ from b92sec.keyrate import (
     distance_sweep,
     key_gains,
     link_channels,
-    noiseless_gain,
     optimal_angle,
     optimal_angles,
     positive_noise_limit,
@@ -25,7 +24,7 @@ from b92sec.keyrate import (
 )
 from b92sec.states import OUTCOMES, outcome_table
 
-from conftest import DEG
+from conftest import DEG, noiseless_gain
 
 
 class TestSecretKeyGain:

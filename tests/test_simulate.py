@@ -17,7 +17,6 @@ from b92sec.attacks import (
 )
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple, ObservedCounts
-from b92sec.keyrate import noiseless_gain
 from b92sec.simulate import (
     SimConfig,
     closed_loop_report,
@@ -26,7 +25,16 @@ from b92sec.simulate import (
 )
 from b92sec.states import OUTCOMES
 
-from conftest import DEG, estimator_sigmas, symmetrized_outcomes
+from conftest import (
+    DEG,
+    count,
+    estimator_sigmas,
+    explicit_povm_effects,
+    ket,
+    noiseless_gain,
+    projector,
+    symmetrized_outcomes,
+)
 
 ALPHA = 10 * DEG
 
@@ -40,12 +48,6 @@ class TestReproducibility:
     def test_same_seed_same_result(self):
         cfg = config(depolarize(0.1), n=20000, seed=77)
         assert run_simulation(cfg) == run_simulation(cfg)
-
-    def test_block_size_does_not_matter(self):
-        cfg = config(depolarize(0.1), n=30000, seed=3)
-        whole = run_simulation(cfg, block_size=1 << 20)
-        chunked = run_simulation(cfg, block_size=777)
-        assert whole == chunked
 
     def test_different_seeds_differ(self):
         a = run_simulation(config(depolarize(0.1), n=20000, seed=1))
@@ -85,7 +87,7 @@ class TestCounting:
                                            seed=seed)).counts
             ok = True
             for (bit, label), p in expected.items():
-                freq = counts.count(bit, label) / (counts.n_total / 2)
+                freq = count(counts, bit, label) / (counts.n_total / 2)
                 bound = 4.0 * math.sqrt(p * (1 - p) / (counts.n_total / 2))
                 ok &= abs(freq - p) <= bound
             passed += ok
@@ -295,7 +297,6 @@ class TestSamplerParity:
             expected = float_uniform_joint(cfg).tolist()
             assert run_simulation(cfg).joint == tuple(
                 tuple(map(tuple, plane)) for plane in expected)
-            assert np.array_equal(run_simulation(cfg, block_size=777).joint, expected)
 
     def test_edge_channel_has_its_edge_rows(self):
         weights = np.array([br.weights for br in EDGE_CHANNEL.branches]).T
@@ -320,6 +321,42 @@ class TestSamplerParity:
         assert np.array(joint).shape == (2, 4, len(OUTCOMES))
         assert np.array(joint).sum() == 5000
         assert ObservedCounts.from_table(5000, np.array(joint).sum(axis=1)) == result.counts
+
+
+def explicit_outcome_distribution(config: SimConfig) -> np.ndarray:
+    """Tr[E_mu rho] per (bit, branch) from kets and explicit POVM effects.
+
+    Alice's bit-j signal is the ket at -+alpha'; a branch rotates it by its
+    rotation for that bit, and its qubit block carries weight 0 (vacuum) or 1.
+    """
+    effects = explicit_povm_effects(config.alpha)
+    branches = config.attack.branches
+    table = np.empty((2, len(branches), len(OUTCOMES)))
+    for bit, signal in enumerate((-config.alpha_prime, config.alpha_prime)):
+        for k, branch in enumerate(branches):
+            transmission = 0.0 if branch.to_vacuum else 1.0
+            rho = transmission * projector(ket(signal + branch.rotations[bit]))
+            table[bit, k] = [np.trace(effects[mu] @ rho) for mu in OUTCOMES[:-1]] + [
+                1.0 - transmission]
+    return table
+
+
+# every parse_attack stage, one composed attack, and the edge channel
+TABLE_ATTACKS = (*PARITY_ATTACKS.values(), "depolarize(epsilon=0.1)",
+                 "depolarize(epsilon=0.1)|rotation|loss(T=0.7)", "edges")
+
+
+class TestOutcomeDistribution:
+    @pytest.mark.parametrize("text", TABLE_ATTACKS)
+    @pytest.mark.parametrize("alpha_prime_deg, alpha_deg", ((20, 20), (60, 60), (25, 20)))
+    def test_matches_traces_of_explicit_effects(self, text, alpha_prime_deg, alpha_deg):
+        # alpha on both sides of 45 degrees, and one signal angle off the analyzer's
+        alpha_prime, alpha = alpha_prime_deg * DEG, alpha_deg * DEG
+        channel = EDGE_CHANNEL if text == "edges" else parse_attack(
+            text.format(q0=critical_weakness(alpha_prime)), alpha_prime)
+        cfg = SimConfig(n_total=1, alpha_prime=alpha_prime, alpha=alpha, attack=channel, seed=0)
+        np.testing.assert_allclose(outcome_distribution(cfg),
+                                   explicit_outcome_distribution(cfg), rtol=0, atol=1e-12)
 
 
 class TestConfigValidation:

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
-from b92sec.states import OUTCOMES, BlochState, make_alice_states, outcome_table
+from b92sec.states import OUTCOMES, outcome_table
 
 from conftest import (
     DEG,
@@ -19,40 +19,6 @@ from conftest import (
     projector,
     symmetrized_bloch,
 )
-
-
-class TestBlochState:
-    def test_overlap_law_on_grid(self):
-        # |<sigma_a|sigma_b>|^2 == cos^2((a-b)/2) across the full circle
-        angles = np.linspace(-math.pi + 1e-9, math.pi, 100)
-        for a in angles[::7]:
-            for b in angles:
-                lhs = BlochState(a).overlap(BlochState(b)) ** 2
-                rhs = math.cos((a - b) / 2.0) ** 2
-                assert abs(lhs - rhs) < 1e-12
-
-    def test_angle_wrapping(self):
-        assert BlochState(3 * math.pi).phi == pytest.approx(math.pi)
-        assert BlochState(-math.pi).phi == pytest.approx(math.pi)
-
-
-class TestAliceStates:
-    def test_orthogonal_at_right_angle(self):
-        zero, one = make_alice_states(math.pi / 2)
-        assert abs(zero.overlap(one)) < 1e-15
-
-    def test_identical_at_zero(self):
-        zero, one = make_alice_states(0.0)
-        assert zero.overlap(one) == pytest.approx(1.0)
-
-    def test_sixty_degrees(self):
-        zero, one = make_alice_states(math.pi / 3)
-        assert zero.overlap(one) == pytest.approx(0.5, abs=1e-15)
-
-    @pytest.mark.parametrize("bad", [-0.1, math.pi / 2 + 0.1, 3.0])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(DomainError):
-            make_alice_states(bad)
 
 
 class TestPovm:
