@@ -16,13 +16,14 @@ Library layout:
 The core computes over arrays, and the scalar calls are one-entry cases of
 array calls.  :func:`secret_key_gain` returns the :class:`KeyGains` of
 :func:`b92sec.keyrate.key_gains` itself, with fields of shape ();
-:func:`eve_max_gain` returns an :class:`EveBoundResult` record.
+:func:`eve_max_gain` returns an :class:`EveBoundResult` record for correct
+bits; the flipped-bit bound is index 1 of ``KeyGains.bounds``.
 """
 
 __version__ = "0.1.0"
 
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
-from .evebound import EveBoundResult, eve_max_gain, flipped_bit_gain
+from .evebound import EveBoundResult, eve_max_gain
 from .keyrate import KeyGains, optimal_angle, secret_key_gain
 from .simulate import SimConfig, SimResult, run_simulation
 
@@ -36,7 +37,6 @@ __all__ = [
     "__version__",
     "estimate_channel",
     "eve_max_gain",
-    "flipped_bit_gain",
     "optimal_angle",
     "run_simulation",
     "secret_key_gain",

@@ -17,7 +17,10 @@ The two explicit attacks exist at every signal angle in (0, pi/2).  The
 weak measurement's critical weakness, where its output is symmetric, is
 the one real root of a cubic (:func:`critical_weakness`); past 45 degrees
 the rotated signals pass the opposite pole and the symmetrized channel
-has tilt pi.
+has tilt pi.  The module builds channels only: the noise rate of each
+attack's symmetrized channel, and the balance condition behind the
+critical weakness, are check code in the test suite, which compares them
+with the symmetrized output of these channels.
 """
 
 from __future__ import annotations
@@ -28,15 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .estimation import ChannelTriple
+from .errors import DomainError, _key_values
 from .evebound import eve_bound
 
 # Newton steps of critical_weakness; from q = 0 the third step is within a
 # relative 3e-14 of the root at every signal angle, the fourth reaches rounding
 NEWTON_STEPS = 4
-# largest balance residual at which attack_noise_rate accepts a weakness
-BALANCE_TOL = 1e-6
 
 
 def _check_signal_angle(alpha: float) -> None:
@@ -100,25 +100,20 @@ def identity_attack() -> AttackChannel:
     return AttackChannel((AttackBranch(weights=(1.0, 1.0)),))
 
 
-def rotation_attack(alpha: float) -> tuple[AttackChannel, ChannelTriple]:
+def rotation_attack(alpha: float) -> AttackChannel:
     """Equal mixture of +-2 alpha Bloch rotations, with Eve's guess per branch.
 
     Rotating by -2 alpha maps Alice's bit-1 state onto the bit-0 state, so
     any surviving correct bit in that branch must be 0 (and symmetrically
     for +2 alpha).  The symmetrized channel it produces has
-    eps = 1 - |cos 2 alpha| and T = 1: (0, 2 sin^2 alpha, 1) up to 45
-    degrees, and (pi, 2 cos^2 alpha, 1) beyond, where the rotated signals
-    pass the opposite pole.
+    eps = 1 - |cos 2 alpha| and T = 1, with tilt pi past 45 degrees, where
+    the rotated signals pass the opposite pole.
     """
     _check_signal_angle(alpha)
-    channel = AttackChannel((
+    return AttackChannel((
         AttackBranch(weights=(0.5, 0.5), rotations=(2.0 * alpha, 2.0 * alpha), guess=1),
         AttackBranch(weights=(0.5, 0.5), rotations=(-2.0 * alpha, -2.0 * alpha), guess=0),
     ))
-    s, c = math.sin(alpha), math.cos(alpha)
-    predicted = ChannelTriple(theta=0.0 if s <= c else math.pi,
-                              epsilon=2.0 * min(s, c) ** 2, transmission=1.0)
-    return channel, predicted
 
 
 def outcome_probability(q: float, alpha: float, bit: int, plus: bool) -> float:
@@ -163,14 +158,6 @@ def weak_measurement_attack(q: float, alpha: float) -> AttackChannel:
     ))
 
 
-def _balance_residual(q: float, alpha: float) -> float:
-    """Zero exactly when the attack output is symmetric about the signal axis."""
-    beta = post_measurement_angle(q, alpha)
-    p1_plus = outcome_probability(q, alpha, 1, True)
-    p1_minus = outcome_probability(q, alpha, 1, False)
-    return math.sin(beta) / math.sin(2.0 * alpha) - p1_minus / p1_plus
-
-
 def critical_weakness(alpha: float) -> float:
     """The non-trivial weakness q0 at which the attack output is symmetric.
 
@@ -199,24 +186,6 @@ def critical_weakness(alpha: float) -> float:
     for _ in range(NEWTON_STEPS):
         q -= (c0 + q * (c1 + q * (c2 + q * c3))) / (c1 + q * (2.0 * c2 + 3.0 * q * c3))
     return q
-
-
-def attack_noise_rate(q: float, alpha: float) -> float:
-    """Noise rate eps of the symmetrized channel produced by the attack.
-
-    Only meaningful where the balance condition holds (q = q0 or q = 1/2):
-    eps = 1 - |sin(2 alpha + beta)| / (sin 2 alpha + sin beta).  The tilt
-    is 0, or pi where sin(2 alpha + beta) < 0.  A signal angle outside
-    (0, pi/2), or a weakness whose balance residual exceeds ``BALANCE_TOL``,
-    raises :class:`DomainError`.
-    """
-    _check_signal_angle(alpha)
-    residual = _balance_residual(q, alpha)
-    if abs(residual) > BALANCE_TOL:
-        raise DomainError(
-            f"attack output is not symmetric at q={q} (residual {residual:.3e})")
-    beta = post_measurement_angle(q, alpha)
-    return 1.0 - abs(math.sin(2.0 * alpha + beta)) / (math.sin(2.0 * alpha) + math.sin(beta))
 
 
 def depolarize(epsilon: float) -> AttackChannel:
@@ -275,10 +244,10 @@ _STAGE_RE = re.compile(r"^\s*([a-zA-Z-]+)\s*(?:\(([^)]*)\))?\s*$")
 #                parameter defaults, None where the key is required)
 _STAGES = {
     "identity": (lambda alpha: identity_attack(), {}),
-    "rotation": (lambda alpha: rotation_attack(alpha)[0], {}),
+    "rotation": (rotation_attack, {}),
     "weak-meas": (lambda alpha, q: weak_measurement_attack(q, alpha), {"q": None}),
     "mixed": (lambda alpha, q, lam: mix(weak_measurement_attack(q, alpha),
-                                        rotation_attack(alpha)[0], lam),
+                                        rotation_attack(alpha), lam),
               {"q": None, "lambda": 0.5}),
     "depolarize": (lambda alpha, epsilon: depolarize(epsilon), {"epsilon": 0.0}),
     "loss": (lambda alpha, t: loss(t), {"t": 1.0}),
@@ -312,23 +281,15 @@ def _build_stage(name: str, arg_text: str | None, alpha: float) -> AttackChannel
     if name not in _STAGES:
         raise DomainError(f"unknown attack stage: {name!r}")
     build, defaults = _STAGES[name]
-    values = {}
-    for item in arg_text.split(",") if arg_text else ():
-        key, sep, value = item.partition("=")
-        key = key.strip().lower()
-        if not sep:
-            raise DomainError(f"expected key=value in attack stage {name!r}: {item!r}")
-        param = _KEY_ALIASES.get(key, key)
-        if param not in defaults:
-            raise DomainError(f"attack stage {name!r} takes no key {key!r}")
-        if param in values:
-            raise DomainError(f"attack stage {name!r} sets {param!r} twice")
+    values = dict(defaults)
+    items = arg_text.split(",") if arg_text else ()
+    for param, value in _key_values(items, defaults, _KEY_ALIASES,
+                                    f"attack stage {name!r}").items():
         try:
             values[param] = float(value)
         except ValueError:
-            raise DomainError(f"attack stage {name!r}: key {key!r} needs a number, "
-                              f"got {value.strip()!r}") from None
-    values = {param: values.get(param, default) for param, default in defaults.items()}
+            raise DomainError(f"attack stage {name!r}: key {param!r} needs a number, "
+                              f"got {value!r}") from None
     missing = [param for param, value in values.items() if value is None]
     if missing:
         raise DomainError(f"attack stage {name!r} misses required key {missing[0]!r}")

@@ -157,7 +157,7 @@ def cmd_distance(args) -> int:
     gains = np.array([sweep.gain_b92, sweep.gain_bb84])
     # log10 where the gain is positive, NaN elsewhere
     logs = np.log10(gains, out=np.full_like(gains, math.nan), where=gains > 0.0)
-    _emit(args, SCHEMAS["distance"], (sweep.length_km, *gains, *logs))
+    _emit(args, SCHEMAS["distance"], (args.l_grid, *gains, *logs))
     return EXIT_OK
 
 
@@ -206,9 +206,10 @@ def cmd_oracle_check(args) -> int:
         raise DomainError(f"--tol must be finite: {args.tol}")
     if args.seed < 0:
         raise DomainError(f"--seed must be non-negative: {args.seed}")
-    # one child generator per sample: sample k does not depend on the others
-    sample_rngs = np.random.default_rng(args.seed).spawn(args.samples)
-    rows, gaps = zip(*(_oracle_sample(k, r) for k, r in enumerate(sample_rngs)))
+    # sample k draws from child k of the seed, built when the loop reaches it:
+    # the generator default_rng(seed).spawn(samples)[k], without the others
+    rows, gaps = zip(*(_oracle_sample(k, np.random.default_rng(
+        np.random.SeedSequence(args.seed, spawn_key=(k,)))) for k in range(args.samples)))
     _emit(args, SCHEMAS["oracle-check"], zip(*rows))
     # np.max propagates a NaN wherever it sits; a NaN difference never passes
     worst = np.max([row[-1] for row in rows])

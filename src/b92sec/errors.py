@@ -3,7 +3,12 @@
 :func:`require` is how every array entry point rejects bad input: one
 :class:`DomainError` naming the first bad entry.  :class:`FirstFailure`
 gives the array results their scalar wrappers' ``check``.
+:func:`is_integer` is the test for a count or a seed, and :func:`_key_values`
+reads the ``key=value`` items of an attack stage and of a simulator config
+file alike.
 """
+
+import numbers
 
 import numpy as np
 
@@ -52,6 +57,33 @@ def require(values, ok, message: str) -> None:
     ok = np.asarray(ok)
     if not ok.all():
         raise DomainError(f"{message}: {np.broadcast_to(values, ok.shape)[~ok].flat[0]}")
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _key_values(items, keys, aliases: dict, where: str) -> dict[str, str]:
+    """The stripped values of ``key=value`` items, by key.
+
+    A key is stripped, lower-cased and mapped through ``aliases``.  An item
+    without ``=``, a key outside ``keys`` or a key given twice raises
+    :class:`DomainError` naming ``where`` and the key.
+    """
+    values = {}
+    for item in items:
+        key, sep, value = item.partition("=")
+        key = key.strip().lower()
+        if not sep:
+            raise DomainError(f"expected key=value in {where}: {item!r}")
+        name = aliases.get(key, key)
+        if name not in keys:
+            raise DomainError(f"{where} takes no key {key!r}")
+        if name in values:
+            raise DomainError(f"{where} sets {name!r} twice")
+        values[name] = value.strip()
+    return values
 
 
 class FirstFailure:

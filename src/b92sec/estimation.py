@@ -7,9 +7,10 @@ single-photon fraction gives T.
 
 :class:`ObservedCounts` holds the eight counters and reads and writes them
 as a one-record CSV or a JSON object; ``simulate --counts-csv`` writes the
-CSV.  Each counter is a non-negative integer; anything else raises
-:class:`DomainError`, and so does a record that is malformed: text that is
-not JSON, JSON that is not an object, or a missing field, column or cell.
+CSV.  Each counter is a non-negative integer, and not a bool; a CSV cell
+holds ASCII digits only.  Anything else raises :class:`DomainError`, and so
+does a record that is malformed: text that is not JSON, JSON that is not
+an object, or a missing field, column or cell.
 The error names the field where there is one.  :func:`expected_counts`
 gives the exact, unsampled counters of a channel triple, which
 :func:`estimate_channel` inverts.
@@ -21,7 +22,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +30,7 @@ from .errors import (
     DegenerateAngleError,
     DomainError,
     EstimationInfeasibleError,
+    is_integer,
 )
 from .states import OUTCOMES, outcome_table
 
@@ -62,7 +63,7 @@ class ObservedCounts:
     def __post_init__(self):
         for name in COUNT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 0:
+            if not is_integer(value) or value < 0:
                 raise DomainError(f"count {name} must be a non-negative integer: {value!r}")
             object.__setattr__(self, name, int(value))
         if self.n_total <= 0:
@@ -111,11 +112,11 @@ class ObservedCounts:
         record = {}
         for name in COUNT_FIELDS:
             cell = rows[0].get(name)  # None for a missing column or a short row
-            try:
-                record[name] = None if cell is None else int(cell)
-            except ValueError:
-                raise DomainError(f"count {name} must be a non-negative integer: "
-                                  f"{cell!r}") from None
+            # ASCII digits only, as to_csv writes them: int() would also take
+            # spaces, underscores, a sign and other scripts' digits
+            if cell is not None and not (cell.isascii() and cell.isdigit()):
+                raise DomainError(f"count {name} must be a non-negative integer: {cell!r}")
+            record[name] = None if cell is None else int(cell)
         return cls._from_record(record, "CSV")
 
     def to_csv(self) -> str:

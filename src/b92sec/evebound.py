@@ -17,8 +17,10 @@ overlap vanishes, or the family type1, type3+ or type3- whose root wins)
 and a status (ok, unreachable, degenerate) in place of an exception.  A
 minimizer is reported by its family alone, which :func:`eve_max_gain`
 names in ``achieving``.
-:func:`eve_max_gain` and :func:`flipped_bit_gain` are one-entry wrappers
-that raise a failed status as the matching exception.  The families need
+:func:`eve_max_gain` is the one-entry wrapper that raises a failed status
+as the matching exception; Eve's bound on flipped bits is the same call
+with the tilt -2 alpha - theta, which :func:`~b92sec.keyrate.key_gains`
+stacks with theta in one :func:`eve_bound` call.  The families need
 det B != 0; since det B = -eps (1 - eps/2) / 2, they vanish only for
 eps below about 2e-15, and there the eps = 0 formula
 q = target / |cos(alpha + theta)| is used.
@@ -371,7 +373,9 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
                        target=np.where(unreachable, lo, t), regime=regime, status=status)
 
 
-def _one(bound: BoundArrays) -> EveBoundResult:
+def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
+    """Eve's maximum information gain on correct bits for one channel triple."""
+    bound = eve_bound(alpha_prime, alpha, triple.theta, triple.epsilon, triple.transmission)
     bound.check()
     q = float(bound.overlap_min)
     return EveBoundResult(
@@ -383,19 +387,3 @@ def _one(bound: BoundArrays) -> EveBoundResult:
         info_gain_shannon=float(shannon_gain(q)),
         target=float(bound.target),
     )
-
-
-def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
-    """Eve's maximum information gain on correct bits for one channel triple."""
-    return _one(eve_bound(alpha_prime, alpha, triple.theta, triple.epsilon,
-                          triple.transmission))
-
-
-def flipped_bit_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
-    """Eve's maximum information gain on flipped bits.
-
-    Identical optimization with the tilt angle replaced by
-    -2 alpha - theta, which exchanges the roles of the conclusive outcomes.
-    """
-    return _one(eve_bound(alpha_prime, alpha, -2.0 * alpha - triple.theta,
-                          triple.epsilon, triple.transmission))

@@ -54,9 +54,8 @@ class BoundReport:
     ``term_state`` bounds how well Bob and Eve jointly distinguish Alice's
     states; ``term_control`` bounds how well Eve steers Bob's conclusive
     outcome; ``total`` is their sum, and ``upper_bound`` divides by the
-    correct-bit fraction.  Values above one bit are vacuous; the raw number
-    is kept and a clamped copy is provided alongside.  Each field has the
-    broadcast shape of the inputs.
+    correct-bit fraction.  Values of one bit or more are vacuous and are
+    kept unclamped.  Each field has the broadcast shape of the inputs.
     """
 
     p_conc: np.ndarray
@@ -65,8 +64,6 @@ class BoundReport:
     term_control: np.ndarray
     total: np.ndarray
     upper_bound: np.ndarray
-    upper_bound_clamped: np.ndarray
-    vacuous: np.ndarray
 
 
 def shannon_upper_bound(alpha, epsilon, transmission) -> BoundReport:
@@ -93,14 +90,11 @@ def shannon_upper_bound(alpha, epsilon, transmission) -> BoundReport:
         0.5 * (1.0 - np.sqrt(1.0 - np.cos(alpha) ** 2)))) / p_conc
     term_control = 1.0 - conclusive_entropy_floor(p_conc / transmission, alpha)
     total = term_state + term_control
-    upper = total / (1.0 - e)
     return BoundReport(
         p_conc=p_conc,
         error_rate=e,
         term_state=term_state,
         term_control=term_control,
         total=total,
-        upper_bound=upper,
-        upper_bound_clamped=np.minimum(1.0, upper),
-        vacuous=upper >= 1.0,
+        upper_bound=total / (1.0 - e),
     )

@@ -19,7 +19,8 @@ arrays, and each scalar call is a thin wrapper of one:
   whole noise grid in four calls.  :func:`optimal_angle` is its one-row case.
 - :func:`distance_sweep` is one array pass: :func:`link_channels` gives
   (eps, T) at every length, then one :func:`key_gains` call and one
-  :func:`bb84_key_gain` call give the columns of a :class:`DistanceSweep`.
+  :func:`bb84_key_gain` call give the two gain columns of a
+  :class:`DistanceSweep`, in the order of the lengths passed in.
 
 Each :func:`key_gains` call of the noise limit, on the coarse scan's 90
 angles, answers up to three scan steps or three bisection levels ahead: 5
@@ -327,21 +328,12 @@ def link_channels(link: PhysicalLink, lengths_km) -> tuple[np.ndarray, np.ndarra
     return dark / transmission, transmission
 
 
-@dataclass(frozen=True)
-class Bb84Gain:
-    """BB84 key gain, error rate and saturation flag over broadcast arrays."""
-
-    gain: np.ndarray
-    error_rate: np.ndarray
-    saturated: np.ndarray
-
-
-def bb84_key_gain(transmission, dark_mean) -> Bb84Gain:
+def bb84_key_gain(transmission, dark_mean) -> np.ndarray:
     """Single-photon BB84 key gain with dark-count-dominated errors.
 
     G = (T/2)[1 - log2(1 + 4e - 4e^2) + e log2 e + (1-e) log2(1-e)] with
     e = dark_mean / (2T), over broadcast arrays.  Where e >= 1/2 the formula
-    is void and the gain is reported as zero with the saturation flag set.
+    is void and the gain is reported as zero.
     A transmission that is not positive raises :class:`DomainError`.
     """
     transmission = np.asarray(transmission, dtype=float)
@@ -351,14 +343,13 @@ def bb84_key_gain(transmission, dark_mean) -> Bb84Gain:
     # saturated entries take the formula at e = 0, and gain 0 after it
     x = np.where(saturated, 0.0, e)
     gain = 0.5 * transmission * (1.0 - np.log2(1.0 + 4.0 * x - 4.0 * x * x) - binary_entropy(x))
-    return Bb84Gain(np.where(saturated, 0.0, gain), e, saturated)
+    return np.where(saturated, 0.0, gain)
 
 
 @dataclass(frozen=True)
 class DistanceSweep:
     """Key gain of both protocols (bits per pulse), one entry per fiber length."""
 
-    length_km: np.ndarray
     gain_b92: np.ndarray
     gain_bb84: np.ndarray
 
@@ -372,8 +363,7 @@ def distance_sweep(link: PhysicalLink, lengths_km, alpha: float,
     or NaN length raises :class:`DomainError`, a link without transmission
     :class:`DegenerateLinkError`, and a failed B92 entry its scalar error.
     """
-    lengths = np.asarray(lengths_km, dtype=float)
-    epsilon, transmission = link_channels(link, lengths)
+    epsilon, transmission = link_channels(link, lengths_km)
     b92 = key_gains(alpha, 0.0, epsilon, transmission, mode)
     b92.check()
-    return DistanceSweep(lengths, b92.gain, bb84_key_gain(transmission, link.dark_mean).gain)
+    return DistanceSweep(b92.gain, bb84_key_gain(transmission, link.dark_mean))

@@ -19,7 +19,6 @@ VM (Python 3.11, numpy 2.4) this samples about 3e7 pulses per second.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .attacks import AttackChannel, parse_attack
-from .errors import DomainError
+from .errors import DomainError, _key_values, is_integer
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
 from .states import OUTCOMES, outcome_table
@@ -39,6 +38,7 @@ _WORDS_PER_PULSE = 4
 # pulses drawn per Philox call; the counts do not depend on it
 _PULSES_PER_BLOCK = 1 << 14
 _NO_WORD = np.uint64(2 ** 64 - 1)
+_CONFIG_KEYS = ("n_total", "alpha_deg", "alpha_prime_deg", "attack", "seed")
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.n_total, numbers.Integral) or self.n_total < 1:
+        if not is_integer(self.n_total) or self.n_total < 1:
             raise DomainError(f"n_total must be an integer of at least 1: {self.n_total!r}")
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 1 << 128:
+        if not is_integer(self.seed) or not 0 <= self.seed < 1 << 128:
             raise DomainError(f"seed must be an integer in [0, 2**128): {self.seed!r}")
         for name in ("alpha", "alpha_prime"):
             if not 0.0 <= getattr(self, name) <= math.pi / 2.0:
@@ -67,17 +67,11 @@ class SimConfig:
         Keys: ``n_total``, ``alpha_deg``, ``alpha_prime_deg`` (defaults to
         ``alpha_deg``), ``attack`` (description string, see
         :func:`b92sec.attacks.parse_attack`), ``seed``.  ``#`` starts a
-        comment.
+        comment.  An unknown or repeated key raises :class:`DomainError`
+        naming the key.
         """
-        entries: dict[str, str] = {}
-        for line in Path(path).read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DomainError(f"expected key = value in config line: {line!r}")
-            entries[key.strip().lower()] = value.strip()
+        lines = (line.split("#", 1)[0].strip() for line in Path(path).read_text().splitlines())
+        entries = _key_values(filter(None, lines), _CONFIG_KEYS, {}, f"config file {path}")
         try:
             alpha = math.radians(float(entries["alpha_deg"]))
             alpha_prime = math.radians(float(entries["alpha_prime_deg"])) \

@@ -8,7 +8,11 @@ steps are checked here too: :func:`symmetrize_densities` averages a pair
 of delivered :class:`SignalDensity` states over the symmetry group, and
 :func:`relabeled` mirrors a count record.  :func:`noiseless_gain` is the
 paper's closed-form key gain on a lossy, noiseless channel, and
-:func:`count` reads one counter of a record by (bit, outcome).
+:func:`count` reads one counter of a record by (bit, outcome).  The
+explicit attacks' symmetrized channels are predicted here in closed form:
+:func:`rotation_triple` for the rotation attack and
+:func:`attack_noise_rate` for the weak-measurement attack at a weakness
+where :func:`_balance_residual` vanishes.
 """
 
 import math
@@ -17,10 +21,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from b92sec.attacks import _check_signal_angle, outcome_probability, post_measurement_angle
 from b92sec.errors import DomainError
 from b92sec.estimation import COUNT_TABLE, ChannelTriple, ObservedCounts
 
 DEG = math.pi / 180.0
+# largest balance residual at which attack_noise_rate accepts a weakness
+BALANCE_TOL = 1e-6
 
 
 def wrap_angle(phi: float) -> float:
@@ -189,6 +196,44 @@ def noiseless_gain(alpha: float, transmission: float) -> float:
     q = (math.cos(alpha) - 1.0 + transmission) / (transmission * math.cos(alpha))
     return (0.25 * transmission * (1.0 - math.cos(2.0 * alpha))
             * (1.0 - math.log2(2.0 - q * q)))
+
+
+def rotation_triple(alpha: float) -> ChannelTriple:
+    """The symmetrized channel of ``attacks.rotation_attack(alpha)``.
+
+    eps = 1 - |cos 2 alpha| and T = 1: (0, 2 sin^2 alpha, 1) up to 45
+    degrees, and (pi, 2 cos^2 alpha, 1) beyond, where the rotated signals
+    pass the opposite pole.
+    """
+    s, c = math.sin(alpha), math.cos(alpha)
+    return ChannelTriple(theta=0.0 if s <= c else math.pi,
+                         epsilon=2.0 * min(s, c) ** 2, transmission=1.0)
+
+
+def _balance_residual(q: float, alpha: float) -> float:
+    """Zero exactly when the attack output is symmetric about the signal axis."""
+    beta = post_measurement_angle(q, alpha)
+    p1_plus = outcome_probability(q, alpha, 1, True)
+    p1_minus = outcome_probability(q, alpha, 1, False)
+    return math.sin(beta) / math.sin(2.0 * alpha) - p1_minus / p1_plus
+
+
+def attack_noise_rate(q: float, alpha: float) -> float:
+    """Noise rate eps of the symmetrized channel produced by the attack.
+
+    Only meaningful where the balance condition holds (q = q0 or q = 1/2):
+    eps = 1 - |sin(2 alpha + beta)| / (sin 2 alpha + sin beta).  The tilt
+    is 0, or pi where sin(2 alpha + beta) < 0.  A signal angle outside
+    (0, pi/2), or a weakness whose balance residual exceeds ``BALANCE_TOL``,
+    raises :class:`DomainError`.
+    """
+    _check_signal_angle(alpha)
+    residual = _balance_residual(q, alpha)
+    if abs(residual) > BALANCE_TOL:
+        raise DomainError(
+            f"attack output is not symmetric at q={q} (residual {residual:.3e})")
+    beta = post_measurement_angle(q, alpha)
+    return 1.0 - abs(math.sin(2.0 * alpha + beta)) / (math.sin(2.0 * alpha) + math.sin(beta))
 
 
 @pytest.fixture

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from b92sec.attacks import (
-    attack_noise_rate,
-    critical_weakness,
-    full_info_region,
-    rotation_attack,
-)
+from b92sec.attacks import critical_weakness, full_info_region, rotation_attack
 from b92sec.errors import OracleInfeasibleError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple, ObservedCounts, estimate_channel, expected_counts
 from b92sec.evebound import build_matrices, eve_max_gain
@@ -32,7 +27,14 @@ from b92sec.oracle import oracle_min_overlap_lossy
 from b92sec.simulate import SimConfig, run_simulation
 from b92sec.states import OUTCOMES
 
-from conftest import DEG, estimator_sigmas, noiseless_gain, symmetrized_outcomes
+from conftest import (
+    DEG,
+    attack_noise_rate,
+    estimator_sigmas,
+    noiseless_gain,
+    rotation_triple,
+    symmetrized_outcomes,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -120,7 +122,7 @@ def test_criterion_03_counterintuitive_decrease():
 def test_criterion_04_rotation_attack_achievability():
     start = time.time()
     alpha = 10 * DEG
-    channel, predicted = rotation_attack(alpha)
+    channel, predicted = rotation_attack(alpha), rotation_triple(alpha)
     result = run_simulation(SimConfig(n_total=10 ** 6, alpha_prime=alpha,
                                       alpha=alpha, attack=channel, seed=42))
     sigma = estimator_sigmas(predicted, alpha, 10 ** 6)

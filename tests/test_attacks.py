@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from b92sec.attacks import (
     AttackChannel,
-    attack_noise_rate,
     critical_weakness,
     depolarize,
     full_info_region,
@@ -19,7 +18,6 @@ from b92sec.attacks import (
     post_measurement_angle,
     rotation_attack,
     weak_measurement_attack,
-    _balance_residual,
 )
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
@@ -29,9 +27,12 @@ from b92sec.simulate import SimConfig, run_simulation
 from conftest import (
     DEG,
     SignalDensity,
+    _balance_residual,
+    attack_noise_rate,
     bar_ket,
     ket,
     projector,
+    rotation_triple,
     sqrt_effect_angle,
     symmetrize_densities,
 )
@@ -62,20 +63,20 @@ def assert_symmetrizes_to(channel: AttackChannel, alpha: float, theta: float, ep
 
 class TestRotationAttack:
     def test_predicted_noise_rate(self):
-        _, predicted = rotation_attack(10 * DEG)
+        predicted = rotation_triple(10 * DEG)
         assert predicted.epsilon == pytest.approx(2 * math.sin(10 * DEG) ** 2)
         assert predicted.epsilon == pytest.approx(0.06030737921, abs=1e-9)
         assert predicted.theta == 0.0 and predicted.transmission == 1.0
 
     def test_vanishing_disturbance_at_small_angle(self):
-        _, predicted = rotation_attack(1e-6)
+        predicted = rotation_triple(1e-6)
         assert predicted.epsilon == pytest.approx(0.0, abs=1e-11)
 
     def test_averaged_output_matches_symmetrized_form(self):
         # mixing the two rotated copies of |sigma_alpha> reproduces
         # cos^2(a)|sigma_a><sigma_a| + sin^2(a)|bar><bar| exactly
         alpha = 0.4
-        channel, _ = rotation_attack(alpha)
+        channel = rotation_attack(alpha)
         mixture = np.zeros((2, 2))
         for branch in channel.branches:
             assert not branch.to_vacuum
@@ -85,7 +86,7 @@ class TestRotationAttack:
         assert_allclose(mixture, expected, atol=1e-12)
 
     def test_branch_guesses_cover_both_bits(self):
-        channel, _ = rotation_attack(0.3)
+        channel = rotation_attack(0.3)
         assert sorted(br.guess for br in channel.branches) == [0, 1]
 
     @pytest.mark.parametrize("alpha_deg", SYMMETRY_DEGREES)
@@ -93,7 +94,7 @@ class TestRotationAttack:
         # past 45 degrees the rotated signals pass the opposite pole: the
         # tilt is pi and eps = 2 cos^2 alpha stays inside [0, 1]
         alpha = alpha_deg * DEG
-        channel, predicted = rotation_attack(alpha)
+        channel, predicted = rotation_attack(alpha), rotation_triple(alpha)
         assert predicted.theta == (0.0 if alpha_deg < 45 else math.pi)
         assert_symmetrizes_to(channel, alpha, predicted.theta, predicted.epsilon)
 
@@ -144,7 +145,7 @@ class TestWeakMeasurement:
     def test_reduces_to_rotation_at_half(self):
         alpha = 0.4
         weak = weak_measurement_attack(0.5, alpha)
-        rot, _ = rotation_attack(alpha)
+        rot = rotation_attack(alpha)
         for wb, rb in zip(weak.branches, rot.branches):
             assert_allclose(wb.weights, rb.weights, atol=1e-12)
             assert_allclose(wb.rotations, rb.rotations, atol=1e-12)
@@ -275,7 +276,7 @@ class TestChannelPlumbing:
             AttackChannel((AttackBranch(weights=(0.6, 0.6)),))
 
     def test_compose_absorbs_vacuum(self):
-        channel = loss(0.5).compose(rotation_attack(0.3)[0])
+        channel = loss(0.5).compose(rotation_attack(0.3))
         vac_branches = [b for b in channel.branches if b.to_vacuum]
         assert vac_branches
         assert sum(b.weights[0] for b in vac_branches) == pytest.approx(0.5)

@@ -290,6 +290,21 @@ class TestSimulate:
         assert err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("lines, key", (
+        (("sead = 4",), "sead"),
+        (("attak = loss(T=0.5)",), "attak"),
+        (("seed = 1", "seed = 2"), "seed"),
+        (("attack = loss(T=0.5)", "ATTACK = identity"), "attack")))
+    def test_unknown_or_repeated_config_key_is_domain_error(self, capsys, tmp_path,
+                                                            lines, key):
+        # each used to exit 0: an unknown key was ignored, a repeated one took the last value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in ("n_total = 1000", "alpha_deg = 12",
+                                                        *lines)))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and repr(key) in err
+
     @pytest.mark.parametrize("extra", ({"attack": "loss(transmision=0.5)"},
                                        {"attack": "weak-meas"},
                                        {"alpha_deg": "100", "alpha_prime_deg": "10"}))
@@ -442,7 +457,7 @@ class TestExactCells:
 
         sweep = distance_sweep(link, lengths, math.radians(alpha))
         rows = [(length, b92, bb84, log10_or_nan(b92), log10_or_nan(bb84))
-                for length, b92, bb84 in zip(sweep.length_km.tolist(), sweep.gain_b92.tolist(),
+                for length, b92, bb84 in zip(lengths.tolist(), sweep.gain_b92.tolist(),
                                              sweep.gain_bb84.tolist())]
         assert_cells(out, SCHEMAS["distance"], rows)
         assert ",nan," in out  # the B92 gain falls to or below zero on both links
@@ -453,6 +468,13 @@ class TestExactCells:
         rngs = np.random.default_rng(7).spawn(3)
         rows = [_oracle_sample(k, r)[0] for k, r in enumerate(rngs)]
         assert_cells(out, SCHEMAS["oracle-check"], rows)
+
+    def test_oracle_check_last_sample_is_the_last_spawned_child(self, capsys):
+        # each sample builds its own generator as the loop reaches it
+        code, out, _ = run(capsys, "oracle-check", "--samples", "1000", "--seed", "7")
+        assert code == EXIT_OK
+        row, _ = _oracle_sample(999, np.random.default_rng(7).spawn(1000)[999])
+        assert out.split("\n")[-2].split(",") == [str(v) for v in row]
 
 
 def test_entry_point_runs_as_module():

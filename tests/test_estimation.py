@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ class TestObservedCounts:
             make_counts(n00=-1)
 
     @pytest.mark.parametrize("name", ("n00", "n1b1", "n_total"))
-    @pytest.mark.parametrize("bad", (2.5, 7.0, math.nan, math.inf, "5", None))
+    @pytest.mark.parametrize("bad", (2.5, 7.0, math.nan, math.inf, "5", None, True, False))
     def test_rejects_non_integer_counter(self, name, bad):
         with pytest.raises(DomainError, match=f"count {name} must be a non-negative integer"):
             make_counts(**{name: bad})
@@ -77,9 +78,12 @@ GOOD_ROW = "100,80,5,30,80,100,30,5,1000"
 class TestMalformedRecords:
     """A malformed count record raises DomainError naming the field."""
 
-    def test_csv_cell_not_an_integer(self):
-        with pytest.raises(DomainError, match="count n0b0 must be a non-negative integer: '1.5'"):
-            ObservedCounts.from_csv(f"{HEADER}\n100,80,1.5,30,80,100,30,5,1000\n")
+    # to_csv writes ASCII digits only; int() alone would read the last four as 10 or 20
+    @pytest.mark.parametrize("cell", ("1.5", " 1_0 ", "1_0", "\uff11\uff10", "+20", " 10", ""))
+    def test_csv_cell_not_an_integer(self, cell):
+        message = f"count n0b0 must be a non-negative integer: {cell!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ObservedCounts.from_csv(f"{HEADER}\n100,80,{cell},30,80,100,30,5,1000\n")
 
     def test_csv_missing_column(self):
         header, row = HEADER.replace(",n1b1", ""), GOOD_ROW.replace(",5,1000", ",1000")
@@ -97,6 +101,12 @@ class TestMalformedRecords:
     def test_json_that_is_not_an_object(self):
         with pytest.raises(DomainError, match="counts JSON must be an object, got list"):
             ObservedCounts.from_json("[100, 80, 5, 30, 80, 100, 30, 5, 1000]")
+
+    @pytest.mark.parametrize("value", ("true", "false"))
+    def test_json_boolean_counter(self, value):
+        record = make_counts().to_json().replace('"n11": 100', f'"n11": {value}')
+        with pytest.raises(DomainError, match="count n11 must be a non-negative integer"):
+            ObservedCounts.from_json(record)
 
     def test_json_missing_key(self):
         record = make_counts().to_json().replace('"n11": 100, ', "")

@@ -24,11 +24,12 @@ from b92sec.evebound import (
     constraint_max,
     eve_bound,
     eve_max_gain,
-    flipped_bit_gain,
     min_overlap_at,
     shannon_gain,
     stationary_curves,
 )
+
+from b92sec.keyrate import key_gains
 
 from conftest import DEG, sym_matrix
 
@@ -308,38 +309,51 @@ class TestEveMaxGain:
         assert 0.48 < slope.min() and slope.max() < 0.49
 
 
+def flipped_overlap(alpha: float, triple: ChannelTriple) -> float:
+    """Eve's minimum overlap on flipped bits: index 1 of ``key_gains(...).bounds``."""
+    bounds = key_gains(alpha, triple.theta, triple.epsilon, triple.transmission).bounds
+    assert bounds.status[1] == OK
+    return float(bounds.overlap_min[1])
+
+
+def substituted(alpha_prime: float, alpha: float, triple: ChannelTriple):
+    """:func:`eve_max_gain` with the flipped-bit tilt -2 alpha - theta."""
+    return eve_max_gain(alpha_prime, alpha, ChannelTriple(
+        -2.0 * alpha - triple.theta, triple.epsilon, triple.transmission))
+
+
 class TestFlippedBits:
     def test_symmetric_midpoint_is_fixed_point(self):
         # theta = -alpha maps to itself under the flipped substitution
         alpha = 0.5
         triple = ChannelTriple(-alpha, 0.2, 0.9)
         correct = eve_max_gain(alpha, alpha, triple)
-        flipped = flipped_bit_gain(alpha, alpha, triple)
-        assert flipped.overlap_min == pytest.approx(correct.overlap_min, abs=1e-12)
-        assert flipped.info_gain == pytest.approx(correct.info_gain, abs=1e-12)
+        flipped = flipped_overlap(alpha, triple)
+        assert flipped == pytest.approx(correct.overlap_min, abs=1e-12)
+        assert collision_gain(flipped) == pytest.approx(correct.info_gain, abs=1e-12)
 
     def test_noiseless_flipped_equals_correct(self):
         # eps = 0, theta = 0: the closed form divides by cos(alpha) either way
         alpha, t = 0.3, 0.8
         triple = ChannelTriple(0.0, 0.0, t)
-        assert flipped_bit_gain(alpha, alpha, triple).overlap_min == \
+        assert flipped_overlap(alpha, triple) == \
             pytest.approx(eve_max_gain(alpha, alpha, triple).overlap_min, abs=1e-12)
 
     def test_flipped_is_substituted_problem(self):
         alpha, theta, eps, t = 40 * DEG, 0.0, 0.1, 0.8
-        direct = flipped_bit_gain(alpha, alpha, ChannelTriple(theta, eps, t))
+        direct = flipped_overlap(alpha, ChannelTriple(theta, eps, t))
         substituted = eve_max_gain(alpha, alpha,
                                    ChannelTriple(-2 * alpha - theta, eps, t))
-        assert direct.overlap_min == substituted.overlap_min
+        assert direct == substituted.overlap_min
 
     def test_flipped_agrees_with_the_oracle(self):
         from b92sec.oracle import oracle_min_overlap_lossy
 
         alpha, theta, eps, t = 40 * DEG, 5 * DEG, 0.15, 0.85
-        direct = flipped_bit_gain(alpha, alpha, ChannelTriple(theta, eps, t))
+        direct = flipped_overlap(alpha, ChannelTriple(theta, eps, t))
         a, b = build_matrices(alpha, -2 * alpha - theta, eps)
         oracle = oracle_min_overlap_lossy(a, b, alpha, t)
-        assert direct.overlap_min == pytest.approx(oracle.value, abs=1e-3)
+        assert direct == pytest.approx(oracle.value, abs=1e-3)
 
 
 class TestArrayParity:
@@ -361,7 +375,7 @@ class TestArrayParity:
 
     @pytest.mark.parametrize("scalar,tilt", [
         (eve_max_gain, lambda alpha, theta: theta),
-        (flipped_bit_gain, lambda alpha, theta: -2.0 * alpha - theta),
+        (substituted, lambda alpha, theta: -2.0 * alpha - theta),
     ], ids=["correct", "flipped"])
     def test_array_matches_scalar_calls(self, scalar, tilt):
         alpha, theta, eps, t = self.channels()

@@ -38,7 +38,7 @@ class TestConclusiveProbability:
     def test_broadcasts_over_the_inputs(self):
         eps = np.linspace(0.0, 1.0, 5)
         rep = shannon_upper_bound(np.array([[0.3], [0.6]]), eps, 0.8)
-        assert rep.p_conc.shape == rep.upper_bound.shape == rep.vacuous.shape == (2, 5)
+        assert rep.p_conc.shape == rep.upper_bound.shape == rep.term_control.shape == (2, 5)
         for i, alpha in enumerate((0.3, 0.6)):
             for j, e in enumerate(eps):
                 one = shannon_upper_bound(alpha, e, 0.8)
@@ -105,8 +105,7 @@ class TestShannonUpperBound:
     def test_orthogonal_noiseless_bound_is_vacuous(self):
         rep = shannon_upper_bound(math.pi / 2, 0.0, 1.0)
         assert rep.term_state == pytest.approx(2.0, abs=1e-9)
-        assert rep.vacuous
-        assert rep.upper_bound_clamped == 1.0
+        assert rep.upper_bound >= 1.0  # a ceiling of one bit or more says nothing
 
     def test_total_is_sum_of_terms(self, rng):
         for _ in range(30):

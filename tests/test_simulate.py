@@ -27,12 +27,14 @@ from b92sec.states import OUTCOMES
 
 from conftest import (
     DEG,
+    attack_noise_rate,
     count,
     estimator_sigmas,
     explicit_povm_effects,
     ket,
     noiseless_gain,
     projector,
+    rotation_triple,
     symmetrized_outcomes,
 )
 
@@ -103,7 +105,7 @@ class TestCounting:
 
 class TestRotationAttack:
     def test_eve_accuracy_is_exact(self):
-        channel, predicted = rotation_attack(ALPHA)
+        channel, predicted = rotation_attack(ALPHA), rotation_triple(ALPHA)
         result = run_simulation(config(channel, n=200000, seed=13))
         assert result.eve_accuracy_correct == 1.0
         sigma = estimator_sigmas(predicted, ALPHA, 200000)
@@ -116,11 +118,7 @@ class TestWeakMeasurementAttack:
         # the measured-then-rotated attack at the critical weakness produces
         # the lower-boundary channel (0, eps(q0), 1) and full knowledge of
         # the surviving correct bits
-        from b92sec.attacks import (
-            attack_noise_rate,
-            critical_weakness,
-            weak_measurement_attack,
-        )
+        from b92sec.attacks import critical_weakness, weak_measurement_attack
 
         alpha = 20 * DEG
         q0 = critical_weakness(alpha)
@@ -135,18 +133,13 @@ class TestWeakMeasurementAttack:
     def test_mixture_interpolates_the_noise_rate(self):
         # mixing the critical and rotation strategies averages the Bloch
         # shrink factors, so eps interpolates linearly in the weight
-        from b92sec.attacks import (
-            attack_noise_rate,
-            critical_weakness,
-            mix,
-            weak_measurement_attack,
-        )
+        from b92sec.attacks import critical_weakness, mix, weak_measurement_attack
 
         alpha = 20 * DEG
         q0 = critical_weakness(alpha)
         lam = 0.5
         channel = mix(weak_measurement_attack(q0, alpha),
-                      rotation_attack(alpha)[0], lam)
+                      rotation_attack(alpha), lam)
         expected = (lam * attack_noise_rate(q0, alpha)
                     + (1 - lam) * attack_noise_rate(0.5, alpha))
         result = run_simulation(config(channel, n=10 ** 6, seed=15, alpha=alpha))
@@ -183,7 +176,7 @@ class TestClosedLoop:
         assert report.gain == pytest.approx(noiseless_gain(alpha, 0.5), abs=5e-3)
 
     def test_rotation_attack_kills_correct_bits(self):
-        channel, _ = rotation_attack(ALPHA)
+        channel = rotation_attack(ALPHA)
         cfg = SimConfig(n_total=10 ** 6, alpha_prime=ALPHA, alpha=ALPHA,
                         attack=channel, seed=42)
         _, report = closed_loop_report(cfg)
@@ -360,12 +353,12 @@ class TestOutcomeDistribution:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("seed", (-1, 1 << 128, 1.5, "4"))
+    @pytest.mark.parametrize("seed", (-1, 1 << 128, 1.5, "4", False, True))
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError):
             config(identity_attack(), n=10, seed=seed)
 
-    @pytest.mark.parametrize("n_total", (0, 1000.5, 1000.0, math.nan, "1000"))
+    @pytest.mark.parametrize("n_total", (0, 1000.5, 1000.0, math.nan, "1000", True))
     def test_bad_pulse_count_rejected(self, n_total):
         with pytest.raises(DomainError):
             config(identity_attack(), n=n_total, seed=0)
