@@ -316,7 +316,7 @@ def flipped_overlap(alpha: float, triple: ChannelTriple) -> float:
     return float(bounds.overlap_min[1])
 
 
-def substituted(alpha_prime: float, alpha: float, triple: ChannelTriple):
+def flipped_max_gain(alpha_prime: float, alpha: float, triple: ChannelTriple):
     """:func:`eve_max_gain` with the flipped-bit tilt -2 alpha - theta."""
     return eve_max_gain(alpha_prime, alpha, ChannelTriple(
         -2.0 * alpha - triple.theta, triple.epsilon, triple.transmission))
@@ -375,7 +375,7 @@ class TestArrayParity:
 
     @pytest.mark.parametrize("scalar,tilt", [
         (eve_max_gain, lambda alpha, theta: theta),
-        (substituted, lambda alpha, theta: -2.0 * alpha - theta),
+        (flipped_max_gain, lambda alpha, theta: -2.0 * alpha - theta),
     ], ids=["correct", "flipped"])
     def test_array_matches_scalar_calls(self, scalar, tilt):
         alpha, theta, eps, t = self.channels()
