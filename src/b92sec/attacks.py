@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -217,9 +217,7 @@ def mix(first: AttackChannel, second: AttackChannel, weight: float) -> AttackCha
         if scale <= 0.0:
             continue
         for br in channel.branches:
-            branches.append(AttackBranch(
-                weights=(scale * br.weights[0], scale * br.weights[1]),
-                rotations=br.rotations, guess=br.guess, to_vacuum=br.to_vacuum))
+            branches.append(replace(br, weights=(scale * br.weights[0], scale * br.weights[1])))
     return AttackChannel(tuple(branches))
 
 

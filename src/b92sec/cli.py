@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def cmd_simulate(args) -> int:
     # the counts file first: a failed write leaves no JSON record behind
     if args.counts_csv:
         _write(args.counts_csv, result.counts.to_csv())
-    record = result.record()
+    record = asdict(result)
     record["key_gain"] = {
         "alpha_deg": math.degrees(config.alpha),
         "g": float(g.gain),

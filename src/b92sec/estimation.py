@@ -10,10 +10,10 @@ as a one-record CSV or a JSON object; ``simulate --counts-csv`` writes the
 CSV.  Each counter is a non-negative integer, and not a bool; a CSV cell
 holds ASCII digits only.  Anything else raises :class:`DomainError`, and so
 does a record that is malformed: text that is not JSON, JSON that is not
-an object, or a missing field, column or cell.
-The error names the field where there is one.  :func:`expected_counts`
-gives the exact, unsampled counters of a channel triple, which
-:func:`estimate_channel` inverts.
+an object, a missing, unknown or repeated field or column, a missing cell,
+or a cell past the CSV header.  The error names the field where there is
+one.  :func:`expected_counts` gives the exact, unsampled counters of a
+channel triple, which :func:`estimate_channel` inverts.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ COUNT_TABLE = {
     (1, "0"): "n10", (1, "1"): "n11", (1, "0b"): "n1b0", (1, "1b"): "n1b1",
 }
 COUNT_FIELDS = (*COUNT_TABLE.values(), "n_total")
+
+
+def _check_fields(names, kind: str) -> None:
+    """Raise DomainError naming the first of ``names`` that is unknown or repeated."""
+    for k, name in enumerate(names):
+        if name not in COUNT_FIELDS:
+            raise DomainError(f"counts {kind} has unknown field {name!r}")
+        if name in names[:k]:
+            raise DomainError(f"counts {kind} repeats field {name}")
 
 
 @dataclass(frozen=True)
@@ -94,21 +103,27 @@ class ObservedCounts:
     @classmethod
     def from_json(cls, text: str) -> "ObservedCounts":
         try:
-            record = json.loads(text)
+            # an object reads as its (name, value) pairs, so a repeat shows
+            record = json.loads(text, object_pairs_hook=tuple)
         except json.JSONDecodeError as exc:
             raise DomainError(f"counts record is not JSON: {exc}") from None
-        if not isinstance(record, dict):
+        if not isinstance(record, tuple):
             raise DomainError(f"counts JSON must be an object, got {type(record).__name__}")
-        return cls._from_record(record, "JSON")
+        _check_fields([name for name, _ in record], "JSON")
+        return cls._from_record(dict(record), "JSON")
 
     def to_json(self) -> str:
         return json.dumps({name: getattr(self, name) for name in COUNT_FIELDS})
 
     @classmethod
     def from_csv(cls, text: str) -> "ObservedCounts":
-        rows = list(csv.DictReader(io.StringIO(text)))
+        reader = csv.DictReader(io.StringIO(text))
+        rows = list(reader)
         if len(rows) != 1:
             raise DomainError(f"counts CSV must hold exactly one record, got {len(rows)}")
+        _check_fields(reader.fieldnames, "CSV")
+        if None in rows[0]:  # DictReader files cells past the header under None
+            raise DomainError(f"counts CSV row has cells past its header: {rows[0][None]}")
         record = {}
         for name in COUNT_FIELDS:
             cell = rows[0].get(name)  # None for a missing column or a short row

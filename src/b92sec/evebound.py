@@ -14,16 +14,20 @@ The closed form runs over arrays.  :func:`eve_bound` takes broadcast
 once, with the 2x2 algebra written out, and returns for every entry the
 minimum overlap, the regime that decided it (the free region, where the
 overlap vanishes, or the family type1, type3+ or type3- whose root wins)
-and a status (ok, unreachable, degenerate) in place of an exception.  A
-minimizer is reported by its family alone, which :func:`eve_max_gain`
-names in ``achieving``.
-:func:`eve_max_gain` is the one-entry wrapper that raises a failed status
-as the matching exception; Eve's bound on flipped bits is the same call
-with the tilt -2 alpha - theta, which :func:`~b92sec.keyrate.key_gains`
-stacks with theta in one :func:`eve_bound` call.  The families need
-det B != 0; since det B = -eps (1 - eps/2) / 2, they vanish only for
-eps below about 2e-15, and there the eps = 0 formula
-q = target / |cos(alpha + theta)| is used.
+and a status (ok or unreachable) in place of an exception.  A minimizer is
+reported by its family alone, which :func:`eve_max_gain` names in
+``achieving``.
+:func:`eve_max_gain` is the one-entry wrapper that raises an unreachable
+status as :class:`UnreachableChannelError`; Eve's bound on flipped bits is
+the same call with the tilt -2 alpha - theta, which
+:func:`~b92sec.keyrate.key_gains` stacks with theta in one
+:func:`eve_bound` call.  The families need det B != 0; since
+det B = -eps (1 - eps/2) / 2, they vanish only for eps below about 2e-15,
+and there the eps = 0 formula q = target / |cos(alpha + theta)| is used.
+That formula needs no A, so every channel gets an answer, including the
+noiseless ones with 2 alpha + theta = 0 where A is 0/0 and
+:func:`build_matrices` raises: A's denominator is at least eps, so it
+vanishes only where det B already does.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import numpy as np
 
 from .entropy import binary_entropy
 from .errors import (
-    B92Error,
     DegenerateChannelError,
     DomainError,
     FirstFailure,
@@ -55,7 +58,7 @@ DET_SLOP = 1e-15
 # regime codes index FAMILIES
 FAMILIES = ("free", "type1", "type3+", "type3-")
 FREE, TYPE1, TYPE3P, TYPE3M = range(4)
-OK, UNREACHABLE, DEGENERATE = range(3)
+OK, UNREACHABLE = range(2)
 
 
 @dataclass(frozen=True)
@@ -86,31 +89,30 @@ class EveBoundResult:
 
     ``overlap_min`` is min |Q|; ``info_gain`` and ``info_gain_shannon`` are
     the corresponding information measures in bits (collision-probability
-    and Shannon).  ``free_limit`` is the largest constraint value at which
-    the overlap can be driven to zero, ``constraint_max`` the largest value
-    reachable at all, and ``target`` the value Eve actually has to meet.
+    and Shannon).  ``achieving`` names the regime that decided the bound;
+    the constraint values behind it are :class:`BoundArrays` fields.
     """
 
     overlap_min: float
-    free_limit: float
-    constraint_max: float
     achieving: StationaryCandidate
     info_gain: float
     info_gain_shannon: float
-    target: float
 
 
 @dataclass(frozen=True)
 class BoundArrays(FirstFailure):
     """Outcome of the overlap minimization over broadcast channel arrays.
 
-    The fields match :class:`EveBoundResult`; ``regime`` indexes
-    ``FAMILIES``, the family whose root decided the entry.  ``status`` is
-    OK, UNREACHABLE (the target exceeds ``constraint_max`` and is kept
-    unclipped) or DEGENERATE (singular probe matrices); the other fields
-    of a failed entry carry no meaning.  ``free_limit`` and
-    ``constraint_max`` do not depend on alpha' or T and keep the broadcast
-    shape of (alpha, theta, eps); the other fields have the full shape.
+    ``overlap_min`` is min |Q|; ``regime`` indexes ``FAMILIES``, the
+    family whose root decided the entry.  ``free_limit`` is the largest
+    constraint value at which the overlap can be driven to zero,
+    ``constraint_max`` the largest value reachable at all, and ``target``
+    the value Eve actually has to meet.  ``status`` is OK or UNREACHABLE
+    (the target exceeds ``constraint_max`` and is kept unclipped); the
+    other fields of an unreachable entry carry no meaning.  ``free_limit``
+    and ``constraint_max`` do not depend on alpha' or T and keep the
+    broadcast shape of (alpha, theta, eps); the other fields have the full
+    shape.
     """
 
     overlap_min: np.ndarray
@@ -124,17 +126,14 @@ class BoundArrays(FirstFailure):
     def failed(self) -> np.ndarray:
         return self.status != OK
 
-    def error(self, k: int) -> B92Error | None:
+    def error(self, k: int) -> UnreachableChannelError | None:
         """The exception the scalar API raises for flat entry ``k``, if any."""
-        status = self.status.flat[k]
-        if status == UNREACHABLE:
-            bmax = np.broadcast_to(self.constraint_max, self.status.shape).flat[k]
-            return UnreachableChannelError(
-                f"observed channel needs constraint value {self.target.flat[k]:.6f} "
-                f"> maximum {bmax:.6f}")
-        if status == DEGENERATE:
-            return _singular_error()
-        return None
+        if self.status.flat[k] != UNREACHABLE:
+            return None
+        bmax = np.broadcast_to(self.constraint_max, self.status.shape).flat[k]
+        return UnreachableChannelError(
+            f"observed channel needs constraint value {self.target.flat[k]:.6f} "
+            f"> maximum {bmax:.6f}")
 
 
 def collision_gain(q):
@@ -145,16 +144,6 @@ def collision_gain(q):
 def shannon_gain(q):
     """Information gain (Shannon measure) from probe overlap q."""
     return 1.0 - binary_entropy(0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - q * q))))
-
-
-def _singular(den):
-    """Where A's common denominator leaves the probe matrices singular."""
-    return den <= 1e-15
-
-
-def _singular_error() -> DegenerateChannelError:
-    return DegenerateChannelError(
-        "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
 
 
 def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
@@ -193,8 +182,9 @@ def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2,
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
         a, b, den = _matrices(alpha, theta, epsilon)
-    if _singular(den):
-        raise _singular_error()
+    if den <= 1e-15:
+        raise DegenerateChannelError(
+            "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
     return a, b
 
 
@@ -346,8 +336,8 @@ def min_overlap_at(a: SymMat2, b: SymMat2, target):
 def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     """Eve's maximum information gain on correct bits over broadcast arrays.
 
-    Out-of-range inputs raise :class:`DomainError`; an unreachable or
-    degenerate channel is reported in ``status`` instead.
+    Out-of-range inputs raise :class:`DomainError`; an unreachable channel
+    is reported in ``status`` instead.
     """
     alpha_prime, alpha, theta, epsilon, transmission = (
         np.asarray(v, dtype=float) for v in (alpha_prime, alpha, theta, epsilon, transmission))
@@ -358,7 +348,7 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
-    a, b, den = _matrices(alpha, theta, epsilon)
+    a, b, _ = _matrices(alpha, theta, epsilon)
     f = stationary_curves(a, b)
     bmax = f.bmax
     # smallest |Tr[B xi]| compatible with the loss-widened unitarity band
@@ -367,10 +357,9 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     unreachable = lo > bmax + REACH_SLOP
     t = np.minimum(lo, bmax)
     q, regime = _overlap(f, t)
-    status = np.where(~f.degenerate & _singular(den), DEGENERATE,
-                      np.where(unreachable, UNREACHABLE, OK))
     return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
-                       target=np.where(unreachable, lo, t), regime=regime, status=status)
+                       target=np.where(unreachable, lo, t), regime=regime,
+                       status=np.where(unreachable, UNREACHABLE, OK))
 
 
 def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
@@ -380,10 +369,7 @@ def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
     q = float(bound.overlap_min)
     return EveBoundResult(
         overlap_min=q,
-        free_limit=float(bound.free_limit),
-        constraint_max=float(bound.constraint_max),
         achieving=StationaryCandidate(FAMILIES[int(bound.regime)]),
         info_gain=float(collision_gain(q)),
         info_gain_shannon=float(shannon_gain(q)),
-        target=float(bound.target),
     )

@@ -19,7 +19,7 @@ VM (Python 3.11, numpy 2.4) this samples about 3e7 pulses per second.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +96,9 @@ class SimResult:
     """Counters, estimate and the joint counts indexed [bit][branch][outcome].
 
     ``joint`` holds the pulses per Alice bit, attack branch and Bob outcome
-    (``OUTCOMES`` order) as nested tuples of ints.
+    (``OUTCOMES`` order) as nested tuples of ints.  ``simulate`` writes
+    ``dataclasses.asdict`` of a result as its JSON record, fields in this
+    order.
     """
 
     counts: ObservedCounts
@@ -104,19 +106,6 @@ class SimResult:
     eve_accuracy_correct: float | None
     estimated: ChannelTriple
     joint: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def record(self) -> dict:
-        """The run as the dict ``json.dumps`` writes for ``simulate``."""
-        est = self.estimated
-        return {
-            "counts": asdict(self.counts),
-            "conclusive_error_rate": self.conclusive_error_rate,
-            "eve_accuracy_correct": self.eve_accuracy_correct,
-            "estimated": {"theta": est.theta, "epsilon": est.epsilon,
-                          "transmission": est.transmission,
-                          "clamped": est.clamped},
-            "joint": self.joint,
-        }
 
 
 def _word_thresholds(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

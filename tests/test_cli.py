@@ -245,9 +245,11 @@ class TestSimulate:
                            "--counts-csv", str(counts_path))
         assert code == EXIT_OK
         record = json.loads(out)
+        assert list(record) == ["counts", "conclusive_error_rate", "eve_accuracy_correct",
+                                "estimated", "joint", "key_gain"]
+        assert list(record["estimated"]) == ["theta", "epsilon", "transmission", "clamped"]
         assert record["counts"]["n_total"] == 20000
         assert 0.0 <= record["estimated"]["epsilon"] <= 1.0
-        assert "key_gain" in record
         header = counts_path.read_text().splitlines()[0]
         assert header == "n00,n01,n0b0,n0b1,n10,n11,n1b0,n1b1,n_total"
         # the exported record round-trips through the estimator interface

@@ -113,6 +113,30 @@ class TestMalformedRecords:
         with pytest.raises(DomainError, match="counts JSON misses field n11"):
             ObservedCounts.from_json(record)
 
+    def test_json_unknown_key(self):
+        record = make_counts().to_json().replace("}", ', "n_totl": 7}')
+        with pytest.raises(DomainError, match="counts JSON has unknown field 'n_totl'"):
+            ObservedCounts.from_json(record)
+
+    def test_json_repeated_key(self):
+        # a dict would keep the last value and read n00 as 100
+        record = make_counts().to_json().replace('{"n00": 100', '{"n00": 1, "n00": 100')
+        with pytest.raises(DomainError, match="counts JSON repeats field n00"):
+            ObservedCounts.from_json(record)
+
+    def test_csv_repeated_column(self):
+        with pytest.raises(DomainError, match="counts CSV repeats field n00"):
+            ObservedCounts.from_csv(f"n00,{HEADER}\n1,{GOOD_ROW}\n")
+
+    def test_csv_unknown_column(self):
+        with pytest.raises(DomainError, match="counts CSV has unknown field 'n_totl'"):
+            ObservedCounts.from_csv(f"{HEADER},n_totl\n{GOOD_ROW},7\n")
+
+    def test_csv_row_longer_than_its_header(self):
+        message = "counts CSV row has cells past its header: ['7']"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ObservedCounts.from_csv(f"{HEADER}\n{GOOD_ROW},7\n")
+
 
 class TestEstimateChannel:
     def test_noiseless_identification(self):

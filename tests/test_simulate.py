@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestConfigFile:
     def test_json_emission_parses(self):
         result = run_simulation(config(depolarize(0.05), n=10000, seed=2))
         import json
-        record = json.loads(json.dumps(result.record()))
+        record = json.loads(json.dumps(asdict(result)))
         assert record["counts"]["n_total"] == 10000
         assert 0.0 <= record["estimated"]["epsilon"] <= 1.0
 
@@ -309,7 +310,7 @@ class TestSamplerParity:
 
     def test_joint_counts_in_json(self):
         result = run_simulation(config(depolarize(0.1).compose(loss(0.8)), n=5000, seed=3))
-        joint = json.loads(json.dumps(result.record()))["joint"]
+        joint = json.loads(json.dumps(asdict(result)))["joint"]
         assert np.array_equal(joint, result.joint)
         assert np.array(joint).shape == (2, 4, len(OUTCOMES))
         assert np.array(joint).sum() == 5000
