@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, _key_values
+from .errors import DomainError, _key_values, require
 from .evebound import eve_bound
 
 # Newton steps of critical_weakness; from q = 0 the third step is within a
@@ -40,8 +40,7 @@ NEWTON_STEPS = 4
 
 
 def _check_signal_angle(alpha: float) -> None:
-    if not 0.0 < alpha < math.pi / 2.0:
-        raise DomainError(f"signal angle outside (0, pi/2): {alpha}")
+    require(alpha, (0.0 < alpha) & (alpha < math.pi / 2.0), "signal angle outside (0, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,7 @@ def post_measurement_angle(q: float, alpha: float) -> float:
     increasing from 0 (projective, q = 0) to 2 alpha (no measurement,
     q = 1/2).
     """
-    if not 0.0 <= q <= 0.5:
-        raise DomainError(f"weakness parameter outside [0, 1/2]: {q}")
+    require(q, (0.0 <= q) & (q <= 0.5), "weakness parameter outside [0, 1/2]")
     return 2.0 * math.atan2(2.0 * math.sin(alpha) * math.sqrt(q * (1.0 - q)),
                             math.cos(alpha))
 
@@ -190,8 +188,7 @@ def critical_weakness(alpha: float) -> float:
 
 def depolarize(epsilon: float) -> AttackChannel:
     """Isotropic in-plane noise: flip to the orthogonal state with probability eps/2."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise DomainError(f"noise parameter outside [0, 1]: {epsilon}")
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     return AttackChannel((
         AttackBranch(weights=(1.0 - 0.5 * epsilon,) * 2),
         AttackBranch(weights=(0.5 * epsilon,) * 2, rotations=(math.pi, math.pi)),
@@ -200,8 +197,8 @@ def depolarize(epsilon: float) -> AttackChannel:
 
 def loss(transmission: float) -> AttackChannel:
     """Bit-independent photon loss."""
-    if not 0.0 <= transmission <= 1.0:
-        raise DomainError(f"transmission outside [0, 1]: {transmission}")
+    require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
+            "transmission outside [0, 1]")
     return AttackChannel((
         AttackBranch(weights=(transmission,) * 2),
         AttackBranch(weights=(1.0 - transmission,) * 2, to_vacuum=True),
@@ -210,8 +207,7 @@ def loss(transmission: float) -> AttackChannel:
 
 def mix(first: AttackChannel, second: AttackChannel, weight: float) -> AttackChannel:
     """Per-pulse mixture: ``first`` with probability ``weight``, else ``second``."""
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError(f"mixture weight outside [0, 1]: {weight}")
+    require(weight, (0.0 <= weight) & (weight <= 1.0), "mixture weight outside [0, 1]")
     branches = []
     for scale, channel in ((weight, first), (1.0 - weight, second)):
         if scale <= 0.0:
@@ -225,12 +221,12 @@ def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:
     """Boolean matrix over (alpha, eps): True where Eve's gain is unity.
 
     Entry [i, j] refers to alpha_grid[i], eps_grid[j], with the analyzer
-    matched to the signal angle and theta = 0.
+    matched to the signal angle and theta = 0.  Every entry is reachable
+    there: the target (cos alpha - (1 - T)) / T is at most cos alpha, which
+    B reaches, so no entry can fail.
     """
     alphas = np.asarray(alpha_grid, dtype=float)[:, np.newaxis]
-    bound = eve_bound(alphas, alphas, 0.0, eps_grid, transmission)
-    bound.check()
-    return bound.overlap_min <= 1e-9
+    return eve_bound(alphas, alphas, 0.0, eps_grid, transmission).overlap_min <= 1e-9
 
 
 # --- attack description strings ---------------------------------------------------

@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .errors import (
     EstimationInfeasibleError,
     OracleInfeasibleError,
     UnreachableChannelError,
+    require,
 )
 from .evebound import UNREACHABLE, build_matrices, collision_gain, eve_bound, shannon_gain
 from .infobounds import shannon_upper_bound
@@ -46,7 +47,6 @@ from .keyrate import (
     KTH_LINK,
     LINK_PRESETS,
     MODES,
-    PhysicalLink,
     distance_sweep,
     key_gains,
     optimal_angles,
@@ -63,6 +63,14 @@ SCHEMAS = {
     "oracle-check": "sample,alpha_deg,theta_deg,eps,T,analytic,oracle,diff",
     "simulate": "(JSON result; --counts-csv writes the estimator's count record)",
 }
+
+# distance's link flags: the PhysicalLink field each sets, and its unit
+LINK_FLAGS = (
+    ("--channel-loss", "channel_loss_db_km", "dB/km"),
+    ("--receiver-loss", "receiver_loss_db", "dB"),
+    ("--dark-mean", "dark_mean", "dark counts per pulse"),
+    ("--efficiency", "det_efficiency", "detector efficiency in [0, 1]"),
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -147,13 +155,11 @@ def cmd_optangle(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    if args.preset:
-        link = LINK_PRESETS[args.preset]
-    else:
-        link = PhysicalLink(channel_loss_db_km=args.channel_loss,
-                            receiver_loss_db=args.receiver_loss,
-                            dark_mean=args.dark_mean,
-                            det_efficiency=args.efficiency)
+    given = [(flag, field) for flag, field, _ in LINK_FLAGS if getattr(args, field) is not None]
+    if args.preset and given:
+        raise DomainError(f"--preset {args.preset} takes no {given[0][0]}")
+    link = replace(LINK_PRESETS.get(args.preset, KTH_LINK),
+                   **{field: getattr(args, field) for _, field in given})
     sweep = distance_sweep(link, args.l_grid, math.radians(args.alpha), args.mode)
     gains = np.array([sweep.gain_b92, sweep.gain_bb84])
     # log10 where the gain is positive, NaN elsewhere
@@ -191,7 +197,6 @@ def _oracle_sample(k: int, rng: np.random.Generator):
         bound = eve_bound(alpha, alpha, theta, eps, transmission)
         if bound.status == UNREACHABLE:
             continue  # inconsistent observed channel; resample
-        bound.check()
         analytic = float(bound.overlap_min)
         a, b = build_matrices(alpha, theta, eps)
         oracle = oracle_min_overlap_lossy(a, b, alpha, transmission)
@@ -201,12 +206,9 @@ def _oracle_sample(k: int, rng: np.random.Generator):
 
 
 def cmd_oracle_check(args) -> int:
-    if args.samples < 1:
-        raise DomainError(f"--samples must be at least 1: {args.samples}")
-    if not math.isfinite(args.tol):
-        raise DomainError(f"--tol must be finite: {args.tol}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be non-negative: {args.seed}")
+    require(args.samples, args.samples >= 1, "--samples must be at least 1")
+    require(args.tol, np.isfinite(args.tol), "--tol must be finite")
+    require(args.seed, args.seed >= 0, "--seed must be non-negative")
     # sample k draws from child k of the seed, built when the loop reaches it:
     # the generator default_rng(seed).spawn(samples)[k], without the others
     rows, gaps = zip(*(_oracle_sample(k, np.random.default_rng(
@@ -264,12 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("distance", cmd_distance, "distance sweep against BB84")
     p.add_argument("--preset", choices=sorted(LINK_PRESETS))
-    p.add_argument("--channel-loss", type=float, default=KTH_LINK.channel_loss_db_km,
-                   help="dB/km (ignored with --preset)")
-    p.add_argument("--receiver-loss", type=float, default=KTH_LINK.receiver_loss_db,
-                   help="dB")
-    p.add_argument("--dark-mean", type=float, default=KTH_LINK.dark_mean, help="per pulse")
-    p.add_argument("--efficiency", type=float, default=KTH_LINK.det_efficiency)
+    for flag, field, unit in LINK_FLAGS:
+        p.add_argument(flag, dest=field, type=float,
+                       help=f"{unit}; default {getattr(KTH_LINK, field)}; not with --preset")
     p.add_argument("--alpha", type=float, default=11.0)
     p.add_argument("--l-grid", default="0:60:61", type=_grid)
     p.add_argument("--mode", choices=MODES, default="collision")

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules, and the one input check.
 
-:func:`require` is how every array entry point rejects bad input: one
-:class:`DomainError` naming the first bad entry.  :class:`FirstFailure`
-gives the array results their scalar wrappers' ``check``.
+:func:`require` is how every range check rejects bad input, on an array or
+a scalar: one :class:`DomainError` reading "<what>: <first bad value>".
+:class:`FirstFailure` gives the array results their scalar wrappers'
+``check``.
 :func:`is_integer` is the test for a count or a seed, and :func:`_key_values`
 reads the ``key=value`` items of an attack stage and of a simulator config
 file alike.

@@ -31,6 +31,7 @@ from .errors import (
     DomainError,
     EstimationInfeasibleError,
     is_integer,
+    require,
 )
 from .states import OUTCOMES, outcome_table
 
@@ -75,10 +76,9 @@ class ObservedCounts:
             if not is_integer(value) or value < 0:
                 raise DomainError(f"count {name} must be a non-negative integer: {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.n_total <= 0:
-            raise DomainError("n_total must be positive")
-        if self.detected() > self.n_total:
-            raise DomainError("counters exceed n_total")
+        require(self.n_total, self.n_total > 0, "n_total must be positive")
+        detected = self.detected()
+        require(detected, detected <= self.n_total, "counters exceed n_total")
 
     def detected(self) -> int:
         """Number of single-photon detections (everything except V)."""
@@ -156,10 +156,10 @@ class ChannelTriple:
     clamped: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise DomainError(f"noise parameter outside [0, 1]: {self.epsilon}")
-        if not 0.0 <= self.transmission <= 1.0:
-            raise DomainError(f"transmission outside [0, 1]: {self.transmission}")
+        require(self.epsilon, (0.0 <= self.epsilon) & (self.epsilon <= 1.0),
+                "noise parameter outside [0, 1]")
+        require(self.transmission, (0.0 <= self.transmission) & (self.transmission <= 1.0),
+                "transmission outside [0, 1]")
 
 
 def estimate_channel(counts: ObservedCounts, alpha: float,

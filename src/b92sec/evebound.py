@@ -199,8 +199,8 @@ def constraint_max(b: SymMat2):
 
 def _constraint_max(det_b, bc, bs):
     """:func:`constraint_max` from det B, B11 - B22 and 2 B12."""
-    if np.any(det_b > 1e-12):
-        raise DomainError("constraint matrix must have non-positive determinant")
+    require(det_b, ~np.greater(det_b, 1e-12),
+            "constraint matrix must have non-positive determinant")
     return np.hypot(bc, bs)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy
-from .errors import DomainError, require
+from .errors import require
 from .states import OUTCOMES, outcome_table
 
 
@@ -38,10 +38,7 @@ def conclusive_entropy_floor(x, alpha):
     x, alpha = np.broadcast_arrays(np.asarray(x, dtype=float), alpha)
     require(x, x > 0.0, "conclusive probability must be positive")
     ratio = (1.0 - 2.0 * x) / np.cos(alpha)
-    beyond = np.abs(ratio) > 1.0 + 1e-12
-    if beyond.any():
-        raise DomainError(
-            f"no state reaches conclusive probability {x[beyond].flat[0]} at this angle")
+    require(x, ~(np.abs(ratio) > 1.0 + 1e-12), "no state reaches this conclusive probability")
     radicand = np.maximum(0.0, 1.0 - ratio * ratio)
     arg = 0.5 - (np.sin(alpha) / (4.0 * x)) * np.sqrt(radicand)
     return binary_entropy(np.clip(arg, 0.0, 1.0))
@@ -82,8 +79,7 @@ def shannon_upper_bound(alpha, epsilon, transmission) -> BoundReport:
     table = outcome_table(alpha, -alpha, 1.0 - epsilon, transmission)
     p_error, p_correct = table[..., OUTCOMES.index("0b")], table[..., OUTCOMES.index("1b")]
     p_conc = p_error + p_correct
-    if not (p_conc > 0.0).all():
-        raise DomainError("conclusive probability vanishes; bound undefined")
+    require(p_conc, p_conc > 0.0, "conclusive probability vanishes; bound undefined")
     # the error rate is at most 1/2, so the correct-bit fraction never vanishes
     e = p_error / p_conc
     term_state = (1.0 - binary_entropy(

@@ -70,12 +70,10 @@ class PhysicalLink:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not value >= 0.0:  # NaN fails too
-                raise DomainError(f"{name} must be non-negative: {value}")
-            if value == math.inf:
-                raise DomainError(f"{name} must be finite: {value}")
-        if self.det_efficiency > 1.0:
-            raise DomainError("det_efficiency must not exceed 1")
+            require(value, value >= 0.0, f"{name} must be non-negative")  # NaN fails too
+            require(value, value != math.inf, f"{name} must be finite")
+        require(self.det_efficiency, self.det_efficiency <= 1.0,
+                "det_efficiency must not exceed 1")
 
 
 # measured parameters of a deployed fiber testbed, used throughout as preset
@@ -179,8 +177,7 @@ def _gains(alphas, theta, epsilon, transmission, mode: str) -> np.ndarray:
 
 
 def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be finite and positive: {tol}")
+    require(tol, np.isfinite(tol) & (tol > 0.0), "tolerance must be finite and positive")
 
 
 def optimal_angles(theta, epsilon, transmission, mode: str = "collision",

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OracleInfeasibleError
+from .errors import OracleInfeasibleError, require
 from .evebound import SymMat2
 
 # eigenvalues this small against the matrices' scale count as zero
@@ -201,8 +201,8 @@ def oracle_min_overlap_lossy(a: SymMat2, b: SymMat2, alpha_prime: float,
     becomes vacuous.  ``resolution`` is accepted and ignored: the oracle
     has no grid, but the benchmark's ``verify`` workload still passes it.
     """
-    if not 0.0 < transmission <= 1.0:
-        raise DomainError(f"transmission outside (0, 1]: {transmission}")
+    require(transmission, (0.0 < transmission) & (transmission <= 1.0),
+            "transmission outside (0, 1]")
     c = math.cos(alpha_prime)
     lo = (c - (1.0 - transmission)) / transmission
     hi = (c + (1.0 - transmission)) / transmission

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import Philox
 
 from .attacks import AttackChannel, parse_attack
-from .errors import DomainError, _key_values, is_integer
+from .errors import DomainError, _key_values, is_integer, require
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
 from .states import OUTCOMES, outcome_table
@@ -57,8 +57,8 @@ class SimConfig:
         if not is_integer(self.seed) or not 0 <= self.seed < 1 << 128:
             raise DomainError(f"seed must be an integer in [0, 2**128): {self.seed!r}")
         for name in ("alpha", "alpha_prime"):
-            if not 0.0 <= getattr(self, name) <= math.pi / 2.0:
-                raise DomainError(f"{name} outside [0, pi/2]: {getattr(self, name)}")
+            value = getattr(self, name)
+            require(value, (0.0 <= value) & (value <= math.pi / 2.0), f"{name} outside [0, pi/2]")
 
     @classmethod
     def from_file(cls, path) -> "SimConfig":

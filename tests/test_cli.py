@@ -168,6 +168,16 @@ class TestKeygainCommands:
         assert code == code2 == EXIT_OK
         assert preset == explicit
 
+    @pytest.mark.parametrize("flag, value", (
+        ("--channel-loss", "0.25"), ("--receiver-loss", "1.0"), ("--dark-mean", "0.5"),
+        ("--efficiency", "0.18")))
+    def test_distance_preset_takes_no_link_flag(self, capsys, flag, value):
+        # a link flag used to be ignored with --preset, even at the preset's own value
+        code, out, err = run(capsys, "distance", "--preset", "kth", flag, value,
+                             "--l-grid", "0:10:2")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"error: --preset kth takes no {flag}\n"
+
     def test_csv_to_a_directory_is_domain_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "distance", "--output", str(tmp_path))
         assert code == EXIT_DOMAIN and out == ""
@@ -449,7 +459,10 @@ class TestExactCells:
         (("--preset", "kth", "--alpha", "11", "--l-grid", "0:60:7"),
          KTH_LINK, 11.0, np.linspace(0.0, 60.0, 7)),
         (("--alpha", "30", "--l-grid", "0:200:21"),
-         PhysicalLink(0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21))))
+         PhysicalLink(0.2, 1.0, 2e-4, 0.18), 30.0, np.linspace(0.0, 200.0, 21)),
+        # a link flag left out takes the testbed's value
+        (("--channel-loss", "0.25", "--dark-mean", "1e-4", "--l-grid", "0:60:7"),
+         PhysicalLink(0.25, 1.0, 1e-4, 0.18), 11.0, np.linspace(0.0, 60.0, 7))))
     def test_distance(self, capsys, argv, link, alpha, lengths):
         code, out, _ = run(capsys, "distance", *argv)
         assert code == EXIT_OK

@@ -1,16 +1,38 @@
-"""Every array entry point rejects bad input alike: one DomainError, on one
-line, naming the first bad entry of the offending input."""
+"""Every range check rejects bad input alike: one DomainError, on one line,
+naming the first bad entry of the offending input."""
 
+import argparse
 import math
 
 import numpy as np
 import pytest
 
+from b92sec.attacks import (
+    critical_weakness,
+    depolarize,
+    identity_attack,
+    loss,
+    mix,
+    post_measurement_angle,
+    weak_measurement_attack,
+)
+from b92sec.cli import cmd_oracle_check
 from b92sec.entropy import binary_entropy
 from b92sec.errors import DomainError
-from b92sec.evebound import build_matrices, eve_bound
+from b92sec.estimation import ChannelTriple, ObservedCounts
+from b92sec.evebound import SymMat2, build_matrices, constraint_max, eve_bound
 from b92sec.infobounds import conclusive_entropy_floor, shannon_upper_bound
-from b92sec.keyrate import KTH_LINK, bb84_key_gain, key_gains, link_channels
+from b92sec.keyrate import (
+    KTH_LINK,
+    PhysicalLink,
+    bb84_key_gain,
+    key_gains,
+    link_channels,
+    optimal_angles,
+    positive_noise_limit,
+)
+from b92sec.oracle import oracle_min_overlap_lossy
+from b92sec.simulate import SimConfig
 from b92sec.states import outcome_table
 
 # the first bad entry of each array below is its second one
@@ -74,3 +96,106 @@ def test_names_the_first_bad_entry_on_one_line(case):
 def test_entropy_lets_nan_through():
     # a failed key-gain entry carries a NaN error rate into the entropy
     assert np.isnan(binary_entropy(np.array([0.5, math.nan]))[1])
+
+
+def _counts(n_total, n00=0):
+    return ObservedCounts(n00=n00, n01=0, n0b0=0, n0b1=0, n10=0, n11=0, n1b0=0, n1b1=0,
+                          n_total=n_total)
+
+
+def _link(**fields):
+    return PhysicalLink(**{**vars(KTH_LINK), **fields})
+
+
+def _sim(alpha, alpha_prime):
+    return SimConfig(n_total=10, alpha_prime=alpha_prime, alpha=alpha,
+                     attack=identity_attack(), seed=0)
+
+
+def _oracle_check(samples=1, tol=1e-3, seed=0):
+    return cmd_oracle_check(argparse.Namespace(samples=samples, tol=tol, seed=seed,
+                                               output=None))
+
+
+# one row per scalar range check: the call, the exception class and the exact
+# message.  The NaN rows pin that a check written as (lo <= x) & (x <= hi)
+# still rejects NaN, as the `not lo <= x <= hi` form it replaced did.
+SCALAR_CASES = {
+    "signal angle": (lambda: critical_weakness(math.pi / 2.0), DomainError,
+                     f"signal angle outside (0, pi/2): {math.pi / 2.0}"),
+    "signal angle nan": (lambda: weak_measurement_attack(0.1, math.nan), DomainError,
+                         "signal angle outside (0, pi/2): nan"),
+    "weakness": (lambda: post_measurement_angle(0.6, 0.3), DomainError,
+                 "weakness parameter outside [0, 1/2]: 0.6"),
+    "weakness nan": (lambda: post_measurement_angle(math.nan, 0.3), DomainError,
+                     "weakness parameter outside [0, 1/2]: nan"),
+    "depolarize": (lambda: depolarize(-0.1), DomainError,
+                   "noise parameter outside [0, 1]: -0.1"),
+    "depolarize nan": (lambda: depolarize(math.nan), DomainError,
+                       "noise parameter outside [0, 1]: nan"),
+    "loss": (lambda: loss(1.5), DomainError, "transmission outside [0, 1]: 1.5"),
+    "loss nan": (lambda: loss(math.nan), DomainError, "transmission outside [0, 1]: nan"),
+    "mix": (lambda: mix(loss(1.0), loss(0.5), 2.0), DomainError,
+            "mixture weight outside [0, 1]: 2.0"),
+    "mix nan": (lambda: mix(loss(1.0), loss(0.5), math.nan), DomainError,
+                "mixture weight outside [0, 1]: nan"),
+    "ChannelTriple noise": (lambda: ChannelTriple(0.0, 1.5, 0.5), DomainError,
+                            "noise parameter outside [0, 1]: 1.5"),
+    "ChannelTriple noise nan": (lambda: ChannelTriple(0.0, math.nan, 0.5), DomainError,
+                                "noise parameter outside [0, 1]: nan"),
+    "ChannelTriple transmission": (lambda: ChannelTriple(0.0, 0.5, -0.5), DomainError,
+                                   "transmission outside [0, 1]: -0.5"),
+    "ChannelTriple transmission nan": (lambda: ChannelTriple(0, 0.5, math.nan), DomainError,
+                                       "transmission outside [0, 1]: nan"),
+    "ObservedCounts n_total": (lambda: _counts(0), DomainError,
+                               "n_total must be positive: 0"),
+    "ObservedCounts detected": (lambda: _counts(3, n00=5), DomainError,
+                                "counters exceed n_total: 5"),
+    "oracle transmission": (
+        lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), 0.3, 0.0),
+        DomainError, "transmission outside (0, 1]: 0.0"),
+    "oracle transmission nan": (
+        lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), 0.3, math.nan),
+        DomainError, "transmission outside (0, 1]: nan"),
+    "optimal_angles tolerance": (lambda: optimal_angles(0.0, 0.1, 1.0, tol=0.0), DomainError,
+                                 "tolerance must be finite and positive: 0.0"),
+    "positive_noise_limit tolerance": (lambda: positive_noise_limit(1.0, tol=math.inf),
+                                       DomainError,
+                                       "tolerance must be finite and positive: inf"),
+    "tolerance nan": (lambda: optimal_angles(0.0, 0.1, 1.0, tol=math.nan), DomainError,
+                      "tolerance must be finite and positive: nan"),
+    "link negative": (lambda: _link(receiver_loss_db=-1.0), DomainError,
+                      "receiver_loss_db must be non-negative: -1.0"),
+    "link nan": (lambda: _link(dark_mean=math.nan), DomainError,
+                 "dark_mean must be non-negative: nan"),
+    "link infinite": (lambda: _link(channel_loss_db_km=math.inf), DomainError,
+                      "channel_loss_db_km must be finite: inf"),
+    "link efficiency": (lambda: _link(det_efficiency=1.5), DomainError,
+                        "det_efficiency must not exceed 1: 1.5"),
+    "entropy floor reach": (lambda: conclusive_entropy_floor(np.array([0.5, 0.99]), 0.3),
+                            DomainError, "no state reaches this conclusive probability: 0.99"),
+    "shannon_upper_bound conclusive rate": (
+        lambda: shannon_upper_bound(0.0, np.array([0.5, 0.0]), 1.0), DomainError,
+        "conclusive probability vanishes; bound undefined: 0.0"),
+    "constraint determinant": (lambda: constraint_max(SymMat2(1.0, 0.0, 1.0)), DomainError,
+                               "constraint matrix must have non-positive determinant: 1.0"),
+    "SimConfig alpha": (lambda: _sim(2.0, 0.3), DomainError,
+                        "alpha outside [0, pi/2]: 2.0"),
+    "SimConfig alpha_prime nan": (lambda: _sim(0.3, math.nan), DomainError,
+                                  "alpha_prime outside [0, pi/2]: nan"),
+    "oracle-check samples": (lambda: _oracle_check(samples=0), DomainError,
+                             "--samples must be at least 1: 0"),
+    "oracle-check tol": (lambda: _oracle_check(tol=math.nan), DomainError,
+                         "--tol must be finite: nan"),
+    "oracle-check seed": (lambda: _oracle_check(seed=-1), DomainError,
+                          "--seed must be non-negative: -1"),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_every_range_check_names_its_value(case):
+    call, cls, message = SCALAR_CASES[case]
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message

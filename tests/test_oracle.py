@@ -149,6 +149,19 @@ class TestNearTheReachableLimit:
         assert_certified(a, b, *lossy_band(alpha, t), got)
 
 
+def test_near_singular_channel_keeps_a_tight_certificate():
+    # 2 alpha + theta is -7e-7 and eps 3e-5: A's denominator nearly vanishes.
+    # The random strata miss this channel; it pins the certificate's precision
+    alpha, theta = 0.034911415414317776, -0.06982353876036598
+    eps, t = 2.650927626978321e-05, 0.9934100638165102
+    analytic = eve_max_gain(alpha, alpha, ChannelTriple(theta, eps, t)).overlap_min
+    assert analytic == pytest.approx(0.6946503632161442, abs=1e-12)
+    a, b = build_matrices(alpha, theta, eps)
+    got = oracle_min_overlap_lossy(a, b, alpha, t)
+    assert got.value == pytest.approx(analytic, abs=1e-9)
+    assert_certified(a, b, *lossy_band(alpha, t), got)
+
+
 # edge strata of the physical domain: criterion 01's box with one
 # coordinate drawn from outside it, the near-singular channels where A's
 # denominator 1 - (1 - eps) cos(2 alpha + theta) nearly vanishes, and the
