@@ -53,9 +53,12 @@ def require(values, ok, message: str) -> None:
     """Raise :class:`DomainError` at the first entry of ``values`` where ``ok`` is false.
 
     The message reads "<message>: <entry>", on one line; ``values`` is
-    broadcast to the shape of ``ok``.
+    broadcast to the shape of ``ok``.  ``ok`` must have a bool dtype, or
+    :class:`TypeError` is raised: ``~`` on a Python bool gives a truthy int.
     """
     ok = np.asarray(ok)
+    if ok.dtype != bool:
+        raise TypeError(f"require needs a bool mask, not {ok.dtype}")
     if not ok.all():
         raise DomainError(f"{message}: {np.broadcast_to(values, ok.shape)[~ok].flat[0]}")
 

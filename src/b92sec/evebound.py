@@ -38,13 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy
-from .errors import (
-    DegenerateChannelError,
-    DomainError,
-    FirstFailure,
-    UnreachableChannelError,
-    require,
-)
+from .errors import DegenerateChannelError, FirstFailure, UnreachableChannelError, require
 
 # floating-point grace on the reachability test
 REACH_SLOP = 1e-9
@@ -218,7 +212,7 @@ class Families:
     of the rank-1 projector P = (A - kappa B) / Tr(A - kappa B); with
     x = cos eta, Q = +-(a_p (1 - x) + x) and B = +-(b_p (1 - x) + x tr_b),
     where a_p = Tr[A P] and b_p = Tr[B P].  ``type3`` marks entries where P
-    is numerically a projector; ``degenerate`` marks det B = 0 (a noiseless
+    exists, Tr(A - kappa B) != 0; ``degenerate`` marks det B = 0 (a noiseless
     channel), where no family exists.  ``free_limit`` is the largest |B| on
     the zero set of Q over the families: the zero-overlap limit, 0 where
     degenerate.  ``bmax`` is the largest reachable |B|, the
@@ -260,11 +254,9 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     p11 = (a.m11 - kappa * b.m11) / trace
     p12 = (a.m12 - kappa * b.m12) / trace
     p22 = (a.m22 - kappa * b.m22) / trace
-    # P's eigenvalues are mean -+ spread; both must lie in [0, 1]
-    mean = 0.5 * (p11 + p22)
-    spread = np.hypot(0.5 * (p11 - p22), p12)
-    type3 = (~degenerate & (np.abs(trace) >= 1e-14)
-             & (mean - spread >= -1e-9) & (mean + spread <= 1.0 + 1e-9))
+    # A - kappa B is singular, so P is rank one with unit trace: a projector by
+    # construction, whose eigenvalues need no test
+    type3 = ~degenerate & (np.abs(trace) >= 1e-14)
     a_p = a.m11 * p11 + qs * p12 + a.m22 * p22
     b_p = b.m11 * p11 + bs * p12 + b.m22 * p22
     # type1: Q vanishes at eta = atan2(qs, qc) +- pi/2, where
@@ -327,8 +319,7 @@ def min_overlap_at(a: SymMat2, b: SymMat2, target):
     """
     t = np.abs(target)
     f = stationary_curves(a, b)
-    if np.any(t > f.bmax + REACH_SLOP):
-        raise DomainError(f"constraint target {np.max(t):.6f} exceeds the maximum")
+    require(target, t <= f.bmax + REACH_SLOP, "constraint target exceeds the maximum")
     return _overlap(f, np.minimum(t, f.bmax))
 
 

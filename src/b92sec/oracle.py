@@ -16,11 +16,13 @@ and App. A.1.6), so
 with C = A for M and C = -A for -m.  For a symmetric 2x2 S,
 |S|_* = max(|tr S|, |u_S|) with u_S = (s11 - s22, 2 s12), so g is convex
 and piecewise smooth, and its minimum lies among a few closed-form
-candidates: lambda = 0, the zero of tr(C - lambda B), the singular points
-det(C - lambda B) = 0 (where |tr| and |u_S| cross), and the one stationary
-point of |u - lambda w| + s lambda for each slope s in {lo, hi}.  By weak
-duality every g(lambda) bounds the range end from above, so a spurious
-candidate cannot spoil the minimum.
+candidates: lambda = 0, the singular points det(C - lambda B) = 0 (where
+|tr| and |u_S| cross), and the one stationary point of |u - lambda w| +
+s lambda for each slope s in {lo, hi}.  The zero of tr(C - lambda B) is not
+a candidate: there g is the radius piece |u_S| plus the slope term, so a
+minimum there is already one of the others.  By weak duality every
+g(lambda) bounds the range end from above, so a spurious candidate cannot
+spoil the minimum.
 
 Every answer carries a primal certificate.  From the eigenvectors of
 C - lambda* B, a nonzero eigenvalue gives X its sign as coefficient and a
@@ -89,8 +91,6 @@ def _real_roots(q2: float, q1: float, q0: float) -> list[float]:
 def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> np.ndarray:
     """The lambdas among which g attains its minimum, when it is attained."""
     lam = [0.0]
-    if b.trace() != 0.0:
-        lam.append(c.trace() / b.trace())
     # det(C - lam B) = det C - lam (c11 b22 + c22 b11 - 2 c12 b12) + lam^2 det B
     lam += _real_roots(b.det(), -(c.m11 * b.m22 + c.m22 * b.m11 - 2.0 * c.m12 * b.m12),
                        c.det())

@@ -7,13 +7,15 @@ consumes the four-word block at counter i, so results are bit-for-bit
 reproducible and independent of how the run is chunked or parallelized.
 
 Each pulse is decided from its raw 64-bit words by integer thresholds:
-word 0's top bit is Alice's bit, and words 1 and 2 are compared against the
-branch and outcome CDFs turned into word thresholds.  The counts equal
-those of drawing the uniforms u = (w >> 11) * 2**-53 and inverting the
-CDFs in floating point.  The outcome CDFs come from one
-:func:`~b92sec.states.outcome_table` call over Alice's two signal angles
-plus every branch's rotations (:func:`outcome_distribution`).  On a 2-core
-VM (Python 3.11, numpy 2.4) this samples about 3e7 pulses per second.
+word 0's top bit is Alice's bit, and the 53-bit draws m = w >> 11 of words
+1 and 2 are compared against the branch and outcome CDFs turned into
+thresholds k = ceil(c * 2**53), clipped to [0, 2**53].  Since
+c <= m * 2**-53 exactly when m >= k, the counts equal those of drawing the
+uniforms u = m * 2**-53 and inverting the CDFs in floating point.  The
+outcome CDFs come from one :func:`~b92sec.states.outcome_table` call over
+Alice's two signal angles plus every branch's rotations
+(:func:`outcome_distribution`).  On a 2-core VM (Python 3.11, numpy 2.4)
+this samples about 3e7 pulses per second.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ SAMPLING_CLAMP_TOL = 1e-2
 _WORDS_PER_PULSE = 4
 # pulses drawn per Philox call; the counts do not depend on it
 _PULSES_PER_BLOCK = 1 << 14
-_NO_WORD = np.uint64(2 ** 64 - 1)
 _CONFIG_KEYS = ("n_total", "alpha_deg", "alpha_prime_deg", "attack", "seed")
 
 
@@ -108,21 +109,6 @@ class SimResult:
     joint: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _word_thresholds(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer form of ``c <= u`` for u = (w >> 11) * 2**-53, per CDF entry c.
-
-    c <= u exactly when w >= ceil(c * 2**53) << 11.  Returns, per row, the
-    number of entries every word reaches (c <= 0), and uint64 thresholds t
-    with c <= u exactly when w > t.  The strict form lets the all-ones word
-    miss an entry no uniform reaches (c > 1 - 2**-53); both kinds of entry
-    get threshold 2**64 - 1, which no word exceeds.
-    """
-    k = np.ceil(cdf * 2.0 ** 53)
-    always, never = k <= 0, k >= 2.0 ** 53
-    words = (np.clip(k, 1, 2.0 ** 53 - 1).astype(np.uint64) << np.uint64(11)) - np.uint64(1)
-    return always.sum(axis=1), np.where(always | never, _NO_WORD, words)
-
-
 def outcome_distribution(config: SimConfig) -> np.ndarray:
     """Bob's outcome probabilities per (bit, branch), shape (2, n_branches, 5).
 
@@ -150,12 +136,13 @@ def run_simulation(config: SimConfig) -> SimResult:
     weight_cdf = np.cumsum([[br.weights[bit] for br in branches] for bit in (0, 1)], axis=1)
     outcome_cdf = np.cumsum(outcome_distribution(config), axis=2).reshape(
         2 * n_branches, n_outcomes)
-    # a pulse's index is the number of CDF entries its word reaches; the last
-    # entry is left out, so a word past it lands in the last class
-    branch_always, branch_thr = _word_thresholds(weight_cdf[:, :-1])
-    outcome_always, outcome_thr = _word_thresholds(outcome_cdf[:, :-1])
-    row_base = np.arange(2) * n_branches + branch_always  # row = bit * B + branch
-    flat_base = np.arange(2 * n_branches) * n_outcomes + outcome_always
+    # a pulse's index is the number of CDF entries its draw reaches; the last
+    # entry is left out, so a draw past it lands in the last class.  Entries
+    # c <= 0 get k = 0, which every draw reaches, and entries c > 1 - 2**-53
+    # get k = 2**53, which none does.
+    branch_thr, outcome_thr = (
+        np.clip(np.ceil(cdf[:, :-1] * 2.0 ** 53), 0.0, 2.0 ** 53).astype(np.uint64)
+        for cdf in (weight_cdf, outcome_cdf))
     guesses = np.array([-1 if br.guess is None else br.guess for br in branches])
 
     joint = np.zeros(2 * n_branches * n_outcomes, dtype=np.int64)
@@ -164,12 +151,13 @@ def run_simulation(config: SimConfig) -> SimResult:
         count = min(_PULSES_PER_BLOCK, config.n_total - start)
         words = stream.random_raw(_WORDS_PER_PULSE * count).reshape(count, _WORDS_PER_PULSE)
         bit = (words[:, 0] >> np.uint64(63)).astype(np.intp)
-        row = row_base[bit]
+        draw1, draw2 = words[:, 1] >> np.uint64(11), words[:, 2] >> np.uint64(11)
+        row = bit * n_branches  # row = bit * B + branch
         for col in branch_thr.T:
-            row += words[:, 1] > col[bit]
-        flat = flat_base[row]
+            row += draw1 >= col[bit]
+        flat = row * n_outcomes
         for col in outcome_thr.T:
-            flat += words[:, 2] > col[row]
+            flat += draw2 >= col[row]
         joint += np.bincount(flat, minlength=joint.size)
     joint = joint.reshape(2, n_branches, n_outcomes)
 

@@ -18,9 +18,9 @@ from b92sec.attacks import (
 )
 from b92sec.cli import cmd_oracle_check
 from b92sec.entropy import binary_entropy
-from b92sec.errors import DomainError
+from b92sec.errors import DomainError, require
 from b92sec.estimation import ChannelTriple, ObservedCounts
-from b92sec.evebound import SymMat2, build_matrices, constraint_max, eve_bound
+from b92sec.evebound import SymMat2, build_matrices, constraint_max, eve_bound, min_overlap_at
 from b92sec.infobounds import conclusive_entropy_floor, shannon_upper_bound
 from b92sec.keyrate import (
     KTH_LINK,
@@ -55,6 +55,9 @@ CASES = {
     "build_matrices": (
         lambda: build_matrices(0.3, 0.0, 1.5),
         "noise parameter outside [0, 1]: 1.5"),
+    "min_overlap_at": (
+        lambda: min_overlap_at(*build_matrices(0.6, 0.1, 0.2), np.array([0.5, 5.0, 9.0])),
+        "constraint target exceeds the maximum: 5.0"),
     "key_gains": (
         lambda: key_gains(0.3, 0.0, 0.01, np.array([0.5, -0.5, 2.0])),
         "transmission outside [0, 1]: -0.5"),
@@ -91,6 +94,13 @@ def test_names_the_first_bad_entry_on_one_line(case):
     with pytest.raises(DomainError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_a_mask_that_is_not_bool_is_a_type_error():
+    # ~ on a Python bool is a truthy int (~True == -2), so a check written
+    # ~(x > c) on a float would never fire
+    with pytest.raises(TypeError):
+        require(1.0, ~(1.0 > 0.5), "value too large")
 
 
 def test_entropy_lets_nan_through():

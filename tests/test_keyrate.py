@@ -477,6 +477,15 @@ class TestGridSectionParity:
         assert worst_alpha <= 1e-6
         assert worst_gain <= 1e-12
 
+    def test_optimum_below_the_first_degree(self):
+        # the coarse scan's best degree is 1, and alpha* ~ 0.9965 degrees lies
+        # in the bracket's half degree below it
+        triple = ChannelTriple(0.0, 0.0, 5e-4)
+        want, got = golden_optimal_angle(triple), optimal_angle(triple)
+        assert want[0] < DEG
+        assert abs(got[0] - want[0]) <= 1e-6
+        assert abs(got[1] - want[1]) <= 1e-12
+
     @pytest.mark.parametrize("mode", MODES)
     def test_noise_limit_matches_golden_section(self, mode):
         for t in LIMIT_TS:

@@ -9,7 +9,7 @@ from b92sec.errors import (
     UnreachableChannelError,
 )
 from b92sec.estimation import ChannelTriple
-from b92sec.evebound import SymMat2, build_matrices, eve_bound, eve_max_gain
+from b92sec.evebound import TYPE3P, SymMat2, build_matrices, eve_bound, eve_max_gain
 from b92sec.oracle import nuclear_norm, oracle_min_overlap, oracle_min_overlap_lossy
 
 from conftest import DEG, sym_matrix
@@ -160,6 +160,22 @@ def test_near_singular_channel_keeps_a_tight_certificate():
     got = oracle_min_overlap_lossy(a, b, alpha, t)
     assert got.value == pytest.approx(analytic, abs=1e-9)
     assert_certified(a, b, *lossy_band(alpha, t), got)
+
+
+@pytest.mark.parametrize("alpha_prime, alpha, theta, eps, t", [
+    (1.509147033970112, 0.05968782373912513, 3.1415695891503566, 6.17415086422457e-08, 1.0),
+    (0.34886264153223817, 0.598684494398315, -3.141531963202406, 1.719846756431331e-07,
+     0.06765979570717383),
+], ids=["lossless", "lossy"])
+def test_type3_projector_needs_no_eigenvalue_test(alpha_prime, alpha, theta, eps, t):
+    # an eigenvalue-range test on P, off only by rounding, once dropped type3+
+    # on these channels and handed them to type1, 2.5e-8 and 8.5e-8 too high
+    bound = eve_bound(alpha_prime, alpha, theta, eps, t)
+    assert bound.regime == TYPE3P
+    a, b = build_matrices(alpha, theta, eps)
+    got = oracle_min_overlap_lossy(a, b, alpha_prime, t)
+    assert float(bound.overlap_min) == pytest.approx(got.value, abs=1e-12)
+    assert_certified(a, b, *lossy_band(alpha_prime, t), got)
 
 
 # edge strata of the physical domain: criterion 01's box with one

@@ -18,6 +18,7 @@ from b92sec.attacks import (
 )
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple, ObservedCounts
+from b92sec.keyrate import key_gains
 from b92sec.simulate import (
     SimConfig,
     closed_loop_report,
@@ -102,6 +103,17 @@ class TestCounting:
         sigma = estimator_sigmas(ChannelTriple(0.0, eps, 1.0), ALPHA, 10 ** 6)
         assert abs(result.estimated.epsilon - eps) <= 3 * sigma[1]
         assert abs(result.estimated.theta) <= 3 * sigma[0]
+
+    def test_conclusive_error_rate_counts_the_flipped_bits(self):
+        # bit 0 read as "0b" and bit 1 read as "1b" are the errors among the
+        # conclusive events; the rate lies within four binomial standard
+        # errors of the key-gain layer's e
+        result = run_simulation(config(depolarize(0.1), n=200000))
+        c = result.counts
+        conclusive = c.n0b0 + c.n0b1 + c.n1b0 + c.n1b1
+        assert result.conclusive_error_rate == (c.n0b0 + c.n1b1) / conclusive
+        e = float(key_gains(ALPHA, 0.0, 0.1, 1.0).error_rate)
+        assert abs(result.conclusive_error_rate - e) <= 4.0 * math.sqrt(e * (1 - e) / conclusive)
 
 
 class TestRotationAttack:
