@@ -241,7 +241,9 @@ class Families:
 def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     """All stationary families of |Q| for broadcast matrices (A, B).
 
-    B must have non-positive determinant, as in :func:`constraint_max`.
+    A must have det A = 0, as :func:`build_matrices` gives; the type3
+    projector relies on it.  B must have non-positive determinant, as in
+    :func:`constraint_max`.
     """
     det_b = np.asarray(b.det(), dtype=float)
     qc, qs, bc, bs = a.m11 - a.m22, 2.0 * a.m12, b.m11 - b.m22, 2.0 * b.m12
@@ -315,11 +317,14 @@ def min_overlap_at(a: SymMat2, b: SymMat2, target):
 
     Even in the sign of the target (xi -> -xi flips both traces); below the
     zero-overlap limit the minimum is 0 (regime FREE), above it the best
-    stationary-family root wins.
+    stationary-family root wins.  (A, B) must meet the requirements of
+    :func:`stationary_curves`: det A = 0 and det B <= 0.  A target that is
+    NaN or lies beyond ``constraint_max(B)`` raises :class:`DomainError`.
     """
     t = np.abs(target)
     f = stationary_curves(a, b)
-    require(target, t <= f.bmax + REACH_SLOP, "constraint target exceeds the maximum")
+    require(target, t <= f.bmax + REACH_SLOP,
+            "constraint target outside [-constraint_max(B), constraint_max(B)]")
     return _overlap(f, np.minimum(t, f.bmax))
 
 

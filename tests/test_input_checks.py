@@ -57,7 +57,10 @@ CASES = {
         "noise parameter outside [0, 1]: 1.5"),
     "min_overlap_at": (
         lambda: min_overlap_at(*build_matrices(0.6, 0.1, 0.2), np.array([0.5, 5.0, 9.0])),
-        "constraint target exceeds the maximum: 5.0"),
+        "constraint target outside [-constraint_max(B), constraint_max(B)]: 5.0"),
+    "min_overlap_at nan": (
+        lambda: min_overlap_at(*build_matrices(0.6, 0.1, 0.2), np.array([0.5, math.nan])),
+        "constraint target outside [-constraint_max(B), constraint_max(B)]: nan"),
     "key_gains": (
         lambda: key_gains(0.3, 0.0, 0.01, np.array([0.5, -0.5, 2.0])),
         "transmission outside [0, 1]: -0.5"),

@@ -8,9 +8,10 @@ Each ``<``/``<=``, ``>``/``>=``, ``+``/``-``, ``*``/``/`` and
 ``maximum``/``minimum`` token in the module's code (not its comments or
 strings) is flipped to its partner, one mutant at a time.  A mutant is
 judged by ``pytest -x`` on the given test files, run in a temporary copy of
-the tree, so the working tree is never edited.  A failing run or a run past
-``--timeout`` seconds kills the mutant; the survivors are printed with
-their line.  Standard library only; not part of the test suite.
+the tree, so the working tree is never edited.  A mutant that does not
+compile is skipped and not counted.  A failing run or a run past two
+minutes kills the mutant; the survivors are printed with their line.
+Standard library only; not part of the test suite.
 """
 
 import argparse
@@ -43,7 +44,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="path of the module to mutate, relative to the root")
     parser.add_argument("tests", nargs="+", help="test files that judge each mutant")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per test run")
     args = parser.parse_args()
     root = Path.cwd()
     source = (root / args.module).read_text()
@@ -58,7 +58,7 @@ def main() -> int:
                    *args.tests]
             try:
                 return subprocess.run(cmd, cwd=copy, env=env, capture_output=True,
-                                      timeout=args.timeout).returncode != 0
+                                      timeout=120).returncode != 0
             except subprocess.TimeoutExpired:
                 return True
 
@@ -67,12 +67,16 @@ def main() -> int:
             return 2
         survivors, total = [], 0
         for row, col, old, new in sites(source):
+            mutant = mutate(lines, row, col, old, new)
+            try:
+                compile(mutant, args.module, "exec")
+            except SyntaxError:
+                continue
             total += 1
-            (copy / args.module).write_text(mutate(lines, row, col, old, new))
+            (copy / args.module).write_text(mutant)
             if not killed():
                 survivors.append(f"{args.module}:{row}:{col + 1}: {old} -> {new}: "
                                  f"{lines[row - 1].strip()}")
-        (copy / args.module).write_text(source)
     print("\n".join(survivors))
     print(f"{len(survivors)} of {total} mutants survive")
     return 0
