@@ -7,7 +7,10 @@ loss-widened band around cos(alpha').  Both A and B are real symmetric 2x2
 matrices fixed by the channel triple.  Minimizing |Q| over the band gives
 the largest information Eve can have extracted; the minimizers fall on a
 small set of one-parameter stationary families, so the whole optimization
-is closed-form.
+is closed-form.  Each family's minimum is algebraic in the constraint
+value: type3's roots are affine in it, and type1's smaller root is one
+expression in the dot and cross products of the traceless parts of A and
+B, with no angle formed.
 
 The closed form runs over arrays.  :func:`eve_bound` takes broadcast
 (alpha', alpha, theta, eps, T), builds A, B and the stationary families
@@ -208,14 +211,16 @@ class Families:
     type1 is xi = [[cos eta, sin eta], [sin eta, -cos eta]] on the probe
     block: Q = qc cos eta + qs sin eta and B = bc cos eta + bs sin eta, and
     the B amplitude equals the reachability limit, so it reaches every
-    feasible target.  type3+- is xi = +-diag(1, cos eta) in the eigenbasis
-    of the rank-1 projector P = (A - kappa B) / Tr(A - kappa B); with
-    x = cos eta, Q = +-(a_p (1 - x) + x) and B = +-(b_p (1 - x) + x tr_b),
-    where a_p = Tr[A P] and b_p = Tr[B P].  ``type3`` marks entries where P
-    exists, Tr(A - kappa B) != 0; ``degenerate`` marks det B = 0 (a noiseless
-    channel), where no family exists.  ``free_limit`` is the largest |B| on
-    the zero set of Q over the families: the zero-overlap limit, 0 where
-    degenerate.  ``bmax`` is the largest reachable |B|, the
+    feasible target.  (qc, qs) and (bc, bs) are the traceless parts of A
+    and B; (qc, qs) is a unit vector, since A is a rank-1 projector.
+    type3+- is xi = +-diag(1, cos eta) in the eigenbasis of the rank-1
+    projector P = (A - kappa B) / Tr(A - kappa B); with x = cos eta,
+    Q = +-(a_p (1 - x) + x) and B = +-(b_p (1 - x) + x tr_b), where
+    a_p = Tr[A P] and b_p = Tr[B P].  ``type3`` marks entries where P
+    exists: Tr(A - kappa B) is not lost to rounding; ``degenerate`` marks det B = 0 (a
+    noiseless channel), where no family exists.  ``free_limit`` is the
+    largest |B| on the zero set of Q over the families: the zero-overlap
+    limit, 0 where degenerate.  ``bmax`` is the largest reachable |B|, the
     :func:`constraint_max` of B.
 
     The pure-rotation family is omitted: its interior points are never
@@ -257,7 +262,9 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     p12 = (a.m12 - kappa * b.m12) / trace
     p22 = (a.m22 - kappa * b.m22) / trace
     # A - kappa B is singular, so P is rank one with unit trace: a projector by
-    # construction, whose eigenvalues need no test
+    # construction, whose eigenvalues need no test.  A trace lost to rounding
+    # (A nearly a multiple of B, as for theta near pi with eps near 1e-15)
+    # leaves P with no correct digit, so such entries get no type3 root
     type3 = ~degenerate & (np.abs(trace) >= 1e-14)
     a_p = a.m11 * p11 + qs * p12 + a.m22 * p22
     b_p = b.m11 * p11 + bs * p12 + b.m22 * p22
@@ -265,48 +272,46 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     # |B| = |bs qc - bc qs| / hypot(qc, qs) on both roots
     limit = np.abs(bs * qc - bc * qs) / np.hypot(qc, qs)
     # type3: Q vanishes at x = -a_p / (1 - a_p)
-    rest = 1.0 - a_p
-    x = -a_p / rest
-    on = type3 & (np.abs(rest) >= 1e-14) & (np.abs(x) <= 1.0)
+    x = -a_p / (1.0 - a_p)
+    on = type3 & (np.abs(x) <= 1.0)
     limit = np.maximum(limit, np.where(on, np.abs(b_p * (1.0 - x) + x * tr_b), 0.0))
     return Families(qc=qc, qs=qs, bc=bc, bs=bs, a_p=a_p, b_p=b_p, tr_b=tr_b, type3=type3,
                     degenerate=degenerate, free_limit=np.where(degenerate, 0.0, limit),
                     bmax=bmax)
 
 
-def _clip1(x):
-    return np.minimum(1.0, np.maximum(-1.0, x))
-
-
 def _overlap(f: Families, t):
     """Minimum |Q| at constraint value 0 <= t <= f.bmax: (q, regime).
 
     Below the zero-overlap limit the minimum is 0.  Above it the smallest
-    |Q| over the families' roots wins, taken in the order type1 (two
-    roots), type3+, type3-; a tie keeps the earlier root.  Degenerate
-    entries take the eps = 0 closed form q = t / bmax.
+    |Q| over the families' roots wins, taken in the order type1, type3+,
+    type3-; a tie keeps the earlier family.  type1's two roots give
+    Q = (t P +- sqrt(bmax^2 - t^2) R) / bmax^2, with P = qc bc + qs bs and
+    R = qs bc - qc bs the dot and cross products of the traceless parts of
+    A and B, so its candidate is the smaller one in size,
+    | |t P| - sqrt(bmax^2 - t^2) |R| | / bmax^2.
+    Degenerate entries take the eps = 0 closed form q = t / bmax.
     """
-    # type1 roots: B = bmax cos(eta - shift) = t
-    ratio = t / f.bmax
-    shift = np.arctan2(f.bs, f.bc)
-    d = np.arccos(_clip1(ratio))
-    candidates = [(np.abs(f.qc * np.cos(root) + f.qs * np.sin(root)), TYPE1)
-                  for root in (shift + d, shift - d)]
+    # type1: the roots of B = t put (cos eta, sin eta) at
+    # (t b +- sqrt(bmax^2 - t^2) b_perp) / bmax^2, b = (bc, bs), b_perp = (-bs, bc)
+    dot = f.qc * f.bc + f.qs * f.bs
+    cross = f.qs * f.bc - f.qc * f.bs
+    side = np.sqrt(np.maximum(0.0, (f.bmax - t) * (f.bmax + t)))
+    candidates = [(np.abs(np.abs(t * dot) - side * np.abs(cross)) / f.bmax ** 2, TYPE1)]
     # type3+- roots: B = +-(b_p (1 - x) + x tr_b) = t is affine in x = cos eta;
     # a family that misses t offers |Q| = inf
     den = f.tr_b - f.b_p
-    type3 = f.type3 & (np.abs(den) >= 1e-14)
     for target, regime in ((t, TYPE3P), (-t, TYPE3M)):
         x = (target - f.b_p) / den
-        on = type3 & (np.abs(x) <= 1.0 + 1e-9)
-        x = _clip1(x)
+        on = f.type3 & (np.abs(x) <= 1.0 + 1e-9)
+        x = np.clip(x, -1.0, 1.0)
         candidates.append((np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf), regime))
     q, regime = candidates[0]
     for q_k, regime_k in candidates[1:]:
         better = q_k < q
         q = np.where(better, q_k, q)
         regime = np.where(better, regime_k, regime)
-    q = np.where(f.degenerate, ratio, q)
+    q = np.where(f.degenerate, t / f.bmax, q)
     free = t <= f.free_limit + FREE_SLOP
     return np.where(free, 0.0, q), np.where(free, FREE, regime)
 

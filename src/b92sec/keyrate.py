@@ -90,7 +90,17 @@ class KeyGains(FirstFailure):
     ``bounds`` stacks Eve's bound on correct bits (index 0) over that on
     flipped bits (index 1).  ``failed`` marks the entries where
     :func:`secret_key_gain` raises: no conclusive events, an error rate of
-    one, or a failed bound.  Their other fields carry no meaning.
+    one, or an unreachable correct-bit bound.  Their other fields carry no
+    meaning.
+
+    The two bounds share one status, so only index 0's is read.  They have
+    the same target, set by alpha' = alpha and T alone, and their reaches
+    differ only in rounding: B's entries at the flipped tilt take cos and
+    sin of -(alpha + theta), formed as alpha + (-2 alpha - theta).  At
+    theta = 0 the reaches are equal; elsewhere they agree within about
+    1e-12 relative, so the statuses could differ only for a target within
+    that of the reach test's threshold, where either answer is a rounding
+    call.
     """
 
     p_conc: np.ndarray
@@ -110,8 +120,7 @@ class KeyGains(FirstFailure):
             return DomainError("conclusive probability vanishes; key gain undefined")
         if not e < 1.0:
             return DomainError(f"error rate must be below 1: {e}")
-        return self.bounds.error(k) or (self.bounds.error(self.p_conc.size + k)
-                                        if e > 0.0 else None)
+        return self.bounds.error(k)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -130,10 +139,11 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
     require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
             "transmission outside [0, 1]")
     # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
-    # error, "1b" a correct bit
+    # error, "1b" a correct bit; 1 - (1 - eps) cos is at least 0 for every eps
+    # in [0, 1], the range eve_bound checks below
     quarter, keep = 0.25 * transmission, 1.0 - epsilon
-    p_error = quarter * np.maximum(0.0, 1.0 - keep * np.cos(theta))
-    p_conc = p_error + quarter * np.maximum(0.0, 1.0 - keep * np.cos(2.0 * alpha + theta))
+    p_error = quarter * (1.0 - keep * np.cos(theta))
+    p_conc = p_error + quarter * (1.0 - keep * np.cos(2.0 * alpha + theta))
     e = p_error / p_conc
     defined = (p_conc > 0.0) & (e < 1.0)
     # flipped bits see the tilt -2 alpha - theta, stacked under theta on a new
@@ -147,7 +157,7 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
     info_f = np.where(flipped, info[1], 0.0)
     gain_correct = p_conc * (1.0 - e) * (1.0 - info[0])
     gain_flipped = p_conc * e * (1.0 - info_f)
-    failed = ~defined | (bounds.status[0] != OK) | (flipped & (bounds.status[1] != OK))
+    failed = ~defined | (bounds.status[0] != OK)
     return KeyGains(p_conc=p_conc, error_rate=e, info_correct=info[0], info_flipped=info_f,
                     gain_correct=gain_correct, gain_flipped=gain_flipped,
                     gain=gain_correct + gain_flipped - p_conc * binary_entropy(e),

@@ -43,7 +43,8 @@ def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
     alpha, phi, r, transmission = np.broadcast_arrays(alpha, phi, r, transmission)
     c0 = r * np.cos(phi + alpha)
     c1 = r * np.cos(phi - alpha)
-    # 1 -+ c can round to a tiny negative for antipodal directions
+    # |c| <= 1 in floats too whenever r <= 1, as for every caller; the clamp
+    # only covers r > 1
     polarization = np.maximum(0.0, 1.0 + np.stack((c0, -c0, c1, -c1), axis=-1))
     return np.concatenate((0.25 * transmission[..., np.newaxis] * polarization,
                            1.0 - transmission[..., np.newaxis]), axis=-1)

@@ -217,6 +217,41 @@ class TestMinOverlap:
                 q_best = min_overlap_at(a, b, b2)[0]
                 assert q_best <= q2 + 1e-9
 
+    @pytest.mark.parametrize("near_reach, bound", [(False, 1e-13), (True, 5e-12)],
+                             ids=["uniform-target", "near-reach"])
+    def test_type1_matches_a_40_digit_reference(self, near_reach, bound):
+        # seeded whole-domain channels that type1 decides, with a target
+        # uniform below the reach or within 10^U(-12, -8) relative of it; the
+        # reference solves bmax cos(eta - atan2(bs, bc)) = t in 40 digits from
+        # the same floats.  It takes the reach as the float bmax: the exact
+        # hypot(bc, bs) can differ from it in the last bit, and near the reach
+        # that bit moves the roots by about sqrt(ulp / (1 - t / bmax)), an
+        # error of the input, not of the closed form
+        import mpmath
+
+        rng = np.random.default_rng([7321, near_reach])
+        worst, checked = 0.0, 0
+        while checked < 400:
+            eps = (rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-14.0, 0.0))[rng.integers(2)]
+            a, b = build_matrices(rng.uniform(0.0, 90 * DEG), rng.uniform(-90 * DEG, 90 * DEG),
+                                  eps)
+            f = stationary_curves(a, b)
+            bmax = float(f.bmax)
+            t = (bmax * (1.0 - 10.0 ** rng.uniform(-12.0, -8.0)) if near_reach
+                 else rng.uniform(0.0, bmax))
+            q, regime = min_overlap_at(a, b, t)
+            if regime != TYPE1:
+                continue
+            with mpmath.workdps(40):
+                qc, qs, bc, bs = (mpmath.mpf(float(v)) for v in (f.qc, f.qs, f.bc, f.bs))
+                shift = mpmath.atan2(bs, bc)
+                d = mpmath.acos(mpmath.mpf(t) / mpmath.mpf(bmax))
+                want = min(abs(qc * mpmath.cos(r) + qs * mpmath.sin(r))
+                           for r in (shift + d, shift - d))
+                worst = max(worst, float(abs(q - want) / want))
+            checked += 1
+        assert worst <= bound
+
 
 class TestZeroOverlapLimit:
     def test_rotation_attack_boundary_is_exact(self):

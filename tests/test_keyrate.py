@@ -9,6 +9,7 @@ from b92sec import keyrate
 from b92sec.entropy import binary_entropy
 from b92sec.errors import B92Error, DegenerateLinkError, DomainError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple
+from b92sec.evebound import OK
 from b92sec.keyrate import (
     KTH_LINK,
     MODES,
@@ -115,6 +116,46 @@ class TestSecretKeyGain:
                          "gain_correct", "gain_flipped", "gain"):
                 assert abs(getattr(g, name)[k] - getattr(rep, name)) <= 1e-12, name
         assert raised == [UnreachableChannelError, DomainError, DomainError]
+
+
+class TestSharedBoundStatus:
+    """The flipped-bit bound fails exactly where the correct-bit bound does."""
+
+    def test_both_bounds_share_reach_and_status(self):
+        # seeded draws over the whole domain, a third at theta = 0 and a sixth
+        # near +-pi; the two bounds meet one target, set by alpha and T, and
+        # their reaches are equal at theta = 0 and equal up to rounding
+        # elsewhere, far inside REACH_SLOP
+        rng = np.random.default_rng(7322)
+        n = 30000
+        alpha = rng.uniform(0.0, 90 * DEG, n)
+        kind = rng.integers(6, size=n)
+        near_pi = rng.choice((-1.0, 1.0), n) * (math.pi - 10.0 ** rng.uniform(-12.0, -1.0, n))
+        theta = np.select([kind < 2, kind == 2], [0.0, near_pi],
+                          rng.uniform(-math.pi, math.pi, n))
+        eps = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.0, n),
+                       10.0 ** rng.uniform(-16.0, 0.0, n))
+        t = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(1e-3, 1.0, n))
+        bounds = key_gains(alpha, theta, eps, t).bounds
+        status = bounds.status
+        assert 0 < np.count_nonzero(status[0] != OK) < n
+        np.testing.assert_array_equal(status[0], status[1])
+        zero = theta == 0.0
+        np.testing.assert_array_equal(bounds.constraint_max[0][zero],
+                                      bounds.constraint_max[1][zero])
+        reach = bounds.constraint_max
+        assert (np.abs(reach[0] - reach[1]) <= 1e-11 * reach[0]).all()
+
+    def test_check_names_the_first_unreachable_entry(self):
+        # one unreachable entry, at flat index 4 of a (2, 3) array: check()
+        # raises with its target, not with entry 0's
+        g = key_gains(10 * DEG, 8 * DEG, [[0.6, 0.6, 0.6], [0.6, 0.1, 0.6]],
+                      [[0.97, 0.9, 0.8], [0.7, 0.95, 0.6]])
+        assert np.flatnonzero(g.failed).tolist() == [4]
+        targets = [f"{v:.6f}" for v in g.bounds.target[0].flat]
+        assert len(set(targets)) == 6
+        with pytest.raises(UnreachableChannelError, match=f"value {targets[4]} > "):
+            g.check()
 
 
 class TestConclusiveRatesMatchTheOutcomeTable:

@@ -9,7 +9,7 @@ from b92sec.errors import (
     UnreachableChannelError,
 )
 from b92sec.estimation import ChannelTriple
-from b92sec.evebound import TYPE3P, SymMat2, build_matrices, eve_bound, eve_max_gain
+from b92sec.evebound import TYPE1, TYPE3P, SymMat2, build_matrices, eve_bound, eve_max_gain
 from b92sec.oracle import nuclear_norm, oracle_min_overlap, oracle_min_overlap_lossy
 
 from conftest import DEG, sym_matrix
@@ -176,6 +176,19 @@ def test_type3_projector_needs_no_eigenvalue_test(alpha_prime, alpha, theta, eps
     got = oracle_min_overlap_lossy(a, b, alpha_prime, t)
     assert float(bound.overlap_min) == pytest.approx(got.value, abs=1e-12)
     assert_certified(a, b, *lossy_band(alpha_prime, t), got)
+
+
+def test_type3_needs_a_trace_that_survives_rounding():
+    # theta near pi and eps just past the noiseless switch: Tr(A - kappa B) is
+    # 2.4e-15, all rounding, and a type3 root built from it lands 9.4e-10
+    # below the true minimum, which type1 gives
+    alpha, theta, eps = 0.5752600205022699, 3.1415926522421485, 3.581698770343795e-15
+    bound = eve_bound(alpha, alpha, theta, eps, 1.0)
+    assert bound.regime == TYPE1
+    a, b = build_matrices(alpha, theta, eps)
+    got = oracle_min_overlap_lossy(a, b, alpha, 1.0)
+    assert float(bound.overlap_min) == pytest.approx(got.value, abs=1e-12)
+    assert_certified(a, b, *lossy_band(alpha, 1.0), got)
 
 
 # edge strata of the physical domain: criterion 01's box with one
