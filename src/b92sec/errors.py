@@ -22,10 +22,6 @@ class DomainError(B92Error, ValueError):
     """A parameter lies outside its documented range."""
 
 
-class DegenerateChannelError(DomainError):
-    """Channel parameters make the optimization matrices singular."""
-
-
 class DegenerateAngleError(DomainError):
     """Measurement angle too close to 0 or 90 degrees for the count inversion."""
 

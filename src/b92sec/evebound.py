@@ -24,13 +24,12 @@ reported by its family alone, which :func:`eve_max_gain` names in
 status as :class:`UnreachableChannelError`; Eve's bound on flipped bits is
 the same call with the tilt -2 alpha - theta, which
 :func:`~b92sec.keyrate.key_gains` stacks with theta in one
-:func:`eve_bound` call.  The families need det B != 0; since
-det B = -eps (1 - eps/2) / 2, they vanish only for eps below about 2e-15,
-and there the eps = 0 formula q = target / |cos(alpha + theta)| is used.
-That formula needs no A, so every channel gets an answer, including the
-noiseless ones with 2 alpha + theta = 0 where A is 0/0 and
-:func:`build_matrices` raises: A's denominator is at least eps, so it
-vanishes only where det B already does.
+:func:`eve_bound` call.  The families answer every channel, the noiseless
+ones included: there det B = -eps (1 - eps/2) / 2 = 0, type3 has no root,
+and type1's candidate reduces to the eps = 0 closed form
+q = target / |cos(alpha + theta)|.  The one channel where A is 0/0, eps = 0
+with 2 alpha + theta = 0, takes A = diag(1, 0), its value at every other
+noiseless channel.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy
-from .errors import DegenerateChannelError, FirstFailure, UnreachableChannelError, require
+from .errors import FirstFailure, UnreachableChannelError, require
 
 # floating-point grace on the reachability test
 REACH_SLOP = 1e-9
@@ -49,8 +48,6 @@ REACH_SLOP = 1e-9
 # keeps exactly-orthogonal signals (cos(pi/2) ~ 1e-16 in floats) in the
 # free region instead of dividing two rounding errors
 FREE_SLOP = 1e-12
-# below this |det B| the stationary families do not exist (noiseless channel)
-DET_SLOP = 1e-15
 
 # regime codes index FAMILIES
 FAMILIES = ("free", "type1", "type3+", "type3-")
@@ -151,10 +148,15 @@ def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
     # 1 - (1 - eps) cos(2 half), written without its cancellation near half = 0
     den = 2.0 * sin2 + epsilon * np.cos(tilt)
     two_eps = 2.0 - epsilon
+    # den = 0 only at eps = 0 with a zero tilt, where A is 0/0; adding 1 to den
+    # and to A11's numerator there gives A = diag(1, 0), its value at every
+    # other noiseless channel, and adds 0 everywhere else
+    one = den == 0.0
+    a_den = den + one
     a = SymMat2(
-        m11=two_eps * sin2 / den,
-        m12=-np.sqrt(epsilon * two_eps) * np.sin(tilt) / (2.0 * den),
-        m22=epsilon * np.cos(half) ** 2 / den,
+        m11=(two_eps * sin2 + one) / a_den,
+        m12=-np.sqrt(epsilon * two_eps) * np.sin(tilt) / (2.0 * a_den),
+        m22=epsilon * np.cos(half) ** 2 / a_den,
     )
     full = alpha + theta
     cos_full = np.cos(full)
@@ -172,16 +174,13 @@ def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2,
     """Objective and constraint matrices (A, B) for the probe optimization.
 
     A is rank one with unit trace (it is the projector structure of the
-    probe-overlap functional); B always has non-positive determinant.
-    Requires 1 - (1 - eps) cos(2 alpha + theta) > 0, which fails only for a
-    noiseless channel with 2 alpha + theta = 0.
+    probe-overlap functional); B always has non-positive determinant.  A's
+    denominator 1 - (1 - eps) cos(2 alpha + theta) vanishes only for a
+    noiseless channel with 2 alpha + theta = 0, where A is 0/0 and takes
+    diag(1, 0), its value at every other noiseless channel.
     """
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b, den = _matrices(alpha, theta, epsilon)
-    if den <= 1e-15:
-        raise DegenerateChannelError(
-            "probe matrices are singular (noiseless channel with 2*alpha + theta = 0)")
+    a, b, _ = _matrices(alpha, theta, epsilon)
     return a, b
 
 
@@ -217,11 +216,12 @@ class Families:
     projector P = (A - kappa B) / Tr(A - kappa B); with x = cos eta,
     Q = +-(a_p (1 - x) + x) and B = +-(b_p (1 - x) + x tr_b), where
     a_p = Tr[A P] and b_p = Tr[B P].  ``type3`` marks entries where P
-    exists: Tr(A - kappa B) is not lost to rounding; ``degenerate`` marks det B = 0 (a
-    noiseless channel), where no family exists.  ``free_limit`` is the
-    largest |B| on the zero set of Q over the families: the zero-overlap
-    limit, 0 where degenerate.  ``bmax`` is the largest reachable |B|, the
-    :func:`constraint_max` of B.
+    exists: Tr(A - kappa B) is not lost to rounding.  At det B = 0 (a
+    noiseless channel) kappa is infinite or NaN, so a_p, b_p and type3's
+    zero are NaN and type3 offers nothing; type1 alone answers there.
+    ``free_limit`` is the largest |B| on the zero set of Q over the
+    families: the zero-overlap limit.  ``bmax`` is the largest reachable
+    |B|, the :func:`constraint_max` of B.
 
     The pure-rotation family is omitted: its interior points are never
     stationary for the full problem and its endpoints give |Q| = 1, so it
@@ -237,7 +237,6 @@ class Families:
     b_p: np.ndarray
     tr_b: np.ndarray
     type3: np.ndarray
-    degenerate: np.ndarray
     free_limit: np.ndarray
     bmax: np.ndarray
 
@@ -253,7 +252,6 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     det_b = np.asarray(b.det(), dtype=float)
     qc, qs, bc, bs = a.m11 - a.m22, 2.0 * a.m12, b.m11 - b.m22, 2.0 * b.m12
     bmax = _constraint_max(det_b, bc, bs)
-    degenerate = np.abs(det_b) < DET_SLOP
     # kappa makes A - kappa B singular, since det A = 0
     kappa = (a.m11 * b.m22 + a.m22 * b.m11 - qs * b.m12) / det_b
     tr_b = b.m11 + b.m22
@@ -265,7 +263,7 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     # construction, whose eigenvalues need no test.  A trace lost to rounding
     # (A nearly a multiple of B, as for theta near pi with eps near 1e-15)
     # leaves P with no correct digit, so such entries get no type3 root
-    type3 = ~degenerate & (np.abs(trace) >= 1e-14)
+    type3 = np.abs(trace) >= 1e-14
     a_p = a.m11 * p11 + qs * p12 + a.m22 * p22
     b_p = b.m11 * p11 + bs * p12 + b.m22 * p22
     # type1: Q vanishes at eta = atan2(qs, qc) +- pi/2, where
@@ -276,8 +274,7 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
     on = type3 & (np.abs(x) <= 1.0)
     limit = np.maximum(limit, np.where(on, np.abs(b_p * (1.0 - x) + x * tr_b), 0.0))
     return Families(qc=qc, qs=qs, bc=bc, bs=bs, a_p=a_p, b_p=b_p, tr_b=tr_b, type3=type3,
-                    degenerate=degenerate, free_limit=np.where(degenerate, 0.0, limit),
-                    bmax=bmax)
+                    free_limit=limit, bmax=bmax)
 
 
 def _overlap(f: Families, t):
@@ -290,7 +287,7 @@ def _overlap(f: Families, t):
     R = qs bc - qc bs the dot and cross products of the traceless parts of
     A and B, so its candidate is the smaller one in size,
     | |t P| - sqrt(bmax^2 - t^2) |R| | / bmax^2.
-    Degenerate entries take the eps = 0 closed form q = t / bmax.
+    At eps = 0, R = 0 and this is the noiseless closed form q = t / bmax.
     """
     # type1: the roots of B = t put (cos eta, sin eta) at
     # (t b +- sqrt(bmax^2 - t^2) b_perp) / bmax^2, b = (bc, bs), b_perp = (-bs, bc)
@@ -311,7 +308,6 @@ def _overlap(f: Families, t):
         better = q_k < q
         q = np.where(better, q_k, q)
         regime = np.where(better, regime_k, regime)
-    q = np.where(f.degenerate, t / f.bmax, q)
     free = t <= f.free_limit + FREE_SLOP
     return np.where(free, 0.0, q), np.where(free, FREE, regime)
 

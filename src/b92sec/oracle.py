@@ -38,6 +38,14 @@ constraint is infeasible exactly when the band misses [-|B|_*, |B|_*].
 Where the band only touches +-|B|_*, strong duality is not attained, and
 the range is taken directly over that face: the single point +-polar(B),
 or for singular B a segment along B's null direction.
+
+The gap certifies the float A and B the oracle was handed, not the channel
+they were built from.  Where B's entries lose digits to rounding, as near
+the singular tilt 2 alpha + theta = 0 with small eps, a gap of order 1e-16
+can sit beside a value that is off by far more.  On the channel of
+``test_near_singular_channel_keeps_a_tight_certificate`` the gap reads
+-2.2e-16, while the value lies 2.4e-11 from the channel's 60-digit answer
+from ``tools/dual_reference.py``.
 """
 
 from __future__ import annotations

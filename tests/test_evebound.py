@@ -6,13 +6,11 @@ from numpy.testing import assert_allclose
 
 from b92sec.errors import (
     B92Error,
-    DegenerateChannelError,
     DomainError,
     UnreachableChannelError,
 )
 from b92sec.estimation import ChannelTriple
 from b92sec.evebound import (
-    DET_SLOP,
     FAMILIES,
     FREE,
     OK,
@@ -28,6 +26,7 @@ from b92sec.evebound import (
     min_overlap_at,
     shannon_gain,
     stationary_curves,
+    _matrices,
 )
 
 from b92sec.keyrate import key_gains
@@ -72,16 +71,16 @@ class TestBuildMatrices:
             assert abs(a.det()) < 1e-12
             assert b.det() <= 1e-15
 
-    def test_degenerate_channel_rejected(self):
-        with pytest.raises(DegenerateChannelError):
-            build_matrices(0.3, -0.6, 0.0)
+    def test_zero_denominator_takes_the_noiseless_value(self):
+        # eps = 0 with 2 alpha + theta = 0 leaves A 0/0; it takes diag(1, 0),
+        # its value at every other noiseless channel
+        a, _ = build_matrices(0.3, -0.6, 0.0)
+        assert (a.m11, a.m12, a.m22) == (1.0, 0.0, 0.0)
 
     def test_denominator_near_its_zero(self):
         # 1 - (1 - eps) cos(2 alpha + theta) as 2 alpha + theta -> 0, against
         # a 50-digit reference; the direct form loses it to cancellation
         import mpmath
-
-        from b92sec.evebound import _matrices
 
         rng = np.random.default_rng(20240811)
         mpmath.mp.dps = 50
@@ -133,7 +132,6 @@ class TestStationaryCurves:
         # negative constraint values (its mirror covers the plotted window)
         a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
         f = stationary_curves(a, b)
-        assert not f.degenerate
         assert f.type3
         ends = (type3_b(f, 1.0, 1.0), type3_b(f, 1.0, -1.0))
         lo_p, hi_p = min(ends), max(ends)
@@ -151,23 +149,30 @@ class TestStationaryCurves:
         assert f.b_p == pytest.approx(np.trace(sym_matrix(b) @ p), abs=1e-12)
 
     def test_type3_endpoints_hit_unit_overlap(self):
+        # type3+ at x = cos eta = +-1 is xi = I and xi = 2P - I, with P built
+        # from numpy's generalized eigenproblem; the family's Q and B there
+        # must be the traces of A and B at those xi
         a, b = build_matrices(0.7, 0.1, 0.3)
         f = stationary_curves(a, b)
-        if f.type3:
-            # Q = +-(a_p (1 - x) + x) at x = cos 0
-            assert abs(f.a_p * (1.0 - 1.0) + 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert f.type3
+        kappa = max(np.linalg.eigvals(np.linalg.solve(sym_matrix(b), sym_matrix(a))),
+                    key=abs).real
+        m = sym_matrix(a) - kappa * sym_matrix(b)
+        p = m / np.trace(m)
+        for x, xi in ((1.0, np.eye(2)), (-1.0, 2.0 * p - np.eye(2))):
+            q = f.a_p * (1.0 - x) + x
+            assert q == pytest.approx(np.trace(sym_matrix(a) @ xi), abs=1e-12)
+            assert type3_b(f, 1.0, x) == pytest.approx(np.trace(sym_matrix(b) @ xi), abs=1e-12)
 
     def test_type1_small_noise_limit(self):
         a, b = build_matrices(0.5, 0.0, 1e-7)
         f = stationary_curves(a, b)
-        assert not f.degenerate
         # Q = qc cos eta + qs sin eta at eta = 0
         assert f.qc == pytest.approx(1.0, abs=1e-5)
 
     def test_noiseless_routes_to_closed_form(self):
         a = SymMat2(1.0, 0.0, 0.0)
         b = SymMat2(0.8, 0.0, 0.0)
-        assert stationary_curves(a, b).degenerate
         q, regime = min_overlap_at(a, b, 0.6)
         assert q == pytest.approx(0.6 / 0.8, abs=1e-15)
         assert regime == TYPE1
@@ -330,24 +335,24 @@ class TestEveMaxGain:
         assert res.overlap_min == pytest.approx(expected, abs=1e-12)
         assert eve_bound(alpha, alpha, 0.0, 0.0, t).free_limit == 0.0
 
-    def test_no_jump_at_the_noiseless_switch(self):
-        # the eps = 0 formula takes over only where det B = -eps (1 - eps/2) / 2
-        # vanishes; below the switch q falls like sqrt(eps), so a switch at
-        # a larger eps would make q jump
+    def test_no_jump_at_the_noiseless_end(self):
+        # the noiseless channel is the eps -> 0 end of the same families:
+        # q falls like sqrt(eps) from its eps = 0 value, down to the
+        # smallest eps, with no formula taking over below some eps
         alpha = 10 * DEG
-        eps = np.logspace(-16, -8, 161)
+        eps = np.concatenate(([0.0], np.logspace(-16, -8, 161)))
         q = eve_bound(alpha, alpha, 0.0, eps, 0.9).overlap_min
         assert np.diff(q).max() <= 1e-15  # non-increasing up to rounding
-        noisy = eps * (1.0 - eps / 2.0) / 2.0 >= DET_SLOP
-        k = int(np.argmax(noisy))
-        assert 0.0 <= q[k - 1] - q[k] <= 1e-7
-        slope = (q[0] - q[noisy]) / np.sqrt(eps[noisy])
+        slope = (q[0] - q[1:]) / np.sqrt(eps[1:])
         assert 0.48 < slope.min() and slope.max() < 0.49
 
     def test_singular_channels_get_the_noiseless_answer(self):
-        # where A is 0/0 (2 alpha + theta within 1e-9 of 0, eps at most
-        # 1e-15) build_matrices raises, but det B vanishes there too, so
-        # eve_bound answers with its eps = 0 formula and needs no A
+        # A's denominator is at most 1e-15 (2 alpha + theta within 1e-9 of
+        # 0, eps at most 1e-15), and 0 at eps = 0 on the exact tilt, where A
+        # is 0/0: every entry gets a finite answer, and at eps = 0 the
+        # noiseless closed form.  For eps > 0 the eps = 0 formula is not the
+        # answer; the zero-noise-limit stratum of test_whole_domain_agreement
+        # and test_near_singular_channels_match_the_reference check those
         rng = np.random.default_rng(20261019)
         n = 2000
         alpha = rng.uniform(0.01 * DEG, 89.99 * DEG, n)
@@ -355,26 +360,40 @@ class TestEveMaxGain:
         theta = delta - 2.0 * alpha
         eps = rng.choice((0.0, 1e-16, 1e-15), n)
         t = np.where(rng.random(n) < 0.2, 1.0, rng.uniform(1e-3, 1.0, n))
-        singular = np.zeros(n, dtype=bool)
-        for k in range(n):
-            try:
-                build_matrices(alpha[k], theta[k], eps[k])
-            except DegenerateChannelError:
-                singular[k] = True
+        singular = _matrices(alpha, theta, eps)[2] <= 1e-15
         assert np.count_nonzero(singular) > n // 2
         alpha, theta, eps, t = alpha[singular], theta[singular], eps[singular], t[singular]
         bound = eve_bound(alpha, alpha, theta, eps, t)
         assert np.isin(bound.status, (OK, UNREACHABLE)).all()
         assert np.isfinite(bound.overlap_min).all()
-        ok = bound.status == OK
-        # the eps = 0 formula q = target / bmax, with a target at or below 0
-        # in the free region; bmax = hypot(B11 - B22, 2 B12) is
-        # |cos(alpha + theta)| plus an eps term that near 90 degrees moves q
-        # by up to 5e-10 here
+        noiseless = (bound.status == OK) & (eps == 0.0)
+        assert np.count_nonzero(noiseless) > n // 4
+        # the eps = 0 formula q = target / |cos(alpha + theta)|, with a target
+        # at or below 0 in the free region
         target = np.maximum((np.cos(alpha) - (1.0 - t)) / t, 0.0)
-        bmax = np.hypot(np.cos(alpha + theta), np.sqrt(eps * (2.0 - eps)) * np.sin(alpha + theta))
+        bmax = np.abs(np.cos(alpha + theta))
         expected = np.minimum(target, bmax) / bmax
-        assert np.abs(bound.overlap_min - expected)[ok].max() <= 1e-12
+        assert np.abs(bound.overlap_min - expected)[noiseless].max() <= 1e-12
+
+    @pytest.mark.parametrize("theta, eps, want", [
+        # python tools/dual_reference.py 0.3 0.3 -0.599999999 1e-15 1
+        (-0.599999999, 1e-15, 0.0),
+        # python tools/dual_reference.py 0.3 0.3 -0.599999 1e-16 1
+        (-0.599999, 1e-16, 0.999577528168861),
+        # python tools/dual_reference.py 0.3 0.3 -0.599999 1e-15 1
+        (-0.599999, 1e-15, 0.995937465842863),
+    ])
+    def test_near_singular_channels_match_the_reference(self, theta, eps, want):
+        # just off the singular tilt 2 alpha + theta = 0 with eps near 1e-15,
+        # where det B nearly vanishes: both solvers against the oracle's dual
+        # in 60 digits from the same floats
+        from b92sec.oracle import oracle_min_overlap_lossy
+
+        bound = eve_bound(0.3, 0.3, theta, eps, 1.0)
+        assert bound.status == OK
+        assert float(bound.overlap_min) == pytest.approx(want, abs=1e-9)
+        a, b = build_matrices(0.3, theta, eps)
+        assert oracle_min_overlap_lossy(a, b, 0.3, 1.0).value == pytest.approx(want, abs=1e-9)
 
 
 def flipped_overlap(alpha: float, triple: ChannelTriple) -> float:

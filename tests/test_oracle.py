@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from b92sec.errors import (
-    DegenerateChannelError,
-    OracleInfeasibleError,
-    UnreachableChannelError,
-)
+from b92sec.errors import OracleInfeasibleError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple
 from b92sec.evebound import TYPE1, TYPE3P, SymMat2, build_matrices, eve_bound, eve_max_gain
 from b92sec.oracle import nuclear_norm, oracle_min_overlap, oracle_min_overlap_lossy
@@ -209,6 +205,15 @@ def _near_singular(rng):
     return alpha, tilt - 2.0 * alpha, eps, rng.uniform(0.2, 1.0)
 
 
+def _zero_noise_limit(rng):
+    # within 10^U(-6, 0.5) of the singular tilt 2 alpha + theta = 0, with eps
+    # where det B = -eps (1 - eps/2) / 2 is below 1e-14
+    alpha = rng.uniform(0.0, 90 * DEG)
+    tilt = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.5)
+    t = 1.0 if rng.random() < 0.5 else rng.uniform(1e-3, 1.0)
+    return alpha, tilt - 2.0 * alpha, 10.0 ** rng.uniform(-17.0, -14.0), t
+
+
 def _whole_domain(rng):
     eps = (0.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-14.0, 0.0))[rng.integers(3)]
     return (rng.uniform(0.0, 90 * DEG), rng.uniform(-90 * DEG, 90 * DEG), eps,
@@ -225,6 +230,7 @@ STRATA = {
     "heavy-loss": lambda rng: _box(rng, t=rng.uniform(1e-3, 0.2)),
     "wide-whole-domain": _whole_domain,
     "zero-denominator": _near_singular,
+    "zero-noise-limit": _zero_noise_limit,
 }
 
 
@@ -237,14 +243,7 @@ def test_whole_domain_agreement(stratum):
     checked = 0
     while checked < 40:
         alpha, theta, eps, t = STRATA[stratum](rng)
-        try:
-            a, b = build_matrices(alpha, theta, eps)
-        except DegenerateChannelError:
-            # A is 0/0 here, which its denominator (at least eps) allows only
-            # for a noiseless channel; the closed form answers it with its
-            # eps = 0 formula, which needs no A
-            assert eps == 0.0
-            continue
+        a, b = build_matrices(alpha, theta, eps)
         try:
             analytic = eve_max_gain(alpha, alpha,
                                     ChannelTriple(theta, eps, t)).overlap_min
