@@ -41,6 +41,8 @@ COUNT_TABLE = {
     (1, "0"): "n10", (1, "1"): "n11", (1, "0b"): "n1b0", (1, "1b"): "n1b1",
 }
 COUNT_FIELDS = (*COUNT_TABLE.values(), "n_total")
+# sampled counts can fluctuate slightly past the exact-arithmetic boundary
+CLAMP_TOL = 1e-2
 
 
 def _check_fields(names, kind: str) -> None:
@@ -162,8 +164,7 @@ class ChannelTriple:
                 "transmission outside [0, 1]")
 
 
-def estimate_channel(counts: ObservedCounts, alpha: float,
-                     clamp_tol: float = 1e-9) -> ChannelTriple:
+def estimate_channel(counts: ObservedCounts, alpha: float) -> ChannelTriple:
     """Invert observed counters to the unique channel triple.
 
     The detected fraction gives T.  Writing X1 and X2 for the two
@@ -174,10 +175,11 @@ def estimate_channel(counts: ObservedCounts, alpha: float,
         (1 - eps) cos(theta + 2 alpha)  = X2
 
     which expands to (1 - eps) sin(theta) = (X1 cos 2a - X2)/sin 2a and is
-    solved by atan2 and a vector norm.  A norm above 1 + ``clamp_tol``
+    solved by atan2 and a vector norm.  A norm above 1 + ``CLAMP_TOL``
     cannot come from any channel and raises
-    :class:`~b92sec.errors.EstimationInfeasibleError`; a norm within the
-    tolerance is clipped (``clamped`` set on the result).
+    :class:`~b92sec.errors.EstimationInfeasibleError`; a norm in
+    (1, 1 + ``CLAMP_TOL``], as sampled counts of a nearly noiseless channel
+    give, is clipped to 1 (``clamped`` set on the result).
     """
     sin2a = math.sin(2.0 * alpha)
     if sin2a < 1e-9:
@@ -193,7 +195,7 @@ def estimate_channel(counts: ObservedCounts, alpha: float,
     x2 = scale * (counts.n01 - counts.n0b1 + counts.n10 - counts.n1b0)
     y = (x1 * math.cos(2.0 * alpha) - x2) / sin2a
     r = math.hypot(x1, y)
-    if r > 1.0 + clamp_tol:
+    if r > 1.0 + CLAMP_TOL:
         raise EstimationInfeasibleError(
             f"counts imply Bloch-vector norm {r:.6f} > 1; "
             "statistical fluctuation or non-symmetrizable data")

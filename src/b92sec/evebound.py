@@ -101,7 +101,8 @@ class BoundArrays(FirstFailure):
     family whose root decided the entry.  ``free_limit`` is the largest
     constraint value at which the overlap can be driven to zero,
     ``constraint_max`` the largest value reachable at all, and ``target``
-    the value Eve actually has to meet.  ``status`` is OK or UNREACHABLE
+    the value Eve actually has to meet, or 0 where that value is negative
+    and so free.  ``status`` is OK or UNREACHABLE
     (the target exceeds ``constraint_max`` and is kept unclipped); the
     other fields of an unreachable entry carry no meaning.  ``free_limit``
     and ``constraint_max`` do not depend on alpha' or T and keep the
@@ -352,7 +353,9 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     # |T Tr[B xi] - cos(alpha')| <= 1 - T; Eve prefers the value closest to 0
     lo = (np.cos(alpha_prime) - (1.0 - transmission)) / transmission
     unreachable = lo > bmax + REACH_SLOP
-    t = np.minimum(lo, bmax)
+    # a negative target is free, since the band reaches 0; bounding it by 0
+    # keeps _overlap from squaring one near -1/T, which overflows for tiny T
+    t = np.maximum(np.minimum(lo, bmax), 0.0)
     q, regime = _overlap(f, t)
     return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
                        target=np.where(unreachable, lo, t), regime=regime,

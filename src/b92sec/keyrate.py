@@ -14,9 +14,9 @@ the error of a failed entry.  The batch calls take arrays and return
 arrays, and each scalar call is a thin wrapper of one:
 
 - :func:`optimal_angles` searches broadcast arrays of channels with one
-  array call per step on all of them: at its default tolerance four calls,
-  the coarse scan and three grid sections, so ``optangle`` searches its
-  whole noise grid in four calls.  :func:`optimal_angle` is its one-row case.
+  array call per step on all of them: four calls, the coarse scan and three
+  grid sections, so ``optangle`` searches its whole noise grid in four
+  calls.  :func:`optimal_angle` is its one-row case.
 - :func:`distance_sweep` is one array pass: :func:`link_channels` gives
   (eps, T) at every length, then one :func:`key_gains` call and one
   :func:`bb84_key_gain` call give the two gain columns of a
@@ -24,8 +24,10 @@ arrays, and each scalar call is a thin wrapper of one:
 
 Each :func:`key_gains` call of the noise limit, on the coarse scan's 90
 angles, answers up to three scan steps or three bisection levels ahead: 5
-or 6 calls per limit for T from 0.05 to 1 at the default tolerance,
-against 13 to 16 at one call per step, with the same result.
+or 6 calls per limit for T from 0.05 to 1, against 13 to 16 at one call
+per step, with the same result.  Both searches run at one precision, the
+angle to within 1e-6 and the noise limit to within 1e-5, so each takes a
+fixed number of steps.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ MODES = tuple(INFORMATION)
 # cells per grid-section step of the angle search; each step keeps the two
 # cells beside the best sample, so the bracket narrows SECTIONS / 2 times
 SECTIONS = 66
+# grid-section steps: they narrow the coarse bracket, at most 2 degrees, to
+# at most 9.7e-7
+STEPS = 3
+# bisection levels of the noise limit: 0.02 / 2**11 is below 1e-5
+LEVELS = 11
 # sample numbers across a bracket, as a column
 CELLS = np.arange(SECTIONS + 1.0)[:, None]
 # the angle search's coarse scan: every whole degree in (0, pi/2]
@@ -186,31 +193,26 @@ def _gains(alphas, theta, epsilon, transmission, mode: str) -> np.ndarray:
     return np.where(g.failed, -math.inf, g.gain)
 
 
-def _check_tol(tol: float) -> None:
-    require(tol, np.isfinite(tol) & (tol > 0.0), "tolerance must be finite and positive")
-
-
-def optimal_angles(theta, epsilon, transmission, mode: str = "collision",
-                   tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def optimal_angles(theta, epsilon, transmission,
+                   mode: str = "collision") -> tuple[np.ndarray, np.ndarray]:
     """Angle maximizing the key gain, and the gain there, for each channel.
 
     Each entry of the broadcast arrays (theta, eps, T) is one channel, and
     both results take their broadcast shape.  A
     90-point coarse scan over (0, pi/2] brackets each row's best degree (the
     gain is not concave near the full-information boundary, so the scan
-    guards against the wrong basin).  Each grid-section step then samples
-    ``SECTIONS + 1`` evenly spaced angles across every open row's bracket
-    and keeps the two cells beside the row's best sample, until the bracket
-    is no wider than ``tol``; from the 2-degree bracket at ``tol = 1e-6``
-    that is three steps.  Every step is one :func:`key_gains` call over the
-    rows still open, and a row gets the same numbers as on its own.  Angles
-    where the channel is unreachable or the gain is undefined are skipped.
-    Each row gets the best sampled angle and its gain, or (0, 0) when no
-    angle yields positive gain, meaning the protocol cannot produce a key.
-    It never raises :class:`UnreachableChannelError`: at pi/2 the target
-    (cos alpha - (1 - T))/T <= 0 is always reachable.
+    guards against the wrong basin).  Each of ``STEPS`` grid-section steps
+    then samples ``SECTIONS + 1`` evenly spaced angles across every keyed
+    row's bracket and keeps the two cells beside the row's best sample: the
+    bracket of at most 2 degrees ends no wider than 9.7e-7.  Every step is
+    one :func:`key_gains` call over the keyed rows, and a row gets the same
+    numbers as on its own.  Angles where the channel is unreachable or the
+    gain is undefined are skipped.  Each row gets the best sampled angle and
+    its gain, or (0, 0) when no angle yields positive gain, meaning the
+    protocol cannot produce a key; a call without such a row makes the
+    coarse scan alone.  It never raises :class:`UnreachableChannelError`:
+    at pi/2 the target (cos alpha - (1 - T))/T <= 0 is always reachable.
     """
-    _check_tol(tol)
     # angles run down axis 0 and channels along axis 1, one column per channel
     columns = np.broadcast_arrays(theta, epsilon, transmission)
     shape = columns[0].shape
@@ -220,100 +222,95 @@ def optimal_angles(theta, epsilon, transmission, mode: str = "collision",
     top = gains[best, np.arange(best.size)]
     keyed = top > 0.0
     alpha, gain = np.where(keyed, COARSE[best], 0.0), np.where(keyed, top, 0.0)
-    lo = np.where(best > 0, COARSE[best - 1], COARSE[0] / 2.0)
-    hi = COARSE[np.minimum(best + 1, COARSE.size - 1)]
-    # the grid sections run on the rows still open: their row numbers, brackets
+    # the grid sections run on the keyed rows: their row numbers, brackets
     # and channel columns
-    live = np.flatnonzero(keyed & (hi - lo > tol))
-    lo, hi = lo[live], hi[live]
-    theta, epsilon, transmission = theta[live], epsilon[live], transmission[live]
-    while live.size:
-        # the samples of np.linspace(lo, hi, SECTIONS + 1), by the same
-        # arithmetic without its per-call overhead
-        grid = CELLS * ((hi - lo) / SECTIONS) + lo
-        grid[-1] = hi
-        gains = _gains(grid, theta, epsilon, transmission, mode)
-        best, at = np.argmax(gains, axis=0), np.arange(live.size)
+    live = np.flatnonzero(keyed)
+    if live.size:
+        best = best[live]
+        lo = np.where(best > 0, COARSE[best - 1], COARSE[0] / 2.0)
+        hi = COARSE[np.minimum(best + 1, COARSE.size - 1)]
+        theta, epsilon, transmission = theta[live], epsilon[live], transmission[live]
+        at = np.arange(live.size)
+        for _ in range(STEPS):
+            # the samples of np.linspace(lo, hi, SECTIONS + 1), by the same
+            # arithmetic without its per-call overhead
+            grid = CELLS * ((hi - lo) / SECTIONS) + lo
+            grid[-1] = hi
+            gains = _gains(grid, theta, epsilon, transmission, mode)
+            best = np.argmax(gains, axis=0)
+            lo = grid[np.maximum(best - 1, 0), at]
+            hi = grid[np.minimum(best + 1, SECTIONS), at]
         alpha[live], gain[live] = grid[best, at], gains[best, at]
-        new_lo = grid[np.maximum(best - 1, 0), at]
-        new_hi = grid[np.minimum(best + 1, SECTIONS), at]
-        # a bracket that does not move has cells below float resolution
-        go_on = ((new_lo != lo) | (new_hi != hi)) & (new_hi - new_lo > tol)
-        live, lo, hi = live[go_on], new_lo[go_on], new_hi[go_on]
-        theta, epsilon, transmission = theta[go_on], epsilon[go_on], transmission[go_on]
     return alpha.reshape(shape), gain.reshape(shape)
 
 
-def optimal_angle(triple: ChannelTriple, mode: str = "collision",
-                  tol: float = 1e-6) -> tuple[float, float]:
+def optimal_angle(triple: ChannelTriple, mode: str = "collision") -> tuple[float, float]:
     """Angle maximizing the key gain, and the gain there, for one channel.
 
     The one-row case of :func:`optimal_angles`: (0, 0) when no angle yields
     positive gain.
     """
-    alpha, gain = optimal_angles(triple.theta, triple.epsilon, triple.transmission, mode, tol)
+    alpha, gain = optimal_angles(triple.theta, triple.epsilon, triple.transmission, mode)
     return float(alpha), float(gain)
 
 
-def positive_noise_limit(transmission: float, mode: str = "collision",
-                         tol: float = 1e-5) -> float:
+def _keyed(epsilon, transmission: float, mode: str) -> np.ndarray:
+    """Whether some angle of the coarse scan gives a positive gain, per noise rate."""
+    gains = _gains(COARSE[:, None], 0.0, epsilon, transmission, mode)
+    return np.max(gains, axis=0) > 0.0
+
+
+def positive_noise_limit(transmission: float, mode: str = "collision") -> float:
     """Noise rate at which the key gain's best whole-degree value changes sign.
 
     Scans eps upward in steps of 0.02 to bracket the sign change, then
-    bisects.  Each step asks whether the 90 angles of the coarse scan of
-    :func:`optimal_angles` give a positive gain; that search returns (0, 0)
-    exactly when they do not.  One :func:`key_gains` call answers a batch
-    of steps ahead: eps = 0 with the first three scan steps, the next three
-    scan steps, or the 7 midpoints of the next three bisection levels, from
-    the same ``0.5 * (lo + hi)`` arithmetic.  The steps then run in order,
-    stop tests included, so the result is that of one call per step, in 5
-    calls instead of 14 at T = 0.8 and the default ``tol``.  Returns 0 when
-    even a noiseless channel yields nothing.  The optimized gain can stay
-    positive a little past this crossing, where the best angle falls
-    between whole degrees: against the maximum over a 200,000-point angle
-    grid the crossing moved up by as much as 1.4e-5 (Shannon mode,
-    T = 0.4), and the value returned at the default ``tol`` fell short of
-    it by 1.1e-5.
+    bisects it ``LEVELS`` times, to a bracket below 1e-5.  Each step asks
+    whether the 90 angles of the coarse scan of :func:`optimal_angles` give
+    a positive gain; that search returns (0, 0) exactly when they do not.
+    One :func:`key_gains` call answers a batch of steps ahead: eps = 0 with
+    the first three scan steps, the next three scan steps, or the 7
+    midpoints of the next three bisection levels, from the same
+    ``0.5 * (lo + hi)`` arithmetic.  The steps then run in order, so the
+    result is that of one call per step, in 5 calls instead of 14 at
+    T = 0.8.  Returns 0 when even a noiseless channel yields nothing, and 1
+    when every scan step keeps a key.  The optimized gain can stay positive
+    a little past this crossing, where the best angle falls between whole
+    degrees: against the maximum over a 200,000-point angle grid the
+    crossing moved up by as much as 1.4e-5 (Shannon mode, T = 0.4), and the
+    value returned fell short of it by 1.1e-5.
     """
-    _check_tol(tol)
-    signs: dict[float, bool] = {}
-
-    def positive(eps: float, lookahead) -> bool:
-        # on a miss, one call over lookahead(): eps and the noise rates the
-        # next steps may ask for
-        if eps not in signs:
-            batch = lookahead()
-            gains = _gains(COARSE[:, None], 0.0, np.array(batch), transmission, mode)
-            signs.update(zip(batch, (np.max(gains, axis=0) > 0.0).tolist()))
-        return signs[eps]
-
-    if not positive(0.0, lambda: [k / 50.0 for k in range(4)]):
-        return 0.0
-    lo, hi = 0.0, None
-    for k in range(1, 51):
-        eps = k / 50.0
-        if not positive(eps, lambda: [j / 50.0 for j in range(k, min(k + 3, 51))]):
-            hi = eps
+    # scan steps k / 50, k = 0 to 50: k = 0 to 3 in the first call, then three a call
+    for batch in (range(4), *(range(k, min(k + 3, 51)) for k in range(4, 51, 3))):
+        keyed = _keyed(np.array(batch) / 50.0, transmission, mode)
+        if not keyed.all():
+            k = batch[np.argmin(keyed)]
+            if k == 0:
+                return 0.0
+            lo, hi = (k - 1) / 50.0, k / 50.0
             break
-        lo = eps
-    if hi is None:
+    else:
         return 1.0
-    mid = 0.5 * (lo + hi)
-    while hi - lo > tol and lo < mid < hi:
-        if positive(mid, lambda: _bisection_tree(lo, hi)):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    # bisection: the 9 edges of three levels below [lo, hi], walked by index
+    for level in range(0, LEVELS, 3):
+        edges = _bisection_tree(lo, hi)
+        keyed = _keyed(edges[1:-1], transmission, mode)
+        i, j = 0, len(edges) - 1
+        for _ in range(min(3, LEVELS - level)):
+            mid = (i + j) // 2
+            if keyed[mid - 1]:
+                i = mid
+            else:
+                j = mid
+        lo, hi = edges[i], edges[j]
+    return 0.5 * (lo + hi)
 
 
 def _bisection_tree(lo: float, hi: float) -> list[float]:
-    """The 7 midpoints of the next three bisection levels of [lo, hi]."""
+    """[lo, hi] and the 7 midpoints of its next three bisection levels, sorted."""
     edges = [lo, hi]
     for _ in range(3):
         edges = sorted(edges + [0.5 * (a + b) for a, b in zip(edges, edges[1:])])
-    return edges[1:-1]
+    return edges
 
 
 def link_channels(link: PhysicalLink, lengths_km) -> tuple[np.ndarray, np.ndarray]:

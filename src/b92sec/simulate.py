@@ -33,9 +33,6 @@ from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
 from .states import OUTCOMES, outcome_table
 
-# sampled counts can fluctuate slightly past the exact-arithmetic boundary
-SAMPLING_CLAMP_TOL = 1e-2
-
 _WORDS_PER_PULSE = 4
 # pulses drawn per Philox call; the counts do not depend on it
 _PULSES_PER_BLOCK = 1 << 14
@@ -175,7 +172,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     matched = int(correct[guesses == np.arange(2)[:, np.newaxis]].sum())
     accuracy = matched / recorded if recorded else None
 
-    estimated = estimate_channel(counts, config.alpha, clamp_tol=SAMPLING_CLAMP_TOL)
+    estimated = estimate_channel(counts, config.alpha)
     return SimResult(counts=counts, conclusive_error_rate=error_rate,
                      eve_accuracy_correct=accuracy, estimated=estimated,
                      joint=tuple(tuple(map(tuple, plane)) for plane in joint.tolist()))

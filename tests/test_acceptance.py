@@ -168,7 +168,7 @@ def test_criterion_06_noiseless_closed_form():
 
 def test_criterion_07_optimal_angle_structure():
     start = time.time()
-    limit = positive_noise_limit(0.8, tol=1e-4)
+    limit = positive_noise_limit(0.8)
     angles = []
     for eps in np.linspace(0.0, limit * 0.95, 12):
         alpha_star, gain_star = optimal_angle(ChannelTriple(0.0, float(eps), 0.8))
@@ -181,7 +181,7 @@ def test_criterion_07_optimal_angle_structure():
     # the gain is dead just past the threshold
     ok &= optimal_angle(ChannelTriple(0.0, limit + 5e-4, 0.8)) == (0.0, 0.0)
     # threshold curve grows with transmission
-    curve = [positive_noise_limit(t, tol=1e-4) for t in (0.2, 0.4, 0.6, 0.8, 1.0)]
+    curve = [positive_noise_limit(t) for t in (0.2, 0.4, 0.6, 0.8, 1.0)]
     ok &= all(d > 0.0 for d in np.diff(curve))
     elapsed = time.time() - start
     ok &= elapsed <= 60.0
@@ -262,7 +262,7 @@ def test_criterion_11_estimator_round_trip():
                                rng.uniform(0.05, 0.8), rng.uniform(0.3, 1.0))
         alpha = rng.uniform(10 * DEG, 70 * DEG)
         counts = _sample_counts(triple, alpha, 10 ** 6, seed=run)
-        got = estimate_channel(counts, alpha, clamp_tol=1e-2)
+        got = estimate_channel(counts, alpha)
         sigma = estimator_sigmas(triple, alpha, 10 ** 6)
         hits += (abs(got.theta - triple.theta) <= 3 * sigma[0]
                  and abs(got.epsilon - triple.epsilon) <= 3 * sigma[1]

@@ -265,7 +265,7 @@ class TestSimulate:
         # the exported record round-trips through the estimator interface
         from b92sec.estimation import ObservedCounts, estimate_channel
         counts = ObservedCounts.from_csv(counts_path.read_text())
-        est = estimate_channel(counts, math.radians(12), clamp_tol=1e-2)
+        est = estimate_channel(counts, math.radians(12))
         assert est.epsilon == pytest.approx(record["estimated"]["epsilon"])
 
     @pytest.mark.parametrize("mode", MODES)

@@ -207,7 +207,7 @@ class TestEstimateChannel:
 
     def test_small_overshoot_is_clamped(self):
         counts = expected_counts(ChannelTriple(0.0, 0.0, 1.0), 30 * DEG, 10 ** 6)
-        got = estimate_channel(counts, 30 * DEG, clamp_tol=1e-2)
+        got = estimate_channel(counts, 30 * DEG)
         assert got.epsilon == 0.0
         # an intentionally loose tolerance close to the exact point must not
         # flag exact data

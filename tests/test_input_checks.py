@@ -28,8 +28,6 @@ from b92sec.keyrate import (
     bb84_key_gain,
     key_gains,
     link_channels,
-    optimal_angles,
-    positive_noise_limit,
 )
 from b92sec.oracle import oracle_min_overlap_lossy
 from b92sec.simulate import SimConfig
@@ -170,13 +168,6 @@ SCALAR_CASES = {
     "oracle transmission nan": (
         lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), 0.3, math.nan),
         DomainError, "transmission outside (0, 1]: nan"),
-    "optimal_angles tolerance": (lambda: optimal_angles(0.0, 0.1, 1.0, tol=0.0), DomainError,
-                                 "tolerance must be finite and positive: 0.0"),
-    "positive_noise_limit tolerance": (lambda: positive_noise_limit(1.0, tol=math.inf),
-                                       DomainError,
-                                       "tolerance must be finite and positive: inf"),
-    "tolerance nan": (lambda: optimal_angles(0.0, 0.1, 1.0, tol=math.nan), DomainError,
-                      "tolerance must be finite and positive: nan"),
     "link negative": (lambda: _link(receiver_loss_db=-1.0), DomainError,
                       "receiver_loss_db must be non-negative: -1.0"),
     "link nan": (lambda: _link(dark_mean=math.nan), DomainError,

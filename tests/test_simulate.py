@@ -17,7 +17,7 @@ from b92sec.attacks import (
     rotation_attack,
 )
 from b92sec.errors import DomainError
-from b92sec.estimation import ChannelTriple, ObservedCounts
+from b92sec.estimation import ChannelTriple, ObservedCounts, estimate_channel
 from b92sec.keyrate import key_gains
 from b92sec.simulate import (
     SimConfig,
@@ -196,6 +196,19 @@ class TestClosedLoop:
         assert report.info_correct == pytest.approx(1.0, abs=1e-9)
         assert report.gain_correct == pytest.approx(0.0, abs=1e-12)
         assert report.gain < 0.0
+
+    def test_counts_record_reads_back_to_the_run_estimate(self):
+        # sampled counts of a noiseless channel put the Bloch norm past 1 in
+        # about half the runs; read back from the exported record, they give
+        # the estimate the run reported, clamp included
+        alpha = 40 * DEG
+        clamped = 0
+        for seed in range(40):
+            result = run_simulation(config(identity_attack(), n=400000, seed=seed, alpha=alpha))
+            counts = ObservedCounts.from_csv(result.counts.to_csv())
+            assert estimate_channel(counts, alpha) == result.estimated, seed
+            clamped += result.estimated.clamped
+        assert clamped >= 1
 
     def test_mismatched_angles_rejected(self):
         cfg = SimConfig(n_total=1000, alpha_prime=0.3, alpha=0.4,
