@@ -213,6 +213,19 @@ class TestEstimateChannel:
         # flag exact data
         assert not got.clamped or got.epsilon == 0.0
 
+    @pytest.mark.parametrize("a, c, clamped", ((2010, 995, True), (2040, 980, False)))
+    def test_clamp_ends_at_norm_1_01(self, a, c, clamped):
+        # at alpha = 45 degrees the Bloch norm is 2a / (a + 2c): 1.005 is
+        # clipped to 1, 1.02 lies past the sampling clamp and raises
+        counts = ObservedCounts(n00=a, n01=c, n0b0=0, n0b1=c, n10=c, n11=a,
+                                n1b0=c, n1b1=0, n_total=2 * a + 4 * c)
+        if clamped:
+            got = estimate_channel(counts, 45 * DEG)
+            assert (got.epsilon, got.transmission, got.clamped) == (0.0, 1.0, True)
+        else:
+            with pytest.raises(EstimationInfeasibleError, match="norm 1.020000 > 1"):
+                estimate_channel(counts, 45 * DEG)
+
     def test_degenerate_angle_refused(self):
         counts = make_counts()
         with pytest.raises(DegenerateAngleError):

@@ -336,6 +336,16 @@ class TestPositiveNoiseLimit:
         assert optimal_angle(ChannelTriple(0.0, limit + 5e-3, 0.8))[1] == 0.0
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_limit_lies_within_the_fixed_bracket(self, mode):
+        # 11 bisection levels below a 0.02 scan step leave a bracket of
+        # 9.8e-6: the coarse scan keeps a key 5e-6 below the limit and none
+        # 5e-6 above it
+        for t in (0.2, 0.5, 0.8, 1.0):
+            limit = positive_noise_limit(t, mode)
+            keyed = keyrate._keyed(np.array([limit - 5e-6, limit + 5e-6]), t, mode)
+            assert keyed.tolist() == [True, False], t
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_equals_the_chained_angle_searches(self, mode):
         # the coarse scan's maximum is positive exactly when the angle search
         # returns a positive gain, so every bisection step goes the same way
