@@ -1,11 +1,13 @@
 import json
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import Philox
 
+from b92sec import simulate
 from b92sec.attacks import (
     AttackBranch,
     AttackChannel,
@@ -303,19 +305,109 @@ PARITY_ATTACKS = {
     "depolarize|loss": "depolarize(epsilon=0.05)|loss(T=0.9)",
     "loss": "loss(T=0.6)",
 }
+PARITY_SEEDS = (0, 5, 99)
+PARITY_PULSES = (10 ** 6, 123457)
+# float_uniform_joint's counts for every parity channel, seed and pulse count,
+# written by tests/data/record_sampler_parity.py; rerun it when a channel or
+# the outcome table changes
+PARITY_RECORD = Path(__file__).parent / "data" / "sampler_parity.json"
+
+
+def parity_channel(name: str) -> AttackChannel:
+    return EDGE_CHANNEL if name == "edges" else parse_attack(
+        PARITY_ATTACKS[name].format(q0=critical_weakness(ALPHA)), ALPHA)
+
+
+def nested(joint) -> tuple:
+    return tuple(tuple(map(tuple, plane)) for plane in joint)
+
+
+# the class table looks a pulse up by the top 7 bits of its two draws, so a
+# bucket spans 2**46 threshold units and its low end is a multiple of 2**-7;
+# each channel puts CDF entries on or next to bucket edges, and one branch
+# rotation leaves some buckets straddling a threshold
+UNIT = 2.0 ** -53  # one threshold unit
+BUCKET_CHANNELS = {
+    # branch CDF entries 0.25, 0.5 and 0.75 sit at bucket low ends, and at
+    # 45 degrees so do the unrotated branches' outcome entries
+    "bucket-ends": (45, AttackChannel((
+        AttackBranch((0.25, 0.5)),
+        AttackBranch((0.25, 0.25), (0.2, -0.3), guess=0),
+        AttackBranch((0.5, 0.25))))),
+    # thresholds 2**52 - 1 for bit 0 and 2**52 + 1 for bit 1; at 60 degrees
+    # the unrotated branch's first outcome entry for bit 1 gives 2**50 + 1
+    "one-unit-off": (60, AttackChannel((
+        AttackBranch((0.5 - UNIT, 0.5 + UNIT)),
+        AttackBranch((0.5 + UNIT, 0.5 - UNIT), (0.1, 0.1), guess=1)))),
+    # bit 0's entries 0.3, 0.301 and 0.303 share one bucket
+    "shared-bucket": (10, AttackChannel((
+        AttackBranch((0.3, 0.6), (0.05, -0.05)),
+        AttackBranch((0.001, 0.0005), (0.2, 0.2), guess=0),
+        AttackBranch((0.002, 0.0015), (-0.1, 0.3), guess=1),
+        AttackBranch((0.697, 0.398), to_vacuum=True)))),
+    # the middle branch never fires: bit 0's CDF repeats 0.4, bit 1's 0.0
+    "zero-weight": (10, AttackChannel((
+        AttackBranch((0.4, 0.0), (0.1, -0.1), guess=1),
+        AttackBranch((0.0, 0.0), (0.3, 0.3), guess=0),
+        AttackBranch((0.6, 1.0), (-0.2, 0.05))))),
+}
+
+
+@pytest.fixture(scope="module")
+def parity_record():
+    record = json.loads(PARITY_RECORD.read_text())
+    assert record["alpha"] == ALPHA
+    return {(case["name"], case["seed"], case["n_total"]): case for case in record["cases"]}
 
 
 class TestSamplerParity:
-    @pytest.mark.parametrize("seed", (0, 5, 99))
+    @pytest.mark.parametrize("seed", PARITY_SEEDS)
     @pytest.mark.parametrize("name", (*PARITY_ATTACKS, "edges"))
-    def test_joint_counts_equal_the_float_sampler(self, name, seed):
-        channel = EDGE_CHANNEL if name == "edges" else parse_attack(
-            PARITY_ATTACKS[name].format(q0=critical_weakness(ALPHA)), ALPHA)
-        for n in (10 ** 6, 123457):
-            cfg = config(channel, n=n, seed=seed)
-            expected = float_uniform_joint(cfg).tolist()
-            assert run_simulation(cfg).joint == tuple(
-                tuple(map(tuple, plane)) for plane in expected)
+    def test_joint_counts_equal_the_float_sampler(self, parity_record, name, seed):
+        channel = parity_channel(name)
+        for n in PARITY_PULSES:
+            case = parity_record[name, seed, n]
+            assert case["channel"] == repr(channel)  # the recording is not stale
+            assert run_simulation(config(channel, n=n, seed=seed)).joint == nested(case["joint"])
+
+    @pytest.mark.parametrize("name", BUCKET_CHANNELS)
+    def test_bucket_edges_match_the_live_float_sampler(self, name):
+        alpha_deg, channel = BUCKET_CHANNELS[name]
+        cfg = config(channel, n=199999, seed=3, alpha=alpha_deg * DEG)
+        assert run_simulation(cfg).joint == nested(float_uniform_joint(cfg).tolist())
+
+    def test_classes_past_int16_match_the_live_float_sampler(self):
+        # twelve depolarizing stages make 4,096 branches and 40,960 classes
+        channel = parse_attack("|".join(["depolarize(epsilon=0.1)"] * 12), ALPHA)
+        assert len(channel.branches) == 4096
+        cfg = config(channel, n=3000, seed=4)
+        assert run_simulation(cfg).joint == nested(float_uniform_joint(cfg).tolist())
+
+    def test_bucket_channels_have_their_edges(self):
+        # each bit's branch CDF without its last entry
+        cdf = {name: np.cumsum([br.weights for br in channel.branches], axis=0).T[:, :-1]
+               for name, (_, channel) in BUCKET_CHANNELS.items()}
+        assert (cdf["bucket-ends"] * 128 == [[32, 64], [64, 96]]).all()
+        outcomes = outcome_distribution(config(BUCKET_CHANNELS["bucket-ends"][1],
+                                               alpha=45 * DEG))
+        edges = np.cumsum(outcomes[:, [0, 2]], axis=2)[..., :-1] * 128
+        assert (edges == np.round(edges)).all()
+        assert np.ceil(cdf["one-unit-off"] * 2.0 ** 53).tolist() == [[2 ** 52 - 1], [2 ** 52 + 1]]
+        outcomes = outcome_distribution(config(BUCKET_CHANNELS["one-unit-off"][1],
+                                               alpha=60 * DEG))
+        assert math.ceil(outcomes[1, 0, 0] * 2.0 ** 53) == 2 ** 50 + 1
+        assert np.floor(cdf["shared-bucket"][0] * 128).tolist() == [38, 38, 38]
+        assert cdf["zero-weight"].tolist() == [[0.4, 0.4], [0.0, 0.0]]
+
+    def test_counts_do_not_depend_on_the_block_size(self, monkeypatch):
+        # one pulse per block, blocks of 4097 with a short last one, and one block
+        cfg = config(parse_attack("depolarize(epsilon=0.05)|loss(T=0.9)", ALPHA), n=4500,
+                     seed=11)
+        joints = []
+        for size in (1, 4097, cfg.n_total):
+            monkeypatch.setattr(simulate, "_PULSES_PER_BLOCK", size)
+            joints.append(run_simulation(cfg).joint)
+        assert joints[0] == joints[1] == joints[2]
 
     def test_edge_channel_has_its_edge_rows(self):
         weights = np.array([br.weights for br in EDGE_CHANNEL.branches]).T

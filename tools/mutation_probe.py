@@ -4,14 +4,18 @@ Usage (from the repository root):
 
     python tools/mutation_probe.py src/b92sec/simulate.py tests/test_simulate.py
 
-Each ``<``/``<=``, ``>``/``>=``, ``+``/``-``, ``*``/``/`` and
-``maximum``/``minimum`` token in the module's code (not its comments or
-strings) is flipped to its partner, one mutant at a time.  A mutant is
-judged by ``pytest -x`` on the given test files, run in a temporary copy of
-the tree, so the working tree is never edited.  A mutant that does not
-compile is skipped and not counted.  A failing run or a run past two
-minutes kills the mutant; the survivors are printed with their line.
-Standard library only; not part of the test suite.
+Each ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/``,
+``<<``/``>>``, ``|``/``&`` (and their augmented forms ``<<=``/``>>=`` and
+``|=``/``&=``) and ``maximum``/``minimum`` token in the module's code (not
+its comments or strings) is flipped to its partner, one mutant at a time;
+the shift and bitwise pairs reach bit-level code such as a lookup key.
+Operators inside annotations are flipped too, and those mutants survive
+unless the annotation is evaluated.  A mutant is judged by ``pytest -x`` on
+the given test files, run in a temporary copy of the tree, so the working
+tree is never edited.  A mutant that does not compile is skipped and not
+counted.  A failing run or a run past two minutes kills the mutant; the
+survivors are printed with their line.  Standard library only; not part of
+the test suite.
 """
 
 import argparse
@@ -24,8 +28,10 @@ import tempfile
 import tokenize
 from pathlib import Path
 
-FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "+": "-", "-": "+", "*": "/",
-         "/": "*", "maximum": "minimum", "minimum": "maximum"}
+FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "+": "-",
+         "-": "+", "*": "/", "/": "*", "<<": ">>", ">>": "<<", "|": "&", "&": "|",
+         "<<=": ">>=", ">>=": "<<=", "|=": "&=", "&=": "|=",
+         "maximum": "minimum", "minimum": "maximum"}
 
 
 def sites(source: str):
