@@ -50,9 +50,10 @@ from .keyrate import (
     distance_sweep,
     key_gains,
     optimal_angles,
+    secret_key_gain,
 )
 from .oracle import oracle_min_overlap_lossy
-from .simulate import SimConfig, closed_loop_report
+from .simulate import SimConfig, require_matched_angles, run_simulation
 
 SCHEMAS = {
     "infogain": "eps,q_min,i_gc,i_gc_shannon,i_s_upper",
@@ -170,21 +171,29 @@ def cmd_distance(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = SimConfig.from_file(args.config)
-    result, g = closed_loop_report(config, args.mode)
+    require_matched_angles(config)
+    result = run_simulation(config)
+    # what the run measured is written even where the key gain is unreachable
+    try:
+        g, failure = secret_key_gain(config.alpha, result.estimated, args.mode), None
+    except UnreachableChannelError as exc:
+        g, failure = None, exc
     # the counts file first: a failed write leaves no JSON record behind
     if args.counts_csv:
         _write(args.counts_csv, result.counts.to_csv())
     record = asdict(result)
+    fields = {"g": "gain", "g_correct": "gain_correct", "g_flipped": "gain_flipped",
+              "p_conc": "p_conc", "e": "error_rate"}  # record key: KeyGains field
     record["key_gain"] = {
         "alpha_deg": math.degrees(config.alpha),
-        "g": float(g.gain),
-        "g_correct": float(g.gain_correct),
-        "g_flipped": float(g.gain_flipped),
-        "p_conc": float(g.p_conc),
-        "e": float(g.error_rate),
+        **{key: None if g is None else float(getattr(g, field))
+           for key, field in fields.items()},
         "mode": args.mode,
+        "status": "ok" if failure is None else "unreachable",
     }
     _write(args.output, json.dumps(record) + "\n")
+    if failure is not None:
+        raise failure
     return EXIT_OK
 
 

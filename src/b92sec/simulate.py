@@ -1,29 +1,21 @@
 """Monte-Carlo execution of the seven-step protocol with a pluggable attack.
 
 Pulses are independent and identically distributed (the individual-attack
-assumption), so a run is a multinomial over branch-and-outcome classes.
-Randomness comes from counter-based Philox4x64 keyed by the seed: pulse i
-consumes the four-word block at counter i, so results are bit-for-bit
-reproducible and independent of how the run is chunked or parallelized.
-
-Each pulse is decided from its raw 64-bit words by integer thresholds:
-word 0's top bit is Alice's bit, and the 53-bit draws m = w >> 11 of words
-1 and 2 are compared against the branch and outcome CDFs turned into
-thresholds k = ceil(c * 2**53), clipped to [0, 2**53].  Since
-c <= m * 2**-53 exactly when m >= k, the counts equal those of drawing the
-uniforms u = m * 2**-53 and inverting the CDFs in floating point.  The
-outcome CDFs come from one :func:`~b92sec.states.outcome_table` call over
+assumption), and the closed loop reads only how many pulses fall in each
+(bit, branch, outcome) class.  So a run is one multinomial draw of
+``n_total`` pulses over the 2 * B * 5 classes of an attack with B branches:
+class (j, b, mu) has probability 1/2 * (bit j's weight of branch b) *
+Tr[E_mu rho_jb], from one :func:`~b92sec.states.outcome_table` call over
 Alice's two signal angles plus every branch's rotations
-(:func:`outcome_distribution`).
+(:func:`outcome_distribution`).  Classes of probability 0 are left out of the
+draw and stay exactly 0.
 
-Most pulses skip the comparisons.  A class table indexed by Alice's bit and
-the top 7 bits of each draw holds, for every pair of draw buckets, the class
-(bit, branch, outcome) that all draws in them share, or a marker where a
-bucket straddles a threshold.  Only the marked pulses, 0.2-3 % of them with
-the benchmark's attacks, are compared against the thresholds, so the counts
-are those of comparing every pulse.  On a 2-core VM (Python 3.11, numpy
-2.4) this samples about 3.3e7 pulses per second; the README's "Simulator"
-entry gives the timing command.
+The draw comes from ``Generator(Philox(key=seed)).multinomial``, so the
+counts are a function of the seed and the config alone, and a run costs the
+same at any pulse count: on a 2-core VM (Python 3.11, numpy 2.4)
+:func:`run_simulation` takes about 0.2 ms at 1e7 and at 1e9 pulses; the
+README's "Simulator" entry gives the timing command.  Counts drawn this way
+differ from those of the earlier per-pulse sampler for every seed.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 
 from .attacks import AttackChannel, parse_attack
 from .errors import DomainError, _key_values, is_integer, require
@@ -41,11 +33,6 @@ from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
 from .states import OUTCOMES, outcome_table
 
-_WORDS_PER_PULSE = 4
-# pulses drawn per Philox call; the counts do not depend on it
-_PULSES_PER_BLOCK = 1 << 14
-# top bits of each draw that index the class table
-_BUCKET_BITS = 7
 _CONFIG_KEYS = ("n_total", "alpha_deg", "alpha_prime_deg", "attack", "seed")
 
 
@@ -60,8 +47,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not is_integer(self.n_total) or self.n_total < 1:
-            raise DomainError(f"n_total must be an integer of at least 1: {self.n_total!r}")
+        # numpy's multinomial takes the pulse count as a signed 64-bit integer
+        if not is_integer(self.n_total) or not 1 <= self.n_total < 1 << 63:
+            raise DomainError(f"n_total must be an integer in [1, 2**63): {self.n_total!r}")
         if not is_integer(self.seed) or not 0 <= self.seed < 1 << 128:
             raise DomainError(f"seed must be an integer in [0, 2**128): {self.seed!r}")
         for name in ("alpha", "alpha_prime"):
@@ -132,74 +120,20 @@ def outcome_distribution(config: SimConfig) -> np.ndarray:
 def run_simulation(config: SimConfig) -> SimResult:
     """Execute the protocol and close the loop through the estimator.
 
-    Per pulse: draw Alice's bit uniformly, draw the attack branch from its
-    bit-conditional weights, draw Bob's outcome from the branch's POVM
-    distribution; accumulate the (bit, outcome) counters, classify
-    conclusive events, and track Eve's per-branch guesses against the
-    surviving correct bits.
+    Draw the pulses' (bit, branch, outcome) classes in one multinomial, Alice's
+    bit uniform, the attack branch from its bit-conditional weights and Bob's
+    outcome from the branch's POVM distribution; sum the (bit, outcome)
+    counters, classify conclusive events, and track Eve's per-branch guesses
+    against the surviving correct bits.
     """
     branches = config.attack.branches
-    n_branches, n_outcomes = len(branches), len(OUTCOMES)
-    weight_cdf = np.cumsum([[br.weights[bit] for br in branches] for bit in (0, 1)], axis=1)
-    outcome_cdf = np.cumsum(outcome_distribution(config), axis=2).reshape(
-        2 * n_branches, n_outcomes)
-    # a pulse's index is the number of CDF entries its draw reaches; the last
-    # entry is left out, so a draw past it lands in the last class.  Entries
-    # c <= 0 get k = 0, which every draw reaches, and entries c > 1 - 2**-53
-    # get k = 2**53, which none does.
-    branch_thr, outcome_thr = (
-        np.clip(np.ceil(cdf[:, :-1] * 2.0 ** 53), 0.0, 2.0 ** 53).astype(np.uint64)
-        for cdf in (weight_cdf, outcome_cdf))
-    guesses = np.array([-1 if br.guess is None else br.guess for br in branches])
-
-    def branch_row(bit, draw1):  # row = bit * B + branch
-        row = bit * n_branches
-        for col in branch_thr.T:
-            row = row + (draw1 >= col[bit])
-        return row
-
-    def cell(row, draw2):  # class = row * 5 + outcome
-        flat = row * n_outcomes
-        for col in outcome_thr.T:
-            flat = flat + (draw2 >= col[row])
-        return flat
-
-    # the class table: a class never decreases as either draw grows, so a
-    # bucket of draws sharing their top _BUCKET_BITS bits whose lowest and
-    # highest draws give the same row, and then the same class, gives that
-    # class to every draw in it; the other buckets map to the extra class
-    # `cells`, whose pulses are decided from their full words
-    cells = 2 * n_branches * n_outcomes
-    buckets = np.arange(1 << _BUCKET_BITS, dtype=np.uint64)
-    shift = np.uint64(53 - _BUCKET_BITS)
-    low, high = buckets << shift, ((buckets + np.uint64(1)) << shift) - np.uint64(1)
-    bits = np.indices((2, buckets.size))[0]  # a full grid, for B = 1 too
-    row_low, row_high = branch_row(bits, low), branch_row(bits, high)
-    rows = np.arange(2 * n_branches)[:, np.newaxis]
-    cell_low, cell_high = cell(rows, low), cell(rows, high)
-    row_cells = np.where(cell_low == cell_high, cell_low, cells)  # (row, d2-bucket)
-    table = np.where((row_low == row_high)[:, :, np.newaxis], row_cells[row_low],
-                     cells).astype(np.min_scalar_type(cells)).ravel()  # [bit, d1, d2]
-
-    joint = np.zeros(cells, dtype=np.int64)
-    stream = Philox(key=config.seed, counter=0)
-    top = np.uint64(64 - _BUCKET_BITS)
-    for start in range(0, config.n_total, _PULSES_PER_BLOCK):
-        count = min(_PULSES_PER_BLOCK, config.n_total - start)
-        words = stream.random_raw(_WORDS_PER_PULSE * count).reshape(count, _WORDS_PER_PULSE)
-        key = words[:, 0] >> np.uint64(63)  # Alice's bit, then each draw's top bits
-        for draw in (1, 2):
-            key <<= np.uint64(_BUCKET_BITS)
-            key |= words[:, draw] >> top
-        flat = table[key.view(np.int64)]
-        tally = np.bincount(flat, minlength=cells + 1)
-        joint += tally[:cells]
-        straddling = np.compress(flat == cells, words, axis=0)
-        bit = (straddling[:, 0] >> np.uint64(63)).astype(np.intp)
-        row = branch_row(bit, straddling[:, 1] >> np.uint64(11))
-        joint += np.bincount(cell(row, straddling[:, 2] >> np.uint64(11)), minlength=cells)
-    joint = joint.reshape(2, n_branches, n_outcomes)
-
+    weights = np.array([br.weights for br in branches]).T  # [bit, branch]
+    p = 0.5 * weights[:, :, np.newaxis] * outcome_distribution(config)
+    # draw over the classes that can occur, so a class of probability 0
+    # stays 0; numpy gives the rounding remainder to the last drawn class
+    live = p > 0.0
+    joint = np.zeros(p.shape, dtype=np.int64)
+    joint[live] = Generator(Philox(key=config.seed)).multinomial(config.n_total, p[live])
     counts = ObservedCounts.from_table(config.n_total, joint.sum(axis=1))
 
     # outcome "1b" decodes to received bit 0, "0b" to received bit 1
@@ -209,6 +143,7 @@ def run_simulation(config: SimConfig) -> SimResult:
 
     # surviving correct bits per (bit, branch), outcome 1b for bit 0 and 0b for
     # bit 1, against the bit Eve recorded in each branch
+    guesses = np.array([-1 if br.guess is None else br.guess for br in branches])
     correct = joint[[0, 1], :, [OUTCOMES.index("1b"), OUTCOMES.index("0b")]]
     recorded = int(correct[:, guesses >= 0].sum())
     matched = int(correct[guesses == np.arange(2)[:, np.newaxis]].sum())
@@ -220,6 +155,12 @@ def run_simulation(config: SimConfig) -> SimResult:
                      joint=tuple(tuple(map(tuple, plane)) for plane in joint.tolist()))
 
 
+def require_matched_angles(config: SimConfig) -> None:
+    """Raise :class:`DomainError` unless alpha' = alpha, as the key gain assumes."""
+    if abs(config.alpha_prime - config.alpha) > 1e-12:  # both lie in [0, pi/2]
+        raise DomainError("key-gain accounting assumes alpha_prime = alpha")
+
+
 def closed_loop_report(config: SimConfig, mode: str = "collision",
                        ) -> tuple[SimResult, KeyGains]:
     """Run the simulation and push the estimated channel through the key gain.
@@ -228,7 +169,6 @@ def closed_loop_report(config: SimConfig, mode: str = "collision",
     :class:`~b92sec.keyrate.KeyGains`, with fields of shape (), at the
     estimated channel.
     """
-    if abs(config.alpha_prime - config.alpha) > 1e-12:  # both lie in [0, pi/2]
-        raise DomainError("key-gain accounting assumes alpha_prime = alpha")
+    require_matched_angles(config)
     result = run_simulation(config)
     return result, secret_key_gain(config.alpha, result.estimated, mode)

@@ -17,7 +17,8 @@ from b92sec.cli import (
     build_parser,
     main,
 )
-from b92sec.estimation import ChannelTriple
+from b92sec.errors import UnreachableChannelError
+from b92sec.estimation import ChannelTriple, ObservedCounts, estimate_channel
 from b92sec.evebound import collision_gain, eve_bound, shannon_gain
 from b92sec.keyrate import (
     KTH_LINK,
@@ -211,6 +212,14 @@ def test_options_do_not_leak_between_calls(capsys):
     assert run(capsys, *second) == (EXIT_OK, alone, "")
 
 
+def export_config(tmp_path, seed: int):
+    """The counts-export run: 20,000 pulses at 12 degrees through noise and loss."""
+    cfg = tmp_path / f"run-{seed}.cfg"
+    cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
+                   f"attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = {seed}\n")
+    return cfg
+
+
 class TestSimulate:
     @pytest.mark.parametrize("content", (None, b"n_total = 1000\xff\xfe\n"))
     def test_missing_or_undecodable_config_is_domain_error(self, capsys, tmp_path, content):
@@ -223,9 +232,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("flag", ("--output", "--counts-csv"))
     def test_unwritable_output_is_domain_error(self, capsys, tmp_path, flag):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
-                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = 4\n")
+        cfg = export_config(tmp_path, 4)
         target = tmp_path / "no-such-dir" / "out"
         code, _, err = run(capsys, "simulate", "--config", str(cfg), flag, str(target))
         assert code == EXIT_DOMAIN
@@ -233,9 +240,7 @@ class TestSimulate:
 
     def test_unwritable_counts_csv_leaves_no_json_record(self, capsys, tmp_path):
         # the counts file is written first, so its failure comes before any JSON
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
-                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = 4\n")
+        cfg = export_config(tmp_path, 4)
         counts = str(tmp_path / "no-such-dir" / "c.csv")
         code, out, err = run(capsys, "simulate", "--config", str(cfg), "--counts-csv", counts)
         assert code == EXIT_DOMAIN and out == ""
@@ -246,41 +251,67 @@ class TestSimulate:
         assert code == EXIT_DOMAIN and out == "" and not record.exists()
 
     def test_full_run_with_counts_export(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
-                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\n"
-                       "seed = 4\n")
-        counts_path = tmp_path / "counts.csv"
-        code, out, _ = run(capsys, "simulate", "--config", str(cfg),
-                           "--counts-csv", str(counts_path))
-        assert code == EXIT_OK
-        record = json.loads(out)
-        assert list(record) == ["counts", "conclusive_error_rate", "eve_accuracy_correct",
-                                "estimated", "joint", "key_gain"]
-        assert list(record["estimated"]) == ["theta", "epsilon", "transmission", "clamped"]
-        assert record["counts"]["n_total"] == 20000
-        assert 0.0 <= record["estimated"]["epsilon"] <= 1.0
-        header = counts_path.read_text().splitlines()[0]
-        assert header == "n00,n01,n0b0,n0b1,n10,n11,n1b0,n1b1,n_total"
-        # the exported record round-trips through the estimator interface
-        from b92sec.estimation import ObservedCounts, estimate_channel
-        counts = ObservedCounts.from_csv(counts_path.read_text())
-        est = estimate_channel(counts, math.radians(12))
-        assert est.epsilon == pytest.approx(record["estimated"]["epsilon"])
+        # a run whose estimate is unreachable still writes its counts and its
+        # record, with a null key gain, and exits 3
+        codes = set()
+        for seed in range(40):
+            cfg = export_config(tmp_path, seed)
+            counts_path = tmp_path / f"counts-{seed}.csv"
+            code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                                 "--counts-csv", str(counts_path))
+            codes.add(code)
+            record = json.loads(out)
+            assert list(record) == ["counts", "conclusive_error_rate", "eve_accuracy_correct",
+                                    "estimated", "joint", "key_gain"]
+            assert list(record["estimated"]) == ["theta", "epsilon", "transmission", "clamped"]
+            assert list(record["key_gain"]) == ["alpha_deg", "g", "g_correct", "g_flipped",
+                                                "p_conc", "e", "mode", "status"]
+            assert record["counts"]["n_total"] == 20000
+            assert 0.0 <= record["estimated"]["epsilon"] <= 1.0
+            header = counts_path.read_text().splitlines()[0]
+            assert header == "n00,n01,n0b0,n0b1,n10,n11,n1b0,n1b1,n_total"
+            # the exported record round-trips through the estimator interface
+            counts = ObservedCounts.from_csv(counts_path.read_text())
+            assert counts == ObservedCounts(**record["counts"])
+            est = estimate_channel(counts, math.radians(12))
+            assert est.epsilon == pytest.approx(record["estimated"]["epsilon"])
+            if code == EXIT_OK:
+                assert err == "" and record["key_gain"]["status"] == "ok"
+            else:
+                assert code == EXIT_INFEASIBLE, seed
+                assert err.startswith("infeasible: ") and err.count("\n") == 1
+                assert record["key_gain"]["status"] == "unreachable"
+        assert codes == {EXIT_OK, EXIT_INFEASIBLE}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_key_gain_block_is_the_key_gain_at_the_estimate(self, capsys, tmp_path, mode):
+        statuses = set()
+        for seed in range(40):
+            cfg = export_config(tmp_path, seed)
+            code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--mode", mode)
+            config = SimConfig.from_file(cfg)
+            block = {"alpha_deg": math.degrees(config.alpha), "mode": mode}
+            try:
+                g = secret_key_gain(config.alpha, run_simulation(config).estimated, mode)
+            except UnreachableChannelError:
+                assert code == EXIT_INFEASIBLE, seed
+                block.update(dict.fromkeys(("g", "g_correct", "g_flipped", "p_conc", "e")),
+                             status="unreachable")
+            else:
+                assert code == EXIT_OK, seed
+                block.update(g=float(g.gain), g_correct=float(g.gain_correct),
+                             g_flipped=float(g.gain_flipped), p_conc=float(g.p_conc),
+                             e=float(g.error_rate), status="ok")
+            assert json.loads(out)["key_gain"] == block, seed
+            statuses.add(block["status"])
+        assert statuses == {"ok", "unreachable"}
+
+    def test_pulse_count_past_int64_is_domain_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_total = 20000\nalpha_deg = 12\n"
-                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = 4\n")
-        code, out, _ = run(capsys, "simulate", "--config", str(cfg), "--mode", mode)
-        assert code == EXIT_OK
-        config = SimConfig.from_file(cfg)
-        g = secret_key_gain(config.alpha, run_simulation(config).estimated, mode)
-        assert json.loads(out)["key_gain"] == {
-            "alpha_deg": math.degrees(config.alpha), "g": float(g.gain),
-            "g_correct": float(g.gain_correct), "g_flipped": float(g.gain_flipped),
-            "p_conc": float(g.p_conc), "e": float(g.error_rate), "mode": mode}
+        cfg.write_text(f"n_total = {2 ** 63}\nalpha_deg = 12\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg))
+        assert code == EXIT_DOMAIN and out == ""
+        assert err == f"error: n_total must be an integer in [1, 2**63): {2 ** 63}\n"
 
     def test_missing_config_key_is_domain_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

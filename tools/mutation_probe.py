@@ -9,8 +9,9 @@ Each ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/``,
 ``|=``/``&=``) and ``maximum``/``minimum`` token in the module's code (not
 its comments or strings) is flipped to its partner, one mutant at a time;
 the shift and bitwise pairs reach bit-level code such as a lookup key.
-Operators inside annotations are flipped too, and those mutants survive
-unless the annotation is evaluated.  A mutant is judged by ``pytest -x`` on
+Operators inside annotations (of arguments, returns and fields) are left
+alone: under ``from __future__ import annotations`` an annotation is never
+evaluated, so such a mutant could only survive.  A mutant is judged by ``pytest -x`` on
 the given test files, run in a temporary copy of the tree, so the working
 tree is never edited.  A mutant that does not compile is skipped and not
 counted.  A failing run or a run past two minutes kills the mutant; the
@@ -19,6 +20,7 @@ the test suite.
 """
 
 import argparse
+import ast
 import io
 import os
 import shutil
@@ -34,10 +36,20 @@ FLIPS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "+"
          "maximum": "minimum", "minimum": "maximum"}
 
 
+def annotations(source: str) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """(start, end) positions of every annotation: arguments, returns and fields."""
+    return [((note.lineno, note.col_offset), (note.end_lineno, note.end_col_offset))
+            for node in ast.walk(ast.parse(source))
+            for note in (getattr(node, "annotation", None), getattr(node, "returns", None))
+            if note is not None]
+
+
 def sites(source: str):
-    """(row, col, old, new) for every flippable token, in source order."""
+    """(row, col, old, new) for every flippable token outside annotations, in order."""
+    spans = annotations(source)
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in FLIPS:
+        if (tok.type in (tokenize.OP, tokenize.NAME) and tok.string in FLIPS
+                and not any(start <= tok.start < end for start, end in spans)):
             yield (*tok.start, tok.string, FLIPS[tok.string])
 
 
