@@ -53,7 +53,7 @@ from .keyrate import (
     secret_key_gain,
 )
 from .oracle import oracle_min_overlap_lossy
-from .simulate import SimConfig, require_matched_angles, run_simulation
+from .simulate import SimConfig, require_estimate, require_matched_angles, run_simulation
 
 SCHEMAS = {
     "infogain": "eps,q_min,i_gc,i_gc_shannon,i_s_upper",
@@ -173,11 +173,15 @@ def cmd_simulate(args) -> int:
     config = SimConfig.from_file(args.config)
     require_matched_angles(config)
     result = run_simulation(config)
-    # what the run measured is written even where the key gain is unreachable
+    # what the run measured is written even where the estimator rejects the
+    # counts or the key gain at the estimate is unreachable
+    g, failure, status = None, None, "ok"
     try:
-        g, failure = secret_key_gain(config.alpha, result.estimated, args.mode), None
+        g = secret_key_gain(config.alpha, require_estimate(config, result), args.mode)
+    except EstimationInfeasibleError as exc:
+        failure, status = exc, "infeasible"
     except UnreachableChannelError as exc:
-        g, failure = None, exc
+        failure, status = exc, "unreachable"
     # the counts file first: a failed write leaves no JSON record behind
     if args.counts_csv:
         _write(args.counts_csv, result.counts.to_csv())
@@ -189,7 +193,7 @@ def cmd_simulate(args) -> int:
         **{key: None if g is None else float(getattr(g, field))
            for key, field in fields.items()},
         "mode": args.mode,
-        "status": "ok" if failure is None else "unreachable",
+        "status": status,
     }
     _write(args.output, json.dumps(record) + "\n")
     if failure is not None:

@@ -16,8 +16,8 @@ The closed form runs over arrays.  :func:`eve_bound` takes broadcast
 (alpha', alpha, theta, eps, T), builds A, B and the stationary families
 once, with the 2x2 algebra written out, and returns for every entry the
 minimum overlap, the regime that decided it (the free region, where the
-overlap vanishes, or the family type1, type3+ or type3- whose root wins)
-and a status (ok or unreachable) in place of an exception.  A minimizer is
+overlap vanishes, or the family type1 or type3 whose root wins) and a
+status (ok or unreachable) in place of an exception.  A minimizer is
 reported by its family alone, which :func:`eve_max_gain` names in
 ``achieving``.
 :func:`eve_max_gain` is the one-entry wrapper that raises an unreachable
@@ -30,6 +30,23 @@ and type1's candidate reduces to the eps = 0 closed form
 q = target / |cos(alpha + theta)|.  The one channel where A is 0/0, eps = 0
 with 2 alpha + theta = 0, takes A = diag(1, 0), its value at every other
 noiseless channel.
+
+The analyzer angle alpha lies in [0, pi/2], as the signal angle alpha' does,
+and no channel is lost by it.  The map (alpha, theta) -> (pi - alpha, -theta)
+sends (A, B) to (D A D, -D B D) with D = diag(1, -1): the half angle
+alpha + theta/2 and the tilt 2 alpha + theta go to pi and 2 pi minus
+themselves, which keeps A11, A22 and A's denominator and flips A12, while
+alpha + theta goes to pi minus itself, which flips B11 and B22 and keeps
+B12.  xi -> D xi D keeps xi orthogonal, so the mirrored channel meets the
+target -t where this one meets t; the problem is even in the target, so
+both channels have one bound.  The mirror also swaps the two signs of the
+rank-1 family: xi = diag(1, cos eta) of one channel is
+xi = -diag(1, cos eta) of the other, which is the first family at the
+target -t.  Only the first sign, type3, is kept.  Over seeded draws of the
+whole domain with alpha in [0, pi/2] the second sign never undercut
+min(type1, type3) by more than rounding (the sweep in
+``tests/test_evebound.py``; there is no proof).  With alpha past pi/2 it
+does, by up to 0.8 in q: there it is the mirrored channel's type3 root.
 """
 
 from __future__ import annotations
@@ -50,8 +67,8 @@ REACH_SLOP = 1e-9
 FREE_SLOP = 1e-12
 
 # regime codes index FAMILIES
-FAMILIES = ("free", "type1", "type3+", "type3-")
-FREE, TYPE1, TYPE3P, TYPE3M = range(4)
+FAMILIES = ("free", "type1", "type3")
+FREE, TYPE1, TYPE3 = range(3)
 OK, UNREACHABLE = range(2)
 
 
@@ -74,7 +91,7 @@ class SymMat2:
 class StationaryCandidate:
     """The stationary family, or the free region, that decided a bound."""
 
-    family: str  # "type1" | "type3+" | "type3-" | "free"
+    family: str  # "free" | "type1" | "type3"
 
 
 @dataclass(frozen=True)
@@ -178,8 +195,10 @@ def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2,
     probe-overlap functional); B always has non-positive determinant.  A's
     denominator 1 - (1 - eps) cos(2 alpha + theta) vanishes only for a
     noiseless channel with 2 alpha + theta = 0, where A is 0/0 and takes
-    diag(1, 0), its value at every other noiseless channel.
+    diag(1, 0), its value at every other noiseless channel.  The analyzer
+    angle alpha lies in [0, pi/2] (see the module docstring).
     """
+    require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "analyzer angle outside [0, pi/2]")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     a, b, _ = _matrices(alpha, theta, epsilon)
     return a, b
@@ -213,13 +232,15 @@ class Families:
     the B amplitude equals the reachability limit, so it reaches every
     feasible target.  (qc, qs) and (bc, bs) are the traceless parts of A
     and B; (qc, qs) is a unit vector, since A is a rank-1 projector.
-    type3+- is xi = +-diag(1, cos eta) in the eigenbasis of the rank-1
+    type3 is xi = diag(1, cos eta) in the eigenbasis of the rank-1
     projector P = (A - kappa B) / Tr(A - kappa B); with x = cos eta,
-    Q = +-(a_p (1 - x) + x) and B = +-(b_p (1 - x) + x tr_b), where
-    a_p = Tr[A P] and b_p = Tr[B P].  ``type3`` marks entries where P
-    exists: Tr(A - kappa B) is not lost to rounding.  At det B = 0 (a
-    noiseless channel) kappa is infinite or NaN, so a_p, b_p and type3's
-    zero are NaN and type3 offers nothing; type1 alone answers there.
+    Q = a_p (1 - x) + x and B = b_p (1 - x) + x tr_b, where a_p = Tr[A P]
+    and b_p = Tr[B P].  Its mirror xi = -diag(1, cos eta) is type3 at the
+    target -t, which no analyzer angle in [0, pi/2] needs (see the module
+    docstring).  ``type3`` marks entries where P exists: Tr(A - kappa B)
+    is not lost to rounding.  At det B = 0 (a noiseless channel) kappa is
+    infinite or NaN, so a_p, b_p and type3's zero are NaN and type3 offers
+    nothing; type1 alone answers there.
     ``free_limit`` is the largest |B| on the zero set of Q over the
     families: the zero-overlap limit.  ``bmax`` is the largest reachable
     |B|, the :func:`constraint_max` of B.
@@ -281,13 +302,12 @@ def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
 def _overlap(f: Families, t):
     """Minimum |Q| at constraint value 0 <= t <= f.bmax: (q, regime).
 
-    Below the zero-overlap limit the minimum is 0.  Above it the smallest
-    |Q| over the families' roots wins, taken in the order type1, type3+,
-    type3-; a tie keeps the earlier family.  type1's two roots give
-    Q = (t P +- sqrt(bmax^2 - t^2) R) / bmax^2, with P = qc bc + qs bs and
-    R = qs bc - qc bs the dot and cross products of the traceless parts of
-    A and B, so its candidate is the smaller one in size,
-    | |t P| - sqrt(bmax^2 - t^2) |R| | / bmax^2.
+    Below the zero-overlap limit the minimum is 0.  Above it the smaller
+    |Q| of the type1 and type3 roots wins; a tie keeps type1.  type1's two
+    roots give Q = (t P +- sqrt(bmax^2 - t^2) R) / bmax^2, with
+    P = qc bc + qs bs and R = qs bc - qc bs the dot and cross products of
+    the traceless parts of A and B, so its candidate is the smaller one in
+    size, | |t P| - sqrt(bmax^2 - t^2) |R| | / bmax^2.
     At eps = 0, R = 0 and this is the noiseless closed form q = t / bmax.
     """
     # type1: the roots of B = t put (cos eta, sin eta) at
@@ -295,20 +315,15 @@ def _overlap(f: Families, t):
     dot = f.qc * f.bc + f.qs * f.bs
     cross = f.qs * f.bc - f.qc * f.bs
     side = np.sqrt(np.maximum(0.0, (f.bmax - t) * (f.bmax + t)))
-    candidates = [(np.abs(np.abs(t * dot) - side * np.abs(cross)) / f.bmax ** 2, TYPE1)]
-    # type3+- roots: B = +-(b_p (1 - x) + x tr_b) = t is affine in x = cos eta;
-    # a family that misses t offers |Q| = inf
-    den = f.tr_b - f.b_p
-    for target, regime in ((t, TYPE3P), (-t, TYPE3M)):
-        x = (target - f.b_p) / den
-        on = f.type3 & (np.abs(x) <= 1.0 + 1e-9)
-        x = np.clip(x, -1.0, 1.0)
-        candidates.append((np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf), regime))
-    q, regime = candidates[0]
-    for q_k, regime_k in candidates[1:]:
-        better = q_k < q
-        q = np.where(better, q_k, q)
-        regime = np.where(better, regime_k, regime)
+    q1 = np.abs(np.abs(t * dot) - side * np.abs(cross)) / f.bmax ** 2
+    # type3's root: B = b_p (1 - x) + x tr_b = t is affine in x = cos eta;
+    # where the family misses t it offers |Q| = inf
+    x = (t - f.b_p) / (f.tr_b - f.b_p)
+    on = f.type3 & (np.abs(x) <= 1.0 + 1e-9)
+    x = np.clip(x, -1.0, 1.0)
+    q3 = np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf)
+    better = q3 < q1
+    q, regime = np.where(better, q3, q1), np.where(better, TYPE3, TYPE1)
     free = t <= f.free_limit + FREE_SLOP
     return np.where(free, 0.0, q), np.where(free, FREE, regime)
 
@@ -319,9 +334,11 @@ def min_overlap_at(a: SymMat2, b: SymMat2, target):
 
     Even in the sign of the target (xi -> -xi flips both traces); below the
     zero-overlap limit the minimum is 0 (regime FREE), above it the best
-    stationary-family root wins.  (A, B) must meet the requirements of
-    :func:`stationary_curves`: det A = 0 and det B <= 0.  A target that is
-    NaN or lies beyond ``constraint_max(B)`` raises :class:`DomainError`.
+    stationary-family root wins.  (A, B) must come from
+    :func:`build_matrices`, whose analyzer angle lies in [0, pi/2]: beyond
+    it the one rank-1 family kept here does not suffice (see the module
+    docstring).  A target that is NaN or lies beyond ``constraint_max(B)``
+    raises :class:`DomainError`.
     """
     t = np.abs(target)
     f = stationary_curves(a, b)
@@ -341,7 +358,7 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
         np.asarray(v, dtype=float) for v in (alpha_prime, alpha, theta, epsilon, transmission))
     require(alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= math.pi / 2.0),
             "signal angle outside [0, pi/2]")
-    require(alpha, np.isfinite(alpha), "analyzer angle not finite")
+    require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "analyzer angle outside [0, pi/2]")
     require(theta, np.isfinite(theta), "tilt angle not finite")
     require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")

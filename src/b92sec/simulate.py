@@ -28,7 +28,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .attacks import AttackChannel, parse_attack
-from .errors import DomainError, _key_values, is_integer, require
+from .errors import DomainError, EstimationInfeasibleError, _key_values, is_integer, require
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
 from .states import OUTCOMES, outcome_table
@@ -94,13 +94,14 @@ class SimResult:
     ``joint`` holds the pulses per Alice bit, attack branch and Bob outcome
     (``OUTCOMES`` order) as nested tuples of ints.  ``simulate`` writes
     ``dataclasses.asdict`` of a result as its JSON record, fields in this
-    order.
+    order.  ``estimated`` is None where the estimator rejected the counts;
+    :func:`require_estimate` raises its error again.
     """
 
     counts: ObservedCounts
     conclusive_error_rate: float | None
     eve_accuracy_correct: float | None
-    estimated: ChannelTriple
+    estimated: ChannelTriple | None
     joint: tuple[tuple[tuple[int, ...], ...], ...]
 
 
@@ -124,7 +125,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     bit uniform, the attack branch from its bit-conditional weights and Bob's
     outcome from the branch's POVM distribution; sum the (bit, outcome)
     counters, classify conclusive events, and track Eve's per-branch guesses
-    against the surviving correct bits.
+    against the surviving correct bits.  Counts the estimator rejects are
+    still returned, with no estimate.
     """
     branches = config.attack.branches
     weights = np.array([br.weights for br in branches]).T  # [bit, branch]
@@ -149,7 +151,10 @@ def run_simulation(config: SimConfig) -> SimResult:
     matched = int(correct[guesses == np.arange(2)[:, np.newaxis]].sum())
     accuracy = matched / recorded if recorded else None
 
-    estimated = estimate_channel(counts, config.alpha)
+    try:
+        estimated = estimate_channel(counts, config.alpha)
+    except EstimationInfeasibleError:
+        estimated = None
     return SimResult(counts=counts, conclusive_error_rate=error_rate,
                      eve_accuracy_correct=accuracy, estimated=estimated,
                      joint=tuple(tuple(map(tuple, plane)) for plane in joint.tolist()))
@@ -161,14 +166,22 @@ def require_matched_angles(config: SimConfig) -> None:
         raise DomainError("key-gain accounting assumes alpha_prime = alpha")
 
 
+def require_estimate(config: SimConfig, result: SimResult) -> ChannelTriple:
+    """The run's estimated channel, or the estimator's :class:`EstimationInfeasibleError`."""
+    if result.estimated is None:
+        estimate_channel(result.counts, config.alpha)  # raises, as it did in the run
+    return result.estimated
+
+
 def closed_loop_report(config: SimConfig, mode: str = "collision",
                        ) -> tuple[SimResult, KeyGains]:
     """Run the simulation and push the estimated channel through the key gain.
 
     Returns the run and :func:`~b92sec.keyrate.secret_key_gain`'s
     :class:`~b92sec.keyrate.KeyGains`, with fields of shape (), at the
-    estimated channel.
+    estimated channel; counts the estimator rejects raise
+    :class:`EstimationInfeasibleError`.
     """
     require_matched_angles(config)
     result = run_simulation(config)
-    return result, secret_key_gain(config.alpha, result.estimated, mode)
+    return result, secret_key_gain(config.alpha, require_estimate(config, result), mode)

@@ -87,6 +87,13 @@ class TestInfogain:
             assert out == ""
             assert "error" in err
 
+    def test_analyzer_angle_past_ninety_degrees_is_domain_error(self, capsys, tmp_path):
+        csv = tmp_path / "out.csv"
+        code, out, err = run(capsys, "infogain", "--alpha", "100", "--alpha-prime", "10",
+                             "--eps-grid", "0:0.1:3", "--output", str(csv))
+        assert code == EXIT_DOMAIN and out == "" and not csv.exists()
+        assert err.startswith("error: analyzer angle outside [0, pi/2]: ")
+
     def test_unreachable_exit_code(self, capsys):
         # tiny angle, deep loss, almost no noise: inconsistent inputs
         code, _, err = run(capsys, "infogain", "--alpha", "2", "--theta", "30",
@@ -282,6 +289,29 @@ class TestSimulate:
                 assert err.startswith("infeasible: ") and err.count("\n") == 1
                 assert record["key_gain"]["status"] == "unreachable"
         assert codes == {EXIT_OK, EXIT_INFEASIBLE}
+
+    def test_rejected_counts_still_write_counts_and_record(self, capsys, tmp_path):
+        # every pulse lost: the estimator rejects the counts, and the run
+        # still writes them and its record, with a null estimate, and exits 3
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text("n_total = 1000\nalpha_deg = 10\nattack = loss(T=0)\nseed = 1\n")
+        counts_path = tmp_path / "counts.csv"
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--counts-csv", str(counts_path))
+        assert code == EXIT_INFEASIBLE
+        assert err == ("infeasible: all pulses inconclusive (T = 0); "
+                       "theta and epsilon are undefined\n")
+        counts = ObservedCounts.from_csv(counts_path.read_text())
+        assert counts == ObservedCounts(n00=0, n01=0, n0b0=0, n0b1=0, n10=0, n11=0,
+                                        n1b0=0, n1b1=0, n_total=1000)
+        record = json.loads(out)
+        assert list(record) == ["counts", "conclusive_error_rate", "eve_accuracy_correct",
+                                "estimated", "joint", "key_gain"]
+        assert ObservedCounts(**record["counts"]) == counts
+        assert record["estimated"] is None
+        assert record["key_gain"] == {
+            "alpha_deg": 10.0, **dict.fromkeys(("g", "g_correct", "g_flipped", "p_conc", "e")),
+            "mode": "collision", "status": "infeasible"}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_key_gain_block_is_the_key_gain_at_the_estimate(self, capsys, tmp_path, mode):

@@ -15,7 +15,7 @@ from b92sec.evebound import (
     FREE,
     OK,
     TYPE1,
-    TYPE3P,
+    TYPE3,
     UNREACHABLE,
     SymMat2,
     build_matrices,
@@ -149,7 +149,7 @@ class TestStationaryCurves:
         assert f.b_p == pytest.approx(np.trace(sym_matrix(b) @ p), abs=1e-12)
 
     def test_type3_endpoints_hit_unit_overlap(self):
-        # type3+ at x = cos eta = +-1 is xi = I and xi = 2P - I, with P built
+        # type3 at x = cos eta = +-1 is xi = I and xi = 2P - I, with P built
         # from numpy's generalized eigenproblem; the family's Q and B there
         # must be the traces of A and B at those xi
         a, b = build_matrices(0.7, 0.1, 0.3)
@@ -486,7 +486,82 @@ class TestArrayParity:
         alpha, theta, eps, t = self.channels()
         bound = eve_bound(alpha, alpha, theta, eps, t)
         regimes = set(bound.regime[bound.status == OK].tolist())
-        assert {FREE, TYPE1, TYPE3P} <= regimes
+        assert {FREE, TYPE1, TYPE3} <= regimes
+
+
+def whole_domain_targets(rng, n: int):
+    """n seeded (A, B, t) over the whole domain, analyzer angle in [0, pi/2].
+
+    alpha is uniform in [0, pi/2] with the ends 0 and pi/2 exact; a third of
+    the tilts lie within 10^U(-17, -1) of the singular tilt -2 alpha, a sixth
+    within it of +-pi and the rest are uniform in [-pi, pi].  eps is
+    log-uniform from 1e-17 to 1, uniform, or exactly 0, a third each.  Half
+    the targets are uniform in [0, bmax]; the other half are the loss-band
+    targets eve_bound meets, for alpha' in [0, pi/2] and T = 10^U(-3, 0) or
+    exactly 1.
+    """
+    alpha = rng.uniform(0.0, math.pi / 2.0, n)
+    alpha[::50] = 0.0
+    alpha[1::50] = math.pi / 2.0
+    side = rng.choice((-1.0, 1.0), n)
+    near = side * 10.0 ** rng.uniform(-17.0, -1.0, n)
+    stratum = np.arange(n) % 6
+    theta = np.select([stratum < 2, stratum == 2],
+                      [-2.0 * alpha + near, side * (math.pi - np.abs(near))],
+                      rng.uniform(-math.pi, math.pi, n))
+    eps = np.choose(rng.integers(0, 3, n),
+                    [10.0 ** rng.uniform(-17.0, 0.0, n), rng.uniform(0.0, 1.0, n), 0.0])
+    a, b = build_matrices(alpha, theta, eps)
+    bmax = constraint_max(b)
+    transmission = np.where(rng.random(n) < 0.25, 1.0, 10.0 ** rng.uniform(-3.0, 0.0, n))
+    band = (np.cos(rng.uniform(0.0, math.pi / 2.0, n)) - (1.0 - transmission)) / transmission
+    t = np.where(np.arange(n) % 2 == 0, rng.uniform(0.0, 1.0, n) * bmax,
+                 np.clip(band, 0.0, bmax))
+    return a, b, t
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def mirror_overlap(f, t):
+    """|Q| of type3's mirror xi = -diag(1, cos eta) at the target t.
+
+    The root of -(b_p (1 - x) + x Tr B) = t, with type3's own rules: a root
+    within 1e-9 of [-1, 1] is clipped onto it, and a family that misses t
+    offers inf.
+    """
+    x = (-t - f.b_p) / (f.tr_b - f.b_p)
+    on = f.type3 & (np.abs(x) <= 1.0 + 1e-9)
+    x = np.clip(x, -1.0, 1.0)
+    return np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf)
+
+
+class TestTwoFamilies:
+    """The families kept answer every analyzer angle in [0, pi/2]."""
+
+    def test_the_mirror_family_never_decides(self):
+        # 2e5 seeded draws of the whole domain: on every entry outside the
+        # free region, type3's mirror lies no lower than the minimum of the
+        # families kept, up to rounding
+        a, b, t = whole_domain_targets(np.random.default_rng(20261019), 200_000)
+        q, regime = min_overlap_at(a, b, t)
+        mirror = mirror_overlap(stationary_curves(a, b), t)
+        decided = regime != FREE
+        assert np.all(mirror[decided] >= q[decided] - 1e-15)
+        # the sweep is not vacuous: the mirror is on offer where it could win
+        assert np.count_nonzero(decided & np.isfinite(mirror)) > 10_000
+        assert {TYPE1, TYPE3} <= set(regime[decided].tolist())
+
+    @pytest.mark.parametrize("alpha", [-1e-9, math.pi / 2.0 + 1e-9, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda alpha: eve_bound(0.3, alpha, 0.1, 0.2, 0.9),
+        lambda alpha: build_matrices(alpha, 0.1, 0.2),
+    ], ids=["eve_bound", "build_matrices"])
+    def test_analyzer_angle_outside_the_quarter_turn_is_rejected(self, call, alpha):
+        with pytest.raises(DomainError, match=r"^analyzer angle outside \[0, pi/2\]: "):
+            call(alpha)
+
+    def test_quarter_turn_ends_are_accepted(self):
+        bound = eve_bound(1.2, np.array([0.0, math.pi / 2.0]), 0.1, 0.2, 0.9)
+        assert np.all(bound.status == OK)
 
 
 def test_gain_formulas():

@@ -40,7 +40,7 @@ CASES = {
         "signal angle outside [0, pi/2]: 2.0"),
     "eve_bound analyzer angle": (
         lambda: eve_bound(0.3, np.array([0.1, math.nan, math.inf]), 0.0, 0.1, 0.5),
-        "analyzer angle not finite: nan"),
+        "analyzer angle outside [0, pi/2]: nan"),
     "eve_bound tilt": (
         lambda: eve_bound(0.3, 0.3, np.array([0.0, -math.inf, math.nan]), 0.1, 0.5),
         "tilt angle not finite: -inf"),
@@ -53,6 +53,9 @@ CASES = {
     "build_matrices": (
         lambda: build_matrices(0.3, 0.0, 1.5),
         "noise parameter outside [0, 1]: 1.5"),
+    "build_matrices analyzer angle": (
+        lambda: build_matrices(np.array([0.3, -1e-9, math.nan]), 0.0, 0.1),
+        "analyzer angle outside [0, pi/2]: -1e-09"),
     "min_overlap_at": (
         lambda: min_overlap_at(*build_matrices(0.6, 0.1, 0.2), np.array([0.5, 5.0, 9.0])),
         "constraint target outside [-constraint_max(B), constraint_max(B)]: 5.0"),

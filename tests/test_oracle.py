@@ -5,7 +5,16 @@ import pytest
 
 from b92sec.errors import OracleInfeasibleError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple
-from b92sec.evebound import TYPE1, TYPE3P, SymMat2, build_matrices, eve_bound, eve_max_gain
+from b92sec.evebound import (
+    OK,
+    TYPE1,
+    TYPE3,
+    SymMat2,
+    _matrices,
+    build_matrices,
+    eve_bound,
+    eve_max_gain,
+)
 from b92sec.oracle import nuclear_norm, oracle_min_overlap, oracle_min_overlap_lossy
 
 from conftest import DEG, sym_matrix
@@ -164,10 +173,10 @@ def test_near_singular_channel_keeps_a_tight_certificate():
      0.06765979570717383),
 ], ids=["lossless", "lossy"])
 def test_type3_projector_needs_no_eigenvalue_test(alpha_prime, alpha, theta, eps, t):
-    # an eigenvalue-range test on P, off only by rounding, once dropped type3+
+    # an eigenvalue-range test on P, off only by rounding, once dropped type3
     # on these channels and handed them to type1, 2.5e-8 and 8.5e-8 too high
     bound = eve_bound(alpha_prime, alpha, theta, eps, t)
-    assert bound.regime == TYPE3P
+    assert bound.regime == TYPE3
     a, b = build_matrices(alpha, theta, eps)
     got = oracle_min_overlap_lossy(a, b, alpha_prime, t)
     assert float(bound.overlap_min) == pytest.approx(got.value, abs=1e-12)
@@ -255,3 +264,27 @@ def test_whole_domain_agreement(stratum):
         assert got.value == pytest.approx(analytic, abs=1e-9), (alpha, theta, eps, t)
         assert_certified(a, b, *lossy_band(alpha, t), got)
         checked += 1
+
+
+def test_every_analyzer_angle_reduces_to_the_quarter_turn():
+    # (alpha, theta) -> (pi - alpha, -theta) sends (A, B) to (D A D, -D B D),
+    # D = diag(1, -1), which keeps the bound: the oracle on a channel with
+    # alpha in (pi/2, pi] is eve_bound on its mirror, which eve_bound accepts
+    rng = np.random.default_rng(20261019)
+    regimes = set()
+    for _ in range(300):
+        alpha = math.pi - rng.uniform(0.0, math.pi / 2.0)
+        theta, eps = rng.uniform(-math.pi, math.pi), rng.uniform(0.01, 1.0)
+        alpha_prime, t = rng.uniform(0.0, math.pi / 2.0), rng.uniform(0.2, 1.0)
+        a, b, _ = _matrices(alpha, theta, eps)
+        bound = eve_bound(alpha_prime, math.pi - alpha, -theta, eps, t)
+        if bound.status != OK:
+            with pytest.raises(OracleInfeasibleError):
+                oracle_min_overlap_lossy(a, b, alpha_prime, t)
+            continue
+        got = oracle_min_overlap_lossy(a, b, alpha_prime, t)
+        assert got.value == pytest.approx(float(bound.overlap_min), abs=1e-9), \
+            (alpha_prime, alpha, theta, eps, t)
+        regimes.add(int(bound.regime))
+    # a type3 root at the mirror is the other sign of the family here
+    assert {TYPE1, TYPE3} <= regimes

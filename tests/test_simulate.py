@@ -16,7 +16,7 @@ from b92sec.attacks import (
     parse_attack,
     rotation_attack,
 )
-from b92sec.errors import DomainError, UnreachableChannelError
+from b92sec.errors import DomainError, EstimationInfeasibleError, UnreachableChannelError
 from b92sec.evebound import FREE
 from b92sec.estimation import ChannelTriple, ObservedCounts, estimate_channel
 from b92sec.keyrate import key_gains
@@ -260,6 +260,28 @@ class TestClosedLoop:
             closed_loop_report(cfg)
 
 
+class TestRejectedCounts:
+    """Counts the estimator rejects are still the run's result."""
+
+    # every pulse lost: no conclusive event, so theta and epsilon are undefined
+    DARK = config(loss(0.0), n=1000, seed=1)
+    REASON = "all pulses inconclusive (T = 0); theta and epsilon are undefined"
+
+    def test_run_returns_its_counts_without_an_estimate(self):
+        result = run_simulation(self.DARK)
+        assert result.estimated is None
+        assert result.counts == ObservedCounts(n00=0, n01=0, n0b0=0, n0b1=0, n10=0, n11=0,
+                                               n1b0=0, n1b1=0, n_total=1000)
+        assert np.array(result.joint).sum() == 1000
+
+    def test_closed_loop_report_raises_the_estimators_error(self):
+        with pytest.raises(EstimationInfeasibleError) as direct:
+            estimate_channel(run_simulation(self.DARK).counts, self.DARK.alpha)
+        with pytest.raises(EstimationInfeasibleError) as report:
+            closed_loop_report(self.DARK)
+        assert str(report.value) == str(direct.value) == self.REASON
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -299,7 +321,8 @@ def class_probabilities(cfg: SimConfig) -> np.ndarray:
 
 
 class TestMultinomialDraw:
-    @pytest.mark.parametrize("n", (123457, 10 ** 6))
+    # one pulse leaves counts the estimator rejects; the run still returns them
+    @pytest.mark.parametrize("n", (123457, 10 ** 6, 1))
     @pytest.mark.parametrize("name", (*PARITY_CHANNELS, "4096 branches"))
     def test_joint_sums_to_the_pulse_count(self, name, n):
         # twelve depolarizing stages make 4,096 branches and 40,960 classes
