@@ -28,9 +28,27 @@ Every answer carries a primal certificate.  From the eigenvectors of
 C - lambda* B, a nonzero eigenvalue gives X its sign as coefficient and a
 numerically zero one gets the coefficient in [-1, 1] that puts Tr[B X] on
 the active band edge; X is a multiple of B's polar factor if
-C - lambda* B vanishes.  ``gap`` is the larger of the two range ends'
-duality gaps, dual bound minus Tr at the certificate: a certified answer
-has a small gap.
+C - lambda* B vanishes.  Where X comes out a reflection (coefficients -1
+and 1), a lambda* that is off by more than rounding can leave it off the
+edge: outside the band, or inside it where the edge is worth more.  The
+reflection that meets the edge then replaces it.  ``gap`` is the larger of
+the two range ends' duality gaps, dual bound minus Tr at the certificate: a
+certified answer has a small gap.
+
+The algebra runs on Python floats: A, B, the candidates, g and every
+certificate are a few numbers each, and a numpy call on them costs 1-3 us
+of dispatch, more than its arithmetic.  What stays in LAPACK is one
+``eigh`` per range end, for the eigenbasis of C - lambda* B, and one for
+B's polar factor on the face or where C - lambda* B vanishes.  A
+closed-form 2x2 eigenbasis was tried in its place and moved the gap of
+``test_near_singular_channel_keeps_a_tight_certificate`` to 1.2e-11-1.3e-11,
+past its pinned 1e-11: lambda* is near -7.5e4 there, so the float dual
+bound itself is off by about 1e-11, and eigh's basis happens to land on
+it.  One call takes 63-66 us, where the same algebra on numpy arrays took
+109-129 us, on a shared 2-core VM (Python 3.11, numpy 2.4; best of 5
+rounds in each of three measurements):
+
+    PYTHONPATH=src python -m timeit -r 5 -s "import math; from b92sec.evebound import build_matrices; from b92sec.oracle import oracle_min_overlap_lossy; a = math.radians(20); A, B = build_matrices(a, math.radians(5), 0.3)" "oracle_min_overlap_lossy(A, B, a, 0.8)"
 
 Feasibility is exact: the largest Tr[B X] over contractions is |B|_*,
 reached at B's polar factor (von Neumann's trace inequality), so the
@@ -81,11 +99,34 @@ def nuclear_norm(b: SymMat2):
 
     Broadcasts over array entries.
     """
-    return np.maximum(np.abs(b.trace()), np.hypot(b.m11 - b.m22, 2.0 * b.m12))
+    return np.maximum(abs(b.trace()), np.hypot(b.m11 - b.m22, 2.0 * b.m12))
 
 
-def _array(m: SymMat2) -> np.ndarray:
-    return np.array([[m.m11, m.m12], [m.m12, m.m22]], dtype=float)
+def _sum(s: float, x: SymMat2, t: float, y: SymMat2) -> SymMat2:
+    """s X + t Y."""
+    return SymMat2(s * x.m11 + t * y.m11, s * x.m12 + t * y.m12, s * x.m22 + t * y.m22)
+
+
+def _tr(c: SymMat2, x: SymMat2) -> float:
+    """Tr[C X] for symmetric C and X."""
+    return c.m11 * x.m11 + 2.0 * c.m12 * x.m12 + c.m22 * x.m22
+
+
+def _eigh(m: SymMat2) -> list[list]:
+    """[ascending eigenvalues of M, its eigenvectors as columns], from LAPACK."""
+    return [r.tolist() for r in np.linalg.eigh(np.array([[m.m11, m.m12], [m.m12, m.m22]]))]
+
+
+def _outer(v, s1: float, s2: float) -> SymMat2:
+    """s1 v1 v1^T + s2 v2 v2^T for the columns v1, v2 of v."""
+    (v11, v12), (v21, v22) = v
+    return SymMat2(s1 * v11 * v11 + s2 * v12 * v12, s1 * v11 * v21 + s2 * v12 * v22,
+                   s1 * v21 * v21 + s2 * v22 * v22)
+
+
+def _signs(mu: list[float], zero: float) -> list[float]:
+    """sign(m) for each eigenvalue m, or 0 where |m| <= zero."""
+    return [0.0 if abs(m) <= zero else math.copysign(1.0, m) for m in mu]
 
 
 def _real_roots(q2: float, q1: float, q0: float) -> list[float]:
@@ -96,8 +137,8 @@ def _real_roots(q2: float, q1: float, q0: float) -> list[float]:
     return [h / q2, q0 / h] if h != 0.0 else [0.0]
 
 
-def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> np.ndarray:
-    """The lambdas among which g attains its minimum, when it is attained."""
+def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> list[float]:
+    """The finite lambdas among which g attains its minimum, when it is attained."""
     lam = [0.0]
     # det(C - lam B) = det C - lam (c11 b22 + c22 b11 - 2 c12 b12) + lam^2 det B
     lam += _real_roots(b.det(), -(c.m11 * b.m22 + c.m22 * b.m11 - 2.0 * c.m12 * b.m12),
@@ -112,65 +153,73 @@ def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> np.ndarray:
             if abs(s) < width:
                 rise = s * p / math.sqrt((width - s) * (width + s))
                 lam.append((uw - width * rise) / width ** 2)
-    lam = np.array(lam)
-    return lam[np.isfinite(lam)]
+    return [x for x in lam if math.isfinite(x)]
 
 
-def _polar(b: SymMat2) -> tuple[np.ndarray, np.ndarray]:
+def _polar(b: SymMat2) -> tuple[SymMat2, SymMat2]:
     """B's polar factor and the projector on its null direction (0 if none)."""
-    l, v = np.linalg.eigh(_array(b))
-    null = np.abs(l) <= _ZERO * np.abs(l).max()
-    return (v * np.where(null, 0.0, np.sign(l))) @ v.T, (v * null) @ v.T
+    l, v = _eigh(b)
+    s1, s2 = _signs(l, _ZERO * max(abs(l[0]), abs(l[1])))
+    return _outer(v, s1, s2), _outer(v, float(not s1), float(not s2))
 
 
-def _reflection_on_edge(b: SymMat2, edge: float, x: np.ndarray) -> np.ndarray:
+def _reflection_on_edge(b: SymMat2, edge: float, x: SymMat2) -> SymMat2:
     """The reflection [[e1, e2], [e2, -e1]] nearest x with Tr[B X] = edge.
 
     Tr[B X] = w . e with w = (b11 - b22, 2 b12).  When C - lambda* B is
     close to 0 its eigenvectors, and with them x, turn fast with lambda*,
     so x can miss the band edge by far more than rounding; this e meets it.
     """
-    w = np.array([b.m11 - b.m22, 2.0 * b.m12])
-    width = math.hypot(*w)
+    w1, w2 = b.m11 - b.m22, 2.0 * b.m12
+    width = math.hypot(w1, w2)
     along = min(max(edge / width, -1.0), 1.0)
-    normal = np.array([-w[1], w[0]]) / width
-    side = math.copysign(1.0, normal @ (x[0, 0], x[0, 1]))
-    e = along * w / width + side * math.sqrt((1.0 - along) * (1.0 + along)) * normal
-    return np.array([[e[0], e[1]], [e[1], -e[0]]])
+    n1, n2 = -w2 / width, w1 / width
+    across = math.copysign(1.0, n1 * x.m11 + n2 * x.m12) * math.sqrt((1.0 - along) * (1.0 + along))
+    e1, e2 = along * w1 / width + across * n1, along * w2 / width + across * n2
+    return SymMat2(e1, e2, -e1)
 
 
-def _dual_end(c: SymMat2, b: SymMat2, lo: float, hi: float):
+def _dual_end(c: SymMat2, b: SymMat2, lo: float, hi: float) -> tuple[float, SymMat2]:
     """max Tr[C X] over the feasible set: (dual bound, certificate X)."""
-    lam = _candidates(c, b, lo, hi)
-    shifted = SymMat2(c.m11 - lam * b.m11, c.m12 - lam * b.m12, c.m22 - lam * b.m22)
-    g = nuclear_norm(shifted) + np.maximum(lam * lo, lam * hi)
-    k = int(np.argmin(g))
-    bound, lam_star = float(g[k]), float(lam[k])
-    cm, bm = _array(c), _array(b)
-    mu, v = np.linalg.eigh(cm - lam_star * bm)
-    free = np.abs(mu) <= _ZERO * (np.abs(cm).max() + abs(lam_star) * np.abs(bm).max())
-    x = (v * np.where(free, 0.0, np.sign(mu))) @ v.T
+    lams = _candidates(c, b, lo, hi)
+    g = [float(nuclear_norm(_sum(1.0, c, -lam, b))) + max(lam * lo, lam * hi) for lam in lams]
+    # the first minimum, as np.argmin takes it
+    bound = min(g)
+    lam = lams[g.index(bound)]
+    mu, v = _eigh(_sum(1.0, c, -lam, b))
+    zero = _ZERO * (max(abs(c.m11), abs(c.m12), abs(c.m22))
+                    + abs(lam) * max(abs(b.m11), abs(b.m12), abs(b.m22)))
+    s1, s2 = _signs(mu, zero)
+    x = _outer(v, s1, s2)
+    met = _tr(b, x)
     # complementary slackness: lambda* > 0 puts Tr[B X] on hi, lambda* < 0 on lo
-    if not free.any():
-        if lam_star == 0.0 or mu[0] * mu[1] > 0.0:
-            return bound, x
-        return bound, _reflection_on_edge(b, hi if lam_star > 0.0 else lo, x)
-    direction = _polar(b)[0] if free.all() else (v * free) @ v.T
-    met, slope = np.sum(bm * x), np.sum(bm * direction)
-    edge = hi if lam_star > 0.0 else lo if lam_star < 0.0 else min(max(met, lo), hi)
-    coef = np.clip((edge - met) / slope, -1.0, 1.0) if slope != 0.0 else 0.0
-    return bound, x + coef * direction
+    edge = hi if lam > 0.0 else lo if lam < 0.0 else min(max(met, lo), hi)
+    if not (s1 and s2):
+        # the zero eigenvalues' eigenvectors, or B's polar factor if both are zero
+        direction = _outer(v, float(not s1), float(not s2)) if s1 or s2 else _polar(b)[0]
+        slope = _tr(b, direction)
+        coef = min(max((edge - met) / slope, -1.0), 1.0) if slope != 0.0 else 0.0
+        x = _sum(1.0, x, coef, direction)
+        # x's coefficients on v1 and v2; with B's polar factor, never -1 and 1
+        s1, s2 = s1 or coef, s2 or coef
+    # a reflection x, clipped or not: where lambda* is off by more than
+    # rounding, as at theta near +-pi with eps near 1e-16, x can leave the
+    # band, or stay inside it short of an edge that is worth more
+    if lam != 0.0 and s1 * s2 == -1.0:
+        e = _reflection_on_edge(b, edge, x)
+        x = e if not lo <= _tr(b, x) <= hi or _tr(c, e) > _tr(c, x) else x
+    return bound, x
 
 
-def _face_end(c: SymMat2, b: SymMat2, sign: float):
+def _face_end(c: SymMat2, b: SymMat2, sign: float) -> tuple[float, SymMat2]:
     """max Tr[C X] over the face Tr[B X] = sign |B|_*: (value, X)."""
     polar, null = _polar(b)
-    cm = _array(c)
-    x = sign * polar + math.copysign(1.0, np.sum(cm * null)) * null
-    return float(np.sum(cm * x)), x
+    x = _sum(sign, polar, math.copysign(1.0, _tr(c, null)), null)
+    return _tr(c, x), x
 
 
 def _search(a: SymMat2, b: SymMat2, lo: float, hi: float) -> OracleResult:
+    a, b = (SymMat2(float(m.m11), float(m.m12), float(m.m22)) for m in (a, b))
     reach = float(nuclear_norm(b))
     if lo > reach or hi < -reach:
         raise OracleInfeasibleError(
@@ -183,16 +232,14 @@ def _search(a: SymMat2, b: SymMat2, lo: float, hi: float) -> OracleResult:
     else:
         (top, x_top), (bottom, x_bottom) = _dual_end(a, b, lo, hi), _dual_end(neg, b, lo, hi)
     # range [m, M] = [-bottom, top]; the certificates reach [at_bottom, at_top]
-    am = _array(a)
-    at_top, at_bottom = float(np.sum(am * x_top)), float(np.sum(am * x_bottom))
+    at_top, at_bottom = _tr(a, x_top), _tr(a, x_bottom)
     gap = max(top - at_top, at_bottom + bottom)
-    if -bottom > 0.0:
-        return OracleResult(value=-bottom, point=x_bottom, gap=gap)
-    if top < 0.0:
-        return OracleResult(value=-top, point=x_top, gap=gap)
-    # the zero of Tr[A X] on the segment between the two certificates
-    w = np.clip(at_top / (at_top - at_bottom), 0.0, 1.0) if at_top > at_bottom else 1.0
-    return OracleResult(value=0.0, point=w * x_bottom + (1.0 - w) * x_top, gap=gap)
+    value, x = (-bottom, x_bottom) if -bottom > 0.0 else (-top, x_top)
+    if -bottom <= 0.0 <= top:
+        # the zero of Tr[A X] on the segment between the two certificates
+        w = min(max(at_top / (at_top - at_bottom), 0.0), 1.0) if at_top > at_bottom else 1.0
+        value, x = 0.0, _sum(w, x_bottom, 1.0 - w, x_top)
+    return OracleResult(value=value, point=np.array([[x.m11, x.m12], [x.m12, x.m22]]), gap=gap)
 
 
 def oracle_min_overlap(a: SymMat2, b: SymMat2, target: float) -> OracleResult:

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +146,10 @@ class TestNearTheReachableLimit:
          0.802981909471179, 0.9997641),
         (0.49023109080178756, 0.15539506816886872, 0.020562460754920187,
          0.5303163236421975, 0.7378518),
-    ], ids=["small-angle", "q-0.9997641", "q-0.7378518"])
+        # theta near pi and eps near 1e-16: the free coefficient once clipped
+        # to a reflection that missed the band by 2.5e-10, gap 5.5e-10
+        (1.0916776147604992, 3.140809697783312, 3.204365846502679e-16, 1.0, 0.9984954),
+    ], ids=["small-angle", "q-0.9997641", "q-0.7378518", "theta-near-pi"])
     def test_oracle_matches_closed_form(self, alpha, theta, eps, t, q):
         analytic = eve_max_gain(alpha, alpha, ChannelTriple(theta, eps, t)).overlap_min
         assert analytic == pytest.approx(q, abs=5e-7)
@@ -223,6 +228,14 @@ def _zero_noise_limit(rng):
     return alpha, tilt - 2.0 * alpha, 10.0 ** rng.uniform(-17.0, -14.0), t
 
 
+def _zero_noise_reversal(rng):
+    # within 10^U(-8, -1) of the reversed tilt theta = +-pi, with eps where
+    # det B is below 1e-14
+    theta = rng.choice((-1.0, 1.0)) * (math.pi - 10.0 ** rng.uniform(-8.0, -1.0))
+    t = 1.0 if rng.random() < 0.5 else rng.uniform(1e-3, 1.0)
+    return rng.uniform(0.0, 90 * DEG), theta, 10.0 ** rng.uniform(-17.0, -14.0), t
+
+
 def _whole_domain(rng):
     eps = (0.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-14.0, 0.0))[rng.integers(3)]
     return (rng.uniform(0.0, 90 * DEG), rng.uniform(-90 * DEG, 90 * DEG), eps,
@@ -240,6 +253,7 @@ STRATA = {
     "wide-whole-domain": _whole_domain,
     "zero-denominator": _near_singular,
     "zero-noise-limit": _zero_noise_limit,
+    "zero-noise-reversal": _zero_noise_reversal,
 }
 
 
@@ -288,3 +302,45 @@ def test_every_analyzer_angle_reduces_to_the_quarter_turn():
         regimes.add(int(bound.regime))
     # a type3 root at the mirror is the other sign of the family here
     assert {TYPE1, TYPE3} <= regimes
+
+
+# the oracle's value on 2,000 seeded whole-domain draws, recorded by
+# tests/data/record_oracle_parity.py from the oracle that ran its algebra on
+# numpy arrays; rerun it only when a draw changes, never to follow the oracle
+PARITY_RECORD = Path(__file__).parent / "data" / "oracle_parity.json"
+PARITY_DRAWS = 2000
+
+
+def parity_draws() -> list[tuple[float, float, float, float]]:
+    """(alpha, theta, eps, T): eps uniform or log-uniform, T = 1 or uniform."""
+    rng = np.random.default_rng(20261020)
+    n = PARITY_DRAWS
+    alpha = rng.uniform(0.0, math.pi / 2.0, n)
+    theta = rng.uniform(-math.pi, math.pi, n)
+    eps = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.0, n),
+                   10.0 ** rng.uniform(-16.0, 0.0, n))
+    t = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.01, 1.0, n))
+    return list(zip(alpha.tolist(), theta.tolist(), eps.tolist(), t.tolist()))
+
+
+def parity_value(alpha, theta, eps, t) -> float | None:
+    """The oracle's value on one draw, or None where it is infeasible."""
+    a, b = build_matrices(alpha, theta, eps)
+    try:
+        return oracle_min_overlap_lossy(a, b, alpha, t).value
+    except OracleInfeasibleError:
+        return None
+
+
+def test_values_match_the_recorded_parity_table():
+    # infeasible on exactly the recorded draws, and within two ulps of 1 on
+    # every other one
+    recorded = json.loads(PARITY_RECORD.read_text())
+    draws = parity_draws()
+    assert len(recorded) == len(draws)
+    for draw, want in zip(draws, recorded):
+        got = parity_value(*draw)
+        if want == "infeasible":
+            assert got is None, draw
+        else:
+            assert got is not None and abs(got - float.fromhex(want)) <= 4.4e-16, draw
