@@ -41,10 +41,10 @@ of dispatch, more than its arithmetic.  What stays in LAPACK is one
 ``eigh`` per range end, for the eigenbasis of C - lambda* B, and one for
 B's polar factor on the face or where C - lambda* B vanishes.  A
 closed-form 2x2 eigenbasis was tried in its place and moved the gap of
-``test_near_singular_channel_keeps_a_tight_certificate`` to 1.2e-11-1.3e-11,
-past its pinned 1e-11: lambda* is near -7.5e4 there, so the float dual
-bound itself is off by about 1e-11, and eigh's basis happens to land on
-it.  One call takes 63-66 us, where the same algebra on numpy arrays took
+``test_near_singular_channel_keeps_a_tight_certificate`` from -2.2e-16 to
+1.3e-11, past its pinned 1e-11: lambda* is near -7.5e4 there, and the gap
+carries lambda* Tr[B X], so rounding in the basis grows some 1e5-fold.
+One call takes 63-66 us, where the same algebra on numpy arrays took
 109-129 us, on a shared 2-core VM (Python 3.11, numpy 2.4; best of 5
 rounds in each of three measurements):
 
