@@ -52,16 +52,22 @@ def require(values, ok, message: str) -> None:
     broadcast to the shape of ``ok``.  ``ok`` must have a bool dtype, or
     :class:`TypeError` is raised: ``~`` on a Python bool gives a truthy int.
     """
+    if ok is True or ok is np.True_:  # a scalar check that passed
+        return
     ok = np.asarray(ok)
     if ok.dtype != bool:
         raise TypeError(f"require needs a bool mask, not {ok.dtype}")
-    if not ok.all():
+    # count_nonzero dispatches faster than ok.all() on the small masks of
+    # one-channel calls
+    if np.count_nonzero(ok) != ok.size:
         raise DomainError(f"{message}: {np.broadcast_to(values, ok.shape)[~ok].flat[0]}")
 
 
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer; a bool is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int answers before the slower abstract-class test
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 def _key_values(items, keys, aliases: dict, where: str) -> dict[str, str]:
@@ -91,6 +97,5 @@ class FirstFailure:
 
     def check(self) -> None:
         """Raise the scalar call's exception for the first failed entry."""
-        failed = np.flatnonzero(self.failed)
-        if failed.size:
-            raise self.error(failed[0])
+        if np.count_nonzero(self.failed):
+            raise self.error(np.flatnonzero(self.failed)[0])

@@ -41,6 +41,8 @@ COUNT_TABLE = {
     (1, "0"): "n10", (1, "1"): "n11", (1, "0b"): "n1b0", (1, "1b"): "n1b1",
 }
 COUNT_FIELDS = (*COUNT_TABLE.values(), "n_total")
+# (bit, column of the outcome in OUTCOMES order) of each counter
+_CELLS = {name: (bit, OUTCOMES.index(outcome)) for (bit, outcome), name in COUNT_TABLE.items()}
 # sampled counts can fluctuate slightly past the exact-arithmetic boundary
 CLAMP_TOL = 1e-2
 
@@ -89,8 +91,9 @@ class ObservedCounts:
     @classmethod
     def from_table(cls, n_total: int, table) -> "ObservedCounts":
         """Counters from a (2, 5) table indexed by bit and outcome in ``OUTCOMES`` order."""
-        return cls(n_total=n_total, **{name: int(table[bit][OUTCOMES.index(outcome)])
-                                       for (bit, outcome), name in COUNT_TABLE.items()})
+        rows = np.asarray(table).tolist()
+        return cls(n_total=n_total, **{name: int(rows[bit][column])
+                                       for name, (bit, column) in _CELLS.items()})
 
     # --- external record formats -------------------------------------------------
 

@@ -19,13 +19,17 @@ minimum overlap, the regime that decided it (the free region, where the
 overlap vanishes, or the family type1 or type3 whose root wins) and a
 status (ok or unreachable) in place of an exception.  A minimizer is
 reported by its family alone, which :func:`eve_max_gain` names in
-``achieving``.
+``achieving``.  The inputs are checked once, at :func:`eve_bound` or at
+:func:`~b92sec.keyrate.key_gains`, which share one private pass over
+A, B, the families and the roots; that pass checks nothing and runs
+under its caller's ``np.errstate``, so a one-entry call pays numpy's
+per-call price once per quantity.
 :func:`eve_max_gain` is the one-entry wrapper that raises an unreachable
 status as :class:`UnreachableChannelError`; Eve's bound on flipped bits is
-the same call with the tilt -2 alpha - theta, which
-:func:`~b92sec.keyrate.key_gains` stacks with theta in one
-:func:`eve_bound` call.  The families answer every channel, the noiseless
-ones included: there det B = -eps (1 - eps/2) / 2 = 0, type3 has no root,
+the same bound at the tilt -2 alpha - theta, which
+:func:`~b92sec.keyrate.key_gains` stacks with theta in one pass.  The
+families answer every channel, the noiseless ones included: there
+det B = -eps (1 - eps/2) / 2 = 0, type3 has no root,
 and type1's candidate reduces to the eps = 0 closed form
 q = target / |cos(alpha + theta)|.  The one channel where A is 0/0, eps = 0
 with 2 alpha + theta = 0, takes A = diag(1, 0), its value at every other
@@ -204,22 +208,6 @@ def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2,
     return a, b
 
 
-def constraint_max(b: SymMat2):
-    """Largest value of Tr[B xi] over orthogonal xi.
-
-    Equals sqrt((B11 - B22)^2 + 4 B12^2), the sum of B's singular values
-    when its eigenvalues have opposite signs.
-    """
-    return _constraint_max(b.det(), b.m11 - b.m22, 2.0 * b.m12)
-
-
-def _constraint_max(det_b, bc, bs):
-    """:func:`constraint_max` from det B, B11 - B22 and 2 B12."""
-    require(det_b, ~np.greater(det_b, 1e-12),
-            "constraint matrix must have non-positive determinant")
-    return np.hypot(bc, bs)
-
-
 # --- stationary families ---------------------------------------------------------
 
 
@@ -243,7 +231,8 @@ class Families:
     nothing; type1 alone answers there.
     ``free_limit`` is the largest |B| on the zero set of Q over the
     families: the zero-overlap limit.  ``bmax`` is the largest reachable
-    |B|, the :func:`constraint_max` of B.
+    |B|, sqrt((B11 - B22)^2 + 4 B12^2): the sum of B's singular values,
+    since its determinant is not positive.
 
     The pure-rotation family is omitted: its interior points are never
     stationary for the full problem and its endpoints give |Q| = 1, so it
@@ -263,17 +252,18 @@ class Families:
     bmax: np.ndarray
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def stationary_curves(a: SymMat2, b: SymMat2) -> Families:
-    """All stationary families of |Q| for broadcast matrices (A, B).
+def _families(a: SymMat2, b: SymMat2) -> Families:
+    """All stationary families of |Q| for broadcast matrices (A, B), unchecked.
 
     A must have det A = 0, as :func:`build_matrices` gives; the type3
-    projector relies on it.  B must have non-positive determinant, as in
-    :func:`constraint_max`.
+    projector relies on it.  B must have non-positive determinant, as
+    every B of :func:`build_matrices` has.  Run under
+    ``np.errstate(divide="ignore", invalid="ignore")``: a noiseless channel
+    divides by det B = 0.
     """
     det_b = np.asarray(b.det(), dtype=float)
     qc, qs, bc, bs = a.m11 - a.m22, 2.0 * a.m12, b.m11 - b.m22, 2.0 * b.m12
-    bmax = _constraint_max(det_b, bc, bs)
+    bmax = np.hypot(bc, bs)
     # kappa makes A - kappa B singular, since det A = 0
     kappa = (a.m11 * b.m22 + a.m22 * b.m11 - qs * b.m12) / det_b
     tr_b = b.m11 + b.m22
@@ -320,7 +310,7 @@ def _overlap(f: Families, t):
     # where the family misses t it offers |Q| = inf
     x = (t - f.b_p) / (f.tr_b - f.b_p)
     on = f.type3 & (np.abs(x) <= 1.0 + 1e-9)
-    x = np.clip(x, -1.0, 1.0)
+    x = np.minimum(np.maximum(x, -1.0), 1.0)
     q3 = np.where(on, np.abs(f.a_p * (1.0 - x) + x), np.inf)
     better = q3 < q1
     q, regime = np.where(better, q3, q1), np.where(better, TYPE3, TYPE1)
@@ -328,23 +318,25 @@ def _overlap(f: Families, t):
     return np.where(free, 0.0, q), np.where(free, FREE, regime)
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def min_overlap_at(a: SymMat2, b: SymMat2, target):
-    """Minimum |Q| subject to Tr[B xi] = target: (q, regime) arrays.
+def _bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
+    """:func:`eve_bound`'s arithmetic on float arrays the caller has checked.
 
-    Even in the sign of the target (xi -> -xi flips both traces); below the
-    zero-overlap limit the minimum is 0 (regime FREE), above it the best
-    stationary-family root wins.  (A, B) must come from
-    :func:`build_matrices`, whose analyzer angle lies in [0, pi/2]: beyond
-    it the one rank-1 family kept here does not suffice (see the module
-    docstring).  A target that is NaN or lies beyond ``constraint_max(B)``
-    raises :class:`DomainError`.
+    Runs under the caller's ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    t = np.abs(target)
-    f = stationary_curves(a, b)
-    require(target, t <= f.bmax + REACH_SLOP,
-            "constraint target outside [-constraint_max(B), constraint_max(B)]")
-    return _overlap(f, np.minimum(t, f.bmax))
+    a, b, _ = _matrices(alpha, theta, epsilon)
+    f = _families(a, b)
+    bmax = f.bmax
+    # smallest |Tr[B xi]| compatible with the loss-widened unitarity band
+    # |T Tr[B xi] - cos(alpha')| <= 1 - T; Eve prefers the value closest to 0
+    lo = (np.cos(alpha_prime) - (1.0 - transmission)) / transmission
+    unreachable = lo > bmax + REACH_SLOP
+    # a negative target is free, since the band reaches 0; bounding it by 0
+    # keeps _overlap from squaring one near -1/T, which overflows for tiny T
+    t = np.maximum(np.minimum(lo, bmax), 0.0)
+    q, regime = _overlap(f, t)
+    return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
+                       target=np.where(unreachable, lo, t), regime=regime,
+                       status=np.where(unreachable, UNREACHABLE, OK))
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -363,20 +355,7 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
-    a, b, _ = _matrices(alpha, theta, epsilon)
-    f = stationary_curves(a, b)
-    bmax = f.bmax
-    # smallest |Tr[B xi]| compatible with the loss-widened unitarity band
-    # |T Tr[B xi] - cos(alpha')| <= 1 - T; Eve prefers the value closest to 0
-    lo = (np.cos(alpha_prime) - (1.0 - transmission)) / transmission
-    unreachable = lo > bmax + REACH_SLOP
-    # a negative target is free, since the band reaches 0; bounding it by 0
-    # keeps _overlap from squaring one near -1/T, which overflows for tiny T
-    t = np.maximum(np.minimum(lo, bmax), 0.0)
-    q, regime = _overlap(f, t)
-    return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
-                       target=np.where(unreachable, lo, t), regime=regime,
-                       status=np.where(unreachable, UNREACHABLE, OK))
+    return _bound(alpha_prime, alpha, theta, epsilon, transmission)
 
 
 def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:

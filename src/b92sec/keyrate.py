@@ -7,10 +7,13 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 
 :func:`key_gains` computes the accounting over broadcast arrays of
 (alpha, theta, eps, T), with Eve's bounds on correct and flipped bits from
-one call of :func:`~b92sec.evebound.eve_bound`, and returns one
-:class:`KeyGains`.  :func:`secret_key_gain` is its one-entry wrapper: it
-returns the same :class:`KeyGains` with fields of shape (), after raising
-the error of a failed entry.  The batch calls take arrays and return
+one pass of :func:`~b92sec.evebound.eve_bound`'s arithmetic over both
+tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
+eve_bound's messages, under one ``np.errstate``; the pass itself checks
+nothing and runs under that errstate, so a one-entry call pays numpy's
+per-call price once per quantity.  :func:`secret_key_gain` is its
+one-entry wrapper: it returns the same :class:`KeyGains` with fields of
+shape (), after raising the error of a failed entry.  The batch calls take arrays and return
 arrays, and each scalar call is a thin wrapper of one:
 
 - :func:`optimal_angles` searches broadcast arrays of channels with one
@@ -40,7 +43,7 @@ import numpy as np
 from .entropy import binary_entropy
 from .errors import B92Error, DegenerateLinkError, DomainError, FirstFailure, require
 from .estimation import ChannelTriple
-from .evebound import OK, BoundArrays, collision_gain, eve_bound, shannon_gain
+from .evebound import OK, BoundArrays, _bound, collision_gain, shannon_gain
 
 # information Eve draws from probe overlap q, by estimation mode
 INFORMATION = {"collision": collision_gain, "shannon": shannon_gain}
@@ -142,12 +145,16 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
         raise DomainError(f"unknown estimation mode: {mode!r}")
     alpha, theta, epsilon, transmission = (
         np.asarray(v, dtype=float) for v in (alpha, theta, epsilon, transmission))
-    # eve_bound cannot check T: entries without conclusive events pass it a stand-in
+    # eve_bound's checks, on T in [0, 1]: entries without conclusive events
+    # pass the bound a stand-in T = 1, and every other entry has T > 0
     require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
             "transmission outside [0, 1]")
+    require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "signal angle outside [0, pi/2]")
+    require(theta, np.isfinite(theta), "tilt angle not finite")
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
     # error, "1b" a correct bit; 1 - (1 - eps) cos is at least 0 for every eps
-    # in [0, 1], the range eve_bound checks below
+    # in [0, 1]
     quarter, keep = 0.25 * transmission, 1.0 - epsilon
     p_error = quarter * (1.0 - keep * np.cos(theta))
     p_conc = p_error + quarter * (1.0 - keep * np.cos(2.0 * alpha + theta))
@@ -158,7 +165,7 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
     # pass a valid stand-in transmission
     ndim = max(v.ndim for v in (alpha, theta, epsilon, transmission))
     tilts = np.where(PAIR.reshape((2,) + (1,) * ndim), theta, -2.0 * alpha - theta)
-    bounds = eve_bound(alpha, alpha, tilts, epsilon, np.where(defined, transmission, 1.0))
+    bounds = _bound(alpha, alpha, tilts, epsilon, np.where(defined, transmission, 1.0))
     info = INFORMATION[mode](bounds.overlap_min)
     flipped = e > 0.0
     info_f = np.where(flipped, info[1], 0.0)

@@ -40,12 +40,17 @@ def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     require(alpha, (alpha >= 0.0) & (alpha <= math.pi / 2.0),
             "analyzer angle outside [0, pi/2]")
-    alpha, phi, r, transmission = np.broadcast_arrays(alpha, phi, r, transmission)
+    transmission = np.asarray(transmission, dtype=float)
     c0 = r * np.cos(phi + alpha)
     c1 = r * np.cos(phi - alpha)
+    table = np.empty(np.broadcast(c0, transmission).shape + (5,))
+    polarization = table[..., :4]
+    polarization[..., 0], polarization[..., 1] = 1.0 + c0, 1.0 - c0
+    polarization[..., 2], polarization[..., 3] = 1.0 + c1, 1.0 - c1
     # |c| <= 1 in floats too whenever r <= 1, as for every caller; the clamp
     # only covers r > 1
-    polarization = np.maximum(0.0, 1.0 + np.stack((c0, -c0, c1, -c1), axis=-1))
-    return np.concatenate((0.25 * transmission[..., np.newaxis] * polarization,
-                           1.0 - transmission[..., np.newaxis]), axis=-1)
+    np.maximum(0.0, polarization, out=polarization)
+    polarization *= 0.25 * transmission[..., np.newaxis]
+    table[..., 4] = 1.0 - transmission
+    return table
 

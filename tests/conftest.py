@@ -13,6 +13,11 @@ explicit attacks' symmetrized channels are predicted here in closed form:
 :func:`rotation_triple` for the rotation attack and
 :func:`attack_noise_rate` for the weak-measurement attack at a weakness
 where :func:`_balance_residual` vanishes.
+
+The closed form's own helpers that only tests call live here too:
+:func:`constraint_max`, :func:`stationary_curves` and :func:`min_overlap_at`
+wrap ``evebound``'s private families and roots with the checks and the
+``np.errstate`` that :func:`~b92sec.evebound.eve_bound` gives its pass.
 """
 
 import math
@@ -22,8 +27,9 @@ import numpy as np
 import pytest
 
 from b92sec.attacks import _check_signal_angle, outcome_probability, post_measurement_angle
-from b92sec.errors import DomainError
+from b92sec.errors import DomainError, require
 from b92sec.estimation import COUNT_TABLE, ChannelTriple, ObservedCounts
+from b92sec.evebound import REACH_SLOP, _families, _overlap
 
 DEG = math.pi / 180.0
 # largest balance residual at which attack_noise_rate accepts a weakness
@@ -56,6 +62,52 @@ def projector(vec: np.ndarray) -> np.ndarray:
 def sym_matrix(m) -> np.ndarray:
     """The 2x2 array of a symmetric matrix given by its entries m11, m12, m22."""
     return np.array([[m.m11, m.m12], [m.m12, m.m22]])
+
+
+def _require_constraint_det(b) -> None:
+    det_b = b.det()
+    require(det_b, ~np.greater(det_b, 1e-12),
+            "constraint matrix must have non-positive determinant")
+
+
+def constraint_max(b):
+    """Largest value of Tr[B xi] over orthogonal xi.
+
+    Equals sqrt((B11 - B22)^2 + 4 B12^2), the sum of B's singular values
+    when its eigenvalues have opposite signs; a determinant above 1e-12
+    raises :class:`DomainError`.
+    """
+    _require_constraint_det(b)
+    return np.hypot(b.m11 - b.m22, 2.0 * b.m12)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def stationary_curves(a, b):
+    """All stationary families of |Q| for broadcast matrices (A, B).
+
+    A must have det A = 0, as ``build_matrices`` gives; B must pass
+    :func:`constraint_max`'s determinant check.
+    """
+    _require_constraint_det(b)
+    return _families(a, b)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def min_overlap_at(a, b, target):
+    """Minimum |Q| subject to Tr[B xi] = target: (q, regime) arrays.
+
+    Even in the sign of the target (xi -> -xi flips both traces); below the
+    zero-overlap limit the minimum is 0 (regime FREE), above it the best
+    stationary-family root wins.  (A, B) must come from ``build_matrices``,
+    whose analyzer angle lies in [0, pi/2]: beyond it the one rank-1 family
+    kept does not suffice (see ``evebound``'s docstring).  A target that is
+    NaN or lies beyond ``constraint_max(B)`` raises :class:`DomainError`.
+    """
+    t = np.abs(target)
+    f = stationary_curves(a, b)
+    require(target, t <= f.bmax + REACH_SLOP,
+            "constraint target outside [-constraint_max(B), constraint_max(B)]")
+    return _overlap(f, np.minimum(t, f.bmax))
 
 
 def explicit_qubit_block(theta: float, epsilon: float, transmission: float,

@@ -20,18 +20,15 @@ from b92sec.evebound import (
     SymMat2,
     build_matrices,
     collision_gain,
-    constraint_max,
     eve_bound,
     eve_max_gain,
-    min_overlap_at,
     shannon_gain,
-    stationary_curves,
     _matrices,
 )
 
 from b92sec.keyrate import key_gains
 
-from conftest import DEG, sym_matrix
+from conftest import DEG, constraint_max, min_overlap_at, stationary_curves, sym_matrix
 
 
 def contraction_grid_max_b(b: SymMat2, steps: int = 720) -> float:

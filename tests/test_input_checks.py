@@ -3,6 +3,7 @@ naming the first bad entry of the offending input."""
 
 import argparse
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from b92sec.cli import cmd_oracle_check
 from b92sec.entropy import binary_entropy
 from b92sec.errors import DomainError, require
 from b92sec.estimation import ChannelTriple, ObservedCounts
-from b92sec.evebound import SymMat2, build_matrices, constraint_max, eve_bound, min_overlap_at
+from b92sec.evebound import SymMat2, build_matrices, eve_bound
 from b92sec.infobounds import conclusive_entropy_floor, shannon_upper_bound
 from b92sec.keyrate import (
     KTH_LINK,
@@ -28,10 +29,14 @@ from b92sec.keyrate import (
     bb84_key_gain,
     key_gains,
     link_channels,
+    optimal_angles,
+    secret_key_gain,
 )
 from b92sec.oracle import oracle_min_overlap_lossy
 from b92sec.simulate import SimConfig
 from b92sec.states import outcome_table
+
+from conftest import constraint_max, min_overlap_at
 
 # the first bad entry of each array below is its second one
 CASES = {
@@ -65,6 +70,69 @@ CASES = {
     "key_gains": (
         lambda: key_gains(0.3, 0.0, 0.01, np.array([0.5, -0.5, 2.0])),
         "transmission outside [0, 1]: -0.5"),
+    "key_gains signal angle": (
+        lambda: key_gains(np.array([0.3, 2.0, -1.0]), 0.0, 0.1, 0.5),
+        "signal angle outside [0, pi/2]: 2.0"),
+    "key_gains signal angle nan": (
+        lambda: key_gains(np.array([0.3, math.nan, 2.0]), 0.0, 0.1, 0.5),
+        "signal angle outside [0, pi/2]: nan"),
+    "key_gains tilt inf": (
+        lambda: key_gains(0.3, np.array([0.0, math.inf, math.nan]), 0.1, 0.5),
+        "tilt angle not finite: inf"),
+    "key_gains tilt -inf": (
+        lambda: key_gains(0.3, np.array([0.0, -math.inf, math.nan]), 0.1, 0.5),
+        "tilt angle not finite: -inf"),
+    "key_gains tilt nan": (
+        lambda: key_gains(0.3, np.array([0.0, math.nan, math.inf]), 0.1, 0.5),
+        "tilt angle not finite: nan"),
+    "key_gains noise": (
+        lambda: key_gains(0.3, 0.0, np.array([0.1, 1.5, -1.0]), 0.5),
+        "noise parameter outside [0, 1]: 1.5"),
+    "key_gains noise nan": (
+        lambda: key_gains(0.3, 0.0, np.array([0.1, math.nan]), 0.5),
+        "noise parameter outside [0, 1]: nan"),
+    # the transmission is checked before the signal angle
+    "key_gains transmission and signal angle": (
+        lambda: key_gains(np.array([0.3, 2.0]), 0.0, 0.1, np.array([0.5, 1.5])),
+        "transmission outside [0, 1]: 1.5"),
+    # entries without conclusive events are checked all the same
+    "key_gains signal angle at zero transmission": (
+        lambda: key_gains(np.array([0.3, 2.0]), 0.0, 0.1, 0.0),
+        "signal angle outside [0, pi/2]: 2.0"),
+    "secret_key_gain signal angle": (
+        lambda: secret_key_gain(2.0, ChannelTriple(0.0, 0.1, 0.5)),
+        "signal angle outside [0, pi/2]: 2.0"),
+    "secret_key_gain signal angle nan": (
+        lambda: secret_key_gain(math.nan, ChannelTriple(0.0, 0.1, 0.5)),
+        "signal angle outside [0, pi/2]: nan"),
+    "secret_key_gain tilt inf": (
+        lambda: secret_key_gain(0.3, ChannelTriple(math.inf, 0.1, 0.5)),
+        "tilt angle not finite: inf"),
+    "secret_key_gain tilt -inf": (
+        lambda: secret_key_gain(0.3, ChannelTriple(-math.inf, 0.1, 0.5)),
+        "tilt angle not finite: -inf"),
+    "secret_key_gain tilt nan": (
+        lambda: secret_key_gain(0.3, ChannelTriple(math.nan, 0.1, 0.5)),
+        "tilt angle not finite: nan"),
+    # ChannelTriple checks its own noise; a triple-like record reaches key_gains's
+    "secret_key_gain noise": (
+        lambda: secret_key_gain(0.3, SimpleNamespace(theta=0.0, epsilon=1.5, transmission=0.5)),
+        "noise parameter outside [0, 1]: 1.5"),
+    "optimal_angles tilt inf": (
+        lambda: optimal_angles(np.array([0.0, math.inf]), 0.1, 0.5),
+        "tilt angle not finite: inf"),
+    "optimal_angles tilt -inf": (
+        lambda: optimal_angles(np.array([0.0, -math.inf]), 0.1, 0.5),
+        "tilt angle not finite: -inf"),
+    "optimal_angles tilt nan": (
+        lambda: optimal_angles(np.array([0.0, math.nan]), 0.1, 0.5),
+        "tilt angle not finite: nan"),
+    "optimal_angles noise": (
+        lambda: optimal_angles(0.0, np.array([0.1, 1.5]), 0.5),
+        "noise parameter outside [0, 1]: 1.5"),
+    "optimal_angles noise nan": (
+        lambda: optimal_angles(0.0, np.array([0.1, math.nan]), 0.5),
+        "noise parameter outside [0, 1]: nan"),
     "link_channels": (
         lambda: link_channels(KTH_LINK, [0.0, -1.0, math.nan]),
         "length_km must be non-negative: -1.0"),
