@@ -168,6 +168,18 @@ def test_names_the_first_bad_entry_on_one_line(case):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("call", [
+    lambda: key_gains(np.array([0.0, math.pi / 2.0]), 0.0, np.array([[0.0], [1.0]]),
+                      np.array([[[0.0]], [[1.0]]])),
+    lambda: eve_bound(np.array([0.0, math.pi / 2.0]), np.array([[0.0], [math.pi / 2.0]]), 0.0,
+                      np.array([[[0.0]], [[1.0]]]), 1.0),
+], ids=["key_gains", "eve_bound"])
+def test_the_closed_ends_of_each_range_pass(call):
+    # every angle at 0 and pi/2, every noise at 0 and 1, and the transmission
+    # at the ends each call accepts
+    call()
+
+
 def test_a_mask_that_is_not_bool_is_a_type_error():
     # ~ on a Python bool is a truthy int (~True == -2), so a check written
     # ~(x > c) on a float would never fire
