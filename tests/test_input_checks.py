@@ -30,6 +30,7 @@ from b92sec.keyrate import (
     key_gains,
     link_channels,
     optimal_angles,
+    positive_noise_limit,
     secret_key_gain,
 )
 from b92sec.oracle import oracle_min_overlap_lossy
@@ -133,6 +134,40 @@ CASES = {
     "optimal_angles noise nan": (
         lambda: optimal_angles(0.0, np.array([0.1, math.nan]), 0.5),
         "noise parameter outside [0, 1]: nan"),
+    "optimal_angles mode": (
+        lambda: optimal_angles(0.0, 0.1, 0.5, "renyi"),
+        "unknown estimation mode: 'renyi'"),
+    "optimal_angles mode and transmission": (
+        lambda: optimal_angles(0.0, 0.1, 1.5, "renyi"),
+        "unknown estimation mode: 'renyi'"),
+    "optimal_angles transmission": (
+        lambda: optimal_angles(0.0, 0.1, np.array([0.5, 1.5, -1.0])),
+        "transmission outside [0, 1]: 1.5"),
+    "optimal_angles transmission nan": (
+        lambda: optimal_angles(0.0, 0.1, np.array([0.5, math.nan])),
+        "transmission outside [0, 1]: nan"),
+    # the transmission is reported before the tilt, and the tilt before the noise
+    "optimal_angles transmission and tilt": (
+        lambda: optimal_angles(np.array([0.0, math.inf]), 0.1, np.array([0.5, 1.5])),
+        "transmission outside [0, 1]: 1.5"),
+    "optimal_angles tilt and noise": (
+        lambda: optimal_angles(np.array([0.0, math.inf]), np.array([1.5, 0.1]), 0.5),
+        "tilt angle not finite: inf"),
+    "positive_noise_limit transmission -0.5": (
+        lambda: positive_noise_limit(-0.5),
+        "transmission outside [0, 1]: -0.5"),
+    "positive_noise_limit transmission 1.5": (
+        lambda: positive_noise_limit(1.5),
+        "transmission outside [0, 1]: 1.5"),
+    "positive_noise_limit transmission nan": (
+        lambda: positive_noise_limit(math.nan),
+        "transmission outside [0, 1]: nan"),
+    "positive_noise_limit mode": (
+        lambda: positive_noise_limit(0.8, "renyi"),
+        "unknown estimation mode: 'renyi'"),
+    "positive_noise_limit mode and transmission": (
+        lambda: positive_noise_limit(1.5, "renyi"),
+        "unknown estimation mode: 'renyi'"),
     "link_channels": (
         lambda: link_channels(KTH_LINK, [0.0, -1.0, math.nan]),
         "length_km must be non-negative: -1.0"),
