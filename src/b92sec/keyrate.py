@@ -9,26 +9,30 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 (alpha, theta, eps, T), with Eve's bounds on correct and flipped bits from
 one pass of :func:`~b92sec.evebound.eve_bound`'s arithmetic over both
 tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
-eve_bound's messages, under one ``np.errstate``; the pass itself checks
-nothing and runs under that errstate, so a one-entry call pays numpy's
-per-call price once per quantity.  :func:`secret_key_gain` is its
-one-entry wrapper: it returns the same :class:`KeyGains` with fields of
-shape (), after raising the error of a failed entry.  The batch calls take arrays and return
-arrays, and each scalar call is a thin wrapper of one:
+eve_bound's messages, under one ``np.errstate``, then runs one private
+pass that checks nothing and runs under that errstate, so a one-entry
+call pays numpy's per-call price once per quantity.
+:func:`secret_key_gain` is its one-entry wrapper: it returns the same
+:class:`KeyGains` with fields of shape (), after raising the error of a
+failed entry.  The searches check the mode, T, theta and eps once, in
+key_gains' order and with its messages, then run every step on their own
+angle grids through the unchecked pass, under one ``np.errstate``.  The
+batch calls take arrays and return arrays, and each scalar call is a thin
+wrapper of one:
 
 - :func:`optimal_angles` searches broadcast arrays of channels with one
-  array call per step on all of them: four calls, the coarse scan and three
-  grid sections, so ``optangle`` searches its whole noise grid in four
-  calls.  :func:`optimal_angle` is its one-row case.
+  array pass per step on all of them: four passes, the coarse scan and
+  three grid sections, so ``optangle`` searches its whole noise grid in
+  four passes.  :func:`optimal_angle` is its one-row case.
 - :func:`distance_sweep` is one array pass: :func:`link_channels` gives
   (eps, T) at every length, then one :func:`key_gains` call and one
   :func:`bb84_key_gain` call give the two gain columns of a
   :class:`DistanceSweep`, in the order of the lengths passed in.
 
-Each :func:`key_gains` call of the noise limit, on the coarse scan's 90
-angles, answers up to three scan steps or three bisection levels ahead: 5
-or 6 calls per limit for T from 0.05 to 1, against 13 to 16 at one call
-per step, with the same result.  Both searches run at one precision, the
+Each pass of the noise limit, on the coarse scan's 90 angles, answers up
+to three scan steps or three bisection levels ahead: 5 or 6 passes per
+limit for T from 0.05 to 1, against 13 to 16 at one pass per step, with
+the same result.  Both searches run at one precision, the
 angle to within 1e-6 and the noise limit to within 1e-5, so each takes a
 fixed number of steps.
 """
@@ -40,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import binary_entropy
+from .entropy import _entropy, binary_entropy
 from .errors import B92Error, DegenerateLinkError, DomainError, FirstFailure, require
 from .estimation import ChannelTriple
-from .evebound import OK, BoundArrays, _bound, collision_gain, shannon_gain
+from .evebound import _ONE, _TWO, _ZERO, OK, BoundArrays, _bound, collision_gain, shannon_gain
 
 # information Eve draws from probe overlap q, by estimation mode
 INFORMATION = {"collision": collision_gain, "shannon": shannon_gain}
@@ -61,8 +65,16 @@ LEVELS = 11
 CELLS = np.arange(SECTIONS + 1.0)[:, None]
 # the angle search's coarse scan: every whole degree in (0, pi/2]
 COARSE = np.arange(1, 91) * math.pi / 180.0
+# the bracket around each coarse sample: its neighbours, with half the first
+# angle below the first and the last angle above the last
+BELOW = np.append(COARSE[0] / 2.0, COARSE[:-1])
+ABOVE = np.append(COARSE[1:], COARSE[-1])
+# the sample offsets of a grid-section bracket's ends
+ENDS = np.array([[-1], [1]])
 # selects the correct-bit tilt (index 0) over the flipped-bit tilt
 PAIR = np.array([True, False])
+_QUARTER, _SECTIONS, _MINUS_TWO, _MINUS_INF = (
+    np.array(v) for v in (0.25, float(SECTIONS), -2.0, -math.inf))
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,56 @@ class KeyGains(FirstFailure):
         return self.bounds.error(k)
 
 
+def _checked(mode: str, alpha, theta, epsilon, transmission):
+    """The information measure of ``mode``, and the inputs as float arrays.
+
+    Checks the mode, then T in [0, 1], alpha (unless it is None), theta and
+    eps, with eve_bound's messages: entries without conclusive events pass
+    the bound a stand-in T = 1, and every other entry has T > 0.
+    """
+    if mode not in INFORMATION:
+        raise DomainError(f"unknown estimation mode: {mode!r}")
+    alpha, theta, epsilon, transmission = (
+        v if v is None else np.asarray(v, dtype=float)
+        for v in (alpha, theta, epsilon, transmission))
+    require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
+            "transmission outside [0, 1]")
+    if alpha is not None:
+        require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "signal angle outside [0, pi/2]")
+    require(theta, np.isfinite(theta), "tilt angle not finite")
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
+    return INFORMATION[mode], alpha, theta, epsilon, transmission
+
+
+def _pass(alpha, theta, epsilon, transmission, information) -> tuple:
+    """:func:`key_gains`' arithmetic on float arrays the caller has checked.
+
+    Returns the fields of :class:`KeyGains`, in order; runs under the
+    caller's ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
+    # error, "1b" a correct bit; 1 - (1 - eps) cos is at least 0 for every eps
+    # in [0, 1], so p_conc >= p_error and e lies in [0, 1] or is NaN
+    quarter, keep = _QUARTER * transmission, _ONE - epsilon
+    p_error = quarter * (_ONE - keep * np.cos(theta))
+    p_conc = p_error + quarter * (_ONE - keep * np.cos(_TWO * alpha + theta))
+    e = p_error / p_conc
+    defined = (p_conc > _ZERO) & (e < _ONE)
+    # flipped bits see the tilt -2 alpha - theta, stacked under theta on a new
+    # leading axis; entries without conclusive events get no bound, so they
+    # pass a valid stand-in transmission
+    ndim = max(alpha.ndim, theta.ndim, epsilon.ndim, transmission.ndim)
+    tilts = np.where(PAIR.reshape((2,) + (1,) * ndim), theta, _MINUS_TWO * alpha - theta)
+    bounds = _bound(alpha, alpha, tilts, epsilon, np.where(defined, transmission, _ONE))
+    info = information(bounds.overlap_min)
+    info_f = np.where(e > _ZERO, info[1], _ZERO)
+    gain_correct = p_conc * (_ONE - e) * (_ONE - info[0])
+    gain_flipped = p_conc * e * (_ONE - info_f)
+    failed = ~defined | (bounds.status[0] != OK)
+    return (p_conc, e, info[0], info_f, gain_correct, gain_flipped,
+            gain_correct + gain_flipped - p_conc * _entropy(e), failed, bounds)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> KeyGains:
     """Net secret-key gain per pulse over broadcast arrays of the channel.
@@ -141,41 +203,8 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
     unknown modes raise :class:`DomainError`; a failing entry, such as one
     with T = 0, is marked in ``failed`` instead.
     """
-    if mode not in INFORMATION:
-        raise DomainError(f"unknown estimation mode: {mode!r}")
-    alpha, theta, epsilon, transmission = (
-        np.asarray(v, dtype=float) for v in (alpha, theta, epsilon, transmission))
-    # eve_bound's checks, on T in [0, 1]: entries without conclusive events
-    # pass the bound a stand-in T = 1, and every other entry has T > 0
-    require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
-            "transmission outside [0, 1]")
-    require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "signal angle outside [0, pi/2]")
-    require(theta, np.isfinite(theta), "tilt angle not finite")
-    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
-    # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
-    # error, "1b" a correct bit; 1 - (1 - eps) cos is at least 0 for every eps
-    # in [0, 1]
-    quarter, keep = 0.25 * transmission, 1.0 - epsilon
-    p_error = quarter * (1.0 - keep * np.cos(theta))
-    p_conc = p_error + quarter * (1.0 - keep * np.cos(2.0 * alpha + theta))
-    e = p_error / p_conc
-    defined = (p_conc > 0.0) & (e < 1.0)
-    # flipped bits see the tilt -2 alpha - theta, stacked under theta on a new
-    # leading axis; entries without conclusive events get no bound, so they
-    # pass a valid stand-in transmission
-    ndim = max(v.ndim for v in (alpha, theta, epsilon, transmission))
-    tilts = np.where(PAIR.reshape((2,) + (1,) * ndim), theta, -2.0 * alpha - theta)
-    bounds = _bound(alpha, alpha, tilts, epsilon, np.where(defined, transmission, 1.0))
-    info = INFORMATION[mode](bounds.overlap_min)
-    flipped = e > 0.0
-    info_f = np.where(flipped, info[1], 0.0)
-    gain_correct = p_conc * (1.0 - e) * (1.0 - info[0])
-    gain_flipped = p_conc * e * (1.0 - info_f)
-    failed = ~defined | (bounds.status[0] != OK)
-    return KeyGains(p_conc=p_conc, error_rate=e, info_correct=info[0], info_flipped=info_f,
-                    gain_correct=gain_correct, gain_flipped=gain_flipped,
-                    gain=gain_correct + gain_flipped - p_conc * binary_entropy(e),
-                    failed=failed, bounds=bounds)
+    information, *channel = _checked(mode, alpha, theta, epsilon, transmission)
+    return KeyGains(*_pass(*channel, information))
 
 
 def secret_key_gain(alpha: float, triple: ChannelTriple,
@@ -194,12 +223,18 @@ def secret_key_gain(alpha: float, triple: ChannelTriple,
     return g
 
 
-def _gains(alphas, theta, epsilon, transmission, mode: str) -> np.ndarray:
-    """Key gain at each entry; -inf where the scalar call raises."""
-    g = key_gains(alphas, theta, epsilon, transmission, mode)
-    return np.where(g.failed, -math.inf, g.gain)
+def _gains(alphas, theta, epsilon, transmission, information) -> np.ndarray:
+    """Key gain at each entry of checked arrays; -inf where the scalar call raises.
+
+    The searches' step: :func:`_pass` on their own angle grids, which have
+    an axis, under the search's ``np.errstate``.
+    """
+    *_, gain, failed, _ = _pass(alphas, theta, epsilon, transmission, information)
+    np.copyto(gain, _MINUS_INF, where=failed)
+    return gain
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def optimal_angles(theta, epsilon, transmission,
                    mode: str = "collision") -> tuple[np.ndarray, np.ndarray]:
     """Angle maximizing the key gain, and the gain there, for each channel.
@@ -212,8 +247,9 @@ def optimal_angles(theta, epsilon, transmission,
     then samples ``SECTIONS + 1`` evenly spaced angles across every keyed
     row's bracket and keeps the two cells beside the row's best sample: the
     bracket of at most 2 degrees ends no wider than 9.7e-7.  Every step is
-    one :func:`key_gains` call over the keyed rows, and a row gets the same
-    numbers as on its own.  Angles where the channel is unreachable or the
+    one pass of :func:`key_gains`' arithmetic over the keyed rows, after
+    one check of the inputs, and a row gets the same numbers as on its
+    own.  Angles where the channel is unreachable or the
     gain is undefined are skipped.  Each row gets the best sampled angle and
     its gain, or (0, 0) when no angle yields positive gain, meaning the
     protocol cannot produce a key; a call without such a row makes the
@@ -221,12 +257,12 @@ def optimal_angles(theta, epsilon, transmission,
     at pi/2 the target (cos alpha - (1 - T))/T <= 0 is always reachable.
     """
     # angles run down axis 0 and channels along axis 1, one column per channel
-    columns = np.broadcast_arrays(theta, epsilon, transmission)
-    shape = columns[0].shape
-    theta, epsilon, transmission = (c.ravel() for c in columns)
-    gains = _gains(COARSE[:, None], theta, epsilon, transmission, mode)
-    best = np.argmax(gains, axis=0)
-    top = gains[best, np.arange(best.size)]
+    shape = np.broadcast(theta, epsilon, transmission).shape
+    columns = np.empty((3,) + shape)
+    columns[0], columns[1], columns[2] = theta, epsilon, transmission
+    information, _, theta, epsilon, transmission = _checked(mode, None, *columns.reshape(3, -1))
+    gains = _gains(COARSE[:, None], theta, epsilon, transmission, information)
+    best, top = gains.argmax(axis=0), gains.max(axis=0)
     keyed = top > 0.0
     alpha, gain = np.where(keyed, COARSE[best], 0.0), np.where(keyed, top, 0.0)
     # the grid sections run on the keyed rows: their row numbers, brackets
@@ -234,19 +270,18 @@ def optimal_angles(theta, epsilon, transmission,
     live = np.flatnonzero(keyed)
     if live.size:
         best = best[live]
-        lo = np.where(best > 0, COARSE[best - 1], COARSE[0] / 2.0)
-        hi = COARSE[np.minimum(best + 1, COARSE.size - 1)]
+        lo, hi = BELOW[best], ABOVE[best]
         theta, epsilon, transmission = theta[live], epsilon[live], transmission[live]
         at = np.arange(live.size)
         for _ in range(STEPS):
             # the samples of np.linspace(lo, hi, SECTIONS + 1), by the same
             # arithmetic without its per-call overhead
-            grid = CELLS * ((hi - lo) / SECTIONS) + lo
+            grid = CELLS * ((hi - lo) / _SECTIONS) + lo
             grid[-1] = hi
-            gains = _gains(grid, theta, epsilon, transmission, mode)
-            best = np.argmax(gains, axis=0)
-            lo = grid[np.maximum(best - 1, 0), at]
-            hi = grid[np.minimum(best + 1, SECTIONS), at]
+            gains = _gains(grid, theta, epsilon, transmission, information)
+            best = gains.argmax(axis=0)
+            # the samples beside the best one, within the grid
+            lo, hi = grid[np.minimum(np.maximum(best + ENDS, 0), SECTIONS), at]
         alpha[live], gain[live] = grid[best, at], gains[best, at]
     return alpha.reshape(shape), gain.reshape(shape)
 
@@ -261,12 +296,15 @@ def optimal_angle(triple: ChannelTriple, mode: str = "collision") -> tuple[float
     return float(alpha), float(gain)
 
 
-def _keyed(epsilon, transmission: float, mode: str) -> np.ndarray:
-    """Whether some angle of the coarse scan gives a positive gain, per noise rate."""
-    gains = _gains(COARSE[:, None], 0.0, epsilon, transmission, mode)
-    return np.max(gains, axis=0) > 0.0
+def _keyed(epsilon, transmission, information) -> np.ndarray:
+    """Whether some angle of the coarse scan gives a positive gain, per noise rate.
+
+    Takes checked float arrays, under the caller's ``np.errstate``.
+    """
+    return _gains(COARSE[:, None], _ZERO, epsilon, transmission, information).max(axis=0) > 0.0
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def positive_noise_limit(transmission: float, mode: str = "collision") -> float:
     """Noise rate at which the key gain's best whole-degree value changes sign.
 
@@ -274,21 +312,23 @@ def positive_noise_limit(transmission: float, mode: str = "collision") -> float:
     bisects it ``LEVELS`` times, to a bracket below 1e-5.  Each step asks
     whether the 90 angles of the coarse scan of :func:`optimal_angles` give
     a positive gain; that search returns (0, 0) exactly when they do not.
-    One :func:`key_gains` call answers a batch of steps ahead: eps = 0 with
-    the first three scan steps, the next three scan steps, or the 7
-    midpoints of the next three bisection levels, from the same
-    ``0.5 * (lo + hi)`` arithmetic.  The steps then run in order, so the
-    result is that of one call per step, in 5 calls instead of 14 at
-    T = 0.8.  Returns 0 when even a noiseless channel yields nothing, and 1
+    The mode and T are checked once; then one pass of :func:`key_gains`'
+    arithmetic answers a batch of steps ahead: eps = 0 with the first
+    three scan steps, the next three scan steps, or the 7 midpoints of the
+    next three bisection levels, from the same ``0.5 * (lo + hi)``
+    arithmetic.  The steps then run in order, so the result is that of one
+    pass per step, in 5 passes instead of 14 at T = 0.8.  Returns 0 when even a noiseless channel yields nothing, and 1
     when every scan step keeps a key.  The optimized gain can stay positive
     a little past this crossing, where the best angle falls between whole
     degrees: against the maximum over a 200,000-point angle grid the
     crossing moved up by as much as 1.4e-5 (Shannon mode, T = 0.4), and the
     value returned fell short of it by 1.1e-5.
     """
-    # scan steps k / 50, k = 0 to 50: k = 0 to 3 in the first call, then three a call
+    # the tilt is 0 and the noise rates are the scan's own
+    information, *_, transmission = _checked(mode, None, 0.0, 0.0, transmission)
+    # scan steps k / 50, k = 0 to 50: k = 0 to 3 in the first pass, then three a pass
     for batch in (range(4), *(range(k, min(k + 3, 51)) for k in range(4, 51, 3))):
-        keyed = _keyed(np.array(batch) / 50.0, transmission, mode)
+        keyed = _keyed(np.array(batch) / 50.0, transmission, information)
         if not keyed.all():
             k = batch[np.argmin(keyed)]
             if k == 0:
@@ -300,7 +340,7 @@ def positive_noise_limit(transmission: float, mode: str = "collision") -> float:
     # bisection: the 9 edges of three levels below [lo, hi], walked by index
     for level in range(0, LEVELS, 3):
         edges = _bisection_tree(lo, hi)
-        keyed = _keyed(edges[1:-1], transmission, mode)
+        keyed = _keyed(np.array(edges[1:-1]), transmission, information)
         i, j = 0, len(edges) - 1
         for _ in range(min(3, LEVELS - level)):
             mid = (i + j) // 2

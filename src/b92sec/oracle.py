@@ -242,17 +242,12 @@ def _search(a: SymMat2, b: SymMat2, lo: float, hi: float) -> OracleResult:
     return OracleResult(value=value, point=np.array([[x.m11, x.m12], [x.m12, x.m22]]), gap=gap)
 
 
-def oracle_min_overlap(a: SymMat2, b: SymMat2, target: float) -> OracleResult:
-    """Exact min |Tr[A X]| over contractions X with Tr[B X] = target."""
-    return _search(a, b, target, target)
-
-
 def oracle_min_overlap_lossy(a: SymMat2, b: SymMat2, alpha_prime: float,
                              transmission: float, resolution=None) -> OracleResult:
     """Exact minimum under the loss-widened unitarity band.
 
     The constraint is |T Tr[B X] - cos(alpha')| <= 1 - T; at T = 1 it
-    collapses to the equality oracle at cos(alpha'), and as T -> 0 it
+    collapses to the equality Tr[B X] = cos(alpha'), and as T -> 0 it
     becomes vacuous.  ``resolution`` is accepted and ignored: the oracle
     has no grid, but the benchmark's ``verify`` workload still passes it.
     """

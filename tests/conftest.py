@@ -18,6 +18,8 @@ The closed form's own helpers that only tests call live here too:
 :func:`constraint_max`, :func:`stationary_curves` and :func:`min_overlap_at`
 wrap ``evebound``'s private families and roots with the checks and the
 ``np.errstate`` that :func:`~b92sec.evebound.eve_bound` gives its pass.
+So does the oracle's equality case, :func:`oracle_min_overlap`, which
+cross-checks the two solvers at targets no program path reaches.
 """
 
 import math
@@ -30,6 +32,7 @@ from b92sec.attacks import _check_signal_angle, outcome_probability, post_measur
 from b92sec.errors import DomainError, require
 from b92sec.estimation import COUNT_TABLE, ChannelTriple, ObservedCounts
 from b92sec.evebound import REACH_SLOP, _families, _overlap
+from b92sec.oracle import _search
 
 DEG = math.pi / 180.0
 # largest balance residual at which attack_noise_rate accepts a weakness
@@ -108,6 +111,11 @@ def min_overlap_at(a, b, target):
     require(target, t <= f.bmax + REACH_SLOP,
             "constraint target outside [-constraint_max(B), constraint_max(B)]")
     return _overlap(f, np.minimum(t, f.bmax))
+
+
+def oracle_min_overlap(a, b, target: float):
+    """Exact min |Tr[A X]| over contractions X with Tr[B X] = target."""
+    return _search(a, b, target, target)
 
 
 def explicit_qubit_block(theta: float, epsilon: float, transmission: float,
@@ -290,19 +298,20 @@ def attack_noise_rate(q: float, alpha: float) -> float:
 
 @pytest.fixture
 def gain_calls(monkeypatch):
-    """Counts the searches' calls of ``keyrate.key_gains``; a search that runs
-    away fails at the 1000th call instead of hanging."""
+    """Counts the calls of ``keyrate._pass``, the key-gain arithmetic that
+    :func:`~b92sec.keyrate.key_gains` and every search step run; a search
+    that runs away fails at the 1000th call instead of hanging."""
     from b92sec import keyrate
 
-    key_gains = keyrate.key_gains
+    gain_pass = keyrate._pass
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         assert len(calls) < 1000, "the search does not stop"
-        return key_gains(*args, **kwargs)
+        return gain_pass(*args, **kwargs)
 
-    monkeypatch.setattr(keyrate, "key_gains", counted)
+    monkeypatch.setattr(keyrate, "_pass", counted)
     return calls
 
 

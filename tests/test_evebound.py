@@ -28,7 +28,14 @@ from b92sec.evebound import (
 
 from b92sec.keyrate import key_gains
 
-from conftest import DEG, constraint_max, min_overlap_at, stationary_curves, sym_matrix
+from conftest import (
+    DEG,
+    constraint_max,
+    min_overlap_at,
+    oracle_min_overlap,
+    stationary_curves,
+    sym_matrix,
+)
 
 
 def contraction_grid_max_b(b: SymMat2, steps: int = 720) -> float:
@@ -268,7 +275,6 @@ class TestZeroOverlapLimit:
     def test_oracle_brackets_the_plateau_edge(self):
         # the oracle can still drive the overlap to zero just
         # below the limit and cannot just above it
-        from b92sec.oracle import oracle_min_overlap
 
         a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
         limit = stationary_curves(a, b).free_limit

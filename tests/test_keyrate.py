@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -272,6 +273,19 @@ def test_vanishing_transmission_is_free_without_overflow():
         assert positive_noise_limit(1e-300) == 0.0
 
 
+def checked_gains(alphas, theta, epsilon, transmission, mode: str) -> np.ndarray:
+    """Key gain at each entry through ``key_gains``; -inf where the scalar
+    call raises.  The searches' step, with the inputs checked on every call."""
+    g = key_gains(alphas, theta, epsilon, transmission, mode)
+    return np.where(g.failed, -math.inf, g.gain)
+
+
+def coarse_keyed(epsilon, transmission: float, mode: str) -> np.ndarray:
+    """Whether some angle of the coarse scan gives a positive gain, per noise rate."""
+    return np.max(checked_gains(keyrate.COARSE[:, None], 0.0, epsilon, transmission, mode),
+                  axis=0) > 0.0
+
+
 # The noise-limit bisection that ran a whole angle search at every step,
 # kept verbatim as the parity reference.
 def chained_positive_noise_limit(transmission: float, mode: str = "collision",
@@ -305,7 +319,7 @@ def chained_positive_noise_limit(transmission: float, mode: str = "collision",
 def stepwise_positive_noise_limit(transmission: float, mode: str = "collision",
                                   tol: float = 1e-5) -> float:
     def positive(eps: float) -> bool:
-        return np.max(keyrate._gains(keyrate.COARSE, 0.0, eps, transmission, mode)) > 0.0
+        return np.max(checked_gains(keyrate.COARSE, 0.0, eps, transmission, mode)) > 0.0
 
     if not positive(0.0):
         return 0.0
@@ -342,7 +356,7 @@ class TestPositiveNoiseLimit:
         # 5e-6 above it
         for t in (0.2, 0.5, 0.8, 1.0):
             limit = positive_noise_limit(t, mode)
-            keyed = keyrate._keyed(np.array([limit - 5e-6, limit + 5e-6]), t, mode)
+            keyed = coarse_keyed(np.array([limit - 5e-6, limit + 5e-6]), t, mode)
             assert keyed.tolist() == [True, False], t
 
     @pytest.mark.parametrize("mode", MODES)
@@ -401,25 +415,28 @@ class TestSearchBudget:
         # scan at eps = 1 instead of running on
         calls = []
 
-        def constant(alpha, theta, epsilon, transmission, mode):
+        def constant(alpha, theta, epsilon, transmission, information):
             calls.append(None)
             assert len(calls) <= 100, "the search does not stop"
             shape = np.broadcast(alpha, theta, epsilon, transmission).shape
-            return SimpleNamespace(failed=False, gain=np.full(shape, value))
+            # the pass returns KeyGains' fields in order
+            fields = dict.fromkeys(f.name for f in dataclasses.fields(keyrate.KeyGains))
+            fields.update(gain=np.full(shape, value), failed=np.zeros(shape, bool))
+            return tuple(fields.values())
 
-        monkeypatch.setattr(keyrate, "key_gains", constant)
+        monkeypatch.setattr(keyrate, "_pass", constant)
         if value == 0.0:
             assert optimal_angle(ChannelTriple(0.0, 0.01, 0.8)) == (0.0, 0.0)
         assert positive_noise_limit(0.8) == value
 
 
 # The golden-section search the grid sections replaced, kept verbatim as the
-# parity reference; it reads the same gains through ``keyrate._gains``.
+# parity reference; it reads the same gains through ``checked_gains``.
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _gains(alphas, triple: ChannelTriple, mode: str):
-    return keyrate._gains(alphas, triple.theta, triple.epsilon, triple.transmission, mode)
+    return checked_gains(alphas, triple.theta, triple.epsilon, triple.transmission, mode)
 
 
 def golden_optimal_angle(triple: ChannelTriple, mode: str = "collision",

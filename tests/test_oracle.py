@@ -17,9 +17,9 @@ from b92sec.evebound import (
     eve_bound,
     eve_max_gain,
 )
-from b92sec.oracle import nuclear_norm, oracle_min_overlap, oracle_min_overlap_lossy
+from b92sec.oracle import nuclear_norm, oracle_min_overlap_lossy
 
-from conftest import DEG, sym_matrix
+from conftest import DEG, oracle_min_overlap, sym_matrix
 
 
 def assert_certified(a, b, lo, hi, result):
