@@ -32,9 +32,9 @@ wrapper of one:
 Each pass of the noise limit, on the coarse scan's 90 angles, answers up
 to three scan steps or three bisection levels ahead: 5 or 6 passes per
 limit for T from 0.05 to 1, against 13 to 16 at one pass per step, with
-the same result.  Both searches run at one precision, the
-angle to within 1e-6 and the noise limit to within 1e-5, so each takes a
-fixed number of steps.
+the same result.  Both searches run at one precision, the angle to within
+1e-6 and the noise limit to within 1e-5, so each takes a fixed number of
+steps.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import numpy as np
 from .entropy import _entropy, binary_entropy
 from .errors import B92Error, DegenerateLinkError, DomainError, FirstFailure, require
 from .estimation import ChannelTriple
-from .evebound import _ONE, _TWO, _ZERO, OK, BoundArrays, _bound, collision_gain, shannon_gain
+from .evebound import (_HALF_PI, _ONE, _TWO, _ZERO, OK, BoundArrays, _bound, collision_gain,
+                       shannon_gain)
 
 # information Eve draws from probe overlap q, by estimation mode
 INFORMATION = {"collision": collision_gain, "shannon": shannon_gain}
@@ -65,14 +66,13 @@ LEVELS = 11
 CELLS = np.arange(SECTIONS + 1.0)[:, None]
 # the angle search's coarse scan: every whole degree in (0, pi/2]
 COARSE = np.arange(1, 91) * math.pi / 180.0
-# the bracket around each coarse sample: its neighbours, with half the first
-# angle below the first and the last angle above the last
+# the bracket around each coarse sample: its neighbours; below the first
+# sample, half of it, and above the last, the last itself
 BELOW = np.append(COARSE[0] / 2.0, COARSE[:-1])
 ABOVE = np.append(COARSE[1:], COARSE[-1])
 # the sample offsets of a grid-section bracket's ends
 ENDS = np.array([[-1], [1]])
-# selects the correct-bit tilt (index 0) over the flipped-bit tilt
-PAIR = np.array([True, False])
+# 0-d array operands where the pass meets an input (see evebound's)
 _QUARTER, _SECTIONS, _MINUS_TWO, _MINUS_INF = (
     np.array(v) for v in (0.25, float(SECTIONS), -2.0, -math.inf))
 
@@ -157,12 +157,12 @@ def _checked(mode: str, alpha, theta, epsilon, transmission):
     alpha, theta, epsilon, transmission = (
         v if v is None else np.asarray(v, dtype=float)
         for v in (alpha, theta, epsilon, transmission))
-    require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
+    require(transmission, (_ZERO <= transmission) & (transmission <= _ONE),
             "transmission outside [0, 1]")
     if alpha is not None:
-        require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "signal angle outside [0, pi/2]")
+        require(alpha, (_ZERO <= alpha) & (alpha <= _HALF_PI), "signal angle outside [0, pi/2]")
     require(theta, np.isfinite(theta), "tilt angle not finite")
-    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
+    require(epsilon, (_ZERO <= epsilon) & (epsilon <= _ONE), "noise parameter outside [0, 1]")
     return INFORMATION[mode], alpha, theta, epsilon, transmission
 
 
@@ -176,19 +176,21 @@ def _pass(alpha, theta, epsilon, transmission, information) -> tuple:
     # error, "1b" a correct bit; 1 - (1 - eps) cos is at least 0 for every eps
     # in [0, 1], so p_conc >= p_error and e lies in [0, 1] or is NaN
     quarter, keep = _QUARTER * transmission, _ONE - epsilon
-    p_error = quarter * (_ONE - keep * np.cos(theta))
-    p_conc = p_error + quarter * (_ONE - keep * np.cos(_TWO * alpha + theta))
+    p_error = quarter * (1.0 - keep * np.cos(theta))
+    p_conc = p_error + quarter * (1.0 - keep * np.cos(_TWO * alpha + theta))
     e = p_error / p_conc
-    defined = (p_conc > _ZERO) & (e < _ONE)
+    defined = (p_conc > 0.0) & (e < 1.0)
     # flipped bits see the tilt -2 alpha - theta, stacked under theta on a new
     # leading axis; entries without conclusive events get no bound, so they
     # pass a valid stand-in transmission
     ndim = max(alpha.ndim, theta.ndim, epsilon.ndim, transmission.ndim)
-    tilts = np.where(PAIR.reshape((2,) + (1,) * ndim), theta, _MINUS_TWO * alpha - theta)
+    flip = _MINUS_TWO * alpha - theta
+    tilts = np.empty((2,) + (1,) * (ndim - flip.ndim) + flip.shape)
+    tilts[0], tilts[1] = theta, flip
     bounds = _bound(alpha, alpha, tilts, epsilon, np.where(defined, transmission, _ONE))
     info = information(bounds.overlap_min)
-    info_f = np.where(e > _ZERO, info[1], _ZERO)
-    gain_correct = p_conc * (_ONE - e) * (_ONE - info[0])
+    info_f = np.where(e > 0.0, info[1], _ZERO)
+    gain_correct = p_conc * (1.0 - e) * (1.0 - info[0])
     gain_flipped = p_conc * e * (_ONE - info_f)
     failed = ~defined | (bounds.status[0] != OK)
     return (p_conc, e, info[0], info_f, gain_correct, gain_flipped,
@@ -317,12 +319,13 @@ def positive_noise_limit(transmission: float, mode: str = "collision") -> float:
     three scan steps, the next three scan steps, or the 7 midpoints of the
     next three bisection levels, from the same ``0.5 * (lo + hi)``
     arithmetic.  The steps then run in order, so the result is that of one
-    pass per step, in 5 passes instead of 14 at T = 0.8.  Returns 0 when even a noiseless channel yields nothing, and 1
-    when every scan step keeps a key.  The optimized gain can stay positive
-    a little past this crossing, where the best angle falls between whole
-    degrees: against the maximum over a 200,000-point angle grid the
-    crossing moved up by as much as 1.4e-5 (Shannon mode, T = 0.4), and the
-    value returned fell short of it by 1.1e-5.
+    pass per step, in 5 passes instead of 14 at T = 0.8.  Returns 0 when
+    even a noiseless channel yields nothing, and 1 when every scan step
+    keeps a key.  The optimized gain can stay positive a little past this
+    crossing, where the best angle falls between whole degrees: against
+    the maximum over a 200,000-point angle grid the crossing moved up by as
+    much as 1.4e-5 (Shannon mode, T = 0.4), and the value returned fell
+    short of it by 1.1e-5.
     """
     # the tilt is 0 and the noise rates are the scan's own
     information, *_, transmission = _checked(mode, None, 0.0, 0.0, transmission)

@@ -45,8 +45,9 @@ def search_rows() -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     tilted = (rng.uniform(-math.pi, math.pi, TILTED_ROWS),
               10.0 ** rng.uniform(-16.0, -1.0, TILTED_ROWS),
               rng.uniform(0.01, 1.0, TILTED_ROWS))
-    past = np.broadcast_arrays(np.array([0.0, 0.0, 0.0, math.pi / 2.0, -math.pi / 2.0, math.pi]),
-                               np.array([0.12, 0.3, 1.0, 1.0, 1.0, 1.0]), np.array(GRID_TS)[:, None])
+    past = np.broadcast_arrays(
+        np.array([0.0, 0.0, 0.0, math.pi / 2.0, -math.pi / 2.0, math.pi]),
+        np.array([0.12, 0.3, 1.0, 1.0, 1.0, 1.0]), np.array(GRID_TS)[:, None])
     tiny = (np.zeros(3), np.array([0.0, 0.01, 0.1]), np.full(3, 1e-300))
     return {"grid": grid, "tilted": tilted, "past": past, "tiny": tiny}
 
