@@ -287,17 +287,17 @@ def _families(a: SymMat2, b: SymMat2) -> Families:
     # construction, whose eigenvalues need no test.  A trace lost to rounding
     # (A nearly a multiple of B, as for theta near pi with eps near 1e-15)
     # leaves P with no correct digit, so such entries get no type3 root
-    type3 = np.abs(trace) >= 1e-14
+    type3 = abs(trace) >= 1e-14
     a_p = a.m11 * p11 + qs * p12 + a.m22 * p22
     b_p = b.m11 * p11 + bs * p12 + b.m22 * p22
     # type1: Q vanishes at eta = atan2(qs, qc) +- pi/2, where
     # |B| = |bs qc - bc qs| / hypot(qc, qs) on both roots
-    cross = np.abs(bs * qc - bc * qs)
+    cross = abs(bs * qc - bc * qs)
     limit = cross / np.hypot(qc, qs)
     # type3: Q vanishes at x = -a_p / (1 - a_p)
     x = -a_p / (1.0 - a_p)
-    on = type3 & (np.abs(x) <= 1.0)
-    limit = np.maximum(limit, np.where(on, np.abs(b_p * (1.0 - x) + x * tr_b), 0.0))
+    on = type3 & (abs(x) <= 1.0)
+    limit = np.maximum(limit, np.where(on, abs(b_p * (1.0 - x) + x * tr_b), 0.0))
     return Families(qc=qc, qs=qs, bc=bc, bs=bs, cross=cross, a_p=a_p, b_p=b_p, tr_b=tr_b,
                     type3=type3, free_limit=limit, bmax=bmax)
 
@@ -317,13 +317,13 @@ def _overlap(f: Families, t):
     # (t b +- sqrt(bmax^2 - t^2) b_perp) / bmax^2, b = (bc, bs), b_perp = (-bs, bc)
     dot = f.qc * f.bc + f.qs * f.bs
     side = np.sqrt(np.maximum(0.0, (f.bmax - t) * (f.bmax + t)))
-    q1 = np.abs(np.abs(t * dot) - side * f.cross) / f.bmax ** 2
+    q1 = abs(abs(t * dot) - side * f.cross) / f.bmax ** 2
     # type3's root: B = b_p (1 - x) + x tr_b = t is affine in x = cos eta;
     # where the family misses t it offers nothing
     x = (t - f.b_p) / (f.tr_b - f.b_p)
-    on = f.type3 & (np.abs(x) <= 1.0 + 1e-9)
+    on = f.type3 & (abs(x) <= 1.0 + 1e-9)
     x = np.minimum(np.maximum(x, -1.0), 1.0)
-    q3 = np.abs(f.a_p * (1.0 - x) + x)
+    q3 = abs(f.a_p * (1.0 - x) + x)
     better = on & (q3 < q1)
     regime = np.where(better, TYPE3, TYPE1)
     free = t <= f.free_limit + FREE_SLOP
