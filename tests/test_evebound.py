@@ -275,7 +275,6 @@ class TestZeroOverlapLimit:
     def test_oracle_brackets_the_plateau_edge(self):
         # the oracle can still drive the overlap to zero just
         # below the limit and cannot just above it
-
         a, b = build_matrices(10 * DEG, 15 * DEG, 0.05)
         limit = stationary_curves(a, b).free_limit
         below = oracle_min_overlap(a, b, limit - 0.01).value
