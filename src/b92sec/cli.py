@@ -79,6 +79,18 @@ EXIT_INFEASIBLE = 3
 EXIT_MISMATCH = 4
 
 
+class _SchemaAsked(Exception):
+    """Raised with the subcommand's schema line as ``--schema`` is parsed."""
+
+
+class _Schema(argparse.Action):
+    """``--schema``: answered as it is read, as ``--version`` is, so the
+    subcommand's required arguments may be left out."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _SchemaAsked(self.const)
+
+
 def _grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -249,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--output", help="write CSV here instead of stdout")
-        p.add_argument("--schema", action="store_true",
-                       help="print the column contract and exit")
+        p.add_argument("--schema", action=_Schema, nargs=0, help="print the column contract and exit",
+                       const=f"{name} v{__version__}: {SCHEMAS[name]}")
         return p
 
     p = add("infogain", cmd_infogain,
@@ -284,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"{unit}; default {getattr(KTH_LINK, field)}; not with --preset")
     p.add_argument("--alpha", type=float, default=11.0)
     p.add_argument("--l-grid", default="0:60:61", type=_grid)
-    p.add_argument("--mode", choices=MODES, default="collision")
+    p.add_argument("--mode", choices=MODES, default="collision",
+                   help="g_b92's measure; g_bb84 is the collision-measure BB84 gain in either mode")
 
     p = add("simulate", cmd_simulate, "Monte-Carlo protocol run from a config file")
     p.add_argument("--config", required=True)
@@ -301,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.schema:
-        print(f"{args.command} v{__version__}: {SCHEMAS[args.command]}")
-        return EXIT_OK
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except _SchemaAsked as schema:
+        print(schema)
+        return EXIT_OK
     except (EstimationInfeasibleError, UnreachableChannelError,
             OracleInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

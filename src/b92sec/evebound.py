@@ -316,8 +316,10 @@ def _overlap(f: Families, t):
     # type1: the roots of B = t put (cos eta, sin eta) at
     # (t b +- sqrt(bmax^2 - t^2) b_perp) / bmax^2, b = (bc, bs), b_perp = (-bs, bc)
     dot = f.qc * f.bc + f.qs * f.bs
-    side = np.sqrt(np.maximum(0.0, (f.bmax - t) * (f.bmax + t)))
-    q1 = abs(abs(t * dot) - side * f.cross) / f.bmax ** 2
+    side = np.sqrt((f.bmax - t) * (f.bmax + t))
+    # an ndarray even for one entry, whose arithmetic gives numpy scalars, so
+    # the masked copies below write into it at every shape
+    q1 = np.asarray(abs(abs(t * dot) - side * f.cross) / f.bmax ** 2)
     # type3's root: B = b_p (1 - x) + x tr_b = t is affine in x = cos eta;
     # where the family misses t it offers nothing
     x = (t - f.b_p) / (f.tr_b - f.b_p)
@@ -327,14 +329,10 @@ def _overlap(f: Families, t):
     better = on & (q3 < q1)
     regime = np.where(better, TYPE3, TYPE1)
     free = t <= f.free_limit + FREE_SLOP
-    if q1.ndim:
-        # masked copies into the fresh q1 and regime dispatch faster than
-        # np.where; 0-d, np.where keeps its 0-d array results
-        np.copyto(q1, q3, where=better)
-        np.copyto(q1, _ZERO, where=free)
-        np.copyto(regime, FREE, where=free)
-        return q1, regime
-    return np.where(free, _ZERO, np.where(better, q3, q1)), np.where(free, FREE, regime)
+    np.copyto(q1, q3, where=better)
+    np.copyto(q1, _ZERO, where=free)
+    np.copyto(regime, FREE, where=free)
+    return q1, regime
 
 
 def _bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:

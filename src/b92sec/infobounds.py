@@ -50,16 +50,15 @@ class BoundReport:
 
     ``term_state`` bounds how well Bob and Eve jointly distinguish Alice's
     states; ``term_control`` bounds how well Eve steers Bob's conclusive
-    outcome; ``total`` is their sum, and ``upper_bound`` divides by the
-    correct-bit fraction.  Values of one bit or more are vacuous and are
-    kept unclamped.  Each field has the broadcast shape of the inputs.
+    outcome; ``upper_bound`` divides their sum by the correct-bit fraction.
+    Values of one bit or more are vacuous and are kept unclamped.  Each
+    field has the broadcast shape of the inputs.
     """
 
     p_conc: np.ndarray
     error_rate: np.ndarray
     term_state: np.ndarray
     term_control: np.ndarray
-    total: np.ndarray
     upper_bound: np.ndarray
 
 
@@ -85,12 +84,10 @@ def shannon_upper_bound(alpha, epsilon, transmission) -> BoundReport:
     term_state = (1.0 - binary_entropy(
         0.5 * (1.0 - np.sqrt(1.0 - np.cos(alpha) ** 2)))) / p_conc
     term_control = 1.0 - conclusive_entropy_floor(p_conc / transmission, alpha)
-    total = term_state + term_control
     return BoundReport(
         p_conc=p_conc,
         error_rate=e,
         term_state=term_state,
         term_control=term_control,
-        total=total,
-        upper_bound=total / (1.0 - e),
+        upper_bound=(term_state + term_control) / (1.0 - e),
     )

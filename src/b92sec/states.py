@@ -28,10 +28,11 @@ def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
     """Bob's five outcome probabilities at analyzer angle ``alpha``.
 
     The state is T * rho_qubit (+) (1 - T)|vac><vac| with the qubit's Bloch
-    vector at angle ``phi`` and length ``r`` in the x-z plane.  Bob picks one
-    of two conjugate bases with probability 1/2; his four polarization
-    effects are half-weight projectors at -a, pi - a, a and pi + a.  With
-    c0 = r cos(phi + a) and c1 = r cos(phi - a) the table is
+    vector at angle ``phi`` and length ``r`` in the x-z plane; ``r`` lies in
+    [0, 1] and T in [0, 1], so every entry lies in [0, 1], in floats too.
+    Bob picks one of two conjugate bases with probability 1/2; his four
+    polarization effects are half-weight projectors at -a, pi - a, a and
+    pi + a.  With c0 = r cos(phi + a) and c1 = r cos(phi - a) the table is
 
         (T/4)(1 + c0), (T/4)(1 - c0), (T/4)(1 + c1), (T/4)(1 - c1), 1 - T
 
@@ -47,9 +48,6 @@ def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
     polarization = table[..., :4]
     polarization[..., 0], polarization[..., 1] = 1.0 + c0, 1.0 - c0
     polarization[..., 2], polarization[..., 3] = 1.0 + c1, 1.0 - c1
-    # |c| <= 1 in floats too whenever r <= 1, as for every caller; the clamp
-    # only covers r > 1
-    np.maximum(0.0, polarization, out=polarization)
     polarization *= 0.25 * transmission[..., np.newaxis]
     table[..., 4] = 1.0 - transmission
     return table

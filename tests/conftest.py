@@ -54,8 +54,8 @@ def ket(phi: float) -> np.ndarray:
 
 
 def bar_ket(phi: float) -> np.ndarray:
-    s, c = math.sin(phi / 2.0), math.cos(phi / 2.0)
-    return np.array([s, -c]) if phi >= 0.0 else np.array([-s, c])
+    """The ket orthogonal to ``ket(phi)``: ``-ket(phi + pi)``, at every phi."""
+    return np.array([math.sin(phi / 2.0), -math.cos(phi / 2.0)])
 
 
 def projector(vec: np.ndarray) -> np.ndarray:

@@ -296,6 +296,13 @@ class TestChannelPlumbing:
             parse_attack("teleport", 0.3)
         with pytest.raises(DomainError):
             parse_attack("weak-meas(q)", 0.3)
+        with pytest.raises(DomainError, match=r"cannot parse attack stage: 'loss\(T=0\.5'"):
+            parse_attack("identity|loss(T=0.5", 0.3)
+
+    def test_zero_weight_branches_are_dropped(self):
+        # compose drops a branch that neither bit reaches, mix a side of weight 0
+        assert parse_attack("depolarize(epsilon=0)|loss(T=1)", 0.3) == identity_attack()
+        assert parse_attack("mixed(q=0.2, lambda=1)", 0.3) == weak_measurement_attack(0.2, 0.3)
 
     def test_parse_keeps_aliases_and_defaults(self):
         assert parse_attack("depolarize(eps=0.1)", 0.3) == depolarize(0.1)

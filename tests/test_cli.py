@@ -58,6 +58,13 @@ def test_schema_flag(capsys, command):
     assert out == f"{command} v{__version__}: {SCHEMAS[command]}\n"
 
 
+@pytest.mark.parametrize("command", SCHEMAS)
+def test_schema_needs_no_required_argument(capsys, command):
+    code, out, err = run(capsys, command, "--schema")
+    assert code == EXIT_OK and err == ""
+    assert out == f"{command} v{__version__}: {SCHEMAS[command]}\n"
+
+
 class TestInfogain:
     def test_basic_run(self, capsys):
         code, out, _ = run(capsys, "infogain", "--alpha", "40", "--T", "0.8",
@@ -201,6 +208,12 @@ class TestKeygainCommands:
     def test_distance_rejects_bad_lengths_and_dead_links(self, capsys, args, message):
         code, out, err = run(capsys, "distance", *args)
         assert code == EXIT_DOMAIN and out == "" and err == message
+
+    def test_grid_count_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["optangle", "--eps-grid", "0:0.1:0"])
+        assert excinfo.value.code == 2
+        assert "grid count must be at least 1" in capsys.readouterr().err
 
     def test_bad_grid_syntax_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

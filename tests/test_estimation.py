@@ -132,6 +132,10 @@ class TestMalformedRecords:
         with pytest.raises(DomainError, match="counts CSV has unknown field 'n_totl'"):
             ObservedCounts.from_csv(f"{HEADER},n_totl\n{GOOD_ROW},7\n")
 
+    def test_csv_two_records(self):
+        with pytest.raises(DomainError, match="counts CSV must hold exactly one record, got 2"):
+            ObservedCounts.from_csv(f"{HEADER}\n{GOOD_ROW}\n{GOOD_ROW}\n")
+
     def test_csv_row_longer_than_its_header(self):
         message = "counts CSV row has cells past its header: ['7']"
         with pytest.raises(DomainError, match=re.escape(message)):

@@ -477,7 +477,7 @@ class TestArrayParity:
                 assert type(bound.error(k)) is type(exc)
                 failures += 1
                 continue
-            assert bound.status[k] == OK
+            assert bound.status[k] == OK and bound.error(k) is None
             assert abs(bound.overlap_min[k] - res.overlap_min) <= 1e-12
             assert FAMILIES[bound.regime[k]] == res.achieving.family
         assert 0 < failures == np.count_nonzero(bound.status != OK)
@@ -489,6 +489,17 @@ class TestArrayParity:
         bound = eve_bound(alpha, alpha, theta, eps, t)
         regimes = set(bound.regime[bound.status == OK].tolist())
         assert {FREE, TYPE1, TYPE3} <= regimes
+
+    def test_one_entry_call_returns_0d_arrays(self):
+        alpha, theta, eps, t = self.channels()
+        bound = eve_bound(alpha, alpha, theta, eps, t)
+        for regime in (FREE, TYPE1, TYPE3):
+            k = np.flatnonzero((bound.regime == regime) & (bound.status == OK))[0]
+            one = eve_bound(alpha[k], alpha[k], theta[k], eps[k], t[k])
+            for field in (one.overlap_min, one.regime):
+                assert type(field) is np.ndarray and field.shape == ()
+            assert one.regime == regime
+            assert abs(one.overlap_min - bound.overlap_min[k]) <= 1e-12
 
 
 def whole_domain_targets(rng, n: int):

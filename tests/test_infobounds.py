@@ -88,6 +88,14 @@ class TestEntropyFloor:
     def test_parallel_limit_gives_no_control(self):
         assert conclusive_entropy_floor(0.5, 1e-9) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("edge", (1.0, -1.0))
+    def test_rate_rounded_past_the_window_edge_gives_no_control(self, edge):
+        # the range check lets |1 - 2x| / cos a exceed 1 by up to 1e-12; here
+        # by 3.1e-14, where 1 - ratio^2 is negative and the radical is 0
+        alpha = 0.7
+        x = 0.5 * (1.0 - edge * math.cos(alpha) * (1.0 + 3.1e-14))
+        assert conclusive_entropy_floor(x, alpha) == 1.0
+
     def test_infeasible_rate_rejected(self):
         with pytest.raises(DomainError):
             conclusive_entropy_floor(0.01, 0.3)  # below (1 - cos a)/2 at small a?
@@ -113,10 +121,9 @@ class TestShannonUpperBound:
             eps = rng.uniform(0.0, 0.9)
             t = rng.uniform(0.1, 1.0)
             rep = shannon_upper_bound(alpha, eps, t)
-            assert rep.total == pytest.approx(rep.term_state + rep.term_control)
             if not math.isinf(rep.upper_bound):
                 assert rep.upper_bound == pytest.approx(
-                    rep.total / (1 - rep.error_rate))
+                    (rep.term_state + rep.term_control) / (1 - rep.error_rate))
 
     def test_bound_decreases_with_noise_in_small_angle_regime(self):
         # the ceiling falls as noise rises at alpha = 10 deg, T = 0.3

@@ -77,6 +77,16 @@ class TestOracleTrivials:
             oracle_min_overlap(a, b, reach + 1e-6)
 
 
+def test_double_root_rounded_to_a_negative_discriminant():
+    # det(A - lam B) has its double root at 0 in exact arithmetic; A's
+    # off-diagonal one ulp high puts the discriminant at -4.4e-16
+    a = SymMat2(0.5, math.nextafter(0.5, 1.0), 0.5)
+    b = SymMat2(1.0, 0.0, -1.0)
+    got = oracle_min_overlap(a, b, 0.5)
+    assert got.value == 0.0
+    assert_certified(a, b, 0.5, 0.5, got)
+
+
 class TestOracleAgainstClosedForm:
     def test_agreement_on_random_channels(self, rng):
         checked = 0
