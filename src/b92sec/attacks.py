@@ -29,10 +29,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError, _key_values, require
-from .evebound import eve_bound
 
 # Newton steps of critical_weakness; from q = 0 the third step is within a
 # relative 3e-14 of the root at every signal angle, the fourth reaches rounding
@@ -215,18 +212,6 @@ def mix(first: AttackChannel, second: AttackChannel, weight: float) -> AttackCha
         for br in channel.branches:
             branches.append(replace(br, weights=(scale * br.weights[0], scale * br.weights[1])))
     return AttackChannel(tuple(branches))
-
-
-def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:
-    """Boolean matrix over (alpha, eps): True where Eve's gain is unity.
-
-    Entry [i, j] refers to alpha_grid[i], eps_grid[j], with the analyzer
-    matched to the signal angle and theta = 0.  Every entry is reachable
-    there: the target (cos alpha - (1 - T)) / T is at most cos alpha, which
-    B reaches, so no entry can fail.
-    """
-    alphas = np.asarray(alpha_grid, dtype=float)[:, np.newaxis]
-    return eve_bound(alphas, alphas, 0.0, eps_grid, transmission).overlap_min <= 1e-9
 
 
 # --- attack description strings ---------------------------------------------------

@@ -32,7 +32,6 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import __version__
-from .attacks import full_info_region
 from .errors import (
     B92Error,
     DomainError,
@@ -41,7 +40,8 @@ from .errors import (
     UnreachableChannelError,
     require,
 )
-from .evebound import UNREACHABLE, build_matrices, collision_gain, eve_bound, shannon_gain
+from .evebound import (UNREACHABLE, build_matrices, collision_gain, eve_bound, full_info_region,
+                       shannon_gain)
 from .infobounds import shannon_upper_bound
 from .keyrate import (
     KTH_LINK,

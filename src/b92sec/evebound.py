@@ -27,8 +27,10 @@ per-call price once per quantity.
 :func:`eve_max_gain` is the one-entry wrapper that raises an unreachable
 status as :class:`UnreachableChannelError`; Eve's bound on flipped bits is
 the same bound at the tilt -2 alpha - theta, which
-:func:`~b92sec.keyrate.key_gains` stacks with theta in one pass.  The
-families answer every channel, the noiseless ones included: there
+:func:`~b92sec.keyrate.key_gains` stacks with theta in one pass.
+:func:`full_info_region` is one :func:`eve_bound` call over an (alpha, eps)
+grid at theta = 0, marking where the overlap vanishes.  The families
+answer every channel, the noiseless ones included: there
 det B = -eps (1 - eps/2) / 2 = 0, type3 has no root,
 and type1's candidate reduces to the eps = 0 closed form
 q = target / |cos(alpha + theta)|.  The one channel where A is 0/0, eps = 0
@@ -373,6 +375,18 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
             "transmission outside (0, 1]")
     require(epsilon, (_ZERO <= epsilon) & (epsilon <= _ONE), "noise parameter outside [0, 1]")
     return _bound(alpha_prime, alpha, theta, epsilon, transmission)
+
+
+def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:
+    """Boolean matrix over (alpha, eps): True where Eve's gain is unity.
+
+    Entry [i, j] refers to alpha_grid[i], eps_grid[j], with the analyzer
+    matched to the signal angle and theta = 0.  Every entry is reachable
+    there: the target (cos alpha - (1 - T)) / T is at most cos alpha, which
+    B reaches, so no entry can fail.
+    """
+    alphas = np.asarray(alpha_grid, dtype=float)[:, np.newaxis]
+    return eve_bound(alphas, alphas, 0.0, eps_grid, transmission).overlap_min <= 1e-9
 
 
 def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:

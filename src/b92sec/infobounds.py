@@ -9,7 +9,9 @@ which *decreases* with noise in the small-angle regime, explaining the
 drop of the exact optimum there.  These formulas hold for theta = 0 with
 the analyzer matched to the signal angle (alpha' = alpha).  Both functions
 work elementwise over broadcast arrays; the conclusive rate and the error
-rate are read off Bob's outcome table (:func:`~b92sec.states.outcome_table`).
+rate are :func:`~b92sec.states.conclusive_rates` at theta = 0, and the
+state term is :func:`~b92sec.evebound.shannon_gain` of the signals'
+overlap cos(alpha).
 """
 
 from __future__ import annotations
@@ -18,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import math
+
 from .entropy import binary_entropy
 from .errors import require
-from .states import OUTCOMES, outcome_table
+from .evebound import shannon_gain
+from .states import conclusive_rates
 
 
 def conclusive_entropy_floor(x, alpha):
@@ -65,24 +70,23 @@ class BoundReport:
 def shannon_upper_bound(alpha, epsilon, transmission) -> BoundReport:
     """Ceiling on Eve's Shannon gain per correct bit (theta = 0, alpha' = alpha).
 
-    On the bit-0 signal (Bloch angle -alpha, length 1 - epsilon) outcome
-    "0b" is an error and "1b" a correct bit; their sum is the conclusive
-    rate.  A :class:`DomainError` is raised if any entry has a noise
-    parameter outside [0, 1], a transmission outside (0, 1] or no
-    conclusive events.
+    The conclusive and error rates are
+    :func:`~b92sec.states.conclusive_rates` at theta = 0.  A
+    :class:`DomainError` is raised if any entry has a noise parameter
+    outside [0, 1], a transmission outside (0, 1], an analyzer angle
+    outside [0, pi/2] or no conclusive events.
     """
-    alpha, epsilon, transmission = np.broadcast_arrays(alpha, epsilon, transmission)
+    alpha, epsilon, transmission = np.broadcast_arrays(
+        np.asarray(alpha, dtype=float), epsilon, transmission)
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")
-    table = outcome_table(alpha, -alpha, 1.0 - epsilon, transmission)
-    p_error, p_correct = table[..., OUTCOMES.index("0b")], table[..., OUTCOMES.index("1b")]
-    p_conc = p_error + p_correct
+    require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "analyzer angle outside [0, pi/2]")
+    p_error, p_conc = conclusive_rates(alpha, 0.0, epsilon, transmission)
     require(p_conc, p_conc > 0.0, "conclusive probability vanishes; bound undefined")
     # the error rate is at most 1/2, so the correct-bit fraction never vanishes
     e = p_error / p_conc
-    term_state = (1.0 - binary_entropy(
-        0.5 * (1.0 - np.sqrt(1.0 - np.cos(alpha) ** 2)))) / p_conc
+    term_state = shannon_gain(np.cos(alpha)) / p_conc
     term_control = 1.0 - conclusive_entropy_floor(p_conc / transmission, alpha)
     return BoundReport(
         p_conc=p_conc,

@@ -6,8 +6,9 @@ flipped bits, and the encrypted error-correction redundancy h(e).  All
 figures assume the analyzer matched to the signal angle (alpha' = alpha).
 
 :func:`key_gains` computes the accounting over broadcast arrays of
-(alpha, theta, eps, T), with Eve's bounds on correct and flipped bits from
-one pass of :func:`~b92sec.evebound.eve_bound`'s arithmetic over both
+(alpha, theta, eps, T), with the conclusive and error rates from
+:func:`~b92sec.states.conclusive_rates` and Eve's bounds on correct and
+flipped bits from one pass of :func:`~b92sec.evebound.eve_bound`'s arithmetic over both
 tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
 eve_bound's messages, under one ``np.errstate``, then runs one private
 pass that checks nothing and runs under that errstate, so a one-entry
@@ -47,8 +48,9 @@ import numpy as np
 from .entropy import _entropy, binary_entropy
 from .errors import B92Error, DegenerateLinkError, DomainError, FirstFailure, require
 from .estimation import ChannelTriple
-from .evebound import (_HALF_PI, _ONE, _TWO, _ZERO, OK, BoundArrays, _bound, collision_gain,
+from .evebound import (_HALF_PI, _ONE, _ZERO, OK, BoundArrays, _bound, collision_gain,
                        shannon_gain)
+from .states import conclusive_rates
 
 # information Eve draws from probe overlap q, by estimation mode
 INFORMATION = {"collision": collision_gain, "shannon": shannon_gain}
@@ -73,8 +75,8 @@ ABOVE = np.append(COARSE[1:], COARSE[-1])
 # the sample offsets of a grid-section bracket's ends
 ENDS = np.array([[-1], [1]])
 # 0-d array operands where the pass meets an input (see evebound's)
-_QUARTER, _SECTIONS, _MINUS_TWO, _MINUS_INF = (
-    np.array(v) for v in (0.25, float(SECTIONS), -2.0, -math.inf))
+_SECTIONS, _MINUS_TWO, _MINUS_INF = (
+    np.array(v) for v in (float(SECTIONS), -2.0, -math.inf))
 
 
 @dataclass(frozen=True)
@@ -172,12 +174,8 @@ def _pass(alpha, theta, epsilon, transmission, information) -> tuple:
     Returns the fields of :class:`KeyGains`, in order; runs under the
     caller's ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    # Bob's conclusive outcomes on the symmetrized bit-0 signal: "0b" is an
-    # error, "1b" a correct bit; 1 - (1 - eps) cos is at least 0 for every eps
-    # in [0, 1], so p_conc >= p_error and e lies in [0, 1] or is NaN
-    quarter, keep = _QUARTER * transmission, _ONE - epsilon
-    p_error = quarter * (1.0 - keep * np.cos(theta))
-    p_conc = p_error + quarter * (1.0 - keep * np.cos(_TWO * alpha + theta))
+    # p_conc >= p_error, so e lies in [0, 1] or is NaN
+    p_error, p_conc = conclusive_rates(alpha, theta, epsilon, transmission)
     e = p_error / p_conc
     defined = (p_conc > 0.0) & (e < 1.0)
     # flipped bits see the tilt -2 alpha - theta, stacked under theta on a new

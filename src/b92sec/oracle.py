@@ -94,12 +94,9 @@ class OracleResult:
     gap: float
 
 
-def nuclear_norm(b: SymMat2):
-    """|l1| + |l2| = max(|tr B|, |(b11 - b22, 2 b12)|): the largest Tr[B X].
-
-    Broadcasts over array entries.
-    """
-    return np.maximum(abs(b.trace()), np.hypot(b.m11 - b.m22, 2.0 * b.m12))
+def nuclear_norm(b: SymMat2) -> float:
+    """|l1| + |l2| = max(|tr B|, |(b11 - b22, 2 b12)|): the largest Tr[B X]."""
+    return max(abs(b.m11 + b.m22), math.hypot(b.m11 - b.m22, 2.0 * b.m12))
 
 
 def _sum(s: float, x: SymMat2, t: float, y: SymMat2) -> SymMat2:
@@ -138,7 +135,7 @@ def _real_roots(q2: float, q1: float, q0: float) -> list[float]:
 
 
 def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> list[float]:
-    """The finite lambdas among which g attains its minimum, when it is attained."""
+    """The lambdas among which g attains its minimum, when it is attained."""
     lam = [0.0]
     # det(C - lam B) = det C - lam (c11 b22 + c22 b11 - 2 c12 b12) + lam^2 det B
     lam += _real_roots(b.det(), -(c.m11 * b.m22 + c.m22 * b.m11 - 2.0 * c.m12 * b.m12),
@@ -153,7 +150,8 @@ def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> list[float]:
             if abs(s) < width:
                 rise = s * p / math.sqrt((width - s) * (width + s))
                 lam.append((uw - width * rise) / width ** 2)
-    return [x for x in lam if math.isfinite(x)]
+    # a non-finite lambda has g inf or NaN, never below g(0) = |C|_*, which comes first
+    return lam
 
 
 def _polar(b: SymMat2) -> tuple[SymMat2, SymMat2]:
@@ -182,7 +180,7 @@ def _reflection_on_edge(b: SymMat2, edge: float, x: SymMat2) -> SymMat2:
 def _dual_end(c: SymMat2, b: SymMat2, lo: float, hi: float) -> tuple[float, SymMat2]:
     """max Tr[C X] over the feasible set: (dual bound, certificate X)."""
     lams = _candidates(c, b, lo, hi)
-    g = [float(nuclear_norm(_sum(1.0, c, -lam, b))) + max(lam * lo, lam * hi) for lam in lams]
+    g = [nuclear_norm(_sum(1.0, c, -lam, b)) + max(lam * lo, lam * hi) for lam in lams]
     # the first minimum, as np.argmin takes it
     bound = min(g)
     lam = lams[g.index(bound)]
@@ -220,7 +218,7 @@ def _face_end(c: SymMat2, b: SymMat2, sign: float) -> tuple[float, SymMat2]:
 
 def _search(a: SymMat2, b: SymMat2, lo: float, hi: float) -> OracleResult:
     a, b = (SymMat2(float(m.m11), float(m.m12), float(m.m22)) for m in (a, b))
-    reach = float(nuclear_norm(b))
+    reach = nuclear_norm(b)
     if lo > reach or hi < -reach:
         raise OracleInfeasibleError(
             f"no contraction meets the constraint [{lo:.6g}, {hi:.6g}]; "

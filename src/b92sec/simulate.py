@@ -14,8 +14,9 @@ The draw comes from ``Generator(Philox(key=seed)).multinomial``, so the
 counts are a function of the seed and the config alone, and a run costs the
 same at any pulse count: on a 2-core VM (Python 3.11, numpy 2.4)
 :func:`run_simulation` takes about 0.07-0.13 ms at 1e7 and at 1e9 pulses;
-the README's "Simulator" entry gives the timing command.  Counts drawn this way
-differ from those of the earlier per-pulse sampler for every seed.
+the README's "Simulator" entry gives the timing command.  Errors, conclusive
+events and the correct bits Eve's record is judged on follow Bob's decoding
+rule, :data:`~b92sec.states.CORRECT` and :data:`~b92sec.states.ERROR`.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ from .attacks import AttackChannel, parse_attack
 from .errors import DomainError, EstimationInfeasibleError, _key_values, is_integer, require
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
-from .states import OUTCOMES, outcome_table
+from .states import CORRECT, ERROR, outcome_table
 
 _CONFIG_KEYS = ("n_total", "alpha_deg", "alpha_prime_deg", "attack", "seed")
-# Bob's outcome on a surviving correct bit, by Alice's bit: "1b" decodes to 0, "0b" to 1
-_CORRECT = (OUTCOMES.index("1b"), OUTCOMES.index("0b"))
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class SimResult:
     """Counters, estimate and the joint counts indexed [bit][branch][outcome].
 
     ``joint`` holds the pulses per Alice bit, attack branch and Bob outcome
-    (``OUTCOMES`` order) as nested tuples of ints.  ``simulate`` writes
+    (:data:`~b92sec.states.OUTCOMES` order) as nested tuples of ints.  ``simulate`` writes
     ``dataclasses.asdict`` of a result as its JSON record, fields in this
     order.  ``estimated`` is None where the estimator rejected the counts;
     :func:`require_estimate` raises its error again.
@@ -138,18 +137,21 @@ def run_simulation(config: SimConfig) -> SimResult:
     live = p > 0.0
     joint = np.zeros(p.shape, dtype=np.int64)
     joint[live] = Generator(Philox(key=config.seed)).multinomial(config.n_total, p[live])
-    counts = ObservedCounts.from_table(config.n_total, joint.sum(axis=1))
+    table = joint.sum(axis=1)
+    counts = ObservedCounts.from_table(config.n_total, table)
 
-    # outcome "1b" decodes to received bit 0, "0b" to received bit 1
-    conclusive = counts.n0b0 + counts.n0b1 + counts.n1b0 + counts.n1b1
-    errors = counts.n0b0 + counts.n1b1
+    # Bob's correct and erroneous conclusive outcomes by Alice's bit, in
+    # states.CORRECT and states.ERROR
+    rows = table.tolist()
+    right, errors = (rows[0][k0] + rows[1][k1] for k0, k1 in (CORRECT, ERROR))
+    conclusive = right + errors
     error_rate = errors / conclusive if conclusive else None
 
-    # surviving correct bits per (bit, branch), outcome 1b for bit 0 and 0b for
-    # bit 1, against the bit Eve recorded in each branch
+    # surviving correct bits per (bit, branch), against the bit Eve recorded
+    # in each branch
     planes = joint.tolist()
     guesses = [-1 if br.guess is None else br.guess for br in branches]
-    correct = [[cells[k] for cells in plane] for plane, k in zip(planes, _CORRECT)]
+    correct = [[cells[k] for cells in plane] for plane, k in zip(planes, CORRECT)]
     recorded = sum(n for row in correct for n, guess in zip(row, guesses) if guess >= 0)
     matched = sum(n for bit, row in enumerate(correct)
                   for n, guess in zip(row, guesses) if guess == bit)

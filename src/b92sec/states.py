@@ -8,6 +8,13 @@ state is T * rho_qubit (+) (1 - T)|vac><vac|: a transmission weight T and
 the qubit's Bloch vector, which in the x-z plane is an angle and a length.
 Bob's five outcome probabilities for such a state are one closed form over
 arrays of those three numbers, :func:`outcome_table`.
+
+The module also owns Bob's outcome statistics.  ``CORRECT`` and ``ERROR``
+are his decoding rule: for each of Alice's bits, the conclusive outcome
+that is a correct bit and the one that is an error; the simulator counts
+through them.  :func:`conclusive_rates` gives the rates of error and of
+conclusive events on the symmetrized channel, which the key gain and the
+information ceiling read.
 """
 
 from __future__ import annotations
@@ -17,11 +24,19 @@ import math
 import numpy as np
 
 from .errors import require
+from .evebound import _ONE, _TWO
 
 # Bob's five measurement outcomes.  "0b"/"1b" are the conclusive outcomes
 # (detection in the state orthogonal to one of Alice's signals), "V" is the
 # photon-number filter (zero or more than one photon).
 OUTCOMES = ("0", "0b", "1", "1b", "V")
+# Bob's decoding rule: "1b" decodes to bit 0 and "0b" to bit 1, so the
+# columns of OUTCOMES that hold a correct and an erroneous conclusive
+# outcome, indexed by Alice's bit
+CORRECT = (OUTCOMES.index("1b"), OUTCOMES.index("0b"))
+ERROR = CORRECT[::-1]
+# 0-d array operand where the rates meet an input (see evebound's)
+_QUARTER = np.array(0.25)
 
 
 def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
@@ -52,3 +67,20 @@ def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
     table[..., 4] = 1.0 - transmission
     return table
 
+
+def conclusive_rates(alpha, theta, epsilon, transmission) -> tuple:
+    """Rates per pulse of Bob's erroneous and of all his conclusive outcomes.
+
+    Over float arrays the caller has checked, on the symmetrized channel
+    (theta, eps, T) with the analyzer matched to the signal angle
+    (alpha' = alpha).  Alice's bit-0 signal arrives at Bloch angle
+    -(alpha + theta) with length 1 - eps, so by :func:`outcome_table` its
+    error ``ERROR[0]`` has rate (T/4)(1 - (1 - eps) cos theta) and its
+    correct bit ``CORRECT[0]`` (T/4)(1 - (1 - eps) cos(2 alpha + theta));
+    bit 1's signal mirrors it.  Returns (p_error, p_conc), p_conc the sum
+    of the two; 1 - (1 - eps) cos is at least 0 for every eps in [0, 1], so
+    p_conc >= p_error.
+    """
+    quarter, keep = _QUARTER * transmission, _ONE - epsilon
+    p_error = quarter * (1.0 - keep * np.cos(theta))
+    return p_error, p_error + quarter * (1.0 - keep * np.cos(_TWO * alpha + theta))

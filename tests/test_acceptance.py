@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from b92sec.attacks import critical_weakness, full_info_region, rotation_attack
+from b92sec.attacks import critical_weakness, rotation_attack
 from b92sec.errors import OracleInfeasibleError, UnreachableChannelError
 from b92sec.estimation import ChannelTriple, ObservedCounts, estimate_channel, expected_counts
-from b92sec.evebound import build_matrices, eve_max_gain
+from b92sec.evebound import build_matrices, eve_max_gain, full_info_region
 from b92sec.infobounds import conclusive_entropy_floor, shannon_upper_bound
 from b92sec.keyrate import (
     KTH_LINK,

@@ -9,7 +9,6 @@ from b92sec.attacks import (
     AttackChannel,
     critical_weakness,
     depolarize,
-    full_info_region,
     identity_attack,
     loss,
     mix,
@@ -21,7 +20,7 @@ from b92sec.attacks import (
 )
 from b92sec.errors import DomainError
 from b92sec.estimation import ChannelTriple
-from b92sec.evebound import eve_max_gain
+from b92sec.evebound import eve_max_gain, full_info_region
 from b92sec.simulate import SimConfig, run_simulation
 
 from conftest import (

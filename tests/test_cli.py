@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from b92sec import __version__
-from b92sec.attacks import full_info_region
 from b92sec.cli import (
     EXIT_DOMAIN,
     EXIT_INFEASIBLE,
@@ -19,7 +18,7 @@ from b92sec.cli import (
 )
 from b92sec.errors import UnreachableChannelError
 from b92sec.estimation import ChannelTriple, ObservedCounts, estimate_channel
-from b92sec.evebound import collision_gain, eve_bound, shannon_gain
+from b92sec.evebound import collision_gain, eve_bound, full_info_region, shannon_gain
 from b92sec.keyrate import (
     KTH_LINK,
     MODES,

@@ -87,6 +87,19 @@ def test_double_root_rounded_to_a_negative_discriminant():
     assert_certified(a, b, 0.5, 0.5, got)
 
 
+@pytest.mark.parametrize("a, b, target, value", [
+    # det B != 0: the quadratic det(A - lam B) = 0 has its root h / q2 at the dual's minimum
+    (SymMat2(0.28, -0.70, 0.27), SymMat2(0.05, 0.48, 0.34), -0.87, 0.896779203555382),
+    # det B = 0: the determinant is linear in lam, and its root -q0 / q1 is the minimum
+    (SymMat2(-0.63, -0.13, 0.40), SymMat2(-0.36, 0.0, 0.0), -0.33, 0.173979166666667),
+], ids=["quadratic", "linear"])
+def test_determinant_root_decides_a_general_dual(a, b, target, value):
+    # value: tools/dual_reference.py's 60-digit dual on the same A and B
+    got = oracle_min_overlap(a, b, target)
+    assert got.value == pytest.approx(value, abs=1e-12)
+    assert_certified(a, b, target, target, got)
+
+
 class TestOracleAgainstClosedForm:
     def test_agreement_on_random_channels(self, rng):
         checked = 0
