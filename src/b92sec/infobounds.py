@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import math
-
 from .entropy import binary_entropy
 from .errors import require
-from .evebound import shannon_gain
+from .evebound import _HALF_PI, shannon_gain
 from .states import conclusive_rates
 
 
@@ -81,7 +79,7 @@ def shannon_upper_bound(alpha, epsilon, transmission) -> BoundReport:
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")
-    require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "analyzer angle outside [0, pi/2]")
+    require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
     p_error, p_conc = conclusive_rates(alpha, 0.0, epsilon, transmission)
     require(p_conc, p_conc > 0.0, "conclusive probability vanishes; bound undefined")
     # the error rate is at most 1/2, so the correct-bit fraction never vanishes

@@ -137,21 +137,19 @@ def run_simulation(config: SimConfig) -> SimResult:
     live = p > 0.0
     joint = np.zeros(p.shape, dtype=np.int64)
     joint[live] = Generator(Philox(key=config.seed)).multinomial(config.n_total, p[live])
-    table = joint.sum(axis=1)
-    counts = ObservedCounts.from_table(config.n_total, table)
+    counts = ObservedCounts.from_table(config.n_total, joint.sum(axis=1))
 
-    # Bob's correct and erroneous conclusive outcomes by Alice's bit, in
-    # states.CORRECT and states.ERROR
-    rows = table.tolist()
-    right, errors = (rows[0][k0] + rows[1][k1] for k0, k1 in (CORRECT, ERROR))
-    conclusive = right + errors
+    # surviving correct bits and errors per (bit, branch), by Bob's decoding
+    # rule (states.CORRECT and states.ERROR)
+    planes = joint.tolist()
+    correct = [[cells[k] for cells in plane] for plane, k in zip(planes, CORRECT)]
+    errors = sum(cells[k] for plane, k in zip(planes, ERROR) for cells in plane)
+    conclusive = errors + sum(map(sum, correct))
     error_rate = errors / conclusive if conclusive else None
 
-    # surviving correct bits per (bit, branch), against the bit Eve recorded
-    # in each branch
-    planes = joint.tolist()
+    # Eve's guesses against the surviving correct bits, in the branches
+    # where she recorded one
     guesses = [-1 if br.guess is None else br.guess for br in branches]
-    correct = [[cells[k] for cells in plane] for plane, k in zip(planes, CORRECT)]
     recorded = sum(n for row in correct for n, guess in zip(row, guesses) if guess >= 0)
     matched = sum(n for bit, row in enumerate(correct)
                   for n, guess in zip(row, guesses) if guess == bit)
