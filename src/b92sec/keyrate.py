@@ -8,8 +8,8 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 :func:`key_gains` computes the accounting over broadcast arrays of
 (alpha, theta, eps, T), with the conclusive and error rates from
 :func:`~b92sec.states.conclusive_rates` and Eve's bounds on correct and
-flipped bits from one pass of :func:`~b92sec.evebound.eve_bound`'s arithmetic over both
-tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
+flipped bits from one pass of :func:`~b92sec.evebound.eve_bound`'s
+arithmetic over both tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
 eve_bound's messages, under one ``np.errstate``, then runs one private
 pass that checks nothing and runs under that errstate, so a one-entry
 call pays numpy's per-call price once per quantity.

@@ -44,9 +44,11 @@ closed-form 2x2 eigenbasis was tried in its place and moved the gap of
 ``test_near_singular_channel_keeps_a_tight_certificate`` from -2.2e-16 to
 1.3e-11, past its pinned 1e-11: lambda* is near -7.5e4 there, and the gap
 carries lambda* Tr[B X], so rounding in the basis grows some 1e5-fold.
-One call takes 63-66 us, where the same algebra on numpy arrays took
-109-129 us, on a shared 2-core VM (Python 3.11, numpy 2.4; best of 5
-rounds in each of three measurements):
+One call takes 50-97 us (median 51 us) on a shared 2-core VM (Python
+3.11, numpy 2.4; best of 5 rounds in each of five measurements).
+Alternated with those, the same call read 67-123 us (median 70 us) while
+the nuclear norm still went through numpy, and the whole algebra on numpy
+arrays took 109-129 us in earlier measurements:
 
     PYTHONPATH=src python -m timeit -r 5 -s "import math; from b92sec.evebound import build_matrices; from b92sec.oracle import oracle_min_overlap_lossy; a = math.radians(20); A, B = build_matrices(a, math.radians(5), 0.3)" "oracle_min_overlap_lossy(A, B, a, 0.8)"
 

@@ -93,9 +93,9 @@ class SimResult:
     """Counters, estimate and the joint counts indexed [bit][branch][outcome].
 
     ``joint`` holds the pulses per Alice bit, attack branch and Bob outcome
-    (:data:`~b92sec.states.OUTCOMES` order) as nested tuples of ints.  ``simulate`` writes
-    ``dataclasses.asdict`` of a result as its JSON record, fields in this
-    order.  ``estimated`` is None where the estimator rejected the counts;
+    (:data:`~b92sec.states.OUTCOMES` order) as nested tuples of ints.
+    ``simulate`` writes ``dataclasses.asdict`` of a result as its JSON
+    record, fields in this order.  ``estimated`` is None where the estimator rejected the counts;
     :func:`require_estimate` raises its error again.
     """
 

@@ -115,6 +115,12 @@ class TestShannonUpperBound:
         assert rep.term_state == pytest.approx(2.0, abs=1e-9)
         assert rep.upper_bound >= 1.0  # a ceiling of one bit or more says nothing
 
+    def test_control_term_at_full_noise(self):
+        # eps = 1 puts the conclusive rate at x = 1/2 for every alpha and T,
+        # where the floor is h(1/2 - sin(alpha)/2): h(1/4) at 30 degrees
+        rep = shannon_upper_bound(math.pi / 6, 1.0, 0.7)
+        assert rep.term_control == pytest.approx(1.0 - binary_entropy(0.25), abs=1e-12)
+
     def test_total_is_sum_of_terms(self, rng):
         for _ in range(30):
             alpha = rng.uniform(0.1, 1.4)

@@ -180,6 +180,12 @@ CASES = {
     "shannon_upper_bound transmission": (
         lambda: shannon_upper_bound(0.3, 0.1, np.array([0.5, 1.5, 0.0])),
         "transmission outside (0, 1]: 1.5"),
+    "shannon_upper_bound zero transmission": (
+        lambda: shannon_upper_bound(0.3, 0.1, np.array([0.5, 0.0])),
+        "transmission outside (0, 1]: 0.0"),
+    "shannon_upper_bound analyzer angle": (
+        lambda: shannon_upper_bound(np.array([0.3, 2.0, 3.0]), 0.1, 0.5),
+        "analyzer angle outside [0, pi/2]: 2.0"),
     "conclusive_entropy_floor": (
         lambda: conclusive_entropy_floor(np.array([0.5, 0.0, -1.0]), 0.3),
         "conclusive probability must be positive: 0.0"),
@@ -208,7 +214,10 @@ def test_names_the_first_bad_entry_on_one_line(case):
                       np.array([[[0.0]], [[1.0]]])),
     lambda: eve_bound(np.array([0.0, math.pi / 2.0]), np.array([[0.0], [math.pi / 2.0]]), 0.0,
                       np.array([[[0.0]], [[1.0]]]), 1.0),
-], ids=["key_gains", "eve_bound"])
+    lambda: outcome_table(np.array([0.0, math.pi / 2.0]), 0.0, 1.0, np.array([[0.0], [1.0]])),
+    # at eps = 1: alpha = 0 with eps = 0 has no conclusive events
+    lambda: shannon_upper_bound(np.array([0.0, math.pi / 2.0]), 1.0, 1.0),
+], ids=["key_gains", "eve_bound", "outcome_table", "shannon_upper_bound"])
 def test_the_closed_ends_of_each_range_pass(call):
     # every angle at 0 and pi/2, every noise at 0 and 1, and the transmission
     # at the ends each call accepts

@@ -94,7 +94,7 @@ def test_double_root_rounded_to_a_negative_discriminant():
     (SymMat2(-0.63, -0.13, 0.40), SymMat2(-0.36, 0.0, 0.0), -0.33, 0.173979166666667),
 ], ids=["quadratic", "linear"])
 def test_determinant_root_decides_a_general_dual(a, b, target, value):
-    # value: tools/dual_reference.py's 60-digit dual on the same A and B
+    # value: range_end of tools/dual_reference.py, the 60-digit dual, on the same A and B
     got = oracle_min_overlap(a, b, target)
     assert got.value == pytest.approx(value, abs=1e-12)
     assert_certified(a, b, target, target, got)
