@@ -6,10 +6,14 @@ the syntax ``start:stop:count`` (inclusive linspace).  Exit codes: 0 ok,
 
 :func:`_emit` is the one place CSV is formatted, column by column: each
 command passes the arrays it computed, and every cell is ``str()`` of its
-value.  :func:`_write` is the one place a command's output goes to its file
-or to stdout.  A config or output file that cannot be read or written ends
-the command with ``error: ...`` and exit code 2.  The parser is built once
-per process, so in-process callers of :func:`main` pay for it once.
+value.  ``simulate`` writes both forms of the count record: its JSON
+record's ``counts`` object, and with ``--counts-csv`` the same counters as
+a one-row CSV through :func:`_emit`;
+:class:`~b92sec.estimation.ObservedCounts` reads either.  :func:`_write`
+is the one place a command's output goes to its file or to stdout.  A
+config or output file that cannot be read or written ends the command
+with ``error: ...`` and exit code 2.  The parser is built once per
+process, so in-process callers of :func:`main` pay for it once.
 
 ``oracle-check`` compares the closed form with the exact dual oracle on
 seeded random channels, one after another.  The oracle takes the range of
@@ -45,7 +49,6 @@ from .evebound import (UNREACHABLE, build_matrices, collision_gain, eve_bound, f
 from .infobounds import shannon_upper_bound
 from .keyrate import (
     KTH_LINK,
-    LINK_PRESETS,
     MODES,
     distance_sweep,
     key_gains,
@@ -102,15 +105,16 @@ def _grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _emit(args, header: str, columns) -> None:
-    """Write a CSV with one row per entry of the equally long ``columns``.
+def _emit(path: str | None, header: str, columns) -> None:
+    """Write a CSV with one row per entry of the equally long ``columns``
+    to the file ``path``, or to stdout without one.
 
     Each column, an array or a sequence, becomes Python values once and
     strings once, by ``str()``: for a double the shortest text that reads
     back as the same double.
     """
     cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
-    _write(args.output, "\n".join([header, *map(",".join, zip(*cells)), ""]))
+    _write(path, "\n".join([header, *map(",".join, zip(*cells)), ""]))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -134,7 +138,7 @@ def cmd_infogain(args) -> int:
         upper = shannon_upper_bound(alpha, args.eps_grid, args.T).upper_bound
     else:
         upper = np.full_like(q, math.nan)
-    _emit(args, SCHEMAS["infogain"],
+    _emit(args.output, SCHEMAS["infogain"],
           (args.eps_grid, q, collision_gain(q), shannon_gain(q), upper))
     return EXIT_OK
 
@@ -144,7 +148,7 @@ def cmd_region(args) -> int:
     # alpha-major rows: row k is (alpha[k // n_eps], eps[k % n_eps])
     alpha_text = list(map(str, args.alpha_grid.tolist()))
     eps_text = list(map(str, args.eps_grid.tolist()))
-    _emit(args, SCHEMAS["region"],
+    _emit(args.output, SCHEMAS["region"],
           ([a for a in alpha_text for _ in eps_text], eps_text * len(alpha_text),
            region.ravel().astype(int)))
     return EXIT_OK
@@ -155,7 +159,7 @@ def cmd_keygain(args) -> int:
     g.check()
     # raw gain kept for root finding; the clipped copy is the usable rate.  The
     # clip leaves a gain of -0.0 as it is, where np.maximum would write 0.0
-    _emit(args, SCHEMAS["keygain"],
+    _emit(args.output, SCHEMAS["keygain"],
           (args.eps_grid, g.p_conc, g.error_rate, g.info_correct, g.info_flipped,
            g.gain_correct, g.gain_flipped, g.gain, np.where(g.gain < 0.0, 0.0, g.gain)))
     return EXIT_OK
@@ -163,7 +167,7 @@ def cmd_keygain(args) -> int:
 
 def cmd_optangle(args) -> int:
     alpha, gain = optimal_angles(0.0, args.eps_grid, args.T, args.mode)
-    _emit(args, SCHEMAS["optangle"], (args.eps_grid, np.degrees(alpha), gain))
+    _emit(args.output, SCHEMAS["optangle"], (args.eps_grid, np.degrees(alpha), gain))
     return EXIT_OK
 
 
@@ -171,13 +175,12 @@ def cmd_distance(args) -> int:
     given = [(flag, field) for flag, field, _ in LINK_FLAGS if getattr(args, field) is not None]
     if args.preset and given:
         raise DomainError(f"--preset {args.preset} takes no {given[0][0]}")
-    link = replace(LINK_PRESETS.get(args.preset, KTH_LINK),
-                   **{field: getattr(args, field) for _, field in given})
+    link = replace(KTH_LINK, **{field: getattr(args, field) for _, field in given})
     sweep = distance_sweep(link, args.l_grid, math.radians(args.alpha), args.mode)
     gains = np.array([sweep.gain_b92, sweep.gain_bb84])
     # log10 where the gain is positive, NaN elsewhere
     logs = np.log10(gains, out=np.full_like(gains, math.nan), where=gains > 0.0)
-    _emit(args, SCHEMAS["distance"], (args.l_grid, *gains, *logs))
+    _emit(args.output, SCHEMAS["distance"], (args.l_grid, *gains, *logs))
     return EXIT_OK
 
 
@@ -194,10 +197,11 @@ def cmd_simulate(args) -> int:
         failure, status = exc, "infeasible"
     except UnreachableChannelError as exc:
         failure, status = exc, "unreachable"
-    # the counts file first: a failed write leaves no JSON record behind
-    if args.counts_csv:
-        _write(args.counts_csv, result.counts.to_csv())
     record = asdict(result)
+    # the counts file first, one row with a one-entry column per counter: a
+    # failed write leaves no JSON record behind
+    if args.counts_csv:
+        _emit(args.counts_csv, ",".join(record["counts"]), zip(record["counts"].values()))
     fields = {"g": "gain", "g_correct": "gain_correct", "g_flipped": "gain_flipped",
               "p_conc": "p_conc", "e": "error_rate"}  # record key: KeyGains field
     record["key_gain"] = {
@@ -238,7 +242,7 @@ def cmd_oracle_check(args) -> int:
     # the generator default_rng(seed).spawn(samples)[k], without the others
     rows, gaps = zip(*(_oracle_sample(k, np.random.default_rng(
         np.random.SeedSequence(args.seed, spawn_key=(k,)))) for k in range(args.samples)))
-    _emit(args, SCHEMAS["oracle-check"], zip(*rows))
+    _emit(args.output, SCHEMAS["oracle-check"], zip(*rows))
     # np.max propagates a NaN wherever it sits; a NaN difference never passes
     worst = np.max([row[-1] for row in rows])
     print(f"# worst_diff={worst:.3e} worst_gap={np.max(gaps):.3e}", file=sys.stderr)
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="collision")
 
     p = add("distance", cmd_distance, "distance sweep against BB84")
-    p.add_argument("--preset", choices=sorted(LINK_PRESETS))
+    p.add_argument("--preset", choices=("kth",))
     for flag, field, unit in LINK_FLAGS:
         p.add_argument(flag, dest=field, type=float,
                        help=f"{unit}; default {getattr(KTH_LINK, field)}; not with --preset")

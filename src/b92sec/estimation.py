@@ -5,15 +5,17 @@ Bob's eight conclusive/inconclusive counters determine the channel triple
 vector give theta and epsilon through a 2x2 linear system, and the total
 single-photon fraction gives T.
 
-:class:`ObservedCounts` holds the eight counters and reads and writes them
-as a one-record CSV or a JSON object; ``simulate --counts-csv`` writes the
-CSV.  Each counter is a non-negative integer, and not a bool; a CSV cell
-holds ASCII digits only.  Anything else raises :class:`DomainError`, and so
-does a record that is malformed: text that is not JSON, JSON that is not
-an object, a missing, unknown or repeated field or column, a missing cell,
-or a cell past the CSV header.  The error names the field where there is
-one.  :func:`expected_counts` gives the exact, unsampled counters of a
-channel triple, which :func:`estimate_channel` inverts.
+:class:`ObservedCounts` holds the eight counters and reads them from a
+one-record CSV or a JSON object.  ``simulate`` writes both forms of the
+count record: the CSV with ``--counts-csv``, and the JSON object as the
+``counts`` field of its JSON record.  Each counter is a non-negative
+integer, and not a bool; a CSV cell holds ASCII digits only.  Anything
+else raises :class:`DomainError`, and so does a record that is malformed:
+text that is not JSON, JSON that is not an object, a missing, unknown or
+repeated field or column, a missing cell, or a cell past the CSV header.
+The error names the field where there is one.  :func:`expected_counts`
+gives the exact, unsampled counters of a channel triple, which
+:func:`estimate_channel` inverts.
 """
 
 from __future__ import annotations
@@ -117,9 +119,6 @@ class ObservedCounts:
         _check_fields([name for name, _ in record], "JSON")
         return cls._from_record(dict(record), "JSON")
 
-    def to_json(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in COUNT_FIELDS})
-
     @classmethod
     def from_csv(cls, text: str) -> "ObservedCounts":
         reader = csv.DictReader(io.StringIO(text))
@@ -132,19 +131,12 @@ class ObservedCounts:
         record = {}
         for name in COUNT_FIELDS:
             cell = rows[0].get(name)  # None for a missing column or a short row
-            # ASCII digits only, as to_csv writes them: int() would also take
+            # ASCII digits only, as simulate writes them: int() would also take
             # spaces, underscores, a sign and other scripts' digits
             if cell is not None and not (cell.isascii() and cell.isdigit()):
                 raise DomainError(f"count {name} must be a non-negative integer: {cell!r}")
             record[name] = None if cell is None else int(cell)
         return cls._from_record(record, "CSV")
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(COUNT_FIELDS)
-        writer.writerow([getattr(self, name) for name in COUNT_FIELDS])
-        return out.getvalue()
 
 
 @dataclass(frozen=True)

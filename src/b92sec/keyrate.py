@@ -69,7 +69,9 @@ CELLS = np.arange(SECTIONS + 1.0)[:, None]
 # the angle search's coarse scan: every whole degree in (0, pi/2]
 COARSE = np.arange(1, 91) * math.pi / 180.0
 # the bracket around each coarse sample: its neighbours; below the first
-# sample, half of it, and above the last, the last itself
+# sample, half of it, and above the last, the last itself.  At pi/2 the
+# signals are orthogonal and the gain is never positive, so no keyed row's
+# best sample is the last, and no search reads ABOVE's last entry
 BELOW = np.append(COARSE[0] / 2.0, COARSE[:-1])
 ABOVE = np.append(COARSE[1:], COARSE[-1])
 # the sample offsets of a grid-section bracket's ends
@@ -103,8 +105,6 @@ class PhysicalLink:
 # measured parameters of a deployed fiber testbed, used throughout as preset
 KTH_LINK = PhysicalLink(channel_loss_db_km=0.2, receiver_loss_db=1.0, dark_mean=2e-4,
                         det_efficiency=0.18)
-
-LINK_PRESETS = {"kth": KTH_LINK}
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,11 @@ def _pass(alpha, theta, epsilon, transmission, information) -> tuple:
     Returns the fields of :class:`KeyGains`, in order; runs under the
     caller's ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    # p_conc >= p_error, so e lies in [0, 1] or is NaN
+    # p_conc >= p_error >= 0, so e lies in [0, 1], or is NaN where p_conc = 0;
+    # e < 1 fails there as it does at e = 1
     p_error, p_conc = conclusive_rates(alpha, theta, epsilon, transmission)
     e = p_error / p_conc
-    defined = (p_conc > 0.0) & (e < 1.0)
+    defined = e < 1.0
     # flipped bits see the tilt -2 alpha - theta, stacked under theta on a new
     # leading axis; entries without conclusive events get no bound, so they
     # pass a valid stand-in transmission

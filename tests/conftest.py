@@ -6,7 +6,8 @@ quantities from full kets, outer products and matrix traces, so agreement
 is a real cross-check rather than a tautology.  The protocol's symmetry
 steps are checked here too: :func:`symmetrize_densities` averages a pair
 of delivered :class:`SignalDensity` states over the symmetry group, and
-:func:`relabeled` mirrors a count record.  :func:`noiseless_gain` is the
+:func:`relabeled` mirrors a count record and :func:`counts_csv` writes
+one as ``simulate --counts-csv`` does.  :func:`noiseless_gain` is the
 paper's closed-form key gain on a lossy, noiseless channel, and
 :func:`count` reads one counter of a record by (bit, outcome).  The
 explicit attacks' symmetrized channels are predicted here in closed form:
@@ -23,7 +24,7 @@ cross-checks the two solvers at targets no program path reaches.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import pytest
@@ -237,6 +238,12 @@ def symmetrize_densities(rho0: SignalDensity, rho1: SignalDensity, alpha: float,
 def count(counts: ObservedCounts, bit: int, outcome: str) -> int:
     """Counter for (j, mu) with mu in {"0", "1", "0b", "1b"}."""
     return getattr(counts, COUNT_TABLE[bit, outcome])
+
+
+def counts_csv(counts: ObservedCounts) -> str:
+    """The one-record CSV that ``simulate --counts-csv`` writes for ``counts``."""
+    record = asdict(counts)
+    return f"{','.join(record)}\n{','.join(map(str, record.values()))}\n"
 
 
 def relabeled(counts: ObservedCounts) -> ObservedCounts:

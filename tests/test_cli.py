@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -574,3 +576,28 @@ def test_entry_point_runs_as_module():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("eps,")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced block after ``heading`` in the README."""
+    text = README.read_text()
+    return text[text.index(heading):].split("```")[1].split("\n", 1)[1]
+
+
+def test_readme_commands_end_their_lines_in_newline_alone(capsys, tmp_path, monkeypatch):
+    # every CSV, the count record included, ends its lines in "\n", as stdout does
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(readme_block("### Simulator config format"))
+    commands = [shlex.split(line)[1:] for line in readme_block("## Command line").splitlines()
+                if line.startswith("b92sec ")]
+    assert len(commands) == 7
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and "\r" not in out, argv
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert sorted(written) == ["counts.csv", "run.cfg"]
+    assert b"\r" not in written["counts.csv"]
+    assert ObservedCounts.from_csv(written["counts.csv"].decode()).n_total == 1000000

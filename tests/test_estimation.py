@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from conftest import (
     DEG,
     SignalDensity,
     count,
+    counts_csv,
     relabeled,
     symmetrize_densities,
     symmetrized_bloch,
@@ -60,14 +63,14 @@ class TestObservedCounts:
 
     def test_json_round_trip(self):
         counts = make_counts()
-        assert ObservedCounts.from_json(counts.to_json()) == counts
+        assert ObservedCounts.from_json(json.dumps(asdict(counts))) == counts
 
     def test_csv_round_trip(self):
         counts = make_counts()
-        assert ObservedCounts.from_csv(counts.to_csv()) == counts
+        assert ObservedCounts.from_csv(counts_csv(counts)) == counts
 
     def test_csv_header_contract(self):
-        header = make_counts().to_csv().splitlines()[0]
+        header = counts_csv(make_counts()).splitlines()[0]
         assert header == "n00,n01,n0b0,n0b1,n10,n11,n1b0,n1b1,n_total"
 
 
@@ -78,7 +81,7 @@ GOOD_ROW = "100,80,5,30,80,100,30,5,1000"
 class TestMalformedRecords:
     """A malformed count record raises DomainError naming the field."""
 
-    # to_csv writes ASCII digits only; int() alone would read the last four as 10 or 20
+    # simulate writes ASCII digits only; int() alone would read the last four as 10 or 20
     @pytest.mark.parametrize("cell", ("1.5", " 1_0 ", "1_0", "\uff11\uff10", "+20", " 10", ""))
     def test_csv_cell_not_an_integer(self, cell):
         message = f"count n0b0 must be a non-negative integer: {cell!r}"
@@ -104,23 +107,23 @@ class TestMalformedRecords:
 
     @pytest.mark.parametrize("value", ("true", "false"))
     def test_json_boolean_counter(self, value):
-        record = make_counts().to_json().replace('"n11": 100', f'"n11": {value}')
+        record = json.dumps(asdict(make_counts())).replace('"n11": 100', f'"n11": {value}')
         with pytest.raises(DomainError, match="count n11 must be a non-negative integer"):
             ObservedCounts.from_json(record)
 
     def test_json_missing_key(self):
-        record = make_counts().to_json().replace('"n11": 100, ', "")
+        record = json.dumps(asdict(make_counts())).replace('"n11": 100, ', "")
         with pytest.raises(DomainError, match="counts JSON misses field n11"):
             ObservedCounts.from_json(record)
 
     def test_json_unknown_key(self):
-        record = make_counts().to_json().replace("}", ', "n_totl": 7}')
+        record = json.dumps(asdict(make_counts())).replace("}", ', "n_totl": 7}')
         with pytest.raises(DomainError, match="counts JSON has unknown field 'n_totl'"):
             ObservedCounts.from_json(record)
 
     def test_json_repeated_key(self):
         # a dict would keep the last value and read n00 as 100
-        record = make_counts().to_json().replace('{"n00": 100', '{"n00": 1, "n00": 100')
+        record = json.dumps(asdict(make_counts())).replace('{"n00": 100', '{"n00": 1, "n00": 100')
         with pytest.raises(DomainError, match="counts JSON repeats field n00"):
             ObservedCounts.from_json(record)
 

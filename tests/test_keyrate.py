@@ -56,6 +56,13 @@ class TestSecretKeyGain:
                 rep.gain_correct + rep.gain_flipped
                 - rep.p_conc * binary_entropy(rep.error_rate), abs=1e-14)
 
+    def test_no_conclusive_event_names_its_cause(self):
+        # T = 0: the conclusive probability is 0 and the error rate 0/0, NaN;
+        # the first is the cause the error names
+        with pytest.raises(DomainError,
+                           match="^conclusive probability vanishes; key gain undefined$"):
+            secret_key_gain(0.3, ChannelTriple(0.0, 0.1, 0.0))
+
     def test_shannon_mode_dominates(self):
         # T = 0.3, alpha = 12 deg: the Shannon estimate keeps more key
         alpha, t = 12 * DEG, 0.3
@@ -586,6 +593,9 @@ class TestLinkModel:
             survive * 2e-4 * (1 - att) / t_expected, abs=1e-15)
         assert epsilon == pytest.approx(0.00239677241, abs=1e-9)
 
+    def test_perfect_detector_is_a_link(self):
+        assert PhysicalLink(0.2, 1.0, 2e-4, 1.0).det_efficiency == 1.0
+
     def test_dead_link_rejected(self):
         with pytest.raises(DomainError):
             link_channels(PhysicalLink(0.2, 1.0, 0.0, 0.0), 10.0)
@@ -600,6 +610,10 @@ class TestBb84:
 
     def test_saturation(self):
         assert 0.01 / (2 * 0.001) >= 0.5 and bb84_key_gain(0.001, 0.01) == 0.0
+
+    def test_saturation_starts_at_one_half(self):
+        # dark_mean = T puts e at 1/2 exactly, where the formula gives -T/2
+        assert 0.3 / (2 * 0.3) == 0.5 and bb84_key_gain(0.3, 0.3) == 0.0
 
     def test_small_error_expansion(self):
         # gain falls below T/2 once darks contribute

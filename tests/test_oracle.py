@@ -17,7 +17,7 @@ from b92sec.evebound import (
     eve_bound,
     eve_max_gain,
 )
-from b92sec.oracle import nuclear_norm, oracle_min_overlap_lossy
+from b92sec.oracle import _search, nuclear_norm, oracle_min_overlap_lossy
 
 from conftest import DEG, oracle_min_overlap, sym_matrix
 
@@ -98,6 +98,39 @@ def test_determinant_root_decides_a_general_dual(a, b, target, value):
     got = oracle_min_overlap(a, b, target)
     assert got.value == pytest.approx(value, abs=1e-12)
     assert_certified(a, b, target, target, got)
+
+
+A_LINEAR = SymMat2(-0.63, -0.13, 0.40)  # the [linear] case's A
+
+
+def test_vanishing_constraint_matrix_has_no_slope_candidate():
+    # B = 0: |u - lam w| has no direction w, and lam = 0 alone is the dual's
+    # minimum; the band holds Tr[B X] = 0, so the range of Tr[A X] holds 0
+    b = SymMat2(0.0, 0.0, 0.0)
+    got = _search(A_LINEAR, b, -0.3, 0.4)
+    assert got.value == 0.0
+    assert_certified(A_LINEAR, b, -0.3, 0.4, got)
+
+
+def test_band_end_at_the_reach_has_no_slope_candidate():
+    # a slope s = |w| has its stationary point of |u - lam w| + s lam at
+    # infinity; here the band's top end is B's reach |B|_* = |w|
+    b = SymMat2(0.5, 0.1, -0.5)
+    reach = nuclear_norm(b)
+    got = _search(A_LINEAR, b, 0.2, reach)
+    # range_end of tools/dual_reference.py, the 60-digit dual, on the same A, B and band
+    assert got.value == pytest.approx(0.0219719700404359, abs=1e-12)
+    assert_certified(A_LINEAR, b, 0.2, reach, got)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 0.5), (0.0, 0.0), (-0.5, 0.0)])
+def test_range_that_ends_at_zero_holds_zero(lo, hi):
+    # A = B = diag(1, 0): Tr[A X] = Tr[B X], so the range of Tr[A X] is the
+    # band itself, and one of its ends, or both, is exactly 0
+    a = SymMat2(1.0, 0.0, 0.0)
+    got = _search(a, a, lo, hi)
+    assert got.value == 0.0
+    assert_certified(a, a, lo, hi, got)
 
 
 class TestOracleAgainstClosedForm:

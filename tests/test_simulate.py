@@ -32,6 +32,7 @@ from conftest import (
     DEG,
     attack_noise_rate,
     count,
+    counts_csv,
     estimator_sigmas,
     explicit_povm_effects,
     ket,
@@ -248,7 +249,7 @@ class TestClosedLoop:
         clamped = 0
         for seed in range(40):
             result = run_simulation(config(identity_attack(), n=400000, seed=seed, alpha=alpha))
-            counts = ObservedCounts.from_csv(result.counts.to_csv())
+            counts = ObservedCounts.from_csv(counts_csv(result.counts))
             assert estimate_channel(counts, alpha) == result.estimated, seed
             clamped += result.estimated.clamped
         assert clamped >= 1

@@ -8,7 +8,8 @@ Each ``b92sec`` line of the README's "Command line" block runs once against
 each tree, as ``python -m b92sec.cli`` in a fresh process with
 ``PYTHONPATH`` set to that tree, in a fresh directory that holds the
 README's simulator config as ``run.cfg``.  The exit code, stdout, stderr and
-every file the command writes are compared.  For each command one line is
+every file the command writes are compared as the bytes written, read as
+UTF-8 without newline translation, so a changed line ending shows.  For each command one line is
 printed: ``identical``; or how many numbers moved and the largest absolute
 move; or which output differs in more than its numbers.  The exit code is 1
 when any command differs.  Standard library only; not part of the test
@@ -45,11 +46,12 @@ def run(src: Path, args: list[str], config: str) -> dict[str, str]:
         (cwd / "run.cfg").write_text(config)
         env = {**os.environ, "PYTHONPATH": str(src.resolve())}
         done = subprocess.run([sys.executable, "-m", "b92sec.cli", *args], cwd=cwd, env=env,
-                              capture_output=True, text=True)
-        out = {"exit code": str(done.returncode), "stdout": done.stdout, "stderr": done.stderr}
+                              capture_output=True)
+        out = {"exit code": str(done.returncode), "stdout": done.stdout.decode(),
+               "stderr": done.stderr.decode()}
         for path in sorted(cwd.iterdir()):
             if path.name != "run.cfg":
-                out[path.name] = path.read_text()
+                out[path.name] = path.read_bytes().decode()
         return out
 
 
