@@ -9,11 +9,11 @@ each tree, as ``python -m b92sec.cli`` in a fresh process with
 ``PYTHONPATH`` set to that tree, in a fresh directory that holds the
 README's simulator config as ``run.cfg``.  The exit code, stdout, stderr and
 every file the command writes are compared as the bytes written, read as
-UTF-8 without newline translation, so a changed line ending shows.  For each command one line is
-printed: ``identical``; or how many numbers moved and the largest absolute
-move; or which output differs in more than its numbers.  The exit code is 1
-when any command differs.  Standard library only; not part of the test
-suite.
+UTF-8 without newline translation, so a changed line ending shows.  For
+each command one line is printed: ``identical``; or how many numbers moved
+and the largest absolute move; or which output differs in more than its
+numbers.  The exit code is 1 when any command differs.  Standard library
+only; not part of the test suite.
 """
 
 import argparse
