@@ -14,7 +14,10 @@ Library layout:
 - :mod:`b92sec.cli` - batch commands reproducing every figure as CSV
 
 The core computes over arrays, and the scalar calls are one-entry cases of
-array calls.  :func:`secret_key_gain` returns the :class:`KeyGains` of
+array calls.  One channel of Python numbers runs the same closed form on
+floats, and each field of its result equals the channel's entry of an
+array call bit for bit (``TestFloatPass`` in ``tests/test_evebound.py``).
+:func:`secret_key_gain` returns the :class:`KeyGains` of
 :func:`b92sec.keyrate.key_gains` itself, with fields of shape ();
 :func:`eve_max_gain` returns an :class:`EveBoundResult` record for correct
 bits; the flipped-bit bound is index 1 of ``KeyGains.bounds``.

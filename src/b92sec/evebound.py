@@ -20,10 +20,16 @@ overlap vanishes, or the family type1 or type3 whose root wins) and a
 status (ok or unreachable) in place of an exception.  A minimizer is
 reported by its family alone, which :func:`eve_max_gain` names in
 ``achieving``.  The inputs are checked once, at :func:`eve_bound` or at
-:func:`~b92sec.keyrate.key_gains`, which share one private pass over
-A, B, the families and the roots; that pass checks nothing and runs
-under its caller's ``np.errstate``, so a one-entry call pays numpy's
-per-call price once per quantity.
+:func:`~b92sec.keyrate.key_gains`, by the same statements whichever of
+two private passes over A, B, the families and the roots follows; the
+passes check nothing and run under their caller's ``np.errstate``.
+Arrays, 0-d ones and numpy scalars other than np.float64 included, take
+the array pass, :func:`_bound`.  One channel of Python ints and floats
+(np.float64 is one) takes the float pass, :func:`_bound_one`: the same
+arithmetic in the same order on Python floats, without numpy's per-call
+price on every quantity.  Each of its fields equals the channel's entry
+of an array call bit for bit, which ``TestFloatPass`` in
+``tests/test_evebound.py`` checks over the whole domain.
 :func:`eve_max_gain` is the one-entry wrapper that raises an unreachable
 status as :class:`UnreachableChannelError`; Eve's bound on flipped bits is
 the same bound at the tilt -2 alpha - theta, which
@@ -77,14 +83,13 @@ FAMILIES = ("free", "type1", "type3")
 FREE, TYPE1, TYPE3 = range(3)
 OK, UNREACHABLE = range(2)
 
-# 0-d array operands for the checks and the pass where they meet an input,
-# which is an array in every call: a ufunc on two arrays dispatches in about
-# 0.42 us, and with a Python float operand in 0.66-0.9 us (numpy 2.4 on a
-# shared 2-core VM).  An intermediate keeps its Python float, since a
-# one-entry call holds it as a numpy scalar, whose arithmetic takes 0.06 us
-# with a float and 0.69 us with a 0-d array.
+# 0-d array operands where the array pass meets an input array: a ufunc on
+# two arrays dispatches in about 0.42 us, and with a Python float operand in
+# 0.66-0.9 us (numpy 2.4 on a shared 2-core VM).  The input checks compare
+# with Python floats instead, since they run on the float pass's floats too,
+# where a comparison with a float is a Python one.
 _ZERO, _HALF, _ONE, _TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0))
-_HALF_PI = np.array(math.pi / 2.0)
+_HALF_PI = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -177,7 +182,10 @@ def shannon_gain(q):
 def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
     """A, B and A's common denominator, unchecked (see :func:`build_matrices`)."""
     half = alpha + _HALF * theta
-    sin2 = np.sin(half) ** 2
+    # squares as x * x, which is what ** 2 runs on an array; on a numpy
+    # scalar ** 2 is C pow, which can round differently
+    sin_half, cos_half = np.sin(half), np.cos(half)
+    sin2 = sin_half * sin_half
     tilt = _TWO * alpha + theta
     # 1 - (1 - eps) cos(2 half), written without its cancellation near half = 0
     den = 2.0 * sin2 + epsilon * np.cos(tilt)
@@ -190,7 +198,7 @@ def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
     a = SymMat2(
         m11=(two_eps * sin2 + one) / a_den,
         m12=-np.sqrt(epsilon * two_eps) * np.sin(tilt) / (2.0 * a_den),
-        m22=epsilon * np.cos(half) ** 2 / a_den,
+        m22=epsilon * (cos_half * cos_half) / a_den,
     )
     full = alpha + theta
     cos_full = np.cos(full)
@@ -321,7 +329,7 @@ def _overlap(f: Families, t):
     side = np.sqrt((f.bmax - t) * (f.bmax + t))
     # an ndarray even for one entry, whose arithmetic gives numpy scalars, so
     # the masked copies below write into it at every shape
-    q1 = np.asarray(abs(abs(t * dot) - side * f.cross) / f.bmax ** 2)
+    q1 = np.asarray(abs(abs(t * dot) - side * f.cross) / (f.bmax * f.bmax))
     # type3's root: B = b_p (1 - x) + x tr_b = t is affine in x = cos eta;
     # where the family misses t it offers nothing
     x = (t - f.b_p) / (f.tr_b - f.b_p)
@@ -358,23 +366,119 @@ def _bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
                        status=np.where(unreachable, UNREACHABLE, OK))
 
 
+def _div(x: float, y: float) -> float:
+    """x / y on Python floats, with numpy's inf or NaN where y is 0.
+
+    Runs under the caller's ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    return x / y if y else float(np.float64(x) / y)
+
+
+def _bound_one(alpha_prime, alpha, theta, epsilon, transmission) -> tuple:
+    """:func:`_bound`'s arithmetic on one channel's checked Python floats.
+
+    The fields of :class:`BoundArrays`, in order, as Python numbers, each
+    equal bit for bit to the array pass's entry: the same operations in the
+    same order, with numpy's sin, cos and hypot (``math``'s can round
+    differently), squares as x * x, and numpy's inf or NaN where a divisor
+    vanishes.  Work whose result the array pass masks out is skipped: the
+    type3 projector of an entry without one, and the roots of a free entry.
+    Runs under the caller's ``np.errstate``.
+    """
+    # A and B, as _matrices builds them
+    half = alpha + 0.5 * theta
+    sin_half, cos_half = float(np.sin(half)), float(np.cos(half))
+    sin2 = sin_half * sin_half
+    tilt = 2.0 * alpha + theta
+    den = 2.0 * sin2 + epsilon * float(np.cos(tilt))
+    two_eps = 2.0 - epsilon
+    one = den == 0.0
+    a_den = den + one
+    a11 = (two_eps * sin2 + one) / a_den
+    a12 = -math.sqrt(epsilon * two_eps) * float(np.sin(tilt)) / (2.0 * a_den)
+    a22 = epsilon * (cos_half * cos_half) / a_den
+    full = alpha + theta
+    cos_full = float(np.cos(full))
+    half_eps = 0.5 * epsilon
+    keep = 1.0 - half_eps
+    b11 = keep * cos_full
+    b12 = math.sqrt(keep * 0.5 * epsilon) * float(np.sin(full))
+    b22 = -half_eps * cos_full
+    # the families, as _families finds them
+    det_b = b11 * b22 - b12 * b12
+    qc, qs, bc, bs = a11 - a22, 2.0 * a12, b11 - b22, 2.0 * b12
+    bmax = float(np.hypot(bc, bs))
+    kappa = _div(a11 * b22 + a22 * b11 - qs * b12, det_b)
+    tr_b = b11 + b22
+    trace = a11 + a22 - kappa * tr_b
+    type3 = abs(trace) >= 1e-14
+    cross = abs(bs * qc - bc * qs)
+    limit = cross / float(np.hypot(qc, qs))
+    # max and min meet no NaN here or below: where x is within [-1, 1] the
+    # projector is finite, and the target and reach always are; so Python's
+    # max and min give what numpy's give
+    if type3:
+        p11 = (a11 - kappa * b11) / trace
+        p12 = (a12 - kappa * b12) / trace
+        p22 = (a22 - kappa * b22) / trace
+        a_p = a11 * p11 + qs * p12 + a22 * p22
+        b_p = b11 * p11 + bs * p12 + b22 * p22
+        x = _div(-a_p, 1.0 - a_p)
+        if abs(x) <= 1.0:
+            limit = max(limit, abs(b_p * (1.0 - x) + x * tr_b))
+    # the target and the overlap, as _bound and _overlap meet them
+    lo = (float(np.cos(alpha_prime)) - (1.0 - transmission)) / transmission
+    unreachable = lo > bmax + REACH_SLOP
+    t = max(min(lo, bmax), 0.0)
+    q, regime = 0.0, FREE
+    if t > limit + FREE_SLOP:
+        dot = qc * bc + qs * bs
+        side = math.sqrt((bmax - t) * (bmax + t))
+        q, regime = _div(abs(abs(t * dot) - side * cross), bmax * bmax), TYPE1
+        # type3's root; a family without a projector misses every target
+        x = _div(t - b_p, tr_b - b_p) if type3 else math.inf
+        if abs(x) <= 1.0 + 1e-9:
+            x = min(max(x, -1.0), 1.0)
+            q3 = abs(a_p * (1.0 - x) + x)
+            if q3 < q:
+                q, regime = q3, TYPE3
+    return (q, limit, bmax, lo if unreachable else t, regime,
+            UNREACHABLE if unreachable else OK)
+
+
+def _channel(*values) -> list:
+    """The inputs of one channel as Python floats, or of many as float arrays.
+
+    Python floats, for the float pass, when every value is a Python int or
+    float (np.float64 is one); float arrays, for the array pass, otherwise.
+    None passes as None.
+    """
+    if all(isinstance(v, (int, float)) for v in values):
+        return [float(v) for v in values]
+    return [v if v is None else np.asarray(v, dtype=float) for v in values]
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     """Eve's maximum information gain on correct bits over broadcast arrays.
 
     Out-of-range inputs raise :class:`DomainError`; an unreachable channel
-    is reported in ``status`` instead.
+    is reported in ``status`` instead.  One channel of Python numbers takes
+    the float pass and gets fields of shape (), each equal bit for bit to
+    that channel's entry of an array call.
     """
-    alpha_prime, alpha, theta, epsilon, transmission = (
-        np.asarray(v, dtype=float) for v in (alpha_prime, alpha, theta, epsilon, transmission))
-    require(alpha_prime, (_ZERO <= alpha_prime) & (alpha_prime <= _HALF_PI),
+    channel = _channel(alpha_prime, alpha, theta, epsilon, transmission)
+    alpha_prime, alpha, theta, epsilon, transmission = channel
+    require(alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= _HALF_PI),
             "signal angle outside [0, pi/2]")
-    require(alpha, (_ZERO <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
+    require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
     require(theta, np.isfinite(theta), "tilt angle not finite")
-    require(transmission, (_ZERO < transmission) & (transmission <= _ONE),
+    require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")
-    require(epsilon, (_ZERO <= epsilon) & (epsilon <= _ONE), "noise parameter outside [0, 1]")
-    return _bound(alpha_prime, alpha, theta, epsilon, transmission)
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
+    if isinstance(theta, float):
+        return BoundArrays(*map(np.array, _bound_one(*channel)))
+    return _bound(*channel)
 
 
 def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:

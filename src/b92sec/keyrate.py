@@ -11,8 +11,11 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 flipped bits from one pass of :func:`~b92sec.evebound.eve_bound`'s
 arithmetic over both tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
 eve_bound's messages, under one ``np.errstate``, then runs one private
-pass that checks nothing and runs under that errstate, so a one-entry
-call pays numpy's per-call price once per quantity.
+pass that checks nothing and runs under that errstate: the array pass,
+or, for one channel of Python ints and floats, the float pass, which
+runs evebound's float bound at each tilt.  Each field of a one-channel
+result equals the channel's entry of an array call bit for bit
+(``TestFloatPass`` in ``tests/test_evebound.py``).
 :func:`secret_key_gain` is its one-entry wrapper: it returns the same
 :class:`KeyGains` with fields of shape (), after raising the error of a
 failed entry.  The searches check the mode, T, theta and eps once, in
@@ -48,8 +51,8 @@ import numpy as np
 from .entropy import _entropy, binary_entropy
 from .errors import B92Error, DegenerateLinkError, DomainError, FirstFailure, require
 from .estimation import ChannelTriple
-from .evebound import (_HALF_PI, _ONE, _ZERO, OK, BoundArrays, _bound, collision_gain,
-                       shannon_gain)
+from .evebound import (_HALF_PI, _ONE, _ZERO, OK, BoundArrays, _bound, _bound_one, _channel,
+                       collision_gain, shannon_gain)
 from .states import conclusive_rates
 
 # information Eve draws from probe overlap q, by estimation mode
@@ -148,23 +151,24 @@ class KeyGains(FirstFailure):
 
 
 def _checked(mode: str, alpha, theta, epsilon, transmission):
-    """The information measure of ``mode``, and the inputs as float arrays.
+    """The information measure of ``mode``, and the inputs for one pass.
 
     Checks the mode, then T in [0, 1], alpha (unless it is None), theta and
     eps, with eve_bound's messages: entries without conclusive events pass
-    the bound a stand-in T = 1, and every other entry has T > 0.
+    the bound a stand-in T = 1, and every other entry has T > 0.  The
+    inputs come back as Python floats for the float pass when each is a
+    Python number, and as float arrays for the array pass otherwise; the
+    checks are the same on both.
     """
     if mode not in INFORMATION:
         raise DomainError(f"unknown estimation mode: {mode!r}")
-    alpha, theta, epsilon, transmission = (
-        v if v is None else np.asarray(v, dtype=float)
-        for v in (alpha, theta, epsilon, transmission))
-    require(transmission, (_ZERO <= transmission) & (transmission <= _ONE),
+    alpha, theta, epsilon, transmission = _channel(alpha, theta, epsilon, transmission)
+    require(transmission, (0.0 <= transmission) & (transmission <= 1.0),
             "transmission outside [0, 1]")
     if alpha is not None:
-        require(alpha, (_ZERO <= alpha) & (alpha <= _HALF_PI), "signal angle outside [0, pi/2]")
+        require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "signal angle outside [0, pi/2]")
     require(theta, np.isfinite(theta), "tilt angle not finite")
-    require(epsilon, (_ZERO <= epsilon) & (epsilon <= _ONE), "noise parameter outside [0, 1]")
+    require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     return INFORMATION[mode], alpha, theta, epsilon, transmission
 
 
@@ -196,16 +200,46 @@ def _pass(alpha, theta, epsilon, transmission, information) -> tuple:
             gain_correct + gain_flipped - p_conc * _entropy(e), failed, bounds)
 
 
+def _pass_one(alpha, theta, epsilon, transmission, information) -> tuple:
+    """:func:`_pass` on one channel's checked Python floats, bit for bit.
+
+    The same accounting in the same order, with :func:`_bound_one` at each
+    tilt in place of the array bound; the rates come from
+    :func:`conclusive_rates` as numpy scalars, which divide 0 by 0 into NaN.
+    Returns the fields of :class:`KeyGains` with shape (), and ``bounds``
+    with shape (2,).
+    """
+    p_error, p_conc = conclusive_rates(alpha, theta, epsilon, transmission)
+    e = p_error / p_conc
+    defined = e < 1.0
+    stand_in = transmission if defined else 1.0
+    pair = [_bound_one(alpha, alpha, tilt, epsilon, stand_in)
+            for tilt in (theta, -2.0 * alpha - theta)]
+    # each field stacks the correct-bit bound over the flipped-bit one
+    bounds = BoundArrays(*map(np.array, zip(*pair)))
+    info = [information(q) for q in bounds.overlap_min.tolist()]
+    info_f = info[1] if e > 0.0 else 0.0
+    gain_correct = p_conc * (1.0 - e) * (1.0 - info[0])
+    gain_flipped = p_conc * e * (1.0 - info_f)
+    failed = not defined or bounds.status[0] != OK
+    gain = gain_correct + gain_flipped - p_conc * _entropy(e)
+    return (*map(np.array, (p_conc, e, info[0], info_f, gain_correct, gain_flipped, gain,
+                            failed)), bounds)
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> KeyGains:
     """Net secret-key gain per pulse over broadcast arrays of the channel.
 
     Out-of-range inputs, such as a transmission outside [0, 1] or NaN, and
     unknown modes raise :class:`DomainError`; a failing entry, such as one
-    with T = 0, is marked in ``failed`` instead.
+    with T = 0, is marked in ``failed`` instead.  One channel of Python
+    numbers takes the float pass and gets fields of shape (), each equal
+    bit for bit to that channel's entry of an array call.
     """
     information, *channel = _checked(mode, alpha, theta, epsilon, transmission)
-    return KeyGains(*_pass(*channel, information))
+    run = _pass_one if isinstance(channel[1], float) else _pass
+    return KeyGains(*run(*channel, information))
 
 
 def secret_key_gain(alpha: float, triple: ChannelTriple,

@@ -21,6 +21,8 @@ wrap ``evebound``'s private families and roots with the checks and the
 ``np.errstate`` that :func:`~b92sec.evebound.eve_bound` gives its pass.
 So does the oracle's equality case, :func:`oracle_min_overlap`, which
 cross-checks the two solvers at targets no program path reaches.
+:func:`assert_same_bits` is the equality that a one-channel result owes
+its entry of an array call.
 """
 
 import math
@@ -233,6 +235,21 @@ def symmetrize_densities(rho0: SignalDensity, rho1: SignalDensity, alpha: float,
     sym0 = SignalDensity(transmission, (vx, 0.0, vz))
     sym1 = SignalDensity(transmission, (-vx, 0.0, vz))
     return ChannelTriple(theta=theta, epsilon=epsilon, transmission=transmission), (sym0, sym1)
+
+
+def assert_same_bits(got, want, what: str = "") -> None:
+    """``got`` and ``want`` hold the same floats bit for bit, NaN matching NaN.
+
+    Both are raveled first, so a one-channel field of shape () or (2,)
+    compares with its entry of an array call, or with the same channel of
+    a one-element list.  The sign of a zero counts; the sign and payload of
+    a NaN do not.
+    """
+    got, want = np.ravel(got), np.ravel(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, (what, got, want)
+    if got.dtype.kind == "f":
+        got, want = (np.where(np.isnan(v), np.nan, v) for v in (got, want))
+    assert got.tobytes() == want.tobytes(), (what, got, want)
 
 
 def count(counts: ObservedCounts, bit: int, outcome: str) -> int:

@@ -26,10 +26,12 @@ from b92sec.evebound import (
     _matrices,
 )
 
-from b92sec.keyrate import key_gains
+from b92sec import evebound, keyrate
+from b92sec.keyrate import MODES, key_gains
 
 from conftest import (
     DEG,
+    assert_same_bits,
     constraint_max,
     min_overlap_at,
     oracle_min_overlap,
@@ -478,7 +480,7 @@ class TestArrayParity:
                 failures += 1
                 continue
             assert bound.status[k] == OK and bound.error(k) is None
-            assert abs(bound.overlap_min[k] - res.overlap_min) <= 1e-12
+            assert_same_bits(res.overlap_min, bound.overlap_min[k])
             assert FAMILIES[bound.regime[k]] == res.achieving.family
         assert 0 < failures == np.count_nonzero(bound.status != OK)
         with pytest.raises(UnreachableChannelError):
@@ -491,15 +493,133 @@ class TestArrayParity:
         assert {FREE, TYPE1, TYPE3} <= regimes
 
     def test_one_entry_call_returns_0d_arrays(self):
+        # one channel per regime, and one that fails: unreachable for the
+        # bound, and with an error rate of one for the key gain
         alpha, theta, eps, t = self.channels()
         bound = eve_bound(alpha, alpha, theta, eps, t)
-        for regime in (FREE, TYPE1, TYPE3):
-            k = np.flatnonzero((bound.regime == regime) & (bound.status == OK))[0]
-            one = eve_bound(alpha[k], alpha[k], theta[k], eps[k], t[k])
-            for field in (one.overlap_min, one.regime):
-                assert type(field) is np.ndarray and field.shape == ()
-            assert one.regime == regime
-            assert abs(one.overlap_min - bound.overlap_min[k]) <= 1e-12
+        gains = key_gains(alpha, theta, eps, t)
+        picks = [np.flatnonzero((bound.regime == regime) & (bound.status == OK))[0]
+                 for regime in (FREE, TYPE1, TYPE3)]
+        picks.append(np.flatnonzero(bound.status == UNREACHABLE)[0])
+        for k in picks:
+            channel = (alpha[k], alpha[k], theta[k], eps[k], t[k])
+            one = eve_bound(*channel)
+            for name, field in vars(one).items():
+                assert type(field) is np.ndarray and field.shape == (), name
+                assert_same_bits(field, np.broadcast_to(getattr(bound, name), t.shape)[k], name)
+            one = key_gains(*channel[1:])
+            assert one.failed == (bound.status[k] != OK)
+            for name, field in vars(one).items():
+                if name == "bounds":
+                    for part, pair in vars(field).items():
+                        assert type(pair) is np.ndarray and pair.shape == (2,), part
+                        assert_same_bits(pair, getattr(gains.bounds, part)[:, k], part)
+                else:
+                    assert type(field) is np.ndarray and field.shape == (), name
+                    assert_same_bits(field, getattr(gains, name)[k], name)
+        assert [int(bound.regime[k]) for k in picks[:3]] == [FREE, TYPE1, TYPE3]
+
+
+# inputs that are not Python numbers, each with a valid value for every input
+NOT_PYTHON_NUMBERS = {
+    "0-d ndarray": (np.array, 0.3),
+    "np.float32": (np.float32, 0.3),
+    "np.int64": (np.int64, 1),
+    "one-element list": (lambda v: [v], 0.3),
+}
+
+
+class TestFloatPass:
+    """One channel of Python numbers runs the closed form on floats, bit for bit.
+
+    eve_bound and key_gains take their float pass when every channel input
+    is a Python int or float, and their array pass otherwise; every field of
+    a one-channel result equals the channel's entry of an array call.
+    """
+
+    @staticmethod
+    def channels(rng, n: int):
+        """n seeded channels (alpha', alpha, theta, eps, T) over the whole domain.
+
+        alpha is uniform in [0, pi/2] with the ends 0 and pi/2 exact; theta is
+        -2 alpha exactly, within 10^U(-17, -1) of it, within that of +-pi, 0,
+        or uniform in [-pi, pi], a fifth each; eps is 0, 1, 10^U(-17, -6) or
+        U(0, 1), and T is 1, U(0.01, 1) or 10^U(-300, -1), drawn alike.  alpha'
+        is alpha in half the channels and uniform in [0, pi/2] in the others.
+        """
+        alpha = rng.uniform(0.0, math.pi / 2.0, n)
+        alpha[::50] = 0.0
+        alpha[1::50] = math.pi / 2.0
+        side = rng.choice((-1.0, 1.0), n)
+        near = side * 10.0 ** rng.uniform(-17.0, -1.0, n)
+        theta = np.choose(np.arange(n) % 5, [-2.0 * alpha, -2.0 * alpha + near,
+                                             side * (math.pi - np.abs(near)), np.zeros(n),
+                                             rng.uniform(-math.pi, math.pi, n)])
+        eps = np.choose(rng.integers(0, 4, n), [0.0, 1.0, 10.0 ** rng.uniform(-17.0, -6.0, n),
+                                                rng.uniform(0.0, 1.0, n)])
+        transmission = np.choose(rng.integers(0, 3, n), [1.0, rng.uniform(0.01, 1.0, n),
+                                                         10.0 ** rng.uniform(-300.0, -1.0, n)])
+        alpha_prime = np.where(rng.random(n) < 0.5, alpha, rng.uniform(0.0, math.pi / 2.0, n))
+        return alpha_prime, alpha, theta, eps, transmission
+
+    def test_one_channel_equals_its_array_entry_over_the_whole_domain(self):
+        # at the parent of the float pass a one-channel bound squared with C pow,
+        # which rounds differently from the array pass's x * x on some draws
+        n = 10_000
+        channels = self.channels(np.random.default_rng(20261020), n)
+        rows = list(zip(*(c.tolist() for c in channels)))
+        bound = eve_bound(*channels)
+        ones = [eve_bound(*row) for row in rows]
+        for name, field in vars(bound).items():
+            assert_same_bits([getattr(one, name) for one in ones],
+                             np.broadcast_to(field, (n,)), name)
+        for mode in MODES:
+            gains = key_gains(*channels[1:], mode)
+            ones = [key_gains(*row[1:], mode) for row in rows]
+            for name, field in vars(gains).items():
+                if name != "bounds":
+                    assert_same_bits([getattr(one, name) for one in ones], field, name)
+            for name, field in vars(gains.bounds).items():
+                assert_same_bits([getattr(one.bounds, name) for one in ones],
+                                 np.broadcast_to(field, (2, n)).T, name)
+        # the strata reach every regime, and failed entries of both kinds
+        assert {0, 1, 2} <= set(bound.regime[bound.status == OK].tolist())
+        assert np.count_nonzero(bound.status != OK)
+        assert np.count_nonzero(gains.failed & (gains.bounds.status[0] == OK))
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The pass each bound of a call ran on, "float" or "array", in order."""
+        ran = []
+        for module in (evebound, keyrate):
+            for name, label in (("_bound", "array"), ("_bound_one", "float")):
+                run = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, run=run, label=label:
+                                    ran.append(label) or run(*args))
+        return ran
+
+    @pytest.mark.parametrize("kind", NOT_PYTHON_NUMBERS)
+    @pytest.mark.parametrize("call,good", [
+        (eve_bound, dict(alpha_prime=0.4, alpha=0.5, theta=0.05, epsilon=0.1, transmission=0.8)),
+        (key_gains, dict(alpha=0.5, theta=0.05, epsilon=0.1, transmission=0.8)),
+    ], ids=["eve_bound", "key_gains"])
+    def test_only_python_numbers_take_the_float_pass(self, call, good, kind, passes):
+        # each input in turn is not a Python number: that call takes the array
+        # pass and gives the fields the float call gives on the same value
+        make, value = NOT_PYTHON_NUMBERS[kind]
+        number = float(np.ravel(make(value))[0])
+        for name in good:
+            passes.clear()
+            one = call(**dict(good, **{name: number}))
+            assert passes in (["float"], ["float", "float"]), name
+            passes.clear()
+            other = call(**dict(good, **{name: make(value)}))
+            assert passes == ["array"], name
+            for field, got in vars(other).items():
+                parts = vars(got).items() if field == "bounds" else [(field, got)]
+                for part, got in parts:
+                    want = getattr(one.bounds if field == "bounds" else one, part)
+                    assert_same_bits(got, want, f"{name} {part}")
 
 
 def whole_domain_targets(rng, n: int):

@@ -330,3 +330,61 @@ def test_every_range_check_names_its_value(case):
         call()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+BELOW_ZERO = math.nextafter(0.0, -1.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+ABOVE_HALF_PI = math.nextafter(math.pi / 2.0, 2.0)
+# eve_bound's and key_gains' valid inputs, then their inputs in the order
+# they check them, each with the start of its message and its values just
+# outside the range; NaN and +-inf are bad for every input
+ENTRY_POINTS = {
+    "eve_bound": (
+        eve_bound,
+        dict(alpha_prime=0.4, alpha=0.5, theta=0.05, epsilon=0.1, transmission=0.8),
+        [("alpha_prime", "signal angle outside [0, pi/2]", (BELOW_ZERO, ABOVE_HALF_PI)),
+         ("alpha", "analyzer angle outside [0, pi/2]", (BELOW_ZERO, ABOVE_HALF_PI)),
+         ("theta", "tilt angle not finite", ()),
+         ("transmission", "transmission outside (0, 1]", (0.0, ABOVE_ONE)),
+         ("epsilon", "noise parameter outside [0, 1]", (BELOW_ZERO, ABOVE_ONE))]),
+    "key_gains": (
+        key_gains,
+        dict(alpha=0.5, theta=0.05, epsilon=0.1, transmission=0.8, mode="collision"),
+        [("mode", "unknown estimation mode", ("renyi",)),
+         ("transmission", "transmission outside [0, 1]", (BELOW_ZERO, ABOVE_ONE)),
+         ("alpha", "signal angle outside [0, pi/2]", (BELOW_ZERO, ABOVE_HALF_PI)),
+         ("theta", "tilt angle not finite", ()),
+         ("epsilon", "noise parameter outside [0, 1]", (BELOW_ZERO, ABOVE_ONE))]),
+}
+BAD_INPUTS = [
+    pytest.param(entry, k, value, id=f"{entry}-{name}-{value}")
+    for entry, (_, _, order) in ENTRY_POINTS.items()
+    for k, (name, _, outside) in enumerate(order)
+    for value in (outside if name == "mode" else (math.nan, math.inf, -math.inf, *outside))
+]
+
+
+def _message(call, inputs: dict) -> str:
+    with pytest.raises(DomainError) as info:
+        call(**inputs)
+    return str(info.value)
+
+
+def _as_0d_arrays(inputs: dict) -> dict:
+    return {name: value if name == "mode" else np.array(value) for name, value in inputs.items()}
+
+
+@pytest.mark.parametrize("entry,k,value", BAD_INPUTS)
+def test_both_passes_name_the_first_bad_input_alike(entry, k, value):
+    # Python floats take the float pass and 0-d arrays the array pass: one
+    # message from both, naming the bad input; with every later input in
+    # check order bad too, both still name this one
+    call, good, order = ENTRY_POINTS[entry]
+    name, start, _ = order[k]
+    inputs = dict(good, **{name: value})
+    expected = f"{start}: {value!r}" if name == "mode" else f"{start}: {np.float64(value)}"
+    assert _message(call, inputs) == expected
+    assert _message(call, _as_0d_arrays(inputs)) == expected
+    inputs.update({later: math.nan for later, _, _ in order[k + 1:]})
+    assert _message(call, inputs) == expected
+    assert _message(call, _as_0d_arrays(inputs)) == expected

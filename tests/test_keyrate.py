@@ -27,7 +27,7 @@ from b92sec.keyrate import (
 )
 from b92sec.states import OUTCOMES, outcome_table
 
-from conftest import DEG, noiseless_gain
+from conftest import DEG, assert_same_bits, noiseless_gain
 
 
 class TestSecretKeyGain:
@@ -123,7 +123,7 @@ class TestSecretKeyGain:
             assert not g.failed[k]
             for name in ("p_conc", "error_rate", "info_correct", "info_flipped",
                          "gain_correct", "gain_flipped", "gain"):
-                assert abs(getattr(g, name)[k] - getattr(rep, name)) <= 1e-12, name
+                assert_same_bits(getattr(rep, name), getattr(g, name)[k], name)
         assert raised == [UnreachableChannelError, DomainError, DomainError]
 
 
