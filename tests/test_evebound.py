@@ -13,7 +13,9 @@ from b92sec.estimation import ChannelTriple
 from b92sec.evebound import (
     FAMILIES,
     FREE,
+    FREE_SLOP,
     OK,
+    REACH_SLOP,
     TYPE1,
     TYPE3,
     UNREACHABLE,
@@ -493,8 +495,8 @@ class TestArrayParity:
         assert {FREE, TYPE1, TYPE3} <= regimes
 
     def test_one_entry_call_returns_0d_arrays(self):
-        # one channel per regime, and one that fails: unreachable for the
-        # bound, and with an error rate of one for the key gain
+        # one channel per regime, and an unreachable one, which fails the
+        # key gain too
         alpha, theta, eps, t = self.channels()
         bound = eve_bound(alpha, alpha, theta, eps, t)
         gains = key_gains(alpha, theta, eps, t)
@@ -563,8 +565,8 @@ class TestFloatPass:
         return alpha_prime, alpha, theta, eps, transmission
 
     def test_one_channel_equals_its_array_entry_over_the_whole_domain(self):
-        # at the parent of the float pass a one-channel bound squared with C pow,
-        # which rounds differently from the array pass's x * x on some draws
+        # a one-channel call that squared with ** 2 on numpy scalars, C pow,
+        # would round differently from the array pass's x * x on some draws
         n = 10_000
         channels = self.channels(np.random.default_rng(20261020), n)
         rows = list(zip(*(c.tolist() for c in channels)))
@@ -583,9 +585,37 @@ class TestFloatPass:
                 assert_same_bits([getattr(one.bounds, name) for one in ones],
                                  np.broadcast_to(field, (2, n)).T, name)
         # the strata reach every regime, and failed entries of both kinds
-        assert {0, 1, 2} <= set(bound.regime[bound.status == OK].tolist())
+        assert {FREE, TYPE1, TYPE3} <= set(bound.regime[bound.status == OK].tolist())
         assert np.count_nonzero(bound.status != OK)
         assert np.count_nonzero(gains.failed & (gains.bounds.status[0] == OK))
+
+    @pytest.mark.parametrize("which", ["free", "reach"])
+    def test_a_target_exactly_at_a_slop_keeps_its_side(self, which):
+        # at T = 1 the target is cos(alpha'); among 10^4 consecutive floats
+        # alpha' some cos lands exactly on the free limit plus FREE_SLOP, which
+        # is still free, or on the reach plus REACH_SLOP, which is reachable,
+        # on either pass
+        for alpha, theta, eps in [(0.5, 0.1, 0.2), (0.4, 0.0, 0.3), (0.7, -0.2, 0.1)]:
+            bound = eve_bound(0.1, alpha, theta, eps, 1.0)
+            if which == "free":
+                target = float(bound.free_limit) + FREE_SLOP
+            else:
+                target = float(bound.constraint_max) + REACH_SLOP
+            start = math.acos(target)
+            grid = start + np.arange(-5000, 5000) * math.ulp(start)
+            hits = grid[np.cos(grid) == target]
+            if hits.size:
+                break
+        assert hits.size, "no alpha' lands its target exactly on the threshold"
+        channel = (hits[0], alpha, theta, eps, 1.0)
+        for one in (eve_bound(*channel), eve_bound(*(np.array([v]) for v in channel))):
+            assert one.status.item() == OK
+            if which == "free":
+                assert (one.target.item(), one.regime.item(), one.overlap_min.item()) == (
+                    target, FREE, 0.0)
+            else:
+                # a reachable target is clipped to the reach
+                assert one.target.item() == one.constraint_max.item()
 
     @pytest.fixture
     def passes(self, monkeypatch):
