@@ -114,6 +114,9 @@ class ObservedCounts:
             record = json.loads(text, object_pairs_hook=tuple)
         except json.JSONDecodeError as exc:
             raise DomainError(f"counts record is not JSON: {exc}") from None
+        if isinstance(record, tuple):
+            # simulate's own JSON record holds the counts under "counts"
+            record = dict(record).get("counts", record)
         if not isinstance(record, tuple):
             raise DomainError(f"counts JSON must be an object, got {type(record).__name__}")
         _check_fields([name for name, _ in record], "JSON")

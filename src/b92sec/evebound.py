@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,7 @@ _ZERO, _HALF, _ONE, _TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0))
 _HALF_PI = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class SymMat2:
+class SymMat2(NamedTuple):
     """Real symmetric 2x2 matrix; the entries may be broadcast arrays."""
 
     m11: float
@@ -212,7 +212,33 @@ def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
     return a, b, den
 
 
-def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2, SymMat2]:
+def _matrices_one(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2, SymMat2]:
+    """:func:`_matrices`' A and B on one channel's Python floats, bit for bit.
+
+    The same operations in the same order, with numpy's sin and cos
+    (``math``'s can round differently) and squares as x * x.
+    """
+    half = alpha + 0.5 * theta
+    sin_half, cos_half = float(np.sin(half)), float(np.cos(half))
+    sin2 = sin_half * sin_half
+    tilt = 2.0 * alpha + theta
+    den = 2.0 * sin2 + epsilon * float(np.cos(tilt))
+    two_eps = 2.0 - epsilon
+    one = den == 0.0
+    a_den = den + one
+    a = SymMat2((two_eps * sin2 + one) / a_den,
+                -math.sqrt(epsilon * two_eps) * float(np.sin(tilt)) / (2.0 * a_den),
+                epsilon * (cos_half * cos_half) / a_den)
+    full = alpha + theta
+    cos_full = float(np.cos(full))
+    half_eps = 0.5 * epsilon
+    keep = 1.0 - half_eps
+    b = SymMat2(keep * cos_full, math.sqrt(keep * 0.5 * epsilon) * float(np.sin(full)),
+                -half_eps * cos_full)
+    return a, b
+
+
+def build_matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2]:
     """Objective and constraint matrices (A, B) for the probe optimization.
 
     A is rank one with unit trace (it is the projector structure of the
@@ -220,10 +246,17 @@ def build_matrices(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2,
     denominator 1 - (1 - eps) cos(2 alpha + theta) vanishes only for a
     noiseless channel with 2 alpha + theta = 0, where A is 0/0 and takes
     diag(1, 0), its value at every other noiseless channel.  The analyzer
-    angle alpha lies in [0, pi/2] (see the module docstring).
+    angle alpha lies in [0, pi/2] (see the module docstring).  By
+    :func:`eve_bound`'s rule, one channel of Python ints and floats takes
+    the float pass and gets Python float entries, equal bit for bit to an
+    array call's; arrays, 0-d ones and other numpy scalars included, take
+    the array pass and get float arrays or numpy scalars.
     """
-    require(alpha, (0.0 <= alpha) & (alpha <= math.pi / 2.0), "analyzer angle outside [0, pi/2]")
+    alpha, theta, epsilon = _channel(alpha, theta, epsilon)
+    require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
+    if isinstance(theta, float):
+        return _matrices_one(alpha, theta, epsilon)
     a, b, _ = _matrices(alpha, theta, epsilon)
     return a, b
 
@@ -378,32 +411,14 @@ def _bound_one(alpha_prime, alpha, theta, epsilon, transmission) -> tuple:
     """:func:`_bound`'s arithmetic on one channel's checked Python floats.
 
     The fields of :class:`BoundArrays`, in order, as Python numbers, each
-    equal bit for bit to the array pass's entry: the same operations in the
-    same order, with numpy's sin, cos and hypot (``math``'s can round
-    differently), squares as x * x, and numpy's inf or NaN where a divisor
-    vanishes.  Work whose result the array pass masks out is skipped: the
-    type3 projector of an entry without one, and the roots of a free entry.
-    Runs under the caller's ``np.errstate``.
+    equal bit for bit to the array pass's entry: A and B from
+    :func:`_matrices_one`, then the same operations in the same order, with
+    numpy's hypot (``math``'s can round differently) and numpy's inf or NaN
+    where a divisor vanishes.  Work whose result the array pass masks out
+    is skipped: the type3 projector of an entry without one, and the roots
+    of a free entry.  Runs under the caller's ``np.errstate``.
     """
-    # A and B, as _matrices builds them
-    half = alpha + 0.5 * theta
-    sin_half, cos_half = float(np.sin(half)), float(np.cos(half))
-    sin2 = sin_half * sin_half
-    tilt = 2.0 * alpha + theta
-    den = 2.0 * sin2 + epsilon * float(np.cos(tilt))
-    two_eps = 2.0 - epsilon
-    one = den == 0.0
-    a_den = den + one
-    a11 = (two_eps * sin2 + one) / a_den
-    a12 = -math.sqrt(epsilon * two_eps) * float(np.sin(tilt)) / (2.0 * a_den)
-    a22 = epsilon * (cos_half * cos_half) / a_den
-    full = alpha + theta
-    cos_full = float(np.cos(full))
-    half_eps = 0.5 * epsilon
-    keep = 1.0 - half_eps
-    b11 = keep * cos_full
-    b12 = math.sqrt(keep * 0.5 * epsilon) * float(np.sin(full))
-    b22 = -half_eps * cos_full
+    (a11, a12, a22), (b11, b12, b22) = _matrices_one(alpha, theta, epsilon)
     # the families, as _families finds them
     det_b = b11 * b22 - b12 * b12
     qc, qs, bc, bs = a11 - a22, 2.0 * a12, b11 - b22, 2.0 * b12
@@ -463,9 +478,9 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     """Eve's maximum information gain on correct bits over broadcast arrays.
 
     Out-of-range inputs raise :class:`DomainError`; an unreachable channel
-    is reported in ``status`` instead.  One channel of Python numbers takes
-    the float pass and gets fields of shape (), each equal bit for bit to
-    that channel's entry of an array call.
+    is reported in ``status`` instead.  Every field is an ndarray.  One
+    channel of Python numbers takes the float pass and gets fields of shape
+    (), each equal bit for bit to that channel's entry of an array call.
     """
     channel = _channel(alpha_prime, alpha, theta, epsilon, transmission)
     alpha_prime, alpha, theta, epsilon, transmission = channel
@@ -478,7 +493,8 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     if isinstance(theta, float):
         return BoundArrays(*map(np.array, _bound_one(*channel)))
-    return _bound(*channel)
+    # 0-d inputs give numpy scalars in places; every field is an ndarray
+    return BoundArrays(*map(np.asarray, vars(_bound(*channel)).values()))
 
 
 def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:

@@ -233,13 +233,17 @@ def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> K
 
     Out-of-range inputs, such as a transmission outside [0, 1] or NaN, and
     unknown modes raise :class:`DomainError`; a failing entry, such as one
-    with T = 0, is marked in ``failed`` instead.  One channel of Python
-    numbers takes the float pass and gets fields of shape (), each equal
-    bit for bit to that channel's entry of an array call.
+    with T = 0, is marked in ``failed`` instead.  Every field is an
+    ndarray.  One channel of Python numbers takes the float pass and gets
+    fields of shape (), each equal bit for bit to that channel's entry of
+    an array call.
     """
     information, *channel = _checked(mode, alpha, theta, epsilon, transmission)
-    run = _pass_one if isinstance(channel[1], float) else _pass
-    return KeyGains(*run(*channel, information))
+    if isinstance(channel[1], float):
+        return KeyGains(*_pass_one(*channel, information))
+    # 0-d inputs give numpy scalars in places; every field is an ndarray
+    *fields, bounds = _pass(*channel, information)
+    return KeyGains(*map(np.asarray, fields), bounds)
 
 
 def secret_key_gain(alpha: float, triple: ChannelTriple,

@@ -37,17 +37,25 @@ certified answer has a small gap.
 
 The algebra runs on Python floats: A, B, the candidates, g and every
 certificate are a few numbers each, and a numpy call on them costs 1-3 us
-of dispatch, more than its arithmetic.  What stays in LAPACK is one
-``eigh`` per range end, for the eigenbasis of C - lambda* B, and one for
-B's polar factor on the face or where C - lambda* B vanishes.  A
-closed-form 2x2 eigenbasis was tried in its place and moved the gap of
-``test_near_singular_channel_keeps_a_tight_certificate`` from -2.2e-16 to
-1.3e-11, past its pinned 1e-11: lambda* is near -7.5e4 there, and the gap
-carries lambda* Tr[B X], so rounding in the basis grows some 1e5-fold.
-One call takes 50-97 us (median 51 us) on a shared 2-core VM (Python
-3.11, numpy 2.4; best of 5 rounds in each of five measurements):
-
-    PYTHONPATH=src python -m timeit -r 5 -s "import math; from b92sec.evebound import build_matrices; from b92sec.oracle import oracle_min_overlap_lossy; a = math.radians(20); A, B = build_matrices(a, math.radians(5), 0.3)" "oracle_min_overlap_lossy(A, B, a, 0.8)"
+of dispatch, more than its arithmetic.  The eigenbases, of C - lambda* B
+at each range end and of B for its polar factor, come from :func:`_eigh`,
+a port of LAPACK's 2x2 eigensolver DLAEV2 as DSYEVD applies it (Anderson
+et al., LAPACK Users' Guide, 3rd ed., SIAM 1999).  It equals numpy's
+``eigh`` bit for bit wherever LAPACK does not rescale, that is for a
+largest |entry| in [2**-405, 2**485], about [1.2e-122, 1.0e146]
+(``TestEigh`` in ``tests/test_oracle.py``).  The bits matter: a naive closed-form basis
+moved the gap of ``test_near_singular_channel_keeps_a_tight_certificate``
+from -2.2e-16 to 1.3e-11, since lambda* is near -7.5e4 there and the gap
+carries lambda* Tr[B X].  A has unit trace and a non-negative diagonal,
+so its largest entry is at least 1/2; B's is at least
+|cos(alpha + theta)| / 2, and no double comes nearer an odd multiple of
+pi/2 than about 4.7e-19.  C - lambda* B stayed under 4e4 in size over the
+tests' strata, but can leave the range below: its O(1) entry can cancel
+to exactly 0 while the others are of size sqrt(eps), under 1.2e-122 for
+eps below about 1e-244, and draws with such eps meet it.  Its eigenbasis
+is then never read, since both eigenvalues lie far below the zero
+threshold, at least 1e-12 |C|_max >= 5e-13, and the certificate takes B's
+polar factor instead.  Timings are in ``BENCH_oracle_eigensolver.json``.
 
 Feasibility is exact: the largest Tr[B X] over contractions is |B|_*,
 reached at B's polar factor (von Neumann's trace inequality), so the
@@ -68,6 +76,7 @@ from ``tools/dual_reference.py``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +86,10 @@ from .evebound import SymMat2
 
 # eigenvalues this small against the matrices' scale count as zero
 _ZERO = 1e-12
+# LAPACK's dlamch("E"), its square and dlamch("S"), as DSTEQR takes them
+_EPS = 2.0 ** -53
+_EPS2 = _EPS * _EPS
+_SAFMIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -108,9 +121,61 @@ def _tr(c: SymMat2, x: SymMat2) -> float:
     return c.m11 * x.m11 + 2.0 * c.m12 * x.m12 + c.m22 * x.m22
 
 
-def _eigh(m: SymMat2) -> list[list]:
-    """[ascending eigenvalues of M, its eigenvectors as columns], from LAPACK."""
-    return [r.tolist() for r in np.linalg.eigh(np.array([[m.m11, m.m12], [m.m12, m.m22]]))]
+def _eigh(m: SymMat2) -> tuple[list, list]:
+    """[ascending eigenvalues of M], [rows of its eigenvectors as columns].
+
+    What numpy's ``eigh`` (LAPACK's DSYEVD, lower triangle) does for
+    M = [[d, e], [e, f]]: DSYTRD leaves a 2x2 matrix as it is, and DSTEQR
+    either splits it, where e is negligible by either of its two tests, or
+    takes DLAEV2's eigenvalues rt1, rt2 and rotation (c, s), the eigenvector
+    of rt1; its selection sort then orders the eigenvalues with a strict <,
+    swapping the eigenvectors with them.  LAPACK's rescaling of a matrix
+    whose largest |entry| lies outside [2**-405, 2**485] is left out, so
+    only there can the bits differ.
+    """
+    d, e, f = m
+    ad, af = abs(d), abs(f)
+    # DSTEQR's split tests; the second multiplies the smaller diagonal first
+    # in the QL and the QR iteration alike
+    if (e == 0.0 or abs(e) <= math.sqrt(ad) * math.sqrt(af) * _EPS
+            or e * e <= _EPS2 * min(ad, af) * max(ad, af) + _SAFMIN):
+        rt1, rt2, v = d, f, [[1.0, 0.0], [0.0, 1.0]]
+    else:
+        # DLAEV2, in its order of operations
+        sm, df, tb = d + f, d - f, e + e
+        adf, ab = abs(df), abs(tb)
+        acmx, acmn = (d, f) if ad > af else (f, d)
+        if adf > ab:
+            r = ab / adf
+            rt = adf * math.sqrt(1.0 + r * r)
+        elif adf < ab:
+            r = adf / ab
+            rt = ab * math.sqrt(1.0 + r * r)
+        else:
+            rt = ab * math.sqrt(2.0)
+        if sm < 0.0:
+            rt1, sgn1 = 0.5 * (sm - rt), -1.0
+            rt2 = (acmx / rt1) * acmn - (e / rt1) * e
+        elif sm > 0.0:
+            rt1, sgn1 = 0.5 * (sm + rt), 1.0
+            rt2 = (acmx / rt1) * acmn - (e / rt1) * e
+        else:
+            rt1, rt2, sgn1 = 0.5 * rt, -0.5 * rt, 1.0
+        cs, sgn2 = (df + rt, 1.0) if df >= 0.0 else (df - rt, -1.0)
+        if abs(cs) > ab:
+            ct = -tb / cs
+            s = 1.0 / math.sqrt(1.0 + ct * ct)
+            c = ct * s
+        else:
+            tn = -cs / tb
+            c = 1.0 / math.sqrt(1.0 + tn * tn)
+            s = tn * c
+        if sgn1 == sgn2:
+            c, s = -s, c
+        v = [[c, -s], [s, c]]
+    if rt2 < rt1:
+        return [rt2, rt1], [[v[0][1], v[0][0]], [v[1][1], v[1][0]]]
+    return [rt1, rt2], v
 
 
 def _outer(v, s1: float, s2: float) -> SymMat2:
