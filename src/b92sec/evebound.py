@@ -212,11 +212,12 @@ def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
     return a, b, den
 
 
-def _matrices_one(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2, SymMat2]:
+def _matrices_one(alpha: float, theta: float, epsilon: float) -> tuple:
     """:func:`_matrices`' A and B on one channel's Python floats, bit for bit.
 
-    The same operations in the same order, with numpy's sin and cos
-    (``math``'s can round differently) and squares as x * x.
+    (a11, a12, a22, b11, b12, b22), from the same operations in the same
+    order, with numpy's sin and cos (``math``'s can round differently) and
+    squares as x * x.
     """
     half = alpha + 0.5 * theta
     sin_half, cos_half = float(np.sin(half)), float(np.cos(half))
@@ -226,16 +227,15 @@ def _matrices_one(alpha: float, theta: float, epsilon: float) -> tuple[SymMat2, 
     two_eps = 2.0 - epsilon
     one = den == 0.0
     a_den = den + one
-    a = SymMat2((two_eps * sin2 + one) / a_den,
-                -math.sqrt(epsilon * two_eps) * float(np.sin(tilt)) / (2.0 * a_den),
-                epsilon * (cos_half * cos_half) / a_den)
     full = alpha + theta
     cos_full = float(np.cos(full))
     half_eps = 0.5 * epsilon
     keep = 1.0 - half_eps
-    b = SymMat2(keep * cos_full, math.sqrt(keep * 0.5 * epsilon) * float(np.sin(full)),
-                -half_eps * cos_full)
-    return a, b
+    return ((two_eps * sin2 + one) / a_den,
+            -math.sqrt(epsilon * two_eps) * float(np.sin(tilt)) / (2.0 * a_den),
+            epsilon * (cos_half * cos_half) / a_den,
+            keep * cos_full, math.sqrt(keep * 0.5 * epsilon) * float(np.sin(full)),
+            -half_eps * cos_full)
 
 
 def build_matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2]:
@@ -256,7 +256,8 @@ def build_matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2]:
     require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     if isinstance(theta, float):
-        return _matrices_one(alpha, theta, epsilon)
+        a11, a12, a22, b11, b12, b22 = _matrices_one(alpha, theta, epsilon)
+        return SymMat2(a11, a12, a22), SymMat2(b11, b12, b22)
     a, b, _ = _matrices(alpha, theta, epsilon)
     return a, b
 
@@ -418,7 +419,7 @@ def _bound_one(alpha_prime, alpha, theta, epsilon, transmission) -> tuple:
     is skipped: the type3 projector of an entry without one, and the roots
     of a free entry.  Runs under the caller's ``np.errstate``.
     """
-    (a11, a12, a22), (b11, b12, b22) = _matrices_one(alpha, theta, epsilon)
+    a11, a12, a22, b11, b12, b22 = _matrices_one(alpha, theta, epsilon)
     # the families, as _families finds them
     det_b = b11 * b22 - b12 * b12
     qc, qs, bc, bs = a11 - a22, 2.0 * a12, b11 - b22, 2.0 * b12
