@@ -271,6 +271,14 @@ class TestSimulate:
                            "--output", str(record))
         assert code == EXIT_DOMAIN and out == "" and not record.exists()
 
+    def test_json_record_reads_back_as_its_counts(self, capsys, tmp_path):
+        # ObservedCounts.from_json reads simulate's whole JSON record, and
+        # its bare counts object
+        _, out, _ = run(capsys, "simulate", "--config", str(export_config(tmp_path, 4)))
+        counts = ObservedCounts(**json.loads(out)["counts"])
+        assert ObservedCounts.from_json(out) == counts
+        assert ObservedCounts.from_json(json.dumps(json.loads(out)["counts"])) == counts
+
     def test_full_run_with_counts_export(self, capsys, tmp_path):
         # a run whose estimate is unreachable still writes its counts and its
         # record, with a null key gain, and exits 3

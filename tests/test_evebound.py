@@ -648,8 +648,26 @@ class TestFloatPass:
             for field, got in vars(other).items():
                 parts = vars(got).items() if field == "bounds" else [(field, got)]
                 for part, got in parts:
+                    # an ndarray, of shape () where every input is 0-d, as the
+                    # float pass's fields are
+                    assert type(got) is np.ndarray, (name, part, type(got))
+                    if field != "bounds" and np.ndim(make(value)) == 0:
+                        assert got.shape == (), (name, part)
                     want = getattr(one.bounds if field == "bounds" else one, part)
                     assert_same_bits(got, want, f"{name} {part}")
+
+    def test_matrices_on_floats_equal_their_zero_d_call(self):
+        # build_matrices takes the float pass on Python numbers; NaN and
+        # infinite tilts, which it does not reject, give the same entries on
+        # both passes
+        _, alpha, theta, eps, _ = self.channels(np.random.default_rng(20261021), 10_000)
+        theta[:3] = math.nan, math.inf, -math.inf
+        with np.errstate(invalid="ignore"):
+            for channel in zip(alpha.tolist(), theta.tolist(), eps.tolist()):
+                ones = build_matrices(*channel)
+                for one, other in zip(ones, build_matrices(*map(np.array, channel))):
+                    assert {type(v) for v in one} == {float}, channel
+                    assert_same_bits(one, other, str(channel))
 
 
 def whole_domain_targets(rng, n: int):

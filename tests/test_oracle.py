@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from b92sec.evebound import (
     eve_bound,
     eve_max_gain,
 )
-from b92sec.oracle import _search, nuclear_norm, oracle_min_overlap_lossy
+from b92sec import oracle
+from b92sec.oracle import _eigh, _search, nuclear_norm, oracle_min_overlap_lossy
 
 from conftest import DEG, oracle_min_overlap, sym_matrix
 
@@ -400,3 +402,165 @@ def test_values_match_the_recorded_parity_table():
             assert got is None, draw
         else:
             assert got is not None and abs(got - float.fromhex(want)) <= 4.4e-16, draw
+
+
+# LAPACK's dlamch("E") and dlamch("S"); outside [RESCALED_BELOW,
+# RESCALED_ABOVE] (DSTEQR's ssfmin, DSYEVD's rmax) LAPACK rescales first
+EPS, SAFMIN = 2.0 ** -53, sys.float_info.min
+RESCALED_BELOW, RESCALED_ABOVE = 2.0 ** -405, 2.0 ** 485
+
+
+def lapack(rows) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's eigh of the (d, e, f) rows: eigenvalues (n, 2), eigenvectors (n, 2, 2)."""
+    rows = np.asarray(rows, dtype=float)
+    return np.linalg.eigh(np.stack([rows[:, [0, 1]], rows[:, [1, 2]]], 1))
+
+
+def lapack_one(m) -> tuple[list, list]:
+    """numpy's eigh of one matrix, in the port's form: (values, vector rows)."""
+    w, v = lapack([m])
+    return w[0].tolist(), v[0].tolist()
+
+
+def eigh_strata(rng) -> dict[str, np.ndarray]:
+    """Seeded (d, e, f) rows, 130,000 in all, whose largest |entry| LAPACK does not rescale."""
+    n = 10_000
+
+    def signs(*shape):
+        return rng.choice((-1.0, 1.0), shape)
+
+    def wide(*shape):
+        return signs(*shape) * 10.0 ** rng.uniform(-121.0, 145.0, shape)
+
+    d, f = wide(n), wide(n)
+    # DSTEQR's first split test: |e| <= sqrt|d| sqrt|f| eps
+    split = np.sqrt(abs(d)) * np.sqrt(abs(f)) * EPS
+    at = np.stack([np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)], 1) * signs(n, 1)
+    no_e = np.column_stack([d, np.zeros(n), np.where(np.arange(n) % 2, f, d)])
+    # one diagonal 0 or below 1e-280, |e| below 1.5e-154: e * e < SAFMIN, so
+    # only the second, squared test splits
+    small = np.where(np.arange(n) % 2, 0.0, signs(n) * 10.0 ** rng.uniform(-320.0, -280.0, n))
+    tiny_e = signs(n) * 10.0 ** rng.uniform(-200.0, -154.0, n)
+    squared = np.column_stack([d, tiny_e, small])
+    squared[::2] = squared[::2, ::-1]
+    # d - f = 2e exactly: integers at a power-of-two scale
+    a, b = rng.integers(-2 ** 20, 2 ** 20, (2, n))
+    unit = 2.0 ** rng.integers(-380, 460, n)
+    return {
+        "wide": wide(3 * n, 3),
+        "near the split": np.column_stack([d, split * signs(n) * 2.0 ** rng.uniform(-1, 1, n), f]),
+        "on the split": np.column_stack([np.repeat(d, 3), at.ravel(), np.repeat(f, 3)]),
+        "near diagonal": np.column_stack([d, 1e-12 * d * rng.standard_normal(n), f]),
+        "d = f": np.column_stack([d, wide(n), d]),
+        "d = -f": np.column_stack([d, wide(n), -d]),
+        "|d - f| = |2e|": unit[:, None] * np.column_stack([a + 2 * b, signs(n) * b, a]),
+        "e = 0": no_e,
+        "squared split": squared,
+    }
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def eigh_branches(m: np.ndarray) -> dict[str, np.ndarray]:
+    """Masks of the rows (d, e, f) that take each split test and DLAEV2 branch."""
+    d, e, f = m.T
+    ad, af, ab = abs(d), abs(f), abs(e + e)
+    first = (e != 0.0) & (abs(e) <= np.sqrt(ad) * np.sqrt(af) * EPS)
+    second = (e != 0.0) & ~first & (e * e <= EPS * EPS * np.minimum(ad, af) * np.maximum(ad, af)
+                                    + SAFMIN)
+    split = (e == 0.0) | first | second
+    sm, df = d + f, d - f
+    adf = abs(df)
+    rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) ** 2),
+                  np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) ** 2), ab * np.sqrt(2.0)))
+    cs = np.where(df >= 0.0, df + rt, df - rt)
+    dlaev2 = {
+        "|d| > |f|": ad > af, "|d| <= |f|": ad <= af,
+        "|d - f| > |2e|": adf > ab, "|d - f| < |2e|": adf < ab, "|d - f| = |2e|": adf == ab,
+        "d + f < 0": sm < 0.0, "d + f > 0": sm > 0.0, "d + f = 0": sm == 0.0,
+        "d - f >= 0": df >= 0.0, "d - f < 0": df < 0.0,
+        "|cs| > |2e|": abs(cs) > ab, "|cs| <= |2e|": abs(cs) <= ab,
+        # sgn1 is the sign of d + f (+ at 0), sgn2 that of d - f (+ at 0)
+        "sgn1 = sgn2": (sm < 0.0) == (df < 0.0), "sgn1 != sgn2": (sm < 0.0) != (df < 0.0),
+    }
+    return {"e = 0": e == 0.0, "first test": first, "squared test only": second,
+            # the sort swaps a split matrix's (d, f) where f < d
+            "split, f < d": split & (f < d), "split, f >= d": split & (f >= d),
+            **{name: ~split & mask for name, mask in dlaev2.items()}}
+
+
+class TestEigh:
+    """The port of DLAEV2 as DSYEVD applies it, against numpy's eigh itself."""
+
+    def test_equals_lapack_bit_for_bit(self):
+        # eigenvalues and eigenvectors, the sign of a zero included, on every
+        # row of every stratum; the strata reach every branch of the port
+        strata = eigh_strata(np.random.default_rng(20261020))
+        for name, rows in strata.items():
+            assert RESCALED_BELOW <= abs(rows).max(axis=1).min()
+            assert abs(rows).max() <= RESCALED_ABOVE
+            got = np.array([[*w, *v[0], *v[1]] for w, v in map(_eigh, rows.tolist())])
+            w, v = lapack(rows)
+            want = np.column_stack([w, v.reshape(-1, 4)])
+            differs = (got.view(np.int64) != want.view(np.int64)).any(axis=1)
+            assert not differs.any(), (name, tuple(rows[differs.argmax()]))
+        branches = eigh_branches(np.concatenate(list(strata.values())))
+        assert [name for name, mask in branches.items() if not mask.any()] == []
+
+    def test_near_lapack_where_lapack_rescales(self):
+        # a largest |entry| in 10^U(-130, -122) or 10^U(146.1, 153), outside
+        # [RESCALED_BELOW, RESCALED_ABOVE]: LAPACK rescales by a factor that
+        # rounds, and the port does not rescale, so only agreement is asked:
+        # eigenvalues within 1e-14 of the largest |entry|, eigenvectors within
+        # 1e-14 up to their sign (the oracle reads them only through v v^T).
+        # Farther out the port fails where a square it tests under- or
+        # overflows: below about 1e-138, where e * e < SAFMIN splits matrices
+        # that LAPACK's rescaled copy does not, and above about 1e154.  The
+        # oracle's matrices stay far below 1e154, and the next test shows
+        # that it reads no basis of a matrix below RESCALED_BELOW
+        rng = np.random.default_rng(20261021)
+        n = 5_000
+        big = np.where(rng.random(n) < 0.5, 10.0 ** rng.uniform(-130.0, -122.0, n),
+                       10.0 ** rng.uniform(146.1, 153.0, n))
+        rows = big[:, None] * rng.choice((-1.0, 1.0), (n, 3)) * 10.0 ** rng.uniform(-15, 0, (n, 3))
+        rows[np.arange(n), rng.integers(0, 3, n)] = big
+        assert not ((RESCALED_BELOW <= big) & (big <= RESCALED_ABOVE)).any()
+        for row, w, v, scale in zip(rows.tolist(), *(x.tolist() for x in lapack(rows)),
+                                    big.tolist()):
+            mu, u = _eigh(row)
+            assert max(abs(x - y) for x, y in zip(mu, w)) <= 1e-14 * scale, row
+            for k in (0, 1):
+                apart = [abs(u[i][k] - v[i][k]) for i in (0, 1)]
+                along = [abs(u[i][k] + v[i][k]) for i in (0, 1)]
+                assert min(max(apart), max(along)) <= 1e-14, row
+
+
+def test_matrices_below_lapacks_range_leave_every_answer_as_eigh_gives_it(monkeypatch):
+    # with eps below about 1e-244, C - lambda* B can cancel its O(1) entry to
+    # exactly 0 and keep the others of size sqrt(eps), under RESCALED_BELOW,
+    # where the port and eigh part; both its eigenvalues then lie below the
+    # zero threshold, so its basis is never read and every answer is eigh's
+    rng = np.random.default_rng([20240811, 98])
+    draws = [(*_whole_domain(rng)[:2], 10.0 ** rng.uniform(-323.0, -244.0),
+              rng.uniform(1e-3, 1.0)) for _ in range(400)]
+    port, below = oracle._eigh, []
+
+    def spy(m):
+        if 0.0 < max(map(abs, m)) < RESCALED_BELOW:
+            below.append(m)
+        return port(m)
+
+    def answers(eigh):
+        monkeypatch.setattr(oracle, "_eigh", eigh)
+        out = []
+        for alpha, theta, eps, t in draws:
+            a, b = build_matrices(alpha, theta, eps)
+            try:
+                got = oracle_min_overlap_lossy(a, b, alpha, t)
+            except OracleInfeasibleError:
+                out.append(None)
+                continue
+            out.append((got.value, got.gap, got.point.tolist()))
+        return out
+
+    assert answers(spy) == answers(lapack_one)
+    assert below and any(lapack_one(m) != port(m) for m in below)

@@ -3,15 +3,17 @@
 Usage (from the repository root):
 
     python tools/output_diff.py OLD_SRC NEW_SRC
+    python tools/output_diff.py OLD_SRC NEW_SRC --command "b92sec oracle-check --samples 500"
 
-Each ``b92sec`` line of the README's "Command line" block runs once against
-each tree, as ``python -m b92sec.cli`` in a fresh process with
-``PYTHONPATH`` set to that tree, in a fresh directory that holds the
-README's simulator config as ``run.cfg``.  The exit code, stdout, stderr and
-every file the command writes are compared as the bytes written, read as
-UTF-8 without newline translation, so a changed line ending shows.  For
-each command one line is printed: ``identical``; or how many numbers moved
-and the largest absolute move; or which output differs in more than its
+Each ``b92sec`` line of the README's "Command line" block, or each
+``--command`` given in its place, runs once against each tree, as
+``python -m b92sec.cli`` in a fresh process with ``PYTHONPATH`` set to that
+tree, in a fresh directory that holds the README's simulator config as
+``run.cfg``.  The exit code, stdout, stderr and every file the command
+writes are compared as the bytes written, read as UTF-8 without newline
+translation, so a changed line ending shows.  For each command one line is
+printed: ``identical``; or how many numbers moved, on how many lines, and
+the largest absolute move; or which output differs in more than its
 numbers.  The exit code is 1 when any command differs.  Standard library
 only; not part of the test suite.
 """
@@ -68,16 +70,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, help="source tree of the old version (its src/)")
     parser.add_argument("new", type=Path, help="source tree of the new version (its src/)")
+    parser.add_argument("--command", action="append",
+                        help="a b92sec command line to compare in place of the README's; "
+                             "may be given more than once")
     args = parser.parse_args()
     text = README.read_text()
     config = code_block(text, "### Simulator config format")
-    commands = [line for line in code_block(text, "## Command line").splitlines()
-                if line.startswith("b92sec ")]
+    commands = args.command or [line for line in code_block(text, "## Command line").splitlines()
+                                if line.startswith("b92sec ")]
     differs = False
     for line in commands:
         argv = shlex.split(line)[1:]
         old, new = run(args.old, argv, config), run(args.new, argv, config)
-        moved, text_differs = [], []
+        moved, lines, text_differs = [], 0, []
         for name in sorted(old.keys() | new.keys()):
             a, b = old.get(name), new.get(name)
             if a == b:
@@ -87,10 +92,11 @@ def main() -> int:
                 text_differs.append(name)
             else:
                 moved += found
+                lines += sum(x != y for x, y in zip(a.splitlines(), b.splitlines()))
         if text_differs:
             verdict = f"differs in more than numbers: {', '.join(text_differs)}"
         elif moved:
-            verdict = f"{len(moved)} moved cells, largest move {max(moved):.3g}"
+            verdict = f"{len(moved)} moved cells on {lines} lines, largest move {max(moved):.3g}"
         else:
             verdict = "identical"
         differs |= verdict != "identical"
