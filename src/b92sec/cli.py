@@ -4,9 +4,10 @@ Angles are accepted in degrees and converted at this boundary.  Grids use
 the syntax ``start:stop:count`` (inclusive linspace).  Exit codes: 0 ok,
 2 domain error, 3 infeasible or inconsistent inputs, 4 oracle mismatch.
 
-:func:`_emit` is the one place CSV is formatted, column by column: each
-command passes the arrays it computed, and every cell is ``str()`` of its
-value.  ``simulate`` writes both forms of the count record: its JSON
+Every CSV cell is ``str()`` of its value.  :func:`_emit` formats each
+column-shaped CSV, column by column, from the arrays a command computed;
+``region``, whose lines repeat few distinct cells, writes its own text by
+alpha rows.  ``simulate`` writes both forms of the count record: its JSON
 record's ``counts`` object, and with ``--counts-csv`` the same counters as
 a one-row CSV through :func:`_emit`;
 :class:`~b92sec.estimation.ObservedCounts` reads either.  :func:`_write`
@@ -111,7 +112,8 @@ def _emit(path: str | None, header: str, columns) -> None:
 
     Each column, an array or a sequence, becomes Python values once and
     strings once, by ``str()``: for a double the shortest text that reads
-    back as the same double.
+    back as the same double.  Every CSV but ``region``'s, which
+    :func:`cmd_region` writes by rows, is formatted here.
     """
     cells = (map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns)
     _write(path, "\n".join([header, *map(",".join, zip(*cells)), ""]))
@@ -145,12 +147,15 @@ def cmd_infogain(args) -> int:
 
 def cmd_region(args) -> int:
     region = full_info_region(np.radians(args.alpha_grid), args.eps_grid, args.T)
-    # alpha-major rows: row k is (alpha[k // n_eps], eps[k % n_eps])
-    alpha_text = list(map(str, args.alpha_grid.tolist()))
+    # alpha-major lines (alpha[i], eps[j], full_info), written by alpha rows:
+    # each eps cell's tails "<eps>,0" and "<eps>,1" are formed once, the mask
+    # picks one per cell, and row i puts alpha[i] before each of its picks
     eps_text = list(map(str, args.eps_grid.tolist()))
-    _emit(args.output, SCHEMAS["region"],
-          ([a for a in alpha_text for _ in eps_text], eps_text * len(alpha_text),
-           region.ravel().astype(int)))
+    tails = np.array([[e + ",0" for e in eps_text], [e + ",1" for e in eps_text]], dtype=object)
+    picks = tails[region.view(np.int8), np.arange(len(eps_text))].tolist()
+    rows = (a + "," + ("\n" + a + ",").join(row)
+            for a, row in zip(map(str, args.alpha_grid.tolist()), picks))
+    _write(args.output, "\n".join([SCHEMAS["region"], *rows, ""]))
     return EXIT_OK
 
 

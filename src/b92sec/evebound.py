@@ -254,6 +254,7 @@ def build_matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2]:
     """
     alpha, theta, epsilon = _channel(alpha, theta, epsilon)
     require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
+    require(theta, np.isfinite(theta), "tilt angle not finite")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     if isinstance(theta, float):
         a11, a12, a22, b11, b12, b22 = _matrices_one(alpha, theta, epsilon)

@@ -310,9 +310,14 @@ def oracle_min_overlap_lossy(a: SymMat2, b: SymMat2, alpha_prime: float,
 
     The constraint is |T Tr[B X] - cos(alpha')| <= 1 - T; at T = 1 it
     collapses to the equality Tr[B X] = cos(alpha'), and as T -> 0 it
-    becomes vacuous.  ``resolution`` is accepted and ignored: the oracle
-    has no grid, but the benchmark's ``verify`` workload still passes it.
+    becomes vacuous.  alpha' outside [0, pi/2], NaN included, and then T
+    outside (0, 1] raise :class:`~b92sec.errors.DomainError`, in
+    :func:`~b92sec.evebound.eve_bound`'s words.
+    ``resolution`` is accepted and ignored: the oracle has no grid, but the
+    benchmark's ``verify`` workload still passes it.
     """
+    require(alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= math.pi / 2.0),
+            "signal angle outside [0, pi/2]")
     require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")
     c = math.cos(alpha_prime)

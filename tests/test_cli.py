@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import shlex
@@ -117,6 +118,57 @@ class TestRegion:
         assert code == EXIT_OK
         row = out.strip().splitlines()[1].split(",")
         assert row[2] == "1"  # rotation-attack point is inside
+
+
+def region_reference(alpha_grid: str, eps_grid: str, transmission: float) -> str:
+    """region's text as the column writer built it: one alpha-major line
+    (alpha, eps, full_info) per cell, each cell str() of its value."""
+    alpha, eps = _grid(alpha_grid).tolist(), _grid(eps_grid).tolist()
+    region = full_info_region(np.radians(alpha), eps, transmission)
+    lines = [",".join(map(str, (a, e, int(v))))
+             for a, row in zip(alpha, region) for e, v in zip(eps, row)]
+    return "\n".join([SCHEMAS["region"], *lines, ""])
+
+
+def first_difference(got: str, want: str):
+    """(line index, got's line, want's line) where two texts first differ, or
+    None; pytest's own diff of two texts of thousands of lines takes minutes."""
+    pairs = enumerate(itertools.zip_longest(got.split("\n"), want.split("\n")))
+    return next(((k, g, w) for k, (g, w) in pairs if g != w), None)
+
+
+# a one-cell grid; alpha at 0 and 90 degrees, whose rows at T = 1 have no
+# full-information cell and every cell full; and grids drawn from a seed
+_rng = np.random.default_rng(20261020)
+REGION_GRIDS = [("10:10:1", "0.0603:0.0603:1"), ("0:90:7", "0:1:11"), *(
+    (f"{a0}:{a0 + da}:{na}", f"{e0}:{e0 + de}:{ne}")
+    for a0, da, na, e0, de, ne in zip(
+        _rng.uniform(0.0, 45.0, 4), _rng.uniform(0.0, 45.0, 4), _rng.integers(1, 30, 4),
+        _rng.uniform(0.0, 0.5, 4), _rng.uniform(0.0, 0.5, 4), _rng.integers(1, 30, 4)))]
+
+
+@pytest.mark.parametrize("transmission", (1.0, 0.3, 1e-3))
+@pytest.mark.parametrize("alpha_grid, eps_grid", REGION_GRIDS)
+def test_region_text_matches_the_column_writer(capsys, alpha_grid, eps_grid, transmission):
+    code, out, err = run(capsys, "region", "--alpha-grid", alpha_grid, "--eps-grid", eps_grid,
+                         "--T", str(transmission))
+    assert code == EXIT_OK and err == ""
+    assert first_difference(out, region_reference(alpha_grid, eps_grid, transmission)) is None
+    if alpha_grid == "0:90:7" and transmission == 1.0:
+        rows = full_info_region(np.radians(_grid(alpha_grid)), _grid(eps_grid), 1.0)
+        assert not rows[0].any() and rows[-1].all()
+
+
+@pytest.mark.parametrize("to_file", (False, True), ids=("stdout", "output"))
+def test_readme_region_text_matches_the_column_writer(capsys, tmp_path, to_file):
+    target = tmp_path / "region.csv"
+    code, out, _ = run(capsys, "region", "--alpha-grid", "1:89:89", "--eps-grid", "0:1:101",
+                       "--T", "1.0", *(("--output", str(target)) if to_file else ()))
+    assert code == EXIT_OK
+    if to_file:
+        assert out == ""
+        out = target.read_bytes().decode()
+    assert first_difference(out, region_reference("1:89:89", "0:1:101", 1.0)) is None
 
 
 class TestKeygainCommands:

@@ -657,13 +657,17 @@ class TestFloatPass:
                     assert_same_bits(got, want, f"{name} {part}")
 
     def test_matrices_on_floats_equal_their_zero_d_call(self):
-        # build_matrices takes the float pass on Python numbers; NaN and
-        # infinite tilts, which it does not reject, give the same entries on
-        # both passes
+        # build_matrices takes the float pass on Python numbers and gives the
+        # entries of the array pass; both passes reject NaN and infinite tilts
         _, alpha, theta, eps, _ = self.channels(np.random.default_rng(20261021), 10_000)
         theta[:3] = math.nan, math.inf, -math.inf
         with np.errstate(invalid="ignore"):
             for channel in zip(alpha.tolist(), theta.tolist(), eps.tolist()):
+                if not math.isfinite(channel[1]):
+                    for args in (channel, tuple(map(np.array, channel))):
+                        with pytest.raises(DomainError, match=r"^tilt angle not finite: "):
+                            build_matrices(*args)
+                    continue
                 ones = build_matrices(*channel)
                 for one, other in zip(ones, build_matrices(*map(np.array, channel))):
                     assert {type(v) for v in one} == {float}, channel

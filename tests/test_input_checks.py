@@ -62,6 +62,19 @@ CASES = {
     "build_matrices analyzer angle": (
         lambda: build_matrices(np.array([0.3, -1e-9, math.nan]), 0.0, 0.1),
         "analyzer angle outside [0, pi/2]: -1e-09"),
+    # the tilt is checked after the analyzer angle and before the noise
+    "build_matrices analyzer angle and tilt": (
+        lambda: build_matrices(2.0, math.nan, 0.1),
+        "analyzer angle outside [0, pi/2]: 2.0"),
+    "build_matrices tilt and noise": (
+        lambda: build_matrices(0.3, math.inf, 1.5),
+        "tilt angle not finite: inf"),
+    **{f"build_matrices tilt {value} {form}": (
+        lambda value=value, wrap=wrap: build_matrices(0.3, wrap(value), 0.1),
+        f"tilt angle not finite: {value}")
+       for value in (math.nan, math.inf, -math.inf)
+       for form, wrap in (("float", float), ("0-d array", np.array),
+                          ("array", lambda v: np.array([0.0, v, math.nan])))},
     "min_overlap_at": (
         lambda: min_overlap_at(*build_matrices(0.6, 0.1, 0.2), np.array([0.5, 5.0, 9.0])),
         "constraint target outside [-constraint_max(B), constraint_max(B)]: 5.0"),
@@ -295,6 +308,19 @@ SCALAR_CASES = {
     "oracle transmission nan": (
         lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), 0.3, math.nan),
         DomainError, "transmission outside (0, 1]: nan"),
+    "oracle signal angle": (
+        lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), 2.0, 0.8),
+        DomainError, "signal angle outside [0, pi/2]: 2.0"),
+    "oracle signal angle nan": (
+        lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), math.nan, 0.8),
+        DomainError, "signal angle outside [0, pi/2]: nan"),
+    "oracle signal angle inf": (
+        lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), math.inf, 0.8),
+        DomainError, "signal angle outside [0, pi/2]: inf"),
+    # the signal angle is checked before the transmission
+    "oracle signal angle and transmission": (
+        lambda: oracle_min_overlap_lossy(*build_matrices(0.3, 0.0, 0.1), math.nan, 0.0),
+        DomainError, "signal angle outside [0, pi/2]: nan"),
     "link negative": (lambda: _link(receiver_loss_db=-1.0), DomainError,
                       "receiver_loss_db must be non-negative: -1.0"),
     "link nan": (lambda: _link(dark_mean=math.nan), DomainError,
