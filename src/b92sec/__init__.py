@@ -20,7 +20,9 @@ array call bit for bit (``TestFloatPass`` in ``tests/test_evebound.py``).
 :func:`secret_key_gain` returns the :class:`KeyGains` of
 :func:`b92sec.keyrate.key_gains` itself, with fields of shape ();
 :func:`eve_max_gain` returns an :class:`EveBoundResult` record for correct
-bits; the flipped-bit bound is index 1 of ``KeyGains.bounds``.
+bits, the overlap and the family that decided it, whose information gains
+are computed from the overlap when read; the flipped-bit bound is index 1
+of ``KeyGains.bounds``.
 """
 
 __version__ = "0.1.0"

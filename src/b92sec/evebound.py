@@ -22,7 +22,10 @@ reported by its family alone, which :func:`eve_max_gain` names in
 ``achieving``.  The inputs are checked once, at :func:`eve_bound` or at
 :func:`~b92sec.keyrate.key_gains`, by the same statements whichever of
 two private passes over A, B, the families and the roots follows; the
-passes check nothing and run under their caller's ``np.errstate``.
+passes check nothing.  The array pass runs under
+``np.errstate(divide="ignore", invalid="ignore")``, which its caller opens;
+the float pass runs outside it, and :func:`_div` opens it for the one
+division the float pass hands numpy, by a zero divisor.
 Arrays, 0-d ones and numpy scalars other than np.float64 included, take
 the array pass, :func:`_bound`.  One channel of Python ints and floats
 (np.float64 is one) takes the float pass, :func:`_bound_one`: the same
@@ -120,14 +123,21 @@ class EveBoundResult:
 
     ``overlap_min`` is min |Q|; ``info_gain`` and ``info_gain_shannon`` are
     the corresponding information measures in bits (collision-probability
-    and Shannon).  ``achieving`` names the regime that decided the bound;
-    the constraint values behind it are :class:`BoundArrays` fields.
+    and Shannon), computed from it when read, as Python floats.
+    ``achieving`` names the regime that decided the bound; the constraint
+    values behind it are :class:`BoundArrays` fields.
     """
 
     overlap_min: float
     achieving: StationaryCandidate
-    info_gain: float
-    info_gain_shannon: float
+
+    @property
+    def info_gain(self) -> float:
+        return float(collision_gain(self.overlap_min))
+
+    @property
+    def info_gain_shannon(self) -> float:
+        return float(shannon_gain(self.overlap_min))
 
 
 @dataclass(frozen=True)
@@ -254,7 +264,7 @@ def build_matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2]:
     """
     alpha, theta, epsilon = _channel(alpha, theta, epsilon)
     require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
-    require(theta, np.isfinite(theta), "tilt angle not finite")
+    require(theta, (-math.inf < theta) & (theta < math.inf), "tilt angle not finite")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     if isinstance(theta, float):
         a11, a12, a22, b11, b12, b22 = _matrices_one(alpha, theta, epsilon)
@@ -404,9 +414,13 @@ def _bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
 def _div(x: float, y: float) -> float:
     """x / y on Python floats, with numpy's inf or NaN where y is 0.
 
-    Runs under the caller's ``np.errstate(divide="ignore", invalid="ignore")``.
+    numpy divides only where y is 0, under its own
+    ``np.errstate(divide="ignore", invalid="ignore")``.
     """
-    return x / y if y else float(np.float64(x) / y)
+    if y:
+        return x / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(x) / y)
 
 
 def _bound_one(alpha_prime, alpha, theta, epsilon, transmission) -> tuple:
@@ -418,7 +432,8 @@ def _bound_one(alpha_prime, alpha, theta, epsilon, transmission) -> tuple:
     numpy's hypot (``math``'s can round differently) and numpy's inf or NaN
     where a divisor vanishes.  Work whose result the array pass masks out
     is skipped: the type3 projector of an entry without one, and the roots
-    of a free entry.  Runs under the caller's ``np.errstate``.
+    of a free entry.  Needs no ``np.errstate``: its one numpy division
+    is :func:`_div`'s, under ``_div``'s own.
     """
     a11, a12, a22, b11, b12, b22 = _matrices_one(alpha, theta, epsilon)
     # the families, as _families finds them
@@ -475,7 +490,6 @@ def _channel(*values) -> list:
     return [v if v is None else np.asarray(v, dtype=float) for v in values]
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     """Eve's maximum information gain on correct bits over broadcast arrays.
 
@@ -489,14 +503,16 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
     require(alpha_prime, (0.0 <= alpha_prime) & (alpha_prime <= _HALF_PI),
             "signal angle outside [0, pi/2]")
     require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
-    require(theta, np.isfinite(theta), "tilt angle not finite")
+    require(theta, (-math.inf < theta) & (theta < math.inf), "tilt angle not finite")
     require(transmission, (0.0 < transmission) & (transmission <= 1.0),
             "transmission outside (0, 1]")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     if isinstance(theta, float):
         return BoundArrays(*map(np.array, _bound_one(*channel)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = _bound(*channel)
     # 0-d inputs give numpy scalars in places; every field is an ndarray
-    return BoundArrays(*map(np.asarray, vars(_bound(*channel)).values()))
+    return BoundArrays(*map(np.asarray, vars(bound).values()))
 
 
 def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:
@@ -515,10 +531,5 @@ def eve_max_gain(alpha_prime: float, alpha: float, triple) -> EveBoundResult:
     """Eve's maximum information gain on correct bits for one channel triple."""
     bound = eve_bound(alpha_prime, alpha, triple.theta, triple.epsilon, triple.transmission)
     bound.check()
-    q = float(bound.overlap_min)
-    return EveBoundResult(
-        overlap_min=q,
-        achieving=StationaryCandidate(FAMILIES[int(bound.regime)]),
-        info_gain=float(collision_gain(q)),
-        info_gain_shannon=float(shannon_gain(q)),
-    )
+    return EveBoundResult(overlap_min=float(bound.overlap_min),
+                          achieving=StationaryCandidate(FAMILIES[int(bound.regime)]))

@@ -167,7 +167,7 @@ def _checked(mode: str, alpha, theta, epsilon, transmission):
             "transmission outside [0, 1]")
     if alpha is not None:
         require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "signal angle outside [0, pi/2]")
-    require(theta, np.isfinite(theta), "tilt angle not finite")
+    require(theta, (-math.inf < theta) & (theta < math.inf), "tilt angle not finite")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     return INFORMATION[mode], alpha, theta, epsilon, transmission
 

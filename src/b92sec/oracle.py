@@ -37,7 +37,13 @@ certified answer has a small gap.
 
 The algebra runs on Python floats: A, B, the candidates, g and every
 certificate are a few numbers each, and a numpy call on them costs 1-3 us
-of dispatch, more than its arithmetic.  The eigenbases, of C - lambda* B
+of dispatch, more than its arithmetic.  Every matrix it forms is a plain
+(m11, m12, m22) tuple of floats: a ``SymMat2`` takes about 0.5 us to
+build and a tuple under 0.1 us.  ``SymMat2`` is the input type of
+:func:`oracle_min_overlap_lossy` and :func:`nuclear_norm`, and being a
+tuple it unpacks as one.  Timings are in ``BENCH_verify_tuples.json``.
+A or B with an entry that is not finite raises
+:class:`~b92sec.errors.DomainError`.  The eigenbases, of C - lambda* B
 at each range end and of B for its polar factor, come from :func:`_eigh`,
 a port of LAPACK's 2x2 eigensolver DLAEV2 as DSYEVD applies it (Anderson
 et al., LAPACK Users' Guide, 3rd ed., SIAM 1999).  It equals numpy's
@@ -108,20 +114,20 @@ class OracleResult:
 
 def nuclear_norm(b: SymMat2) -> float:
     """|l1| + |l2| = max(|tr B|, |(b11 - b22, 2 b12)|): the largest Tr[B X]."""
-    return max(abs(b.m11 + b.m22), math.hypot(b.m11 - b.m22, 2.0 * b.m12))
+    return max(abs(b[0] + b[2]), math.hypot(b[0] - b[2], 2.0 * b[1]))
 
 
-def _sum(s: float, x: SymMat2, t: float, y: SymMat2) -> SymMat2:
+def _sum(s: float, x: tuple, t: float, y: tuple) -> tuple:
     """s X + t Y."""
-    return SymMat2(s * x.m11 + t * y.m11, s * x.m12 + t * y.m12, s * x.m22 + t * y.m22)
+    return s * x[0] + t * y[0], s * x[1] + t * y[1], s * x[2] + t * y[2]
 
 
-def _tr(c: SymMat2, x: SymMat2) -> float:
+def _tr(c: tuple, x: tuple) -> float:
     """Tr[C X] for symmetric C and X."""
-    return c.m11 * x.m11 + 2.0 * c.m12 * x.m12 + c.m22 * x.m22
+    return c[0] * x[0] + 2.0 * c[1] * x[1] + c[2] * x[2]
 
 
-def _eigh(m: SymMat2) -> tuple[list, list]:
+def _eigh(m: tuple) -> tuple[list, list]:
     """[ascending eigenvalues of M], [rows of its eigenvectors as columns].
 
     What numpy's ``eigh`` (LAPACK's DSYEVD, lower triangle) does for
@@ -178,11 +184,11 @@ def _eigh(m: SymMat2) -> tuple[list, list]:
     return [rt1, rt2], v
 
 
-def _outer(v, s1: float, s2: float) -> SymMat2:
+def _outer(v, s1: float, s2: float) -> tuple:
     """s1 v1 v1^T + s2 v2 v2^T for the columns v1, v2 of v."""
     (v11, v12), (v21, v22) = v
-    return SymMat2(s1 * v11 * v11 + s2 * v12 * v12, s1 * v11 * v21 + s2 * v12 * v22,
-                   s1 * v21 * v21 + s2 * v22 * v22)
+    return (s1 * v11 * v11 + s2 * v12 * v12, s1 * v11 * v21 + s2 * v12 * v22,
+            s1 * v21 * v21 + s2 * v22 * v22)
 
 
 def _signs(mu: list[float], zero: float) -> list[float]:
@@ -198,14 +204,15 @@ def _real_roots(q2: float, q1: float, q0: float) -> list[float]:
     return [h / q2, q0 / h] if h != 0.0 else [0.0]
 
 
-def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> list[float]:
+def _candidates(c: tuple, b: tuple, lo: float, hi: float) -> list[float]:
     """The lambdas among which g attains its minimum, when it is attained."""
+    (c11, c12, c22), (b11, b12, b22) = c, b
     lam = [0.0]
     # det(C - lam B) = det C - lam (c11 b22 + c22 b11 - 2 c12 b12) + lam^2 det B
-    lam += _real_roots(b.det(), -(c.m11 * b.m22 + c.m22 * b.m11 - 2.0 * c.m12 * b.m12),
-                       c.det())
-    u = (c.m11 - c.m22, 2.0 * c.m12)
-    w = (b.m11 - b.m22, 2.0 * b.m12)
+    lam += _real_roots(b11 * b22 - b12 * b12, -(c11 * b22 + c22 * b11 - 2.0 * c12 * b12),
+                       c11 * c22 - c12 * c12)
+    u = (c11 - c22, 2.0 * c12)
+    w = (b11 - b22, 2.0 * b12)
     width = math.hypot(*w)
     if width > 0.0:
         uw = u[0] * w[0] + u[1] * w[1]
@@ -218,39 +225,45 @@ def _candidates(c: SymMat2, b: SymMat2, lo: float, hi: float) -> list[float]:
     return lam
 
 
-def _polar(b: SymMat2) -> tuple[SymMat2, SymMat2]:
+def _polar(b: tuple) -> tuple[tuple, tuple]:
     """B's polar factor and the projector on its null direction (0 if none)."""
     l, v = _eigh(b)
     s1, s2 = _signs(l, _ZERO * max(abs(l[0]), abs(l[1])))
     return _outer(v, s1, s2), _outer(v, float(not s1), float(not s2))
 
 
-def _reflection_on_edge(b: SymMat2, edge: float, x: SymMat2) -> SymMat2:
+def _reflection_on_edge(b: tuple, edge: float, x: tuple) -> tuple:
     """The reflection [[e1, e2], [e2, -e1]] nearest x with Tr[B X] = edge.
 
     Tr[B X] = w . e with w = (b11 - b22, 2 b12).  When C - lambda* B is
     close to 0 its eigenvectors, and with them x, turn fast with lambda*,
     so x can miss the band edge by far more than rounding; this e meets it.
     """
-    w1, w2 = b.m11 - b.m22, 2.0 * b.m12
+    w1, w2 = b[0] - b[2], 2.0 * b[1]
     width = math.hypot(w1, w2)
     along = min(max(edge / width, -1.0), 1.0)
     n1, n2 = -w2 / width, w1 / width
-    across = math.copysign(1.0, n1 * x.m11 + n2 * x.m12) * math.sqrt((1.0 - along) * (1.0 + along))
+    across = math.copysign(1.0, n1 * x[0] + n2 * x[1]) * math.sqrt((1.0 - along) * (1.0 + along))
     e1, e2 = along * w1 / width + across * n1, along * w2 / width + across * n2
-    return SymMat2(e1, e2, -e1)
+    return e1, e2, -e1
 
 
-def _dual_end(c: SymMat2, b: SymMat2, lo: float, hi: float) -> tuple[float, SymMat2]:
+def _dual_end(c: tuple, b: tuple, lo: float, hi: float) -> tuple[float, tuple]:
     """max Tr[C X] over the feasible set: (dual bound, certificate X)."""
+    (c11, c12, c22), (b11, b12, b22) = c, b
     lams = _candidates(c, b, lo, hi)
-    g = [nuclear_norm(_sum(1.0, c, -lam, b)) + max(lam * lo, lam * hi) for lam in lams]
+    # g = |C - lam B|_* + max(lam lo, lam hi), with nuclear_norm written out;
+    # c11 - lam b11 rounds as _sum's 1.0 c11 + (-lam) b11 does
+    g = []
+    for lam in lams:
+        s11, s12, s22 = c11 - lam * b11, c12 - lam * b12, c22 - lam * b22
+        g.append(max(abs(s11 + s22), math.hypot(s11 - s22, 2.0 * s12)) + max(lam * lo, lam * hi))
     # the first minimum, as np.argmin takes it
     bound = min(g)
     lam = lams[g.index(bound)]
     mu, v = _eigh(_sum(1.0, c, -lam, b))
-    zero = _ZERO * (max(abs(c.m11), abs(c.m12), abs(c.m22))
-                    + abs(lam) * max(abs(b.m11), abs(b.m12), abs(b.m22)))
+    zero = _ZERO * (max(abs(c11), abs(c12), abs(c22))
+                    + abs(lam) * max(abs(b11), abs(b12), abs(b22)))
     s1, s2 = _signs(mu, zero)
     x = _outer(v, s1, s2)
     met = _tr(b, x)
@@ -273,7 +286,7 @@ def _dual_end(c: SymMat2, b: SymMat2, lo: float, hi: float) -> tuple[float, SymM
     return bound, x
 
 
-def _face_end(c: SymMat2, b: SymMat2, sign: float) -> tuple[float, SymMat2]:
+def _face_end(c: tuple, b: tuple, sign: float) -> tuple[float, tuple]:
     """max Tr[C X] over the face Tr[B X] = sign |B|_*: (value, X)."""
     polar, null = _polar(b)
     x = _sum(sign, polar, math.copysign(1.0, _tr(c, null)), null)
@@ -281,13 +294,15 @@ def _face_end(c: SymMat2, b: SymMat2, sign: float) -> tuple[float, SymMat2]:
 
 
 def _search(a: SymMat2, b: SymMat2, lo: float, hi: float) -> OracleResult:
-    a, b = (SymMat2(float(m.m11), float(m.m12), float(m.m22)) for m in (a, b))
+    a, b = tuple(map(float, a)), tuple(map(float, b))
+    for m in (*a, *b):
+        require(m, -math.inf < m < math.inf, "matrix entry not finite")
     reach = nuclear_norm(b)
     if lo > reach or hi < -reach:
         raise OracleInfeasibleError(
             f"no contraction meets the constraint [{lo:.6g}, {hi:.6g}]; "
             f"Tr[B X] ranges over [{-reach:.6g}, {reach:.6g}]")
-    neg = SymMat2(-a.m11, -a.m12, -a.m22)
+    neg = (-a[0], -a[1], -a[2])
     if reach > 0.0 and (lo >= reach or hi <= -reach):
         sign = 1.0 if lo >= reach else -1.0
         (top, x_top), (bottom, x_bottom) = _face_end(a, b, sign), _face_end(neg, b, sign)
@@ -301,7 +316,7 @@ def _search(a: SymMat2, b: SymMat2, lo: float, hi: float) -> OracleResult:
         # the zero of Tr[A X] on the segment between the two certificates
         w = min(max(at_top / (at_top - at_bottom), 0.0), 1.0) if at_top > at_bottom else 1.0
         value, x = 0.0, _sum(w, x_bottom, 1.0 - w, x_top)
-    return OracleResult(value=value, point=np.array([[x.m11, x.m12], [x.m12, x.m22]]), gap=gap)
+    return OracleResult(value=value, point=np.array([[x[0], x[1]], [x[1], x[2]]]), gap=gap)
 
 
 def oracle_min_overlap_lossy(a: SymMat2, b: SymMat2, alpha_prime: float,
@@ -312,7 +327,8 @@ def oracle_min_overlap_lossy(a: SymMat2, b: SymMat2, alpha_prime: float,
     collapses to the equality Tr[B X] = cos(alpha'), and as T -> 0 it
     becomes vacuous.  alpha' outside [0, pi/2], NaN included, and then T
     outside (0, 1] raise :class:`~b92sec.errors.DomainError`, in
-    :func:`~b92sec.evebound.eve_bound`'s words.
+    :func:`~b92sec.evebound.eve_bound`'s words, and then an entry of A or B
+    that is not finite, A's first, as "matrix entry not finite".
     ``resolution`` is accepted and ignored: the oracle has no grid, but the
     benchmark's ``verify`` workload still passes it.
     """

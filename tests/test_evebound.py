@@ -29,7 +29,7 @@ from b92sec.evebound import (
 )
 
 from b92sec import evebound, keyrate
-from b92sec.keyrate import MODES, key_gains
+from b92sec.keyrate import MODES, key_gains, secret_key_gain
 
 from conftest import (
     DEG,
@@ -318,6 +318,19 @@ class TestEveMaxGain:
             assert 0.0 <= res.info_gain <= 1.0
             assert (res.info_gain == 1.0) == (res.overlap_min == 0.0)
             assert res.info_gain_shannon <= res.info_gain + 1e-12
+
+    @pytest.mark.parametrize("alpha, theta, eps, t", [
+        (math.pi / 2, 0.0, 0.0, 1.0), (10 * DEG, 0.0, 0.02, 1.0), (0.3, 0.1, 0.0, 0.5),
+        (20 * DEG, -0.4, 0.4, 0.6), (20 * DEG, -0.2, 0.4, 1.0),
+    ], ids=["free", "type1", "type1-noiseless", "type3-lossy", "type3"])
+    def test_gains_are_the_measures_of_the_overlap(self, alpha, theta, eps, t):
+        # the gains are read from overlap_min: Python floats, bit for bit the
+        # measures' values at it
+        res = eve_max_gain(alpha, alpha, ChannelTriple(theta, eps, t))
+        for got, measure in ((res.info_gain, collision_gain),
+                             (res.info_gain_shannon, shannon_gain)):
+            assert type(got) is float
+            assert float.hex(got) == float.hex(float(measure(res.overlap_min)))
 
     @pytest.mark.parametrize("alpha, theta", [
         (math.nan, 0.0), (math.inf, 0.0), (0.3, math.nan), (0.3, math.inf), (0.3, -math.inf),
@@ -616,6 +629,42 @@ class TestFloatPass:
             else:
                 # a reachable target is clipped to the reach
                 assert one.target.item() == one.constraint_max.item()
+
+    @pytest.mark.parametrize("alpha, theta", [
+        (0.3, 0.1), (0.3, -0.6), (math.pi / 2.0, 0.0),
+    ], ids=["det-B-zero", "den-zero", "B-zero"])
+    def test_a_zero_divisor_leaks_no_warning(self, monkeypatch, alpha, theta):
+        # eps = 0 puts det B at 0, where kappa divides by it; 2 alpha + theta = 0
+        # puts A's denominator den at 0 too, and alpha + theta = pi/2 puts B
+        # at 0 but for cos(pi/2) ~ 6e-17, and its reach with it.  The float
+        # pass hands each zero divisor to numpy in _div, under _div's own
+        # errstate: a RuntimeWarning that leaked would fail the suite
+        zero = []
+        div = evebound._div
+        monkeypatch.setattr(evebound, "_div", lambda x, y: zero.append(not y) or div(x, y))
+        channel = (alpha, alpha, theta, 0.0, 0.5)
+        one = eve_bound(*channel)
+        assert any(zero)
+        array = eve_bound(*(np.array([v]) for v in channel))
+        for name, field in vars(array).items():
+            assert_same_bits(getattr(one, name), field, name)
+        gain = eve_max_gain(alpha, alpha, ChannelTriple(theta, 0.0, 0.5))
+        assert_same_bits(gain.overlap_min, array.overlap_min)
+        assert gain.achieving.family == FAMILIES[array.regime.item()]
+        zero.clear()
+        gains = key_gains(*channel[1:])
+        assert any(zero)
+        array = key_gains(*(np.array([v]) for v in channel[1:]))
+        for name, field in vars(array).items():
+            if name != "bounds":
+                assert_same_bits(getattr(gains, name), field, name)
+        if gains.failed:
+            # at den = 0 every conclusive event is an error
+            with pytest.raises(DomainError):
+                secret_key_gain(alpha, ChannelTriple(theta, 0.0, 0.5))
+        else:
+            assert_same_bits(secret_key_gain(alpha, ChannelTriple(theta, 0.0, 0.5)).gain,
+                             array.gain)
 
     @pytest.fixture
     def passes(self, monkeypatch):

@@ -75,6 +75,22 @@ CASES = {
        for value in (math.nan, math.inf, -math.inf)
        for form, wrap in (("float", float), ("0-d array", np.array),
                           ("array", lambda v: np.array([0.0, v, math.nan])))},
+    # A's entries are checked before B's, and each after the signal angle and
+    # the transmission
+    **{f"oracle {name} entry {value}": (
+        lambda name=name, value=value: oracle_min_overlap_lossy(
+            *(m._replace(m12=value) if which == name else m
+              for which, m in zip("AB", build_matrices(0.3, 0.1, 0.2))), 0.3, 0.8),
+        f"matrix entry not finite: {value}")
+       for name in "AB" for value in (math.nan, math.inf, -math.inf)},
+    "oracle A and B entries": (
+        lambda: oracle_min_overlap_lossy(SymMat2(0.5, 0.0, math.inf),
+                                         SymMat2(math.nan, 0.0, 0.0), 0.3, 0.8),
+        "matrix entry not finite: inf"),
+    "oracle transmission and matrix entry": (
+        lambda: oracle_min_overlap_lossy(SymMat2(0.5, math.nan, 0.5),
+                                         SymMat2(0.5, 0.0, 0.0), 0.3, 1.5),
+        "transmission outside (0, 1]: 1.5"),
     "min_overlap_at": (
         lambda: min_overlap_at(*build_matrices(0.6, 0.1, 0.2), np.array([0.5, 5.0, 9.0])),
         "constraint target outside [-constraint_max(B), constraint_max(B)]: 5.0"),

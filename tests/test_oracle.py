@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -402,6 +403,101 @@ def test_values_match_the_recorded_parity_table():
             assert got is None, draw
         else:
             assert got is not None and abs(got - float.fromhex(want)) <= 4.4e-16, draw
+
+
+# the oracle's whole answer on 504 seeded dyadic inputs, recorded by
+# tests/data/record_oracle_exact.py.  No numpy call forms the inputs, and the
+# oracle answers with Python arithmetic, math.hypot, math.sqrt and
+# math.copysign alone, so unlike build_matrices' numpy trig the bits should
+# not vary by CPU.  Rerun it only when a draw changes, never to follow the oracle
+EXACT_RECORD = Path(__file__).parent / "data" / "oracle_exact.json"
+EXACT_PER_STRATUM = 56
+
+
+def exact_draws() -> list[tuple[SymMat2, SymMat2, float, float]]:
+    """(A, B, lo, hi), A and B with entries k 2**-20, in nine strata of EXACT_PER_STRATUM.
+
+    The strata: a general A; a rank-one A = v v^T with small integer v;
+    det B < 0, = 0 (B = 0 among them) and > 0; bands with lo = hi; bands
+    that hold 0; bands with an end on +-|B|_*, the face ends; and bands
+    that miss [-|B|_*, |B|_*].
+    """
+    rng = random.Random(20261020)
+
+    def dyadic(size=1.0) -> float:
+        n = int(size * 2 ** 20)
+        return rng.randint(-n, n) * 2.0 ** -20
+
+    def sym() -> tuple:
+        return dyadic(), dyadic(), dyadic()
+
+    def rank_one() -> tuple:
+        p, q = rng.choice([(p, q) for p in range(-3, 4) for q in range(-3, 4) if p or q])
+        return p * p / 16.0, p * q / 16.0, q * q / 16.0
+
+    def with_det(sign) -> tuple:
+        while True:
+            b = sym() if sign else rank_one() if rng.random() < 0.8 else (0.0, 0.0, 0.0)
+            if sign == 0 and rng.random() < 0.5:
+                b = tuple(-m for m in b)
+            det = b[0] * b[2] - b[1] * b[1]
+            if (det > 0.0) - (det < 0.0) == sign:
+                return b
+
+    def band(b, kind) -> tuple[float, float]:
+        reach = nuclear_norm(b)
+        # a band of up to a quarter of the reach, which can leave the reach
+        end = dyadic(reach)
+        ends = [end, end + abs(dyadic(reach / 4.0))]
+        if kind == "point":
+            ends = [dyadic(reach)] * 2
+        elif kind == "zero":
+            ends = [-abs(ends[0]), abs(ends[1])]
+        elif kind == "face":
+            # lo on +|B|_* or hi on -|B|_*, the band a point or not
+            side, width = rng.choice((1.0, -1.0)), abs(dyadic()) * rng.randint(0, 1)
+            ends = sorted((side * reach, side * (reach + width)))
+        elif kind == "miss":
+            side = rng.choice((1.0, -1.0))
+            ends = sorted((side * (reach + abs(dyadic()) + 2.0 ** -20),
+                           side * (reach + 1.0 + abs(dyadic()))))
+        return ends[0], ends[1]
+
+    strata = [
+        (sym, lambda: with_det(rng.choice((-1, 0, 1))), "any"),
+        (rank_one, lambda: with_det(rng.choice((-1, 0, 1))), "any"),
+        (sym, lambda: with_det(-1), "any"),
+        (sym, lambda: with_det(0), "any"),
+        (sym, lambda: with_det(1), "any"),
+        (sym, sym, "point"),
+        (sym, sym, "zero"),
+        (sym, sym, "face"),
+        (sym, sym, "miss"),
+    ]
+    draws = []
+    for make_a, make_b, kind in strata:
+        for _ in range(EXACT_PER_STRATUM):
+            a, b = SymMat2(*make_a()), SymMat2(*make_b())
+            draws.append((a, b, *band(b, kind)))
+    return draws
+
+
+def exact_answer(a, b, lo, hi) -> list[str] | str:
+    """float.hex of the value, the gap and x11, x12, x22, or "infeasible"."""
+    try:
+        got = _search(a, b, lo, hi)
+    except OracleInfeasibleError:
+        return "infeasible"
+    (x11, x12), (_, x22) = got.point.tolist()
+    return [float.hex(v) for v in (got.value, got.gap, x11, x12, x22)]
+
+
+def test_answers_match_the_recorded_exact_table():
+    recorded = json.loads(EXACT_RECORD.read_text())
+    draws = exact_draws()
+    assert len(recorded) == len(draws)
+    for draw, want in zip(draws, recorded):
+        assert exact_answer(*draw) == want, draw
 
 
 # LAPACK's dlamch("E") and dlamch("S"); outside [RESCALED_BELOW,
