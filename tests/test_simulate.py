@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -472,3 +473,52 @@ class TestConfigValidation:
         path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         with pytest.raises(DomainError):
             SimConfig.from_file(path)
+
+
+# rerun tests/data/record_simulation.py only when a config or seed changes,
+# never to follow the code
+SIM_RECORD = Path(__file__).parent / "data" / "simulation_record.json"
+# every parse_attack stage, loss with every pulse lost, two compositions and
+# the edge channel, whose vacuum branch and zero-weight rows the draw skips
+RECORD_ATTACKS = (*PARITY_ATTACKS.values(), "depolarize(epsilon=0.1)", "loss(T=0)",
+                  "depolarize(epsilon=0.1)|rotation|loss(T=0.7)", "edges")
+# the key's low and high 64-bit words at their ends, and the same seeds as
+# numpy integers where they fit
+RECORD_SEEDS = (0, 1, (1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 128) - 1,
+                np.int64(0), np.int64(1), np.uint64(0), np.uint64(1), np.uint64((1 << 64) - 1))
+
+
+def record_configs() -> dict[str, SimConfig]:
+    """40 configs by name, each at seed 0.
+
+    Every attack of ``RECORD_ATTACKS`` at alpha' = alpha = 20 degrees and
+    n = 1, 10^6 and 2^63 - 1, and at alpha' = 25, alpha = 20 degrees and
+    n = 10^6.
+    """
+    configs = {}
+    for alpha_prime_deg, alpha_deg, pulses in ((20, 20, 1), (20, 20, 10 ** 6),
+                                               (20, 20, 2 ** 63 - 1), (25, 20, 10 ** 6)):
+        alpha_prime, alpha = alpha_prime_deg * DEG, alpha_deg * DEG
+        for text in RECORD_ATTACKS:
+            channel = EDGE_CHANNEL if text == "edges" else parse_attack(
+                text.format(q0=critical_weakness(alpha_prime)), alpha_prime)
+            name = f"{text.format(q0='q0')} a'={alpha_prime_deg} a={alpha_deg} n={pulses}"
+            configs[name] = SimConfig(pulses, alpha_prime, alpha, channel, 0)
+    return configs
+
+
+def record_joints() -> dict[str, list]:
+    """``joint`` of every recorded config at every recorded seed, by name and seed."""
+    return {f"{name} seed={type(seed).__name__}({int(seed)})":
+            json.loads(json.dumps(run_simulation(replace(cfg, seed=seed)).joint))
+            for name, cfg in record_configs().items() for seed in RECORD_SEEDS}
+
+
+def test_draws_match_the_recorded_table():
+    # the seed is the Philox key, both of its 64-bit words: a change of the
+    # key's high word, or of how a numpy integer seed is read, shows here
+    recorded = json.loads(SIM_RECORD.read_text())
+    got = record_joints()
+    assert got.keys() == recorded.keys()
+    for key, joint in recorded.items():
+        assert got[key] == joint, key
