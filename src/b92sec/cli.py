@@ -39,6 +39,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     B92Error,
+    DegenerateAngleError,
     DomainError,
     EstimationInfeasibleError,
     OracleInfeasibleError,
@@ -198,7 +199,7 @@ def cmd_simulate(args) -> int:
     g, failure, status = None, None, "ok"
     try:
         g = secret_key_gain(config.alpha, require_estimate(config, result), args.mode)
-    except EstimationInfeasibleError as exc:
+    except (EstimationInfeasibleError, DegenerateAngleError) as exc:
         failure, status = exc, "infeasible"
     except UnreachableChannelError as exc:
         failure, status = exc, "unreachable"

@@ -5,16 +5,17 @@ assumption), and the closed loop reads only how many pulses fall in each
 (bit, branch, outcome) class.  So a run is one multinomial draw of
 ``n_total`` pulses over the 2 * B * 5 classes of an attack with B branches:
 class (j, b, mu) has probability 1/2 * (bit j's weight of branch b) *
-Tr[E_mu rho_jb], from one :func:`~b92sec.states.outcome_table` call over
-Alice's two signal angles plus every branch's rotations
-(:func:`outcome_distribution`).  Classes of probability 0 are left out of the
-draw and stay exactly 0.
+Tr[E_mu rho_jb], at Alice's two signal angles plus every branch's
+rotations (:func:`outcome_distribution`, formed on floats by
+:func:`~b92sec.states.outcome_entries` from one ``np.cos`` call).  Classes
+of probability 0 are left out of the draw and stay exactly 0.
 
-The draw comes from ``Generator(Philox(key=seed)).multinomial``, so the
-counts are a function of the seed and the config alone, and a run costs the
-same at any pulse count: on a 2-core VM (Python 3.11, numpy 2.4)
-:func:`run_simulation` takes about 0.07-0.13 ms at 1e7 and at 1e9 pulses;
-the README's "Simulator" entry gives the timing command.  Errors, conclusive
+The draw equals ``Generator(Philox(key=seed)).multinomial``, so the counts
+are a function of the seed and the config alone.  It is taken from one
+generator per process, which each run re-keys under a lock to the state a
+new ``Philox(key=seed)`` starts from (:func:`_draw`).  A run costs the same
+at any pulse count; ``BENCH_rekeyed_draw.json`` records its time, and the
+README's "Simulator" entry gives the timing command.  Errors, conclusive
 events and the correct bits Eve's record is judged on follow Bob's decoding
 rule, :data:`~b92sec.states.CORRECT` and :data:`~b92sec.states.ERROR`.
 """
@@ -22,19 +23,28 @@ rule, :data:`~b92sec.states.CORRECT` and :data:`~b92sec.states.ERROR`.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .attacks import AttackChannel, parse_attack
-from .errors import DomainError, EstimationInfeasibleError, _key_values, is_integer, require
+from .errors import (DegenerateAngleError, DomainError, EstimationInfeasibleError, _key_values,
+                     is_integer, require)
 from .estimation import ChannelTriple, ObservedCounts, estimate_channel
 from .keyrate import KeyGains, secret_key_gain
-from .states import CORRECT, ERROR, outcome_table
+from .states import CORRECT, ERROR, OUTCOMES, outcome_entries
 
 _CONFIG_KEYS = ("n_total", "alpha_deg", "alpha_prime_deg", "attack", "seed")
+# the one generator every run re-keys (see _draw)
+_BIT_GENERATOR = Philox(key=0)
+_GENERATOR = Generator(_BIT_GENERATOR)
+_DRAW_LOCK = threading.Lock()
+_ZEROS = (0, 0, 0, 0)
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -110,13 +120,37 @@ def outcome_distribution(config: SimConfig) -> np.ndarray:
     """Bob's outcome probabilities per (bit, branch), shape (2, n_branches, 5).
 
     Alice's signal for bit j sits at -+alpha'; a branch adds its rotation for
-    that bit, and a vacuum branch delivers no photon (T = 0).
+    that bit, and a vacuum branch delivers no photon (T = 0).  The table is
+    :func:`~b92sec.states.outcome_table`'s at those states, formed on floats
+    by :func:`~b92sec.states.outcome_entries` from one ``np.cos`` call.
     """
-    branches = config.attack.branches
-    phi = np.array([[sign * config.alpha_prime + br.rotations[bit] for br in branches]
-                    for bit, sign in enumerate((-1.0, 1.0))])
-    transmission = np.array([0.0 if br.to_vacuum else 1.0 for br in branches])
-    return outcome_table(config.alpha, phi, 1.0, transmission)
+    alpha, branches = config.alpha, config.attack.branches
+    phi = [sign * config.alpha_prime + br.rotations[bit]
+           for bit, sign in enumerate((-1.0, 1.0)) for br in branches]
+    cosines = np.cos([p + shift for shift in (alpha, -alpha) for p in phi]).tolist()
+    transmission = [0.0 if br.to_vacuum else 1.0 for br in branches] * 2
+    rows = map(outcome_entries, cosines[:len(phi)], cosines[len(phi):], transmission)
+    return np.fromiter(chain.from_iterable(rows), float, len(phi) * len(OUTCOMES)).reshape(
+        2, len(branches), len(OUTCOMES))
+
+
+def _draw(seed: int, n_total: int, pvals) -> np.ndarray:
+    """``Generator(Philox(key=seed)).multinomial(n_total, pvals)``.
+
+    Drawn from the module's one generator, re-keyed to the state a new
+    ``Philox(key=seed)`` starts from: counter 0, the seed's two 64-bit words,
+    little-endian, as the key, and an empty buffer.  Philox's stream depends
+    on its key and counter alone, so the draws are the same.  The lock holds
+    a run's reset and draw together; the bit generator's own lock is taken
+    by numpy's draw methods.
+    """
+    seed = int(seed)  # a numpy integer seed overflows in & past its own width
+    state = {"bit_generator": "Philox",
+             "state": {"counter": _ZEROS, "key": (seed & _WORD, seed >> 64)},
+             "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    with _DRAW_LOCK:
+        _BIT_GENERATOR.state = state
+        return _GENERATOR.multinomial(n_total, pvals)
 
 
 def run_simulation(config: SimConfig) -> SimResult:
@@ -126,8 +160,9 @@ def run_simulation(config: SimConfig) -> SimResult:
     bit uniform, the attack branch from its bit-conditional weights and Bob's
     outcome from the branch's POVM distribution; sum the (bit, outcome)
     counters, classify conclusive events, and track Eve's per-branch guesses
-    against the surviving correct bits.  Counts the estimator rejects are
-    still returned, with no estimate.
+    against the surviving correct bits.  Counts the estimator rejects, or
+    cannot invert at an analyzer angle of 0 or 90 degrees, are still
+    returned, with no estimate.
     """
     branches = config.attack.branches
     weights = np.array([br.weights for br in branches]).T  # [bit, branch]
@@ -136,7 +171,7 @@ def run_simulation(config: SimConfig) -> SimResult:
     # stays 0; numpy gives the rounding remainder to the last drawn class
     live = p > 0.0
     joint = np.zeros(p.shape, dtype=np.int64)
-    joint[live] = Generator(Philox(key=config.seed)).multinomial(config.n_total, p[live])
+    joint[live] = _draw(config.seed, config.n_total, p[live])
     counts = ObservedCounts.from_table(config.n_total, joint.sum(axis=1))
 
     # surviving correct bits and errors per (bit, branch), by Bob's decoding
@@ -157,7 +192,7 @@ def run_simulation(config: SimConfig) -> SimResult:
 
     try:
         estimated = estimate_channel(counts, config.alpha)
-    except EstimationInfeasibleError:
+    except (EstimationInfeasibleError, DegenerateAngleError):
         estimated = None
     return SimResult(counts=counts, conclusive_error_rate=error_rate,
                      eve_accuracy_correct=accuracy, estimated=estimated,
@@ -171,7 +206,12 @@ def require_matched_angles(config: SimConfig) -> None:
 
 
 def require_estimate(config: SimConfig, result: SimResult) -> ChannelTriple:
-    """The run's estimated channel, or the estimator's :class:`EstimationInfeasibleError`."""
+    """The run's estimated channel, or the estimator's error.
+
+    That is :class:`EstimationInfeasibleError`, or
+    :class:`~b92sec.errors.DegenerateAngleError` at an analyzer angle of 0
+    or 90 degrees.
+    """
     if result.estimated is None:
         estimate_channel(result.counts, config.alpha)  # raises, as it did in the run
     return result.estimated

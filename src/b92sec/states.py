@@ -7,7 +7,9 @@ transmitted pulse is either one photon (a qubit) or vacuum, so a delivered
 state is T * rho_qubit (+) (1 - T)|vac><vac|: a transmission weight T and
 the qubit's Bloch vector, which in the x-z plane is an angle and a length.
 Bob's five outcome probabilities for such a state are one closed form over
-arrays of those three numbers, :func:`outcome_table`.
+arrays of those three numbers, :func:`outcome_table`; :func:`outcome_entries`
+states its five entries once, on floats or arrays, for the table and for
+the simulator's float table alike.
 
 The module also owns Bob's outcome statistics.  ``CORRECT`` and ``ERROR``
 are his decoding rule: for each of Alice's bits, the conclusive outcome
@@ -51,21 +53,27 @@ def outcome_table(alpha, phi, r, transmission) -> np.ndarray:
 
         (T/4)(1 + c0), (T/4)(1 - c0), (T/4)(1 + c1), (T/4)(1 - c1), 1 - T
 
-    in ``OUTCOMES`` order, along a new last axis of the broadcast inputs.
+    in ``OUTCOMES`` order, along a new last axis of the broadcast inputs,
+    each entry as :func:`outcome_entries` forms it.
     """
     alpha = np.asarray(alpha, dtype=float)
     require(alpha, (alpha >= 0.0) & (alpha <= math.pi / 2.0),
             "analyzer angle outside [0, pi/2]")
     transmission = np.asarray(transmission, dtype=float)
-    c0 = r * np.cos(phi + alpha)
-    c1 = r * np.cos(phi - alpha)
-    table = np.empty(np.broadcast(c0, transmission).shape + (5,))
-    polarization = table[..., :4]
-    polarization[..., 0], polarization[..., 1] = 1.0 + c0, 1.0 - c0
-    polarization[..., 2], polarization[..., 3] = 1.0 + c1, 1.0 - c1
-    polarization *= 0.25 * transmission[..., np.newaxis]
-    table[..., 4] = 1.0 - transmission
-    return table
+    entries = outcome_entries(r * np.cos(phi + alpha), r * np.cos(phi - alpha), transmission)
+    return np.stack(np.broadcast_arrays(*entries), axis=-1)
+
+
+def outcome_entries(c0, c1, transmission) -> tuple:
+    """The five entries of :func:`outcome_table`, from c0, c1 and T.
+
+    Each polarization entry is formed as (1 +- c) * (0.25 T), on floats or
+    on arrays alike, so a caller that forms the table on floats gets the
+    bits that :func:`outcome_table` gives.
+    """
+    quarter = 0.25 * transmission
+    return ((1.0 + c0) * quarter, (1.0 - c0) * quarter, (1.0 + c1) * quarter,
+            (1.0 - c1) * quarter, 1.0 - transmission)
 
 
 def conclusive_rates(alpha, theta, epsilon, transmission) -> tuple:

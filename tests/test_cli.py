@@ -387,6 +387,29 @@ class TestSimulate:
             "alpha_deg": 10.0, **dict.fromkeys(("g", "g_correct", "g_flipped", "p_conc", "e")),
             "mode": "collision", "status": "infeasible"}
 
+    @pytest.mark.parametrize("alpha_deg, sin2a", ((0, "0.00e+00"), (90, "1.22e-16")))
+    def test_degenerate_analyzer_angle_writes_counts_and_record(self, capsys, tmp_path,
+                                                                alpha_deg, sin2a):
+        # at 0 and 90 degrees the count inversion degenerates: the run still
+        # writes its counts and its record, with a null estimate, and exits 2
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text(f"n_total = 100000\nalpha_deg = {alpha_deg}\n"
+                       "attack = depolarize(epsilon=0.05)|loss(T=0.9)\nseed = 42\n")
+        counts_path = tmp_path / "counts.csv"
+        code, out, err = run(capsys, "simulate", "--config", str(cfg),
+                             "--counts-csv", str(counts_path))
+        assert code == EXIT_DOMAIN
+        assert err == f"error: count inversion degenerates at sin(2 alpha) = {sin2a}\n"
+        record = json.loads(out)
+        assert record["estimated"] is None
+        assert record["key_gain"] == {
+            "alpha_deg": float(alpha_deg),
+            **dict.fromkeys(("g", "g_correct", "g_flipped", "p_conc", "e")),
+            "mode": "collision", "status": "infeasible"}
+        counts = ObservedCounts.from_csv(counts_path.read_text())
+        assert ObservedCounts(**record["counts"]) == counts
+        assert counts.n_total == 100000 and counts.detected() > 0
+
     @pytest.mark.parametrize("mode", MODES)
     def test_key_gain_block_is_the_key_gain_at_the_estimate(self, capsys, tmp_path, mode):
         statuses = set()

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import sys
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -17,7 +20,12 @@ from b92sec.attacks import (
     parse_attack,
     rotation_attack,
 )
-from b92sec.errors import DomainError, EstimationInfeasibleError, UnreachableChannelError
+from b92sec.errors import (
+    DegenerateAngleError,
+    DomainError,
+    EstimationInfeasibleError,
+    UnreachableChannelError,
+)
 from b92sec.evebound import FREE
 from b92sec.estimation import ChannelTriple, ObservedCounts, estimate_channel
 from b92sec.keyrate import key_gains
@@ -25,6 +33,7 @@ from b92sec.simulate import (
     SimConfig,
     closed_loop_report,
     outcome_distribution,
+    require_estimate,
     run_simulation,
 )
 from b92sec.states import OUTCOMES
@@ -84,6 +93,34 @@ class TestReproducibility:
     def test_same_seed_same_result(self, name):
         cfg = config(parity_channel(name), n=10 ** 6, seed=77)
         assert run_simulation(cfg) == run_simulation(cfg)
+
+    def test_concurrent_runs_match_serial_runs(self):
+        # runs share one re-keyed generator; 4 threads of 25 runs each, with
+        # a short switch interval so that they interleave, must give what
+        # the same runs give one after another; 640 classes make each draw
+        # long enough for another thread to reach the generator meanwhile
+        channel = parse_attack("|".join(["depolarize(epsilon=0.1)"] * 6), ALPHA)
+        cfgs = [config(channel, n=10 ** 6, seed=seed)
+                for seed in range((1 << 64) - 50, (1 << 64) + 50)]
+        serial = [run_simulation(cfg) for cfg in cfgs]
+        threaded = [None] * len(cfgs)
+
+        def work(part):
+            for k in range(part, len(cfgs), 4):
+                threaded[k] = run_simulation(cfgs[k])
+
+        workers = [threading.Thread(target=work, args=(part,)) for part in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert threaded == serial
 
     def test_different_seeds_differ(self):
         a = run_simulation(config(depolarize(0.1), n=20000, seed=1))
@@ -282,6 +319,25 @@ class TestRejectedCounts:
         with pytest.raises(EstimationInfeasibleError) as report:
             closed_loop_report(self.DARK)
         assert str(report.value) == str(direct.value) == self.REASON
+
+
+class TestDegenerateAnalyzerAngle:
+    """At 0 and 90 degrees the count inversion degenerates; the run still returns its counts."""
+
+    @pytest.mark.parametrize("degrees, sin2a", ((0, "0.00e+00"), (90, "1.22e-16")))
+    def test_run_returns_its_counts_without_an_estimate(self, degrees, sin2a):
+        cfg = config(parse_attack("depolarize(epsilon=0.05)|loss(T=0.9)", degrees * DEG),
+                     n=100000, seed=42, alpha=degrees * DEG)
+        result = run_simulation(cfg)
+        assert result.estimated is None
+        assert np.array(result.joint).sum() == 100000
+        assert ObservedCounts.from_table(100000, np.array(result.joint).sum(axis=1)) \
+            == result.counts
+        message = "^" + re.escape(f"count inversion degenerates at sin(2 alpha) = {sin2a}") + "$"
+        with pytest.raises(DegenerateAngleError, match=message):
+            require_estimate(cfg, result)
+        with pytest.raises(DegenerateAngleError, match=message):
+            closed_loop_report(cfg)
 
 
 class TestConfigFile:

@@ -4,12 +4,14 @@ Usage (from the repository root):
 
     python tools/output_diff.py OLD_SRC NEW_SRC
     python tools/output_diff.py OLD_SRC NEW_SRC --command "b92sec oracle-check --samples 500"
+    python tools/output_diff.py OLD_SRC NEW_SRC --config my.cfg \
+        --command "b92sec simulate --config run.cfg --counts-csv counts.csv"
 
 Each ``b92sec`` line of the README's "Command line" block, or each
 ``--command`` given in its place, runs once against each tree, as
 ``python -m b92sec.cli`` in a fresh process with ``PYTHONPATH`` set to that
-tree, in a fresh directory that holds the README's simulator config as
-``run.cfg``.  The exit code, stdout, stderr and every file the command
+tree, in a fresh directory that holds the README's simulator config, or the
+file given with ``--config``, as ``run.cfg``.  The exit code, stdout, stderr and every file the command
 writes are compared as the bytes written, read as UTF-8 without newline
 translation, so a changed line ending shows.  For each command one line is
 printed: ``identical``; or how many numbers moved, on how many lines, and
@@ -73,9 +75,12 @@ def main() -> int:
     parser.add_argument("--command", action="append",
                         help="a b92sec command line to compare in place of the README's; "
                              "may be given more than once")
+    parser.add_argument("--config", type=Path,
+                        help="a simulator config to write as run.cfg in place of the README's")
     args = parser.parse_args()
     text = README.read_text()
-    config = code_block(text, "### Simulator config format")
+    config = args.config.read_text() if args.config else code_block(
+        text, "### Simulator config format")
     commands = args.command or [line for line in code_block(text, "## Command line").splitlines()
                                 if line.startswith("b92sec ")]
     differs = False
