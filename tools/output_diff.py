@@ -4,19 +4,18 @@ Usage (from the repository root):
 
     python tools/output_diff.py OLD_SRC NEW_SRC
     python tools/output_diff.py OLD_SRC NEW_SRC --command "b92sec oracle-check --samples 500"
-    python tools/output_diff.py OLD_SRC NEW_SRC --config my.cfg \
-        --command "b92sec simulate --config run.cfg --counts-csv counts.csv"
+    python tools/output_diff.py OLD_SRC NEW_SRC --config my.cfg --command "b92sec simulate --config run.cfg"
 
 Each ``b92sec`` line of the README's "Command line" block, or each
 ``--command`` given in its place, runs once against each tree, as
 ``python -m b92sec.cli`` in a fresh process with ``PYTHONPATH`` set to that
 tree, in a fresh directory that holds the README's simulator config, or the
-file given with ``--config``, as ``run.cfg``.  The exit code, stdout, stderr and every file the command
-writes are compared as the bytes written, read as UTF-8 without newline
-translation, so a changed line ending shows.  For each command one line is
-printed: ``identical``; or how many numbers moved, on how many lines, and
-the largest absolute move; or which output differs in more than its
-numbers.  The exit code is 1 when any command differs.  Standard library
+file given with ``--config``, as ``run.cfg``.  The exit code, stdout,
+stderr and every file the command writes are compared as the bytes
+written, read as UTF-8 without newline translation, so a changed line
+ending shows.  For each command one line is printed: ``identical``; or how
+many numbers moved, on how many lines, and the largest absolute move; or
+which output differs in more than its numbers.  The exit code is 1 when any command differs.  Standard library
 only; not part of the test suite.
 """
 
