@@ -14,9 +14,11 @@ Library layout:
 - :mod:`b92sec.cli` - batch commands reproducing every figure as CSV
 
 The core computes over arrays, and the scalar calls are one-entry cases of
-array calls.  One channel of Python numbers runs the same closed form on
-floats, and each field of its result equals the channel's entry of an
-array call bit for bit (``TestFloatPass`` in ``tests/test_evebound.py``).
+array calls.  The closed form of the bound is one body that runs with one
+of two kits of operations, chosen by input type: numpy's own over arrays,
+and Python floats for one channel of Python numbers.  Each field of a
+one-channel result equals the channel's entry of an array call bit for
+bit (``TestFloatPass`` in ``tests/test_evebound.py``).
 :func:`secret_key_gain` returns the :class:`KeyGains` of
 :func:`b92sec.keyrate.key_gains` itself, with fields of shape ();
 :func:`eve_max_gain` returns an :class:`EveBoundResult` record for correct

@@ -12,31 +12,34 @@ value: type3's roots are affine in it, and type1's smaller root is one
 expression in the dot and cross products of the traceless parts of A and
 B, with no angle formed.
 
-The closed form runs over arrays.  :func:`eve_bound` takes broadcast
-(alpha', alpha, theta, eps, T), builds A, B and the stationary families
-once, with the 2x2 algebra written out, and returns for every entry the
-minimum overlap, the regime that decided it (the free region, where the
-overlap vanishes, or the family type1 or type3 whose root wins) and a
-status (ok or unreachable) in place of an exception.  A minimizer is
-reported by its family alone, which :func:`eve_max_gain` names in
-``achieving``.  The inputs are checked once, at :func:`eve_bound` or at
-:func:`~b92sec.keyrate.key_gains`, by the same statements whichever of
-two private passes over A, B, the families and the roots follows; the
-passes check nothing.  The array pass runs under
-``np.errstate(divide="ignore", invalid="ignore")``, which its caller opens;
-the float pass runs outside it, and :func:`_div` opens it for the one
-division the float pass hands numpy, by a zero divisor.
-Arrays, 0-d ones and numpy scalars other than np.float64 included, take
-the array pass, :func:`_bound`.  One channel of Python ints and floats
-(np.float64 is one) takes the float pass, :func:`_bound_one`: the same
-arithmetic in the same order on Python floats, without numpy's per-call
-price on every quantity.  Each of its fields equals the channel's entry
-of an array call bit for bit, which ``TestFloatPass`` in
-``tests/test_evebound.py`` checks over the whole domain.
+The closed form is written once and runs over arrays or over one
+channel's floats.  :func:`eve_bound` takes broadcast (alpha', alpha,
+theta, eps, T), builds A, B and the stationary families once, with the
+2x2 algebra written out, and returns for every entry the minimum overlap,
+the regime that decided it (the free region, where the overlap vanishes,
+or the family type1 or type3 whose root wins) and a status (ok or
+unreachable) in place of an exception.  A minimizer is reported by its
+family alone, which :func:`eve_max_gain` names in ``achieving``.  The
+inputs are checked once, at :func:`eve_bound` or at
+:func:`~b92sec.keyrate.key_gains`; the body after the checks checks
+nothing.  That body, :func:`_matrices`, :func:`_families`,
+:func:`_overlap` and :func:`_bound`, takes one of two kits of operations,
+chosen by input type.  Arrays, 0-d ones and numpy scalars other than
+np.float64 included, run the array kit ``ARRAY``, numpy's own functions,
+under ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``,
+which its caller opens.  One channel of Python ints and floats
+(np.float64 is one) runs the float kit ``FLOAT`` on Python floats,
+without numpy's per-call price on every quantity and outside any
+errstate: :func:`_div` opens one for the divisions it hands numpy, by a
+zero divisor.  The same statements in the same order make each field of
+a one-channel result equal the channel's entry of an array call bit for
+bit, which ``TestFloatPass`` in ``tests/test_evebound.py`` checks over the
+whole domain, for the families and the overlap as for the results.
 :func:`eve_max_gain` is the one-entry wrapper that raises an unreachable
 status as :class:`UnreachableChannelError`; Eve's bound on flipped bits is
 the same bound at the tilt -2 alpha - theta, which
-:func:`~b92sec.keyrate.key_gains` stacks with theta in one pass.
+:func:`~b92sec.keyrate.key_gains` stacks under theta on the array kit and
+runs as a second bound on the float kit.
 :func:`full_info_region` is one :func:`eve_bound` call over an (alpha, eps)
 grid at theta = 0, marking where the overlap vanishes.  The families
 answer every channel, the noiseless ones included: there
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -87,12 +91,10 @@ FAMILIES = ("free", "type1", "type3")
 FREE, TYPE1, TYPE3 = range(3)
 OK, UNREACHABLE = range(2)
 
-# 0-d array operands where the array pass meets an input array: a ufunc on
-# two arrays dispatches in about 0.42 us, and with a Python float operand in
-# 0.66-0.9 us (numpy 2.4 on a shared 2-core VM).  The input checks compare
-# with Python floats instead, since they run on the float pass's floats too,
-# where a comparison with a float is a Python one.
-_ZERO, _HALF, _ONE, _TWO = (np.array(v) for v in (0.0, 0.5, 1.0, 2.0))
+# 0-d array operands: with them the conclusive rates of one channel's Python
+# floats are numpy scalars, which divide 0 by 0 into NaN where Python raises,
+# and the key-gain search's tilt of 0 has an ndim
+_ZERO, _ONE, _TWO = (np.array(v) for v in (0.0, 1.0, 2.0))
 _HALF_PI = math.pi / 2.0
 
 
@@ -189,63 +191,56 @@ def shannon_gain(q):
     return 1.0 - _entropy(0.5 * (1.0 - np.sqrt(np.maximum(0.0, 1.0 - q * q))))
 
 
-def _matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2, np.ndarray]:
+def _div(x: float, y: float) -> float:
+    """x / y on Python floats, with numpy's inf or NaN where y is 0.
+
+    numpy divides only where y is 0, under its own
+    ``np.errstate(divide="ignore", invalid="ignore")``.
+    """
+    if y:
+        return x / y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.float64(x) / y)
+
+
+# The operations the bound's one body takes from its kit.  ARRAY is numpy's
+# own.  FLOAT runs one channel of Python floats: numpy's sin, cos and hypot
+# (``math``'s can round differently) returned as floats, _div where a divisor
+# can vanish, and Python's max and min, which return what numpy's do here:
+# where their first operand is NaN both give NaN, and no second operand is.
+# Squares are x * x in the body, which is what ** 2 runs on an array; on a
+# numpy scalar ** 2 is C pow, which can round differently.
+ARRAY = SimpleNamespace(sin=np.sin, cos=np.cos, hypot=np.hypot, sqrt=np.sqrt, div=np.divide,
+                        where=np.where, maximum=np.maximum, minimum=np.minimum)
+FLOAT = SimpleNamespace(sin=lambda x: float(np.sin(x)), cos=lambda x: float(np.cos(x)),
+                        hypot=lambda x, y: float(np.hypot(x, y)), sqrt=math.sqrt, div=_div,
+                        where=lambda ok, x, y: x if ok else y, maximum=max, minimum=min)
+
+
+def _matrices(alpha, theta, epsilon, kit=ARRAY) -> tuple[SymMat2, SymMat2, np.ndarray]:
     """A, B and A's common denominator, unchecked (see :func:`build_matrices`)."""
-    half = alpha + _HALF * theta
-    # squares as x * x, which is what ** 2 runs on an array; on a numpy
-    # scalar ** 2 is C pow, which can round differently
-    sin_half, cos_half = np.sin(half), np.cos(half)
+    half = alpha + 0.5 * theta
+    sin_half, cos_half = kit.sin(half), kit.cos(half)
     sin2 = sin_half * sin_half
-    tilt = _TWO * alpha + theta
+    tilt = 2.0 * alpha + theta
     # 1 - (1 - eps) cos(2 half), written without its cancellation near half = 0
-    den = 2.0 * sin2 + epsilon * np.cos(tilt)
-    two_eps = _TWO - epsilon
+    den = 2.0 * sin2 + epsilon * kit.cos(tilt)
+    two_eps = 2.0 - epsilon
     # den = 0 only at eps = 0 with a zero tilt, where A is 0/0; adding 1 to den
     # and to A11's numerator there gives A = diag(1, 0), its value at every
     # other noiseless channel, and adds 0 everywhere else
     one = den == 0.0
     a_den = den + one
-    a = SymMat2(
-        m11=(two_eps * sin2 + one) / a_den,
-        m12=-np.sqrt(epsilon * two_eps) * np.sin(tilt) / (2.0 * a_den),
-        m22=epsilon * (cos_half * cos_half) / a_den,
-    )
+    a = SymMat2((two_eps * sin2 + one) / a_den,
+                -kit.sqrt(epsilon * two_eps) * kit.sin(tilt) / (2.0 * a_den),
+                epsilon * (cos_half * cos_half) / a_den)
     full = alpha + theta
-    cos_full = np.cos(full)
-    half_eps = _HALF * epsilon
-    keep = 1.0 - half_eps
-    b = SymMat2(
-        m11=keep * cos_full,
-        m12=np.sqrt(keep * 0.5 * epsilon) * np.sin(full),
-        m22=-half_eps * cos_full,
-    )
-    return a, b, den
-
-
-def _matrices_one(alpha: float, theta: float, epsilon: float) -> tuple:
-    """:func:`_matrices`' A and B on one channel's Python floats, bit for bit.
-
-    (a11, a12, a22, b11, b12, b22), from the same operations in the same
-    order, with numpy's sin and cos (``math``'s can round differently) and
-    squares as x * x.
-    """
-    half = alpha + 0.5 * theta
-    sin_half, cos_half = float(np.sin(half)), float(np.cos(half))
-    sin2 = sin_half * sin_half
-    tilt = 2.0 * alpha + theta
-    den = 2.0 * sin2 + epsilon * float(np.cos(tilt))
-    two_eps = 2.0 - epsilon
-    one = den == 0.0
-    a_den = den + one
-    full = alpha + theta
-    cos_full = float(np.cos(full))
+    cos_full = kit.cos(full)
     half_eps = 0.5 * epsilon
     keep = 1.0 - half_eps
-    return ((two_eps * sin2 + one) / a_den,
-            -math.sqrt(epsilon * two_eps) * float(np.sin(tilt)) / (2.0 * a_den),
-            epsilon * (cos_half * cos_half) / a_den,
-            keep * cos_full, math.sqrt(keep * 0.5 * epsilon) * float(np.sin(full)),
-            -half_eps * cos_full)
+    b = SymMat2(keep * cos_full, kit.sqrt(keep * 0.5 * epsilon) * kit.sin(full),
+                -half_eps * cos_full)
+    return a, b, den
 
 
 def build_matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2]:
@@ -257,27 +252,23 @@ def build_matrices(alpha, theta, epsilon) -> tuple[SymMat2, SymMat2]:
     noiseless channel with 2 alpha + theta = 0, where A is 0/0 and takes
     diag(1, 0), its value at every other noiseless channel.  The analyzer
     angle alpha lies in [0, pi/2] (see the module docstring).  By
-    :func:`eve_bound`'s rule, one channel of Python ints and floats takes
-    the float pass and gets Python float entries, equal bit for bit to an
-    array call's; arrays, 0-d ones and other numpy scalars included, take
-    the array pass and get float arrays or numpy scalars.
+    :func:`eve_bound`'s rule, one channel of Python ints and floats runs
+    the float kit and gets Python float entries, equal bit for bit to an
+    array call's; arrays, 0-d ones and other numpy scalars included, run
+    the array kit and get float arrays or numpy scalars.
     """
     alpha, theta, epsilon = _channel(alpha, theta, epsilon)
     require(alpha, (0.0 <= alpha) & (alpha <= _HALF_PI), "analyzer angle outside [0, pi/2]")
     require(theta, (-math.inf < theta) & (theta < math.inf), "tilt angle not finite")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
-    if isinstance(theta, float):
-        a11, a12, a22, b11, b12, b22 = _matrices_one(alpha, theta, epsilon)
-        return SymMat2(a11, a12, a22), SymMat2(b11, b12, b22)
-    a, b, _ = _matrices(alpha, theta, epsilon)
+    a, b, _ = _matrices(alpha, theta, epsilon, FLOAT if isinstance(theta, float) else ARRAY)
     return a, b
 
 
 # --- stationary families ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Families:
+class Families(NamedTuple):
     """The stationary families of |Q| under a fixed constraint value.
 
     type1 is xi = [[cos eta, sin eta], [sin eta, -cos eta]] on the probe
@@ -319,45 +310,45 @@ class Families:
     bmax: np.ndarray
 
 
-def _families(a: SymMat2, b: SymMat2) -> Families:
-    """All stationary families of |Q| for broadcast matrices (A, B), unchecked.
+def _families(a: SymMat2, b: SymMat2, kit=ARRAY) -> Families:
+    """All stationary families of |Q| for matrices (A, B), unchecked.
 
     A must have det A = 0, as :func:`build_matrices` gives; the type3
     projector relies on it.  B must have non-positive determinant, as
-    every B of :func:`build_matrices` has.  Run under
-    ``np.errstate(divide="ignore", invalid="ignore")``: a noiseless channel
-    divides by det B = 0.
+    every B of :func:`build_matrices` has.  On the array kit, run under
+    ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a
+    noiseless channel divides by det B = 0, and one with eps near 1e-320
+    overflows kappa.
     """
-    det_b = np.asarray(b.det(), dtype=float)
-    qc, qs, bc, bs = a.m11 - a.m22, 2.0 * a.m12, b.m11 - b.m22, 2.0 * b.m12
-    bmax = np.hypot(bc, bs)
+    (a11, a12, a22), (b11, b12, b22) = a, b
+    qc, qs, bc, bs = a11 - a22, 2.0 * a12, b11 - b22, 2.0 * b12
+    bmax = kit.hypot(bc, bs)
     # kappa makes A - kappa B singular, since det A = 0
-    kappa = (a.m11 * b.m22 + a.m22 * b.m11 - qs * b.m12) / det_b
-    tr_b = b.m11 + b.m22
-    trace = a.m11 + a.m22 - kappa * tr_b
-    p11 = (a.m11 - kappa * b.m11) / trace
-    p12 = (a.m12 - kappa * b.m12) / trace
-    p22 = (a.m22 - kappa * b.m22) / trace
+    kappa = kit.div(a11 * b22 + a22 * b11 - qs * b12, b11 * b22 - b12 * b12)
+    tr_b = b11 + b22
+    trace = a11 + a22 - kappa * tr_b
+    p11 = kit.div(a11 - kappa * b11, trace)
+    p12 = kit.div(a12 - kappa * b12, trace)
+    p22 = kit.div(a22 - kappa * b22, trace)
     # A - kappa B is singular, so P is rank one with unit trace: a projector by
     # construction, whose eigenvalues need no test.  A trace lost to rounding
     # (A nearly a multiple of B, as for theta near pi with eps near 1e-15)
     # leaves P with no correct digit, so such entries get no type3 root
     type3 = abs(trace) >= 1e-14
-    a_p = a.m11 * p11 + qs * p12 + a.m22 * p22
-    b_p = b.m11 * p11 + bs * p12 + b.m22 * p22
+    a_p = a11 * p11 + qs * p12 + a22 * p22
+    b_p = b11 * p11 + bs * p12 + b22 * p22
     # type1: Q vanishes at eta = atan2(qs, qc) +- pi/2, where
     # |B| = |bs qc - bc qs| / hypot(qc, qs) on both roots
     cross = abs(bs * qc - bc * qs)
-    limit = cross / np.hypot(qc, qs)
+    limit = cross / kit.hypot(qc, qs)
     # type3: Q vanishes at x = -a_p / (1 - a_p)
-    x = -a_p / (1.0 - a_p)
+    x = kit.div(-a_p, 1.0 - a_p)
     on = type3 & (abs(x) <= 1.0)
-    limit = np.maximum(limit, np.where(on, abs(b_p * (1.0 - x) + x * tr_b), 0.0))
-    return Families(qc=qc, qs=qs, bc=bc, bs=bs, cross=cross, a_p=a_p, b_p=b_p, tr_b=tr_b,
-                    type3=type3, free_limit=limit, bmax=bmax)
+    limit = kit.maximum(limit, kit.where(on, abs(b_p * (1.0 - x) + x * tr_b), 0.0))
+    return Families(qc, qs, bc, bs, cross, a_p, b_p, tr_b, type3, limit, bmax)
 
 
-def _overlap(f: Families, t):
+def _overlap(f: Families, t, kit=ARRAY):
     """Minimum |Q| at constraint value 0 <= t <= f.bmax: (q, regime).
 
     Below the zero-overlap limit the minimum is 0.  Above it the smaller
@@ -368,121 +359,53 @@ def _overlap(f: Families, t):
     size, | |t P| - sqrt(bmax^2 - t^2) |R| | / bmax^2.
     At eps = 0, R = 0 and this is the noiseless closed form q = t / bmax.
     """
+    qc, qs, bc, bs, cross, a_p, b_p, tr_b, type3, limit, bmax = f
     # type1: the roots of B = t put (cos eta, sin eta) at
     # (t b +- sqrt(bmax^2 - t^2) b_perp) / bmax^2, b = (bc, bs), b_perp = (-bs, bc)
-    dot = f.qc * f.bc + f.qs * f.bs
-    side = np.sqrt((f.bmax - t) * (f.bmax + t))
-    # an ndarray even for one entry, whose arithmetic gives numpy scalars, so
-    # the masked copies below write into it at every shape
-    q1 = np.asarray(abs(abs(t * dot) - side * f.cross) / (f.bmax * f.bmax))
+    dot = qc * bc + qs * bs
+    side = kit.sqrt((bmax - t) * (bmax + t))
+    q1 = kit.div(abs(abs(t * dot) - side * cross), bmax * bmax)
     # type3's root: B = b_p (1 - x) + x tr_b = t is affine in x = cos eta;
     # where the family misses t it offers nothing
-    x = (t - f.b_p) / (f.tr_b - f.b_p)
-    on = f.type3 & (abs(x) <= 1.0 + 1e-9)
-    x = np.minimum(np.maximum(x, -1.0), 1.0)
-    q3 = abs(f.a_p * (1.0 - x) + x)
+    x = kit.div(t - b_p, tr_b - b_p)
+    on = type3 & (abs(x) <= 1.0 + 1e-9)
+    x = kit.minimum(kit.maximum(x, -1.0), 1.0)
+    q3 = abs(a_p * (1.0 - x) + x)
     better = on & (q3 < q1)
-    regime = np.where(better, TYPE3, TYPE1)
-    free = t <= f.free_limit + FREE_SLOP
-    np.copyto(q1, q3, where=better)
-    np.copyto(q1, _ZERO, where=free)
-    np.copyto(regime, FREE, where=free)
-    return q1, regime
+    free = t <= limit + FREE_SLOP
+    return (kit.where(free, 0.0, kit.where(better, q3, q1)),
+            kit.where(free, FREE, kit.where(better, TYPE3, TYPE1)))
 
 
-def _bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
-    """:func:`eve_bound`'s arithmetic on float arrays the caller has checked.
+def _bound(alpha_prime, alpha, theta, epsilon, transmission, kit) -> tuple:
+    """:func:`eve_bound`'s arithmetic on inputs the caller has checked.
 
-    Runs under the caller's ``np.errstate(divide="ignore", invalid="ignore")``.
+    Returns the fields of :class:`BoundArrays`, in order.  Float arrays on
+    the array kit, under the caller's
+    ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``; one
+    channel's Python floats on the float kit, which needs no errstate and
+    gives Python numbers.
     """
-    a, b, _ = _matrices(alpha, theta, epsilon)
-    f = _families(a, b)
+    a, b, _ = _matrices(alpha, theta, epsilon, kit)
+    f = _families(a, b, kit)
     bmax = f.bmax
     # smallest |Tr[B xi]| compatible with the loss-widened unitarity band
     # |T Tr[B xi] - cos(alpha')| <= 1 - T; Eve prefers the value closest to 0
-    lo = (np.cos(alpha_prime) - (_ONE - transmission)) / transmission
+    lo = (kit.cos(alpha_prime) - (1.0 - transmission)) / transmission
     unreachable = lo > bmax + REACH_SLOP
     # a negative target is free, since the band reaches 0; bounding it by 0
     # keeps _overlap from squaring one near -1/T, which overflows for tiny T
-    t = np.maximum(np.minimum(lo, bmax), 0.0)
-    q, regime = _overlap(f, t)
-    return BoundArrays(overlap_min=q, free_limit=f.free_limit, constraint_max=bmax,
-                       target=np.where(unreachable, lo, t), regime=regime,
-                       status=np.where(unreachable, UNREACHABLE, OK))
-
-
-def _div(x: float, y: float) -> float:
-    """x / y on Python floats, with numpy's inf or NaN where y is 0.
-
-    numpy divides only where y is 0, under its own
-    ``np.errstate(divide="ignore", invalid="ignore")``.
-    """
-    if y:
-        return x / y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(np.float64(x) / y)
-
-
-def _bound_one(alpha_prime, alpha, theta, epsilon, transmission) -> tuple:
-    """:func:`_bound`'s arithmetic on one channel's checked Python floats.
-
-    The fields of :class:`BoundArrays`, in order, as Python numbers, each
-    equal bit for bit to the array pass's entry: A and B from
-    :func:`_matrices_one`, then the same operations in the same order, with
-    numpy's hypot (``math``'s can round differently) and numpy's inf or NaN
-    where a divisor vanishes.  Work whose result the array pass masks out
-    is skipped: the type3 projector of an entry without one, and the roots
-    of a free entry.  Needs no ``np.errstate``: its one numpy division
-    is :func:`_div`'s, under ``_div``'s own.
-    """
-    a11, a12, a22, b11, b12, b22 = _matrices_one(alpha, theta, epsilon)
-    # the families, as _families finds them
-    det_b = b11 * b22 - b12 * b12
-    qc, qs, bc, bs = a11 - a22, 2.0 * a12, b11 - b22, 2.0 * b12
-    bmax = float(np.hypot(bc, bs))
-    kappa = _div(a11 * b22 + a22 * b11 - qs * b12, det_b)
-    tr_b = b11 + b22
-    trace = a11 + a22 - kappa * tr_b
-    type3 = abs(trace) >= 1e-14
-    cross = abs(bs * qc - bc * qs)
-    limit = cross / float(np.hypot(qc, qs))
-    # max and min meet no NaN here or below: where x is within [-1, 1] the
-    # projector is finite, and the target and reach always are; so Python's
-    # max and min give what numpy's give
-    if type3:
-        p11 = (a11 - kappa * b11) / trace
-        p12 = (a12 - kappa * b12) / trace
-        p22 = (a22 - kappa * b22) / trace
-        a_p = a11 * p11 + qs * p12 + a22 * p22
-        b_p = b11 * p11 + bs * p12 + b22 * p22
-        x = _div(-a_p, 1.0 - a_p)
-        if abs(x) <= 1.0:
-            limit = max(limit, abs(b_p * (1.0 - x) + x * tr_b))
-    # the target and the overlap, as _bound and _overlap meet them
-    lo = (float(np.cos(alpha_prime)) - (1.0 - transmission)) / transmission
-    unreachable = lo > bmax + REACH_SLOP
-    t = max(min(lo, bmax), 0.0)
-    q, regime = 0.0, FREE
-    if t > limit + FREE_SLOP:
-        dot = qc * bc + qs * bs
-        side = math.sqrt((bmax - t) * (bmax + t))
-        q, regime = _div(abs(abs(t * dot) - side * cross), bmax * bmax), TYPE1
-        # type3's root; a family without a projector misses every target
-        x = _div(t - b_p, tr_b - b_p) if type3 else math.inf
-        if abs(x) <= 1.0 + 1e-9:
-            x = min(max(x, -1.0), 1.0)
-            q3 = abs(a_p * (1.0 - x) + x)
-            if q3 < q:
-                q, regime = q3, TYPE3
-    return (q, limit, bmax, lo if unreachable else t, regime,
-            UNREACHABLE if unreachable else OK)
+    t = kit.maximum(kit.minimum(lo, bmax), 0.0)
+    q, regime = _overlap(f, t, kit)
+    return (q, f.free_limit, bmax, kit.where(unreachable, lo, t), regime,
+            kit.where(unreachable, UNREACHABLE, OK))
 
 
 def _channel(*values) -> list:
     """The inputs of one channel as Python floats, or of many as float arrays.
 
-    Python floats, for the float pass, when every value is a Python int or
-    float (np.float64 is one); float arrays, for the array pass, otherwise.
+    Python floats, for the float kit, when every value is a Python int or
+    float (np.float64 is one); float arrays, for the array kit, otherwise.
     None passes as None.
     """
     if all(isinstance(v, (int, float)) for v in values):
@@ -495,7 +418,7 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
 
     Out-of-range inputs raise :class:`DomainError`; an unreachable channel
     is reported in ``status`` instead.  Every field is an ndarray.  One
-    channel of Python numbers takes the float pass and gets fields of shape
+    channel of Python numbers runs the float kit and gets fields of shape
     (), each equal bit for bit to that channel's entry of an array call.
     """
     channel = _channel(alpha_prime, alpha, theta, epsilon, transmission)
@@ -508,11 +431,12 @@ def eve_bound(alpha_prime, alpha, theta, epsilon, transmission) -> BoundArrays:
             "transmission outside (0, 1]")
     require(epsilon, (0.0 <= epsilon) & (epsilon <= 1.0), "noise parameter outside [0, 1]")
     if isinstance(theta, float):
-        return BoundArrays(*map(np.array, _bound_one(*channel)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = _bound(*channel)
+        bound = _bound(*channel, FLOAT)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            bound = _bound(*channel, ARRAY)
     # 0-d inputs give numpy scalars in places; every field is an ndarray
-    return BoundArrays(*map(np.asarray, vars(bound).values()))
+    return BoundArrays(*map(np.asarray, bound))
 
 
 def full_info_region(alpha_grid, eps_grid, transmission: float) -> np.ndarray:

@@ -8,14 +8,15 @@ figures assume the analyzer matched to the signal angle (alpha' = alpha).
 :func:`key_gains` computes the accounting over broadcast arrays of
 (alpha, theta, eps, T), with the conclusive and error rates from
 :func:`~b92sec.states.conclusive_rates` and Eve's bounds on correct and
-flipped bits from one pass of :func:`~b92sec.evebound.eve_bound`'s
-arithmetic over both tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
-eve_bound's messages, under one ``np.errstate``, then runs one private
-pass that checks nothing and runs under that errstate: the array pass,
-or, for one channel of Python ints and floats, the float pass, which
-runs evebound's float bound at each tilt.  Each field of a one-channel
-result equals the channel's entry of an array call bit for bit
-(``TestFloatPass`` in ``tests/test_evebound.py``).
+flipped bits from :func:`~b92sec.evebound.eve_bound`'s arithmetic at both
+tilts, and returns one :class:`KeyGains`.  It checks its inputs once, with
+eve_bound's messages, under one ``np.errstate``, then runs the unchecked
+:func:`_pass` under that errstate.  The pass is one body on evebound's two
+kits, chosen by input type as eve_bound chooses: on the array kit it
+stacks both tilts in one bound, and for one channel of Python ints and
+floats the float kit runs the bound at each tilt.  Each field of a
+one-channel result equals the channel's entry of an array call bit for
+bit (``TestFloatPass`` in ``tests/test_evebound.py``).
 :func:`secret_key_gain` is its one-entry wrapper: it returns the same
 :class:`KeyGains` with fields of shape (), after raising the error of a
 failed entry.  The searches check the mode, T, theta and eps once, in
@@ -51,7 +52,7 @@ import numpy as np
 from .entropy import _entropy, binary_entropy
 from .errors import B92Error, DegenerateLinkError, DomainError, FirstFailure, require
 from .estimation import ChannelTriple
-from .evebound import (_HALF_PI, _ONE, _ZERO, OK, BoundArrays, _bound, _bound_one, _channel,
+from .evebound import (_HALF_PI, _ZERO, ARRAY, FLOAT, OK, BoundArrays, _bound, _channel,
                        collision_gain, shannon_gain)
 from .states import conclusive_rates
 
@@ -80,8 +81,7 @@ ABOVE = np.append(COARSE[1:], COARSE[-1])
 # the sample offsets of a grid-section bracket's ends
 ENDS = np.array([[-1], [1]])
 # 0-d array operands where the pass meets an input (see evebound's)
-_SECTIONS, _MINUS_TWO, _MINUS_INF = (
-    np.array(v) for v in (float(SECTIONS), -2.0, -math.inf))
+_SECTIONS, _MINUS_INF = (np.array(v) for v in (float(SECTIONS), -math.inf))
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,8 @@ def _checked(mode: str, alpha, theta, epsilon, transmission):
     Checks the mode, then T in [0, 1], alpha (unless it is None), theta and
     eps, with eve_bound's messages: entries without conclusive events pass
     the bound a stand-in T = 1, and every other entry has T > 0.  The
-    inputs come back as Python floats for the float pass when each is a
-    Python number, and as float arrays for the array pass otherwise; the
+    inputs come back as Python floats for the float kit when each is a
+    Python number, and as float arrays for the array kit otherwise; the
     checks are the same on both.
     """
     if mode not in INFORMATION:
@@ -172,77 +172,58 @@ def _checked(mode: str, alpha, theta, epsilon, transmission):
     return INFORMATION[mode], alpha, theta, epsilon, transmission
 
 
-def _pass(alpha, theta, epsilon, transmission, information) -> tuple:
-    """:func:`key_gains`' arithmetic on float arrays the caller has checked.
+def _pass(alpha, theta, epsilon, transmission, information, kit=ARRAY) -> tuple:
+    """:func:`key_gains`' arithmetic on inputs the caller has checked.
 
-    Returns the fields of :class:`KeyGains`, in order; runs under the
-    caller's ``np.errstate(divide="ignore", invalid="ignore")``.
+    Float arrays on the array kit, or one channel's Python floats on the
+    float kit, under the caller's ``np.errstate``.  Returns the fields of
+    :class:`KeyGains`, in order; on the float kit the rates come from
+    :func:`conclusive_rates` as numpy scalars, which divide 0 by 0 into NaN,
+    and ``bounds`` has shape (2,).
     """
     # p_conc >= p_error >= 0, so e lies in [0, 1], or is NaN where p_conc = 0;
     # e < 1 fails there as it does at e = 1
     p_error, p_conc = conclusive_rates(alpha, theta, epsilon, transmission)
     e = p_error / p_conc
     defined = e < 1.0
-    # flipped bits see the tilt -2 alpha - theta, stacked under theta on a new
-    # leading axis; entries without conclusive events get no bound, so they
-    # pass a valid stand-in transmission
-    ndim = max(alpha.ndim, theta.ndim, epsilon.ndim, transmission.ndim)
-    flip = _MINUS_TWO * alpha - theta
-    tilts = np.empty((2,) + (1,) * (ndim - flip.ndim) + flip.shape)
-    tilts[0], tilts[1] = theta, flip
-    bounds = _bound(alpha, alpha, tilts, epsilon, np.where(defined, transmission, _ONE))
-    info = information(bounds.overlap_min)
-    info_f = np.where(e > 0.0, info[1], _ZERO)
+    # flipped bits see the tilt -2 alpha - theta; entries without conclusive
+    # events get no bound, so they pass a valid stand-in transmission
+    flip, stand_in = -2.0 * alpha - theta, kit.where(defined, transmission, 1.0)
+    if kit is ARRAY:
+        # both tilts in one bound, theta stacked over flip on a new leading axis
+        ndim = max(alpha.ndim, theta.ndim, epsilon.ndim, transmission.ndim)
+        tilts = np.empty((2,) + (1,) * (ndim - flip.ndim) + flip.shape)
+        tilts[0], tilts[1] = theta, flip
+        bounds = BoundArrays(*_bound(alpha, alpha, tilts, epsilon, stand_in, kit))
+        info = information(bounds.overlap_min)
+    else:
+        # one bound per tilt, its fields stacked as the array kit stacks them
+        pair = [_bound(alpha, alpha, tilt, epsilon, stand_in, kit) for tilt in (theta, flip)]
+        bounds = BoundArrays(*map(np.array, zip(*pair)))
+        info = [information(q) for q, *_ in pair]
+    info_f = kit.where(e > 0.0, info[1], 0.0)
     gain_correct = p_conc * (1.0 - e) * (1.0 - info[0])
-    gain_flipped = p_conc * e * (_ONE - info_f)
+    gain_flipped = p_conc * e * (1.0 - info_f)
     failed = ~defined | (bounds.status[0] != OK)
     return (p_conc, e, info[0], info_f, gain_correct, gain_flipped,
             gain_correct + gain_flipped - p_conc * _entropy(e), failed, bounds)
 
 
-def _pass_one(alpha, theta, epsilon, transmission, information) -> tuple:
-    """:func:`_pass` on one channel's checked Python floats, bit for bit.
-
-    The same accounting in the same order, with :func:`_bound_one` at each
-    tilt in place of the array bound; the rates come from
-    :func:`conclusive_rates` as numpy scalars, which divide 0 by 0 into NaN.
-    Returns the fields of :class:`KeyGains` with shape (), and ``bounds``
-    with shape (2,).
-    """
-    p_error, p_conc = conclusive_rates(alpha, theta, epsilon, transmission)
-    e = p_error / p_conc
-    defined = e < 1.0
-    stand_in = transmission if defined else 1.0
-    pair = [_bound_one(alpha, alpha, tilt, epsilon, stand_in)
-            for tilt in (theta, -2.0 * alpha - theta)]
-    # each field stacks the correct-bit bound over the flipped-bit one
-    bounds = BoundArrays(*map(np.array, zip(*pair)))
-    info = [information(q) for q in bounds.overlap_min.tolist()]
-    info_f = info[1] if e > 0.0 else 0.0
-    gain_correct = p_conc * (1.0 - e) * (1.0 - info[0])
-    gain_flipped = p_conc * e * (1.0 - info_f)
-    failed = not defined or bounds.status[0] != OK
-    gain = gain_correct + gain_flipped - p_conc * _entropy(e)
-    return (*map(np.array, (p_conc, e, info[0], info_f, gain_correct, gain_flipped, gain,
-                            failed)), bounds)
-
-
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def key_gains(alpha, theta, epsilon, transmission, mode: str = "collision") -> KeyGains:
     """Net secret-key gain per pulse over broadcast arrays of the channel.
 
     Out-of-range inputs, such as a transmission outside [0, 1] or NaN, and
     unknown modes raise :class:`DomainError`; a failing entry, such as one
     with T = 0, is marked in ``failed`` instead.  Every field is an
-    ndarray.  One channel of Python numbers takes the float pass and gets
+    ndarray.  One channel of Python numbers runs the float kit and gets
     fields of shape (), each equal bit for bit to that channel's entry of
     an array call.
     """
     information, *channel = _checked(mode, alpha, theta, epsilon, transmission)
-    if isinstance(channel[1], float):
-        return KeyGains(*_pass_one(*channel, information))
-    # 0-d inputs give numpy scalars in places; every field is an ndarray
-    *fields, bounds = _pass(*channel, information)
+    kit = FLOAT if isinstance(channel[1], float) else ARRAY
+    # 0-d inputs and the float kit give numpy scalars; every field is an ndarray
+    *fields, bounds = _pass(*channel, information, kit)
     return KeyGains(*map(np.asarray, fields), bounds)
 
 
@@ -273,7 +254,7 @@ def _gains(alphas, theta, epsilon, transmission, information) -> np.ndarray:
     return gain
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def optimal_angles(theta, epsilon, transmission,
                    mode: str = "collision") -> tuple[np.ndarray, np.ndarray]:
     """Angle maximizing the key gain, and the gain there, for each channel.
@@ -343,7 +324,7 @@ def _keyed(epsilon, transmission, information) -> np.ndarray:
     return _gains(COARSE[:, None], _ZERO, epsilon, transmission, information).max(axis=0) > 0.0
 
 
-@np.errstate(divide="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def positive_noise_limit(transmission: float, mode: str = "collision") -> float:
     """Noise rate at which the key gain's best whole-degree value changes sign.
 

@@ -103,6 +103,15 @@ class TestInfogain:
         assert code == EXIT_DOMAIN and out == "" and not csv.exists()
         assert err.startswith("error: analyzer angle outside [0, pi/2]: ")
 
+    def test_a_subnormal_transmission_warns_nothing(self, capsys):
+        # the bound's target (cos alpha' - (1 - T)) / T overflows to inf at
+        # T = 5e-324; the eps grid takes the array kit, which ignores the
+        # overflow as the float kit does.  A numpy warning would fail the suite
+        code, out, err = run(capsys, "infogain", "--alpha", "10", "--T", "5e-324",
+                             "--eps-grid", "0:0.5:3")
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err == "error: conclusive probability vanishes; bound undefined: 0.0\n"
+
     def test_unreachable_exit_code(self, capsys):
         # tiny angle, deep loss, almost no noise: inconsistent inputs
         code, _, err = run(capsys, "infogain", "--alpha", "2", "--theta", "30",

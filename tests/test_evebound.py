@@ -25,11 +25,13 @@ from b92sec.evebound import (
     eve_bound,
     eve_max_gain,
     shannon_gain,
+    _families,
     _matrices,
+    _overlap,
 )
 
 from b92sec import evebound, keyrate
-from b92sec.keyrate import MODES, key_gains, secret_key_gain
+from b92sec.keyrate import MODES, key_gains, optimal_angles, positive_noise_limit, secret_key_gain
 
 from conftest import (
     DEG,
@@ -637,11 +639,11 @@ class TestFloatPass:
         # eps = 0 puts det B at 0, where kappa divides by it; 2 alpha + theta = 0
         # puts A's denominator den at 0 too, and alpha + theta = pi/2 puts B
         # at 0 but for cos(pi/2) ~ 6e-17, and its reach with it.  The float
-        # pass hands each zero divisor to numpy in _div, under _div's own
-        # errstate: a RuntimeWarning that leaked would fail the suite
+        # kit hands each zero divisor to numpy in its div, _div, under _div's
+        # own errstate: a RuntimeWarning that leaked would fail the suite
         zero = []
-        div = evebound._div
-        monkeypatch.setattr(evebound, "_div", lambda x, y: zero.append(not y) or div(x, y))
+        div = evebound.FLOAT.div
+        monkeypatch.setattr(evebound.FLOAT, "div", lambda x, y: zero.append(not y) or div(x, y))
         channel = (alpha, alpha, theta, 0.0, 0.5)
         one = eve_bound(*channel)
         assert any(zero)
@@ -666,15 +668,66 @@ class TestFloatPass:
             assert_same_bits(secret_key_gain(alpha, ChannelTriple(theta, 0.0, 0.5)).gain,
                              array.gain)
 
+    @pytest.mark.parametrize("call, channel", [
+        (eve_bound, (0.3, 0.3, 0.0, 0.1, 5e-324)),
+        (key_gains, (0.3, 0.0, 1e-320, 1e-300)),
+    ], ids=["target", "kappa"])
+    def test_an_overflow_leaks_no_warning(self, call, channel):
+        # T = 5e-324 overflows the target (cos alpha' - (1 - T)) / T, and
+        # eps = 1e-320 overflows kappa, which divides by det B ~ -eps / 2.  The
+        # array kit runs under errstate(over="ignore"), and Python floats
+        # overflow silently: a RuntimeWarning that leaked would fail the suite
+        one = call(*channel)
+        array = call(*(np.array([v]) for v in channel))
+        for name, field in vars(array).items():
+            parts = vars(field).items() if name == "bounds" else [(name, field)]
+            for part, got in parts:
+                assert_same_bits(getattr(one.bounds if name == "bounds" else one, part), got,
+                                 part)
+
+    @pytest.mark.parametrize("call, want", [
+        (lambda: optimal_angles(0.0, 0.1, 1e-320), (0.0, 0.0)),
+        (lambda: optimal_angles(0.0, 1e-320, 1e-300), (0.0, 0.0)),
+        (lambda: positive_noise_limit(1e-320), 0.0),
+    ], ids=["angle-target", "angle-kappa", "noise-limit"])
+    def test_a_search_overflows_without_a_warning(self, call, want):
+        # the searches run the array kit at every step, as key_gains does
+        assert call() == want
+
+    def test_families_on_floats_equal_their_array_entry(self):
+        # the intermediates of the bound, not only its outputs: every field of
+        # the families and the overlap's (q, regime) at eve_bound's own target
+        n = 10_000
+        alpha_prime, alpha, theta, eps, transmission = self.channels(
+            np.random.default_rng(20261022), n)
+        bound = eve_bound(alpha_prime, alpha, theta, eps, transmission)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            families = _families(*_matrices(alpha, theta, eps)[:2])
+            # _bound's target: an unreachable one is clipped to the reach
+            t = np.maximum(np.minimum(bound.target, families.bmax), 0.0)
+            overlap = _overlap(families, t)
+        ones, overlaps = [], []
+        for channel, target in zip(zip(alpha.tolist(), theta.tolist(), eps.tolist()),
+                                   t.tolist()):
+            a, b, _ = _matrices(*channel, evebound.FLOAT)
+            ones.append(_families(a, b, evebound.FLOAT))
+            overlaps.append(_overlap(ones[-1], target, evebound.FLOAT))
+        for name, field in families._asdict().items():
+            assert_same_bits([getattr(one, name) for one in ones], field, name)
+        for k, name in enumerate(("overlap_min", "regime")):
+            assert_same_bits([one[k] for one in overlaps], overlap[k], name)
+        assert {True, False} == set(families.type3.tolist())
+        assert {FREE, TYPE1, TYPE3} == set(overlap[1].tolist())
+
     @pytest.fixture
     def passes(self, monkeypatch):
-        """The pass each bound of a call ran on, "float" or "array", in order."""
+        """The kit each bound of a call ran on, "float" or "array", in order."""
         ran = []
         for module in (evebound, keyrate):
-            for name, label in (("_bound", "array"), ("_bound_one", "float")):
-                run = getattr(module, name)
-                monkeypatch.setattr(module, name, lambda *args, run=run, label=label:
-                                    ran.append(label) or run(*args))
+            run = module._bound
+            # the kit is _bound's last argument
+            monkeypatch.setattr(module, "_bound", lambda *args, run=run: ran.append(
+                "float" if args[-1] is evebound.FLOAT else "array") or run(*args))
         return ran
 
     @pytest.mark.parametrize("kind", NOT_PYTHON_NUMBERS)
