@@ -317,8 +317,8 @@ def _families(a: SymMat2, b: SymMat2, kit=ARRAY) -> Families:
     projector relies on it.  B must have non-positive determinant, as
     every B of :func:`build_matrices` has.  On the array kit, run under
     ``np.errstate(divide="ignore", over="ignore", invalid="ignore")``: a
-    noiseless channel divides by det B = 0, and one with eps near 1e-320
-    overflows kappa.
+    noiseless channel divides by det B = 0, and eps near 1e-320 at the tilt
+    2 alpha + theta = 0 overflows kappa.
     """
     (a11, a12, a22), (b11, b12, b22) = a, b
     qc, qs, bc, bs = a11 - a22, 2.0 * a12, b11 - b22, 2.0 * b12

@@ -549,9 +549,10 @@ NOT_PYTHON_NUMBERS = {
 class TestFloatPass:
     """One channel of Python numbers runs the closed form on floats, bit for bit.
 
-    eve_bound and key_gains take their float pass when every channel input
-    is a Python int or float, and their array pass otherwise; every field of
-    a one-channel result equals the channel's entry of an array call.
+    eve_bound and key_gains run the bound's one body on the float kit when
+    every channel input is a Python int or float, and on the array kit
+    otherwise; every field of a one-channel result equals the channel's
+    entry of an array call.
     """
 
     @staticmethod
@@ -581,7 +582,7 @@ class TestFloatPass:
 
     def test_one_channel_equals_its_array_entry_over_the_whole_domain(self):
         # a one-channel call that squared with ** 2 on numpy scalars, C pow,
-        # would round differently from the array pass's x * x on some draws
+        # would round differently from the array kit's x * x on some draws
         n = 10_000
         channels = self.channels(np.random.default_rng(20261020), n)
         rows = list(zip(*(c.tolist() for c in channels)))
@@ -674,9 +675,10 @@ class TestFloatPass:
     ], ids=["target", "kappa"])
     def test_an_overflow_leaks_no_warning(self, call, channel):
         # T = 5e-324 overflows the target (cos alpha' - (1 - T)) / T, and
-        # eps = 1e-320 overflows kappa, which divides by det B ~ -eps / 2.  The
-        # array kit runs under errstate(over="ignore"), and Python floats
-        # overflow silently: a RuntimeWarning that leaked would fail the suite
+        # eps = 1e-320 overflows kappa at the flipped tilt -2 alpha, where A's
+        # denominator is eps itself.  The array kit runs under
+        # errstate(over="ignore"), and Python floats overflow silently: a
+        # RuntimeWarning that leaked would fail the suite
         one = call(*channel)
         array = call(*(np.array([v]) for v in channel))
         for name, field in vars(array).items():

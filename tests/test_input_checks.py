@@ -418,7 +418,7 @@ def _as_0d_arrays(inputs: dict) -> dict:
 
 @pytest.mark.parametrize("entry,k,value", BAD_INPUTS)
 def test_both_passes_name_the_first_bad_input_alike(entry, k, value):
-    # Python floats take the float pass and 0-d arrays the array pass: one
+    # Python floats run the float kit and 0-d arrays the array kit: one
     # message from both, naming the bad input; with every later input in
     # check order bad too, both still name this one
     call, good, order = ENTRY_POINTS[entry]
